@@ -276,8 +276,8 @@ const MAX_AVG_SCAN: u64 = 8;
 /// has been reached, falling back to a direct minimum search when the
 /// queue is sparse.  Push, pop and
 /// cancel are all amortized O(1) at the maintained load factor, versus the
-/// heap's O(log n) — the difference the `event_core_microbench` measures at
-/// 10⁵ queued events.
+/// heap's O(log n) — the difference `tfmcc_experiments::event_bench` times
+/// at 10⁵ queued events.
 ///
 /// # Determinism
 ///

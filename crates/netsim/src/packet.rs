@@ -191,18 +191,6 @@ impl Packet {
         data.sent_at = sent_at;
     }
 
-    /// A copy with its own `PacketData` allocation (the payload `Arc` is
-    /// still shared, as it always was).
-    ///
-    /// This is what every per-receiver clone cost before the zero-copy
-    /// refactor; the clone-based reference fan-out path uses it so benches
-    /// and equivalence tests can compare against the historical behaviour.
-    pub fn deep_clone(&self) -> Packet {
-        Packet {
-            data: Arc::new(PacketData::clone(&self.data)),
-        }
-    }
-
     /// True if both handles point at the same `PacketData` allocation —
     /// i.e. the fan-out shared this packet instead of copying it.
     pub fn shares_data_with(&self, other: &Packet) -> bool {
@@ -245,16 +233,16 @@ mod tests {
     }
 
     #[test]
-    fn clone_shares_deep_clone_copies() {
+    fn clone_shares_packet_data() {
         let src = Address::new(NodeId(0), Port(1));
         let mut pkt = Packet::new(src, Dest::Unicast(src), 100, FlowId(1), Payload::empty());
         pkt.stamp(42, src, SimTime::from_secs(1.5));
         let shared = pkt.clone();
         assert!(pkt.shares_data_with(&shared));
-        let copied = pkt.deep_clone();
-        assert!(!pkt.shares_data_with(&copied));
-        assert_eq!(copied.id, 42);
-        assert_eq!(copied.sent_at, SimTime::from_secs(1.5));
+        assert_eq!(shared.id, 42);
+        assert_eq!(shared.sent_at, SimTime::from_secs(1.5));
+        let other = Packet::new(src, Dest::Unicast(src), 100, FlowId(1), Payload::empty());
+        assert!(!pkt.shares_data_with(&other));
     }
 
     #[test]

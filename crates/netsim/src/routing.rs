@@ -225,56 +225,6 @@ fn dijkstra_hops(adjacency: &[Vec<Hop>], root: usize) -> Vec<Option<(NodeId, Lin
     hop
 }
 
-/// A source-rooted multicast distribution tree built from scratch as the
-/// union of shortest paths to every member.
-///
-/// This is the **clone-based reference implementation** of the tree (what
-/// the simulator did before incremental maintenance): it is rebuilt in full
-/// whenever the membership changes.  The live fan-out path uses
-/// [`SourceTree`]; this type remains for the reference fan-out mode that the
-/// equivalence tests and the fan-out microbench compare against.
-#[derive(Debug, Clone, Default)]
-pub struct DistributionTree {
-    children: BTreeMap<NodeId, Vec<LinkId>>,
-}
-
-impl DistributionTree {
-    /// Builds the tree rooted at `source` spanning `members` (node ids of
-    /// the group's receivers) as the union of shortest paths.
-    pub fn build(source: NodeId, members: &BTreeSet<NodeId>, routes: &RoutingTable) -> Self {
-        let parents = routes.parents_from(source);
-        let mut children: BTreeMap<NodeId, BTreeSet<LinkId>> = BTreeMap::new();
-        for &member in members {
-            if member == source || !parents.reachable(member) {
-                continue; // unreachable member: skip
-            }
-            let mut cur = member;
-            while let Some((up, link)) = parents.parent(cur) {
-                children.entry(up).or_default().insert(link);
-                cur = up;
-            }
-        }
-        DistributionTree {
-            // BTreeSet iterates in order, so the per-node link lists come out
-            // sorted without an explicit sort.
-            children: children
-                .into_iter()
-                .map(|(n, set)| (n, set.into_iter().collect()))
-                .collect(),
-        }
-    }
-
-    /// Outgoing links at `node` for this tree.
-    pub fn out_links(&self, node: NodeId) -> &[LinkId] {
-        self.children.get(&node).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Total number of edges in the tree.
-    pub fn edge_count(&self) -> usize {
-        self.children.values().map(Vec::len).sum()
-    }
-}
-
 /// An incrementally maintained source-rooted multicast tree.
 ///
 /// Built with one forward Dijkstra from the source; after that, member joins
@@ -370,9 +320,6 @@ pub struct MulticastState {
     members: BTreeMap<GroupId, BTreeSet<NodeId>>,
     /// Incrementally maintained trees keyed by (group, source node).
     trees: BTreeMap<(GroupId, NodeId), SourceTree>,
-    /// Rebuild-from-scratch trees for the clone-based reference fan-out;
-    /// invalidated (seed behaviour) on every membership change.
-    ref_trees: BTreeMap<(GroupId, NodeId), DistributionTree>,
 }
 
 impl MulticastState {
@@ -384,7 +331,6 @@ impl MulticastState {
                     tree.add_member(node);
                 }
             }
-            self.ref_trees.retain(|(g, _), _| *g != group);
         }
     }
 
@@ -401,7 +347,6 @@ impl MulticastState {
                     tree.remove_member(node);
                 }
             }
-            self.ref_trees.retain(|(g, _), _| *g != group);
         }
     }
 
@@ -433,34 +378,52 @@ impl MulticastState {
         })
     }
 
-    /// Returns (building and caching if necessary) the rebuild-from-scratch
-    /// reference tree for `group` rooted at `source`.
-    ///
-    /// Faithful to the seed implementation, this clones the group's entire
-    /// member set on every call — cache hit or not — which is part of the
-    /// per-send cost the zero-copy fan-out removed.
-    pub fn ref_tree(
-        &mut self,
-        group: GroupId,
-        source: NodeId,
-        routes: &RoutingTable,
-    ) -> &DistributionTree {
-        let members = self.members(group);
-        self.ref_trees
-            .entry((group, source))
-            .or_insert_with(|| DistributionTree::build(source, &members, routes))
-    }
-
     /// Drops every cached tree (used after topology changes).
     pub fn invalidate(&mut self) {
         self.trees.clear();
-        self.ref_trees.clear();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// From-scratch oracle for [`SourceTree`]: the union of the shortest
+    /// paths to every member, rebuilt in full for each member set (what the
+    /// simulator did before incremental maintenance).
+    struct DistributionTree {
+        children: BTreeMap<NodeId, BTreeSet<LinkId>>,
+    }
+
+    impl DistributionTree {
+        fn build(source: NodeId, members: &BTreeSet<NodeId>, routes: &RoutingTable) -> Self {
+            let parents = routes.parents_from(source);
+            let mut children: BTreeMap<NodeId, BTreeSet<LinkId>> = BTreeMap::new();
+            for &member in members {
+                if member == source || !parents.reachable(member) {
+                    continue;
+                }
+                let mut cur = member;
+                while let Some((up, link)) = parents.parent(cur) {
+                    children.entry(up).or_default().insert(link);
+                    cur = up;
+                }
+            }
+            DistributionTree { children }
+        }
+
+        /// Sorted outgoing links at `node`.
+        fn out_links(&self, node: NodeId) -> Vec<LinkId> {
+            self.children
+                .get(&node)
+                .map(|set| set.iter().copied().collect())
+                .unwrap_or_default()
+        }
+
+        fn edge_count(&self) -> usize {
+            self.children.values().map(BTreeSet::len).sum()
+        }
+    }
 
     /// Builds a small test graph:
     ///
@@ -553,13 +516,14 @@ mod tests {
         let (n, edges) = line_graph();
         let rt = RoutingTable::compute(n, &edges);
         let members: BTreeSet<NodeId> = [NodeId(2), NodeId(3)].into_iter().collect();
-        let tree = DistributionTree::build(NodeId(0), &members, &rt);
+        let tree = SourceTree::build(NodeId(0), &members, &rt);
         // Node 0 forwards once toward node 1; node 1 branches to 2 and 3.
-        assert_eq!(tree.out_links(NodeId(0)), &[LinkId(0)]);
-        let mut at1 = tree.out_links(NodeId(1)).to_vec();
-        at1.sort();
-        assert_eq!(at1, vec![LinkId(2), LinkId(4)]);
-        assert_eq!(tree.out_links(NodeId(2)), &[] as &[LinkId]);
+        assert_eq!(tree.out_links(NodeId(0)).as_slice(), &[LinkId(0)]);
+        assert_eq!(
+            tree.out_links(NodeId(1)).as_slice(),
+            &[LinkId(2), LinkId(4)]
+        );
+        assert!(tree.out_links(NodeId(2)).is_empty());
         assert_eq!(tree.edge_count(), 3);
     }
 
@@ -595,7 +559,7 @@ mod tests {
             );
             for v in 0..n {
                 assert_eq!(
-                    tree.out_links(NodeId(v)).as_slice(),
+                    **tree.out_links(NodeId(v)),
                     reference.out_links(NodeId(v)),
                     "out links diverged at node {v} after {step:?}"
                 );
@@ -621,9 +585,6 @@ mod tests {
         assert_eq!(t3_edges, 2); // 0->1->3
         mc.leave(g, NodeId(3));
         assert_eq!(mc.tree(g, NodeId(0), &rt).edge_count(), 0);
-        // The reference tree agrees at every point it is queried.
-        mc.join(g, NodeId(2));
-        assert_eq!(mc.ref_tree(g, NodeId(0), &rt).edge_count(), 2);
     }
 
     #[test]
@@ -631,10 +592,8 @@ mod tests {
         let (n, edges) = line_graph();
         let rt = RoutingTable::compute(n, &edges);
         let members: BTreeSet<NodeId> = [NodeId(0), NodeId(2)].into_iter().collect();
-        let tree = DistributionTree::build(NodeId(0), &members, &rt);
+        let tree = SourceTree::build(NodeId(0), &members, &rt);
         assert_eq!(tree.edge_count(), 2); // only the path to node 2
-        let inc = SourceTree::build(NodeId(0), &members, &rt);
-        assert_eq!(inc.edge_count(), 2);
     }
 
     #[test]

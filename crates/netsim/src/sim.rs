@@ -21,7 +21,7 @@
 //! within their callbacks without aliasing issues.
 
 use std::any::Any;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use rand::rngs::SmallRng;
@@ -37,22 +37,16 @@ use crate::routing::{Edge, MulticastState, RoutingTable};
 use crate::stats::StatsRegistry;
 use crate::time::SimTime;
 
-/// How multicast packets are replicated to their receivers.
+/// How multicast packets are replicated to their receivers.  There is one
+/// way; the type survives only as the argument of
+/// [`Simulator::set_fanout_mode`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FanoutMode {
-    /// Zero-copy fan-out (the default): every replica shares one
-    /// `PacketData` allocation, local subscribers come from a sorted
-    /// per-`(node, group)` cache and tree out-links are iterated through a
-    /// shared `Arc` slice.
+    /// Zero-copy fan-out: every replica shares one `PacketData` allocation,
+    /// local subscribers come from a sorted per-`(node, group)` list and tree
+    /// out-links are iterated through a shared `Arc` slice.
     #[default]
     Shared,
-    /// The historical clone-based path, kept as an executable reference:
-    /// one `PacketData` copy per replica, subscribers collected and sorted
-    /// per send, out-links copied per send, and distribution trees rebuilt
-    /// from scratch after every membership change.  Delivery order and
-    /// content are identical to [`FanoutMode::Shared`] — the equivalence
-    /// proptest and the fan-out microbench rely on that.
-    CloneReference,
 }
 
 /// Handle for a scheduled timer, usable to cancel it.
@@ -248,12 +242,9 @@ struct Node {
     #[allow(dead_code)]
     name: String,
     agents: BTreeMap<Port, AgentId>,
-    /// Subscription sets — the source of truth, and what the clone-based
-    /// reference fan-out collects and sorts per send.
-    subscriptions: BTreeMap<GroupId, BTreeSet<AgentId>>,
-    /// Sorted subscriber lists maintained on join/leave; the shared fan-out
-    /// clones the `Arc` and iterates without allocating.
-    subscriber_cache: BTreeMap<GroupId, Arc<Vec<AgentId>>>,
+    /// Sorted subscriber list per group, maintained on join/leave (an empty
+    /// list means no agent on this node is subscribed).
+    subscriptions: BTreeMap<GroupId, Vec<AgentId>>,
 }
 
 /// Everything in the simulation except the agents themselves.
@@ -290,7 +281,6 @@ pub struct World {
     /// The simulation's root seed; per-link RNG streams are derived from it.
     seed: u64,
     rng: SmallRng,
-    fanout_mode: FanoutMode,
     events_processed: u64,
     /// Reused scratch buffer for link burst drains (packet, completion time).
     tx_scratch: Vec<(Packet, SimTime)>,
@@ -321,7 +311,6 @@ impl World {
             id_stride: 1,
             seed,
             rng: SmallRng::seed_from_u64(seed),
-            fanout_mode: FanoutMode::Shared,
             events_processed: 0,
             tx_scratch: Vec::new(),
             shard: None,
@@ -403,62 +392,28 @@ impl World {
                 }
                 None
             }
-            Dest::Multicast { group, port } => match self.fanout_mode {
-                FanoutMode::Shared => {
-                    // Replicate along the distribution tree rooted at the
-                    // source; the out-link slice is shared, not copied, and
-                    // every replica shares the one `PacketData`.
-                    let out = Arc::clone(
-                        self.multicast
-                            .tree(group, packet.src.node, &self.routes)
-                            .out_links(node),
-                    );
-                    for &link in out.iter() {
-                        self.offer_to_link(link, packet.clone());
-                    }
-                    // Local delivery: scan the sorted cached subscriber list
-                    // for the (unique) agent bound to the destination port —
-                    // no allocation, no sort.
-                    let subs = self.nodes[node.0].subscriber_cache.get(&group)?;
-                    let agent = subs.iter().copied().find(|a| {
-                        let addr = self.agent_addrs[a.0];
-                        addr.port == port && addr != packet.src
-                    })?;
-                    Some((agent, packet))
+            Dest::Multicast { group, port } => {
+                // Replicate along the distribution tree rooted at the
+                // source; the out-link slice is shared, not copied, and
+                // every replica shares the one `PacketData`.
+                let out = Arc::clone(
+                    self.multicast
+                        .tree(group, packet.src.node, &self.routes)
+                        .out_links(node),
+                );
+                for &link in out.iter() {
+                    self.offer_to_link(link, packet.clone());
                 }
-                FanoutMode::CloneReference => {
-                    // Historical behaviour: copy the out-link list and hand
-                    // every replica its own `PacketData`, collect + sort the
-                    // subscribers per send, and use the rebuild-from-scratch
-                    // reference tree.
-                    let out: Vec<LinkId> = {
-                        let tree = self
-                            .multicast
-                            .ref_tree(group, packet.src.node, &self.routes);
-                        tree.out_links(node).to_vec()
-                    };
-                    for link in out {
-                        self.offer_to_link(link, packet.deep_clone());
-                    }
-                    let local: Vec<AgentId> = self.nodes[node.0]
-                        .subscriptions
-                        .get(&group)
-                        .map(|set| {
-                            let mut v: Vec<AgentId> = set
-                                .iter()
-                                .copied()
-                                .filter(|a| {
-                                    let addr = self.agent_addrs[a.0];
-                                    addr.port == port && addr != packet.src
-                                })
-                                .collect();
-                            v.sort();
-                            v
-                        })
-                        .unwrap_or_default();
-                    local.first().map(|&agent| (agent, packet.deep_clone()))
-                }
-            },
+                // Local delivery: scan the sorted subscriber list for the
+                // (unique) agent bound to the destination port — no
+                // allocation, no sort.
+                let subs = self.nodes[node.0].subscriptions.get(&group)?;
+                let agent = subs.iter().copied().find(|a| {
+                    let addr = self.agent_addrs[a.0];
+                    addr.port == port && addr != packet.src
+                })?;
+                Some((agent, packet))
+            }
         }
     }
 
@@ -490,9 +445,9 @@ impl World {
         }
     }
 
-    /// Subscribes `agent` (on `node`) to `group`, maintaining both the
-    /// subscription set and the sorted cache, and propagating the node-level
-    /// membership to the multicast state.
+    /// Subscribes `agent` (on `node`) to `group`, maintaining the sorted
+    /// subscriber list and propagating the node-level membership to the
+    /// multicast state.
     fn subscribe(&mut self, agent: AgentId, node: NodeId, group: GroupId) {
         // Cached trees are updated in place on membership changes, so they
         // must be built against the *current* topology: settle any pending
@@ -500,20 +455,11 @@ impl World {
         // e.g. a node added after a tree was cached would otherwise be
         // out of bounds for the tree's parent table.
         self.ensure_routes();
-        let node_state = &mut self.nodes[node.0];
-        if !node_state
-            .subscriptions
-            .entry(group)
-            .or_default()
-            .insert(agent)
-        {
+        let list = self.nodes[node.0].subscriptions.entry(group).or_default();
+        let Err(pos) = list.binary_search(&agent) else {
             return; // already subscribed
-        }
-        let cache = node_state.subscriber_cache.entry(group).or_default();
-        let list = Arc::make_mut(cache);
-        if let Err(pos) = list.binary_search(&agent) {
-            list.insert(pos, agent);
-        }
+        };
+        list.insert(pos, agent);
         if !self.multicast.is_member(group, node) {
             let time = self.now;
             if let Some(sh) = self.shard.as_mut() {
@@ -557,20 +503,14 @@ impl World {
         // See `subscribe`: in-place tree maintenance requires the topology
         // to be settled first.
         self.ensure_routes();
-        let node_state = &mut self.nodes[node.0];
-        let Some(set) = node_state.subscriptions.get_mut(&group) else {
+        let Some(list) = self.nodes[node.0].subscriptions.get_mut(&group) else {
             return;
         };
-        if !set.remove(&agent) {
+        let Ok(pos) = list.binary_search(&agent) else {
             return; // was not subscribed
-        }
-        if let Some(cache) = node_state.subscriber_cache.get_mut(&group) {
-            let list = Arc::make_mut(cache);
-            if let Ok(pos) = list.binary_search(&agent) {
-                list.remove(pos);
-            }
-        }
-        if set.is_empty() {
+        };
+        list.remove(pos);
+        if list.is_empty() {
             if self.multicast.is_member(group, node) {
                 let time = self.now;
                 if let Some(sh) = self.shard.as_mut() {
@@ -775,7 +715,7 @@ pub struct SchedulerDiagnostics {
 impl Simulator {
     /// Creates an empty simulation with a deterministic RNG seed.
     ///
-    /// The event scheduler defaults to [`SchedulerKind::Heap`]; the
+    /// The event scheduler defaults to [`SchedulerKind::Calendar`]; the
     /// `TFMCC_SCHEDULER` environment variable (`heap` / `calendar`)
     /// overrides the default so whole experiment runs can be switched
     /// without code changes.  Use [`Simulator::with_scheduler`] to pin one
@@ -1033,18 +973,11 @@ impl Simulator {
         self.world.unsubscribe(agent, addr.node, group);
     }
 
-    /// Selects how multicast packets are replicated.  The default,
-    /// [`FanoutMode::Shared`], is the zero-copy path;
-    /// [`FanoutMode::CloneReference`] replays the historical clone-based
-    /// behaviour for equivalence tests and benchmarks.
-    pub fn set_fanout_mode(&mut self, mode: FanoutMode) {
-        self.world.fanout_mode = mode;
-    }
-
-    /// The current multicast replication mode.
-    pub fn fanout_mode(&self) -> FanoutMode {
-        self.world.fanout_mode
-    }
+    /// Does nothing: there is one fan-out path.  Exists, with [`FanoutMode`],
+    /// only because `perfbench/src/sims.rs` still calls it (the benchmark is
+    /// frozen outside `[benchmark]` PRs); delete both once that call is gone.
+    #[doc(hidden)]
+    pub fn set_fanout_mode(&mut self, _mode: FanoutMode) {}
 
     /// Runs the simulation until the event queue is empty or `until` is
     /// reached (whichever comes first).  Time is advanced to `until`.
@@ -1366,7 +1299,6 @@ impl Simulator {
                 w.rng = SmallRng::seed_from_u64(stream_seed(w.seed, DOMAIN_RNG_STREAM + d as u64));
                 w.edges = self.world.edges.clone();
                 w.agent_addrs = self.world.agent_addrs.clone();
-                w.fanout_mode = self.world.fanout_mode;
                 w.nodes = (0..n_nodes).map(|_| Node::default()).collect();
                 w.links = (0..n_links).map(|i| placeholder_link(LinkId(i))).collect();
                 // Node-level membership replica: every shard computes
@@ -2343,47 +2275,49 @@ mod tests {
                 self
             }
         }
-        let build = |mode: FanoutMode| {
-            let mut sim = Simulator::new(9);
-            sim.set_fanout_mode(mode);
-            let s = sim.add_node("s");
-            let r = sim.add_node("r");
-            sim.add_duplex_link(s, r, 1e6, 0.001, QueueDiscipline::drop_tail(10));
-            let group = GroupId(4);
-            let cap = sim.add_agent(
-                r,
-                Port(2),
-                Box::new(Capture {
-                    group,
-                    got: Vec::new(),
-                }),
-            );
-            sim.add_agent(
-                s,
-                Port(2),
-                Box::new(Blaster::new(
-                    Dest::Multicast {
+        let mut sim = Simulator::new(9);
+        let s = sim.add_node("s");
+        let hub = sim.add_node("hub");
+        sim.add_duplex_link(s, hub, 1e6, 0.001, QueueDiscipline::drop_tail(10));
+        let group = GroupId(4);
+        let caps: Vec<AgentId> = (0..2)
+            .map(|i| {
+                let r = sim.add_node(&format!("r{i}"));
+                sim.add_duplex_link(hub, r, 1e6, 0.001, QueueDiscipline::drop_tail(10));
+                sim.add_agent(
+                    r,
+                    Port(2),
+                    Box::new(Capture {
                         group,
-                        port: Port(2),
-                    },
-                    100,
-                    2,
-                    0.1,
-                )),
-            );
-            sim.run_until(SimTime::from_secs(1.0));
-            let c: &Capture = sim.agent(cap).unwrap();
-            c.got.clone()
-        };
-        let shared = build(FanoutMode::Shared);
-        let cloned = build(FanoutMode::CloneReference);
-        assert_eq!(shared.len(), 2);
-        assert_eq!(cloned.len(), 2);
-        for (a, b) in shared.iter().zip(cloned.iter()) {
-            assert_eq!(a.id, b.id);
-            assert_eq!(a.size, b.size);
-            assert_eq!(a.sent_at, b.sent_at);
+                        got: Vec::new(),
+                    }),
+                )
+            })
+            .collect();
+        sim.add_agent(
+            s,
+            Port(2),
+            Box::new(Blaster::new(
+                Dest::Multicast {
+                    group,
+                    port: Port(2),
+                },
+                100,
+                2,
+                0.1,
+            )),
+        );
+        sim.run_until(SimTime::from_secs(1.0));
+        let a = &sim.agent::<Capture>(caps[0]).unwrap().got;
+        let b = &sim.agent::<Capture>(caps[1]).unwrap().got;
+        assert_eq!(a.len(), 2);
+        assert_eq!(b.len(), 2);
+        // Both branches of the tree were handed the same allocation.
+        for (x, y) in a.iter().zip(b.iter()) {
+            assert_eq!(x.id, y.id);
+            assert!(x.shares_data_with(y));
         }
+        assert!(!a[0].shares_data_with(&a[1]));
     }
 
     /// Regression for the unbounded `cancelled_timers` tombstone set: a

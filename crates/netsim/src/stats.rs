@@ -217,7 +217,7 @@ impl StatsRegistry {
     /// A 64-bit FNV-1a digest over every counter and series (names plus the
     /// raw f64 bit patterns of the values).  Two registries digest equal iff
     /// they are bit-identical, which the domain-sharding equivalence gates
-    /// (`scale_probe domains=K`, `BENCH_parallel.json`) compare across
+    /// (`scale_probe domains=K`, `domain_equivalence.rs`) compare across
     /// domain counts.
     pub fn digest(&self) -> u64 {
         let mut h = Fnv1a::new();

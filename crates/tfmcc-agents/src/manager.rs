@@ -48,7 +48,6 @@ use tfmcc_proto::sender::SenderStats;
 use crate::population::{FluidPopulationAgent, PopulationSpec, FLUID_ID_BASE, FLUID_ID_POP_SHIFT};
 use crate::receiver_agent::TfmccReceiverAgent;
 use crate::sender_agent::TfmccSenderAgent;
-use crate::session::ReceiverSpec;
 
 /// Index of a session within its [`SessionManager`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -345,25 +344,6 @@ impl SessionManager {
         };
         self.reserved.push(addressing);
         addressing
-    }
-
-    /// Adds one session specified as a plain packet-level receiver list.
-    ///
-    /// Thin shim over [`Self::add_population_session`], the unified entry
-    /// point that also accepts fluid populations;
-    /// [`PopulationSpec::packets`] wraps a `ReceiverSpec` slice.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use add_population_session (PopulationSpec::packets wraps a ReceiverSpec slice)"
-    )]
-    pub fn add_session(
-        &mut self,
-        sim: &mut Simulator,
-        spec: &SessionSpec,
-        sender_node: NodeId,
-        receivers: &[ReceiverSpec],
-    ) -> SessionId {
-        self.add_population_session(sim, spec, sender_node, &PopulationSpec::packets(receivers))
     }
 
     /// Adds one session: attaches its sender to `sender_node`, one receiver
@@ -727,6 +707,7 @@ impl SessionManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::ReceiverSpec;
     use netsim::prelude::*;
 
     fn star_with_legs(sim: &mut Simulator, n: usize) -> Star {

@@ -118,8 +118,7 @@ impl PopulationSpec {
         PopulationSpec::Fluid(FluidSpec::new(node, count, loss, rtt))
     }
 
-    /// Wraps a slice of packet-level receiver specs — the migration helper
-    /// for call sites moving off the deprecated per-receiver entry points.
+    /// Wraps a slice of packet-level receiver specs.
     pub fn packets(specs: &[crate::session::ReceiverSpec]) -> Vec<PopulationSpec> {
         specs.iter().map(|s| PopulationSpec::Packet(*s)).collect()
     }

@@ -106,8 +106,8 @@ impl Default for TfmccSessionBuilder {
 pub struct TfmccSession {
     /// The sender agent.
     pub sender: AgentId,
-    /// The packet-level receiver agents, in the order of the specs passed
-    /// to `build`.
+    /// The packet-level receiver agents, in the order of the packet entries
+    /// passed to `build_population`.
     pub receivers: Vec<AgentId>,
     /// The fluid population agents, in the order of the fluid entries
     /// passed to `build_population` (empty for a pure packet-level session).
@@ -117,24 +117,6 @@ pub struct TfmccSession {
 }
 
 impl TfmccSessionBuilder {
-    /// Builds a pure packet-level session from per-receiver specs.
-    ///
-    /// Thin shim over [`Self::build_population`], the unified entry point
-    /// that also accepts fluid populations;
-    /// [`PopulationSpec::packets`] wraps a `ReceiverSpec` slice.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use build_population (PopulationSpec::packets wraps a ReceiverSpec slice)"
-    )]
-    pub fn build(
-        &self,
-        sim: &mut Simulator,
-        sender_node: NodeId,
-        receivers: &[ReceiverSpec],
-    ) -> TfmccSession {
-        self.build_population(sim, sender_node, &PopulationSpec::packets(receivers))
-    }
-
     /// Builds the session: attaches the sender to `sender_node`, one
     /// receiver agent per [`PopulationSpec::Packet`] entry and one fluid
     /// population agent per [`PopulationSpec::Fluid`] entry, all wired to

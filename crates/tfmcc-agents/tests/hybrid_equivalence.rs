@@ -4,12 +4,43 @@
 //! stated tolerance (25% on the steady-state mean — the two runs see
 //! different event interleavings, so their random loss draws differ).
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicI64, Ordering::Relaxed};
+
 use netsim::prelude::*;
 use proptest::prelude::*;
 use tfmcc_agents::population::{FluidSpec, PopulationSpec};
 use tfmcc_agents::session::{TfmccSession, TfmccSessionBuilder};
 use tfmcc_model::population::Dist;
 use tfmcc_proto::packets::ReceiverId;
+
+// Counts live heap bytes for the 10⁶-receiver gate below, like the allocator
+// in `crates/tfmcc-proto/tests/receiver_mem.rs` (a `#[global_allocator]` must
+// live in the binary that uses it).  `realloc` and `alloc_zeroed` keep their
+// default bodies, which go through the two counted methods.
+struct NetCountingAllocator;
+
+static NET_BYTES: AtomicI64 = AtomicI64::new(0);
+
+// SAFETY: both methods forward to `System` with unchanged arguments; the
+// added Relaxed counter update cannot affect the allocator contract.
+unsafe impl GlobalAlloc for NetCountingAllocator {
+    // SAFETY: forwarded verbatim to `System`; the caller's `GlobalAlloc`
+    // obligations are passed through unchanged.
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        NET_BYTES.fetch_add(layout.size() as i64, Relaxed);
+        System.alloc(layout)
+    }
+    // SAFETY: forwarded verbatim to `System`; the caller's `GlobalAlloc`
+    // obligations are passed through unchanged.
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        NET_BYTES.fetch_sub(layout.size() as i64, Relaxed);
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: NetCountingAllocator = NetCountingAllocator;
 
 /// Star topology shared by both runs: three cohort legs (leg 0 is clearly
 /// the lossiest, so its receiver must be the CLR) plus a clean leg the
@@ -101,6 +132,35 @@ fn hybrid_matches_pure_packet_run_at_1e4() {
         fluid.reports_sent() < 4_000,
         "fluid tier reports should scale with bins × rounds, got {}",
         fluid.reports_sent()
+    );
+}
+
+/// The scaling gate of the fluid tier: a session standing for 10⁶ receivers
+/// still elects its CLR from the packet cohort and retains at most 100 B of
+/// live heap per fluid receiver.  The byte counter is process-global, so
+/// sibling tests running concurrently add noise — a few MB at most (their
+/// sims have four legs), i.e. a few bytes per fluid receiver here.
+#[test]
+fn hybrid_session_at_1e6_keeps_the_clr_and_the_heap_budget() {
+    const FLUID: u64 = 1_000_000;
+    let heap0 = NET_BYTES.load(Relaxed);
+    let (sim, session) = run(7, |st| {
+        let mut specs = cohort(st);
+        specs.push(bulk_population(st.receivers[3], FLUID));
+        specs
+    });
+    let bytes_per_receiver = (NET_BYTES.load(Relaxed) - heap0).max(0) as f64 / FLUID as f64;
+
+    let sender = session.sender_agent(&sim).protocol();
+    let clr = sender.clr().expect("a CLR is elected");
+    assert!(
+        clr.0 <= 3,
+        "CLR must stay in the packet cohort, got {clr:?}"
+    );
+    assert!(sender.session_population() > FLUID);
+    assert!(
+        bytes_per_receiver <= 100.0,
+        "fluid tier retains {bytes_per_receiver:.1} B per receiver (> 100 B budget)"
     );
 }
 

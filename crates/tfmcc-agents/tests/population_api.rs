@@ -6,7 +6,7 @@
 use netsim::prelude::*;
 use tfmcc_agents::manager::{SessionManager, SessionSpec};
 use tfmcc_agents::population::{FluidSpec, PopulationSpec};
-use tfmcc_agents::session::{ReceiverSpec, TfmccSessionBuilder};
+use tfmcc_agents::session::TfmccSessionBuilder;
 use tfmcc_model::population::Dist;
 
 fn one_leg_star(sim: &mut Simulator) -> Star {
@@ -128,20 +128,4 @@ fn builder_applies_the_same_validation() {
         st.sender,
         &[PopulationSpec::Fluid(fluid(st.receivers[0], 1000))],
     );
-}
-
-/// The deprecated per-receiver entry points still work and build the same
-/// (pure packet-level) session as the unified surface.
-#[test]
-#[allow(deprecated)]
-fn deprecated_shims_still_build_sessions() {
-    let mut sim = Simulator::new(7);
-    let st = one_leg_star(&mut sim);
-    let session = TfmccSessionBuilder::default().build(
-        &mut sim,
-        st.sender,
-        &[ReceiverSpec::always(st.receivers[0])],
-    );
-    assert_eq!(session.receivers.len(), 1);
-    assert!(session.fluid.is_empty());
 }

@@ -1,6 +1,5 @@
-//! The event-core microbench workload, shared between the Criterion bench
-//! (`bench/benches/event_core_microbench.rs`) and the `BENCH_events.json`
-//! trajectory written by `sweep_bench`.
+//! The event-core microbench workload, replayed by `perfbench` for its
+//! `netsim.events.ns_per_op` layer number.
 //!
 //! The workload replays the event-queue access pattern of a 10⁵-receiver
 //! churn simulation directly against the [`EventQueue`] implementations: a
@@ -130,8 +129,8 @@ mod tests {
 
     /// A scaled-down measurement: the two schedulers must agree on the pop
     /// sequence.  Wall-clock ordering is only sanity-checked loosely —
-    /// timing assertions in unit tests flake on loaded machines; the real
-    /// ≥1.5× claim lives in the bench-smoke `BENCH_events.json` artifact.
+    /// timing assertions in unit tests flake on loaded machines; `perfbench`
+    /// is where the two schedulers are timed.
     #[test]
     fn schedulers_agree_on_the_bench_workload() {
         let m = measure_event_core(5_000, 20_000);

@@ -5,8 +5,8 @@
 //! named columns plus summary lines — which the per-figure binaries in
 //! `src/bin/` print as CSV (and, with `--out`, write as deterministic JSON).
 //! [`scale::Scale`] lets the same code run at paper scale (full receiver
-//! counts and durations) or at a reduced scale suitable for tests and
-//! Criterion benches; the [`tfmcc_runner::SweepRunner`] argument shards each
+//! counts and durations) or at a reduced scale suitable for tests and the
+//! benchmark; the [`tfmcc_runner::SweepRunner`] argument shards each
 //! figure's independent simulation points across worker threads with
 //! deterministic per-point seeds, so results are byte-identical for any
 //! `--threads N`.
@@ -31,8 +31,6 @@ pub mod cli;
 pub mod event_bench;
 pub mod fairness_figs;
 pub mod fairness_matrix;
-pub mod fanout_bench;
-pub mod feedback_bench;
 pub mod feedback_figs;
 pub mod intersession_figs;
 pub mod output;

@@ -35,10 +35,9 @@ pub const SIM_VISIBLE_CRATES: &[&str] = &[
 
 /// Crates that *are* the bench/CLI timing layer: wall-clock reads are their
 /// job (measuring real elapsed time around deterministic simulations), so
-/// D002 does not apply to them.  Binaries, examples and criterion benches of
+/// D002 does not apply to them.  Binaries, examples and bench targets of
 /// any crate are part of the same layer (see [`FileClass::timing_layer`]).
-pub const TIMING_LAYER_CRATES: &[&str] =
-    &["bench", "tfmcc-experiments", "tfmcc-runner", "tfmcc-lint"];
+pub const TIMING_LAYER_CRATES: &[&str] = &["tfmcc-experiments", "tfmcc-runner", "tfmcc-lint"];
 
 /// Pure crates that must carry `#![forbid(unsafe_code)]` in their `lib.rs`
 /// (U001): they are math/protocol logic with no FFI or allocator work, so
@@ -91,7 +90,7 @@ pub fn classify(path: &str) -> FileClass {
         Some(name) => name.to_string(),
         None => "tfmcc".to_string(),
     };
-    // Binaries, examples and criterion benches of any crate are operational
+    // Binaries, examples and bench targets of any crate are operational
     // entry points, not simulation state: timing there is allowed.
     let operational_path = path.starts_with("examples/")
         || path.contains("/examples/")

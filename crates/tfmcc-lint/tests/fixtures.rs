@@ -75,7 +75,7 @@ fn d002_systemtime_outside_timing_layer() {
 fn d002_timing_layer_is_exempt() {
     let src = "fn f() { let t = std::time::Instant::now(); }\n";
     assert!(lint("crates/tfmcc-runner/src/exec.rs", src).is_empty());
-    assert!(lint("crates/bench/benches/microbench.rs", src).is_empty());
+    assert!(lint("crates/netsim/benches/microbench.rs", src).is_empty());
     assert!(lint("examples/scale_probe.rs", src).is_empty());
     assert!(lint("crates/tfmcc-mc/src/bin/mc_check.rs", src).is_empty());
     assert!(lint("crates/tfmcc-mc/examples/tune.rs", src).is_empty());

@@ -26,12 +26,11 @@
 //!   O(log N) index maintenance instead of deferring O(N) scans to the
 //!   per-packet path.
 //!
-//! The implementation is selected per sender ([`TfmccSender::with_aggregator`])
-//! or process-wide through the `TFMCC_AGGREGATOR` environment variable; the
-//! default is the incremental path.  `feedback_microbench` /
-//! `BENCH_feedback.json` track the speedup (≥2× on the 10⁵-receiver feedback
-//! workload).
+//! [`TfmccSender::new`] always runs on the incremental path;
+//! [`TfmccSender::with_aggregator`] exists so the equivalence proptest and
+//! the model checker's shadow sender can run the reference beside it.
 //!
+//! [`TfmccSender::new`]: crate::sender::TfmccSender::new
 //! [`TfmccSender::on_tick`]: crate::sender::TfmccSender::on_tick
 //! [`TfmccSender::with_aggregator`]: crate::sender::TfmccSender::with_aggregator
 
@@ -50,31 +49,6 @@ pub enum AggregatorKind {
     /// Ordered-index bookkeeping: O(1) aggregate queries, O(log N) updates.
     #[default]
     Incremental,
-}
-
-impl AggregatorKind {
-    /// Reads the `TFMCC_AGGREGATOR` environment override (`reference` or
-    /// `incremental`, case-insensitive).  Returns `None` when unset; unknown
-    /// values warn on stderr and are ignored.
-    pub fn from_env() -> Option<Self> {
-        let value = std::env::var("TFMCC_AGGREGATOR").ok()?;
-        match value.to_ascii_lowercase().as_str() {
-            "reference" => Some(AggregatorKind::Reference),
-            "incremental" => Some(AggregatorKind::Incremental),
-            other => {
-                eprintln!(
-                    "warning: ignoring unknown TFMCC_AGGREGATOR value '{other}' (use 'reference' or 'incremental')"
-                );
-                None
-            }
-        }
-    }
-
-    /// The kind to use: the `TFMCC_AGGREGATOR` environment override when set,
-    /// otherwise the default (incremental).
-    pub fn resolve() -> Self {
-        Self::from_env().unwrap_or_default()
-    }
 }
 
 /// What the sender knows about one receiver.

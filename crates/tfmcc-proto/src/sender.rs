@@ -95,11 +95,9 @@ pub struct TfmccSender {
 }
 
 impl TfmccSender {
-    /// Creates a sender with the feedback aggregator selected by
-    /// [`AggregatorKind::resolve`] (the `TFMCC_AGGREGATOR` environment
-    /// variable, defaulting to the incremental implementation).
+    /// Creates a sender on the incremental feedback aggregator.
     pub fn new(config: TfmccConfig) -> Self {
-        Self::with_aggregator(config, AggregatorKind::resolve())
+        Self::with_aggregator(config, AggregatorKind::Incremental)
     }
 
     /// Creates a sender with an explicit feedback-aggregation implementation.

@@ -8,9 +8,9 @@
 //! --threads N         worker threads for the sweep executor
 //!                     (default: all available cores)
 //! --out FILE          write the figure as deterministic JSON to FILE
-//! --bench-out FILE    write the run's timing trajectory (BENCH_*.json)
+//! --bench-out FILE    write the run's per-point timing trajectory (JSON)
 //! --scheduler KIND    event-queue scheduler for every simulation of the
-//!                     run: `heap` (default) or `calendar`
+//!                     run: `heap` or `calendar` (default)
 //! --sessions N        number of concurrent TFMCC sessions for multi-session
 //!                     experiments (figures that sweep the session count pin
 //!                     it to N; single-session figures ignore the flag)
@@ -187,9 +187,9 @@ mod tests {
 
     #[test]
     fn parses_equals_forms() {
-        let args = parse(&["--threads=8", "--bench-out=BENCH_x.json"]).unwrap();
+        let args = parse(&["--threads=8", "--bench-out=timing.json"]).unwrap();
         assert_eq!(args.threads, Some(8));
-        assert_eq!(args.bench_out, Some(PathBuf::from("BENCH_x.json")));
+        assert_eq!(args.bench_out, Some(PathBuf::from("timing.json")));
     }
 
     #[test]

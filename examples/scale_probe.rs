@@ -5,8 +5,7 @@
 //! the event/delivery counts **and the live heap footprint** (measured by a
 //! counting global allocator: net bytes after build and after the run, per
 //! receiver).  Optionally a tenth of the receivers churn (leave and rejoin
-//! the group on sub-second cycles), and the fan-out can be switched to the
-//! clone-based reference path for comparison.
+//! the group on sub-second cycles).
 //!
 //! With `sessions=K` the probe becomes the **multi-session** workload from
 //! the roadmap: instead of CBR sinks it wires K full TFMCC sessions (each
@@ -29,9 +28,9 @@
 //! same arguments, only the wall clock differs.
 //!
 //! ```text
-//! cargo run --release --example scale_probe -- [RECEIVERS] [shared|clone] [churn]
-//!     [heap|calendar] [sessions=K] [domains=K] [hybrid]
-//! cargo run --release --example scale_probe -- 100000 shared churn calendar
+//! cargo run --release --example scale_probe -- [RECEIVERS] [churn] [heap|calendar]
+//!     [sessions=K] [domains=K] [hybrid]
+//! cargo run --release --example scale_probe -- 100000 churn calendar
 //! cargo run --release --example scale_probe -- 100000 sessions=4
 //! cargo run --release --example scale_probe -- 100000 domains=4
 //! cargo run --release --example scale_probe -- 1000000 hybrid
@@ -40,9 +39,7 @@
 //! The scheduler token (or the `TFMCC_SCHEDULER` environment variable)
 //! selects the event-queue implementation, so the heap and the calendar
 //! queue can be compared at 10⁵ receivers; both produce identical runs
-//! (see `netsim::events`), only the wall clock differs.  The
-//! `TFMCC_AGGREGATOR` environment variable likewise selects the sender's
-//! feedback aggregation (`incremental` by default) for the sessions mode.
+//! (see `netsim::events`), only the wall clock differs.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, Ordering::Relaxed};
@@ -101,7 +98,6 @@ fn live_bytes() -> i64 {
 
 fn main() {
     let mut n: usize = 10_000;
-    let mut mode = FanoutMode::Shared;
     let mut churn = false;
     let mut scheduler = SchedulerKind::resolve();
     let mut sessions: usize = 0;
@@ -109,8 +105,6 @@ fn main() {
     let mut hybrid = false;
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
-            "shared" => mode = FanoutMode::Shared,
-            "clone" => mode = FanoutMode::CloneReference,
             "churn" => churn = true,
             "heap" => scheduler = SchedulerKind::Heap,
             "calendar" => scheduler = SchedulerKind::Calendar,
@@ -144,7 +138,7 @@ fn main() {
                     }
                     Err(_) => {
                         eprintln!(
-                            "error: unknown argument '{other}' (expected a receiver count, shared|clone, churn, heap|calendar, sessions=K, domains=K, hybrid)"
+                            "error: unknown argument '{other}' (expected a receiver count, churn, heap|calendar, sessions=K, domains=K, hybrid)"
                         );
                         std::process::exit(2);
                     }
@@ -154,11 +148,11 @@ fn main() {
     }
 
     if hybrid {
-        probe_hybrid(n, scheduler, mode, domains);
+        probe_hybrid(n, scheduler, domains);
     } else if sessions > 0 {
-        probe_sessions(n, sessions, scheduler, mode, domains);
+        probe_sessions(n, sessions, scheduler, domains);
     } else {
-        probe_cbr(n, mode, churn, scheduler, domains);
+        probe_cbr(n, churn, scheduler, domains);
     }
 }
 
@@ -177,12 +171,11 @@ fn print_domain_report(sim: &Simulator, domains: usize) {
 }
 
 /// The original single-group probe: CBR traffic into N `GroupSink`s.
-fn probe_cbr(n: usize, mode: FanoutMode, churn: bool, scheduler: SchedulerKind, domains: usize) {
+fn probe_cbr(n: usize, churn: bool, scheduler: SchedulerKind, domains: usize) {
     let heap0 = live_bytes();
     let t0 = Instant::now();
     let mut sim = Simulator::with_scheduler(1, scheduler);
     sim.set_domains(domains.max(1));
-    sim.set_fanout_mode(mode);
     let legs: Vec<StarLeg> = (0..n).map(|_| StarLeg::clean(125_000.0, 0.02)).collect();
     let st = star(&mut sim, &StarConfig::default(), &legs);
     let group = GroupId(1);
@@ -220,7 +213,7 @@ fn probe_cbr(n: usize, mode: FanoutMode, churn: bool, scheduler: SchedulerKind, 
         .map(|&s| sim.agent::<GroupSink>(s).unwrap().packets())
         .sum();
     println!(
-        "n={n} mode={mode:?} scheduler={scheduler:?} churn={churn} build={built:?} run={ran:?} events={} delivered={delivered}",
+        "n={n} scheduler={scheduler:?} churn={churn} build={built:?} run={ran:?} events={} delivered={delivered}",
         sim.events_processed()
     );
     print_domain_report(&sim, domains);
@@ -235,12 +228,11 @@ fn probe_cbr(n: usize, mode: FanoutMode, churn: bool, scheduler: SchedulerKind, 
 
 /// The multi-session probe: K concurrent TFMCC sessions over one shared
 /// 8 Mbit/s bottleneck, splitting the N receivers between them.
-fn probe_sessions(n: usize, k: usize, scheduler: SchedulerKind, mode: FanoutMode, domains: usize) {
+fn probe_sessions(n: usize, k: usize, scheduler: SchedulerKind, domains: usize) {
     let heap0 = live_bytes();
     let t0 = Instant::now();
     let mut sim = Simulator::with_scheduler(1, scheduler);
     sim.set_domains(domains.max(1));
-    sim.set_fanout_mode(mode);
     let left = sim.add_node("left");
     let right = sim.add_node("right");
     sim.add_duplex_link(
@@ -293,7 +285,7 @@ fn probe_sessions(n: usize, k: usize, scheduler: SchedulerKind, mode: FanoutMode
 
     let report = manager.report(&sim, duration * 0.5, duration);
     println!(
-        "n={receivers} sessions={k} scheduler={scheduler:?} mode={mode:?} build={built:?} run={ran:?} events={}",
+        "n={receivers} sessions={k} scheduler={scheduler:?} build={built:?} run={ran:?} events={}",
         sim.events_processed()
     );
     print_domain_report(&sim, domains);
@@ -326,14 +318,13 @@ fn probe_sessions(n: usize, k: usize, scheduler: SchedulerKind, mode: FanoutMode
 /// a four-receiver cohort (the CLR candidates, on the lossiest legs) runs at
 /// packet level — the remaining `n - 4` are a fluid population whose
 /// feedback is computed analytically per round.
-fn probe_hybrid(n: usize, scheduler: SchedulerKind, mode: FanoutMode, domains: usize) {
+fn probe_hybrid(n: usize, scheduler: SchedulerKind, domains: usize) {
     let cohort = 4.min(n);
     let fluid_count = (n - cohort).max(1) as u64;
     let heap0 = live_bytes();
     let t0 = Instant::now();
     let mut sim = Simulator::with_scheduler(1, scheduler);
     sim.set_domains(domains.max(1));
-    sim.set_fanout_mode(mode);
     let legs = vec![
         StarLeg::clean(1_250_000.0, 0.03).with_downstream_loss(0.05),
         StarLeg::clean(1_250_000.0, 0.02).with_downstream_loss(0.02),
@@ -367,7 +358,7 @@ fn probe_hybrid(n: usize, scheduler: SchedulerKind, mode: FanoutMode, domains: u
     let sender = session.sender_agent(&sim).protocol();
     let fluid = session.fluid_agent(&sim, 0);
     println!(
-        "n={n} hybrid cohort={cohort} fluid={fluid_count} scheduler={scheduler:?} mode={mode:?} build={built:?} run={ran:?} events={}",
+        "n={n} hybrid cohort={cohort} fluid={fluid_count} scheduler={scheduler:?} build={built:?} run={ran:?} events={}",
         sim.events_processed()
     );
     print_domain_report(&sim, domains);

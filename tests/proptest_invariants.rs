@@ -170,7 +170,7 @@ proptest! {
     }
 }
 
-/// Every documented `add_session` panic fires with its documented message on
+/// Every documented `add_population_session` panic fires with its documented message on
 /// the corresponding bad input, and a rejected spec leaves the manager
 /// untouched (validation runs before any agent is attached).
 #[test]
