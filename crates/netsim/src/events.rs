@@ -8,10 +8,11 @@
 //! sequence number, unique among live entries (the simulator assigns one per
 //! scheduled event).  [`EventQueue::pop`] must return entries in ascending
 //! `(time, seq)` order — time first, `seq` within a time.  Entries may be
-//! scheduled at times *behind* the last popped entry's time: the
-//! domain-sharded runtime replays cross-domain handoffs and deferred
-//! cut-link events with their original timestamps, which lie behind the
-//! shard's clock at the window boundary.  A late insert simply pops next (in
+//! scheduled at times *behind* the last popped entry's time: a peek can
+//! park the calendar's cursor ahead of the caller's clock, so inserts behind
+//! the cursor have to work anyway, and the contract makes that unconditional
+//! (the simulator itself never schedules into the past, see
+//! `World::push_event`).  A late insert simply pops next (in
 //! `(time, seq)` order among the remaining entries); it cannot, of course,
 //! retroactively order before entries that were already popped.  Both
 //! implementations honour all of this exactly, so swapping one for the other
@@ -696,10 +697,8 @@ mod tests {
     }
 
     /// Both implementations accept inserts behind the last popped entry's
-    /// time (the domain-sharded runtime replays cross-domain handoffs and
-    /// deferred cut-link events at their original, past timestamps) and
-    /// surface them next, in `(time, seq)` order among the remaining
-    /// entries.
+    /// time (the scheduler contract allows it unconditionally) and surface
+    /// them next, in `(time, seq)` order among the remaining entries.
     #[test]
     fn accepts_late_inserts_behind_the_clock() {
         let mut heap: HeapQueue<u64> = HeapQueue::new();
@@ -711,8 +710,8 @@ mod tests {
             q.schedule(t(1.0), 0, 0);
             q.schedule(t(5.0), 1, 1);
             assert_eq!(q.pop().map(|(time, ..)| time), Some(t(1.0)));
-            // The clock is at 1.0; replay two handoffs behind it, one of
-            // them tying an existing time with a smaller seq band.
+            // The last pop was at 1.0; insert two entries behind it and one
+            // tying an existing time with a larger seq.
             q.schedule(t(0.5), 100, 2);
             q.schedule(t(0.25), 101, 3);
             q.schedule(t(5.0), 50, 4);

@@ -62,7 +62,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod apps;
-pub mod domains;
 pub mod events;
 pub mod link;
 pub mod packet;
@@ -77,7 +76,6 @@ pub mod topology;
 /// Convenient glob import of the most commonly used types.
 pub mod prelude {
     pub use crate::apps::{CbrSource, GroupSink, Sink};
-    pub use crate::domains::{domains_from_env, DomainPlan};
     pub use crate::events::SchedulerKind;
     pub use crate::link::{LinkStats, LossModel};
     pub use crate::packet::{

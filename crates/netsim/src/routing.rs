@@ -355,19 +355,6 @@ impl MulticastState {
         self.members.get(&group).cloned().unwrap_or_default()
     }
 
-    /// Whether `node` is currently a member of `group`.
-    pub fn is_member(&self, group: GroupId, node: NodeId) -> bool {
-        self.members
-            .get(&group)
-            .is_some_and(|set| set.contains(&node))
-    }
-
-    /// Iterates every group's member node set in group order (used by the
-    /// domain sharding layer to seed per-shard membership replicas).
-    pub fn group_members(&self) -> impl Iterator<Item = (GroupId, &BTreeSet<NodeId>)> {
-        self.members.iter().map(|(&g, set)| (g, set))
-    }
-
     /// Returns (building and caching if necessary) the incrementally
     /// maintained distribution tree for `group` rooted at `source`.
     pub fn tree(&mut self, group: GroupId, source: NodeId, routes: &RoutingTable) -> &SourceTree {

@@ -27,7 +27,6 @@ use std::sync::Arc;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::domains::{domains_from_env, partition, DomainPlan};
 use crate::events::{EventQueue, SchedulerKind};
 use crate::link::{Link, LinkAccept, LinkStats, LossModel};
 use crate::packet::{Address, AgentId, Dest, GroupId, LinkId, NodeId, Packet, Port};
@@ -101,141 +100,7 @@ enum EventKind {
     LinkTxComplete {
         link: LinkId,
     },
-    /// A packet offered into a cut link from its upstream domain, replayed
-    /// in the owning (downstream) shard at the original offer time.  Only
-    /// ever scheduled by the sharded orchestrator; the offer may be popped
-    /// *behind* the shard's clock (the upstream stage ran the same window
-    /// concurrently), which is safe because everything it produces — queue
-    /// state, `LinkTxComplete`, arrivals — is private to the link until the
-    /// propagation delay (≥ the plan's lookahead) has elapsed.
-    LinkIngress {
-        link: LinkId,
-        packet: Packet,
-    },
 }
-
-/// Approximate single-queue position of a post-split event among same-time
-/// events, derived when the event is scheduled.  Single-threaded, events at
-/// one instant pop in the order they were scheduled: first everything
-/// scheduled at earlier instants (in scheduling order), then the
-/// same-instant cascade breadth-first — each dispatch appends its children
-/// after every event of its own generation.  The field order mirrors that:
-/// scheduling instant, cascade generation within that instant, the
-/// pre-split progenitor whose dispatch transitively produced this event,
-/// and the schedule-call index within the immediate generator's dispatch.
-/// Anchors are pre-split sequence numbers, which survive the split
-/// unchanged in every domain, so the comparison is meaningful across
-/// domains — exactly so for cascades one generation deep (the `AgentStart`
-/// storm at t=0), heuristically beyond that.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct Lineage {
-    gen_time: SimTime,
-    depth: u32,
-    anchor: u64,
-    call: u32,
-}
-
-/// Globally comparable queue position of an event among same-time events,
-/// used to interleave cross-domain membership deltas with a shard's local
-/// events.  Pre-split events order by their surviving master sequence
-/// numbers and precede every post-split event at the same time (post-split
-/// sequence numbers are all greater single-threaded); post-split events
-/// order by [`Lineage`], with `(origin domain, local seq)` as the
-/// deterministic final tiebreak.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum EventOrd {
-    Pre(u64),
-    Post(Lineage, u32, u64),
-}
-
-/// A node-level multicast membership transition recorded by a shard, to be
-/// replayed into the other shards' membership replicas (and, at merge time,
-/// into the master state).  `(time, ord)` is the timestamp and global queue
-/// position of the event whose dispatch caused the transition; consuming
-/// shards apply a delta before their own events with a strictly greater
-/// `(time, ord)`, which reproduces the single-threaded interleaving — a
-/// sender must observe the same empty-or-populated group it would have seen
-/// single-threaded, whether the join happened during a pre-split event or
-/// in a post-split cascade (see [`EventOrd`]).
-#[derive(Debug, Clone, Copy)]
-struct MembershipDelta {
-    time: SimTime,
-    ord: EventOrd,
-    group: GroupId,
-    node: NodeId,
-    join: bool,
-}
-
-/// Present only while a [`World`] is acting as one shard of a domain-sharded
-/// run: identifies the shard, intercepts cross-domain packet arrivals into
-/// the outbox, and collects/applies membership deltas.
-struct ShardCtx {
-    domain: u32,
-    node_domain: Arc<Vec<u32>>,
-    link_owner: Arc<Vec<u32>>,
-    /// Cross-domain packet handoffs produced this window: the link offer
-    /// that `offer_to_link` would have performed locally, redirected because
-    /// the cut link — and with it the whole serialization/queue/propagation
-    /// pipeline — is owned by the downstream domain.  Drained by the
-    /// orchestrator at stage boundaries and replayed over there as
-    /// [`EventKind::LinkIngress`] events at the original offer times.
-    outbox: Vec<(SimTime, LinkId, Packet, EventOrd)>,
-    /// Node-level membership transitions that happened in this shard this
-    /// window, in event order.
-    deltas: Vec<MembershipDelta>,
-    /// Remote transitions waiting to be applied to this shard's membership
-    /// replica, sorted by `(time, ord)`; applied before dispatching any
-    /// local event with a strictly greater `(time, ord)`.
-    pending_deltas: Vec<MembershipDelta>,
-    /// Queue position of the event currently being dispatched, stamped onto
-    /// any membership deltas that dispatch records and extended into the
-    /// [`Lineage`] of any events it schedules.
-    current_ord: EventOrd,
-    /// Schedule-call counter within the current dispatch; becomes the
-    /// `call` component of scheduled children's [`Lineage`].
-    current_calls: u32,
-    /// Queue positions of the shard's live post-split events (local and
-    /// replayed-ingress bands), keyed by sequence number; entries are
-    /// inserted at scheduling time and consumed when the event dispatches.
-    ord_map: BTreeMap<u64, EventOrd>,
-    /// Cut-link events (`LinkIngress` / `LinkTxComplete`) popped beyond the
-    /// safe horizon [`ShardCtx::cut_safe`], deferred with their original
-    /// `(time, seq)` keys.  The orchestrator re-schedules them at the next
-    /// window boundary, once every cross-domain offer below their time has
-    /// been delivered; processing them early would let a cut link's
-    /// completion chain run ahead of offers still in flight from the
-    /// upstream domain.
-    held: Vec<(SimTime, u64, EventKind)>,
-    /// Horizon below which every cross-domain offer has been delivered to
-    /// this shard: the running maximum of all previous window bounds.  Cut
-    /// link events at or below it are safe to process; later ones wait in
-    /// [`ShardCtx::held`].
-    cut_safe: SimTime,
-    /// Next sequence number for replayed [`EventKind::LinkIngress`] events.
-    /// Drawn from the band between pre-split sequence numbers and the
-    /// post-split local band ([`INGRESS_SEQ_BASE`] vs
-    /// [`SHARD_LOCAL_SEQ_BASE`]), so at an exact-time tie a replayed offer
-    /// loses to any event that already existed when the run sharded, but
-    /// beats every event a shard scheduled afterwards — in particular the
-    /// owned link's pending `LinkTxComplete`.  That reproduces the
-    /// single-queue order: the offer's carrier (the upstream arrival that
-    /// forwarded the packet) was scheduled one propagation delay before the
-    /// tie instant, while the competing completion was scheduled only one
-    /// serialization time before it, and a propagation delay on these paths
-    /// exceeds a serialization time whenever the two can tie at all.
-    ingress_seq: u64,
-}
-
-/// First sequence number of the replayed-ingress band (see
-/// [`ShardCtx::ingress_seq`]).  Sits above every pre-split sequence number
-/// and below [`SHARD_LOCAL_SEQ_BASE`].
-const INGRESS_SEQ_BASE: u64 = 1 << 61;
-
-/// First sequence number a shard hands to locally scheduled events.  Keeps
-/// the whole post-split local band above the replayed-ingress band so a
-/// cross-domain offer wins exact-time ties against events scheduled after
-/// the split.
-const SHARD_LOCAL_SEQ_BASE: u64 = 1 << 62;
 
 #[derive(Debug, Default)]
 struct Node {
@@ -273,20 +138,12 @@ pub struct World {
     pending_timers: BTreeMap<u64, (SimTime, u64)>,
     next_timer: u64,
     next_packet: u64,
-    /// Increment applied to `next_timer` / `next_packet` per allocation.
-    /// 1 in normal operation; during a sharded run each of the K shards
-    /// strides by K from a distinct offset, so the id spaces stay disjoint
-    /// without coordination and merge back collision-free.
-    id_stride: u64,
     /// The simulation's root seed; per-link RNG streams are derived from it.
     seed: u64,
     rng: SmallRng,
     events_processed: u64,
     /// Reused scratch buffer for link burst drains (packet, completion time).
     tx_scratch: Vec<(Packet, SimTime)>,
-    /// Sharding context, present only while this world is one domain of a
-    /// parallel run (see `DESIGN.md`, "Parallel domain sharding").
-    shard: Option<ShardCtx>,
 }
 
 impl World {
@@ -308,12 +165,10 @@ impl World {
             pending_timers: BTreeMap::new(),
             next_timer: 0,
             next_packet: 0,
-            id_stride: 1,
             seed,
             rng: SmallRng::seed_from_u64(seed),
             events_processed: 0,
             tx_scratch: Vec::new(),
-            shard: None,
         }
     }
 
@@ -323,33 +178,6 @@ impl World {
         debug_assert!(time >= self.now, "cannot schedule into the past");
         let seq = self.seq;
         self.seq += 1;
-        // Sharded runs: derive the new event's global queue position from
-        // the dispatch that scheduled it (see [`Lineage`]).
-        if let Some(sh) = self.shard.as_mut() {
-            let lin = match sh.current_ord {
-                EventOrd::Pre(s) => Lineage {
-                    gen_time: self.now,
-                    depth: 1,
-                    anchor: s,
-                    call: sh.current_calls,
-                },
-                EventOrd::Post(pl, _, _) => Lineage {
-                    gen_time: self.now,
-                    // A generator scheduled at this very instant sits `depth`
-                    // generations into the instant's cascade; one scheduled
-                    // earlier is generation zero here.
-                    depth: if pl.gen_time == self.now {
-                        pl.depth.saturating_add(1)
-                    } else {
-                        1
-                    },
-                    anchor: pl.anchor,
-                    call: sh.current_calls,
-                },
-            };
-            sh.current_calls += 1;
-            sh.ord_map.insert(seq, EventOrd::Post(lin, sh.domain, seq));
-        }
         self.queue.schedule(time, seq, kind);
         seq
     }
@@ -419,18 +247,6 @@ impl World {
 
     fn offer_to_link(&mut self, link_id: LinkId, packet: Packet) {
         let now = self.now;
-        // Sharded runs: offers into a cut link are handed to the owning
-        // downstream domain, which replays them — in this exact order — as
-        // `LinkIngress` events at the next window boundary.
-        if let Some(sh) = self.shard.as_mut() {
-            if sh.link_owner[link_id.0] != sh.domain {
-                // The offer carries the carrier dispatch's own queue
-                // position: single-threaded, the link mutation happens at
-                // exactly that point in the interleaving.
-                sh.outbox.push((now, link_id, packet, sh.current_ord));
-                return;
-            }
-        }
         // Loss/RED randomness comes from the link's own stream.
         match self.links[link_id.0].offer(packet, now) {
             LinkAccept::Accepted {
@@ -460,22 +276,6 @@ impl World {
             return; // already subscribed
         };
         list.insert(pos, agent);
-        if !self.multicast.is_member(group, node) {
-            let time = self.now;
-            if let Some(sh) = self.shard.as_mut() {
-                debug_assert_eq!(
-                    sh.node_domain[node.0], sh.domain,
-                    "foreign subscribe in shard"
-                );
-                sh.deltas.push(MembershipDelta {
-                    time,
-                    ord: sh.current_ord,
-                    group,
-                    node,
-                    join: true,
-                });
-            }
-        }
         self.multicast.join(group, node);
         self.stats.add("multicast.agent_joins", 1.0);
         // Per-group (per-session) counter, so multi-session workloads can
@@ -511,18 +311,6 @@ impl World {
         };
         list.remove(pos);
         if list.is_empty() {
-            if self.multicast.is_member(group, node) {
-                let time = self.now;
-                if let Some(sh) = self.shard.as_mut() {
-                    sh.deltas.push(MembershipDelta {
-                        time,
-                        ord: sh.current_ord,
-                        group,
-                        node,
-                        join: false,
-                    });
-                }
-            }
             self.multicast.leave(group, node);
         }
         self.stats.add("multicast.agent_leaves", 1.0);
@@ -547,16 +335,6 @@ impl World {
         // On drop-tail links the whole queue drains as one burst: every
         // future arrival is scheduled here and a single `LinkTxComplete`
         // marks the end of the burst, instead of one event per packet.
-        // A link always lives in its downstream node's domain (see
-        // `try_run_sharded`), so the arrivals it produces are local by
-        // construction — cross-domain traffic was already handed off at
-        // offer time.
-        debug_assert!(
-            self.shard
-                .as_ref()
-                .is_none_or(|sh| sh.node_domain[to.0] == sh.domain),
-            "link delivering to a foreign node in a sharded run"
-        );
         for (packet, completes_at) in out.drain(..) {
             let arrives_at = completes_at + delay;
             self.push_event(arrives_at, EventKind::NodeArrival { node: to, packet });
@@ -596,7 +374,7 @@ impl Context<'_> {
     /// the simulator; the source address is forced to this agent's address.
     pub fn send(&mut self, mut packet: Packet) {
         let id = self.world.next_packet;
-        self.world.next_packet += self.world.id_stride;
+        self.world.next_packet += 1;
         packet.stamp(id, self.addr, self.world.now);
         let node = self.addr.node;
         if let Some((agent, packet)) = self.world.route_packet(node, packet) {
@@ -612,7 +390,7 @@ impl Context<'_> {
     pub fn schedule(&mut self, delay: f64, token: u64) -> TimerId {
         assert!(delay >= 0.0, "timer delay must be non-negative");
         let timer = TimerId(self.world.next_timer);
-        self.world.next_timer += self.world.id_stride;
+        self.world.next_timer += 1;
         let at = self.world.now + delay;
         let seq = self.world.push_event(
             at,
@@ -634,11 +412,6 @@ impl Context<'_> {
     pub fn cancel(&mut self, timer: TimerId) {
         if let Some((time, seq)) = self.world.pending_timers.remove(&timer.0) {
             self.world.queue.cancel(time, seq);
-            // Keep the sharded position map bounded under timer churn: a
-            // cancelled event never dispatches, so its entry would leak.
-            if let Some(sh) = self.world.shard.as_mut() {
-                sh.ord_map.remove(&seq);
-            }
         }
     }
 
@@ -677,14 +450,6 @@ impl Context<'_> {
 pub struct Simulator {
     world: World,
     agents: Vec<Option<Box<dyn Agent>>>,
-    /// Requested parallel domain count (1 = the single-queue path).  The
-    /// effective count per `run_until` can be lower when the topology does
-    /// not decompose; it can never change behaviour — sharded runs are
-    /// digest-identical to `domains = 1`.
-    domains: usize,
-    /// Events processed per domain during the most recent sharded
-    /// `run_until` (empty when the last run was single-threaded).
-    last_domain_events: Vec<u64>,
 }
 
 // The parallel sweep runner builds and runs simulations on worker threads;
@@ -725,45 +490,12 @@ impl Simulator {
     }
 
     /// Creates an empty simulation with an explicit event scheduler,
-    /// ignoring the `TFMCC_SCHEDULER` environment variable.  The parallel
-    /// domain count still comes from `TFMCC_DOMAINS` (default 1) so the
-    /// whole test suite can be soaked under sharded execution; use
-    /// [`Simulator::with_domains`] or [`Simulator::set_domains`] to pin it.
+    /// ignoring the `TFMCC_SCHEDULER` environment variable.
     pub fn with_scheduler(seed: u64, scheduler: SchedulerKind) -> Self {
         Simulator {
             world: World::new(seed, scheduler),
             agents: Vec::new(),
-            domains: domains_from_env(),
-            last_domain_events: Vec::new(),
         }
-    }
-
-    /// Creates an empty simulation pinned to `domains` parallel bottleneck
-    /// domains (1 = the classic single-queue path), ignoring the
-    /// `TFMCC_DOMAINS` environment variable.  Sharded execution is
-    /// digest-identical to the single-threaded run for any domain count;
-    /// topologies that do not decompose fall back to one queue silently.
-    pub fn with_domains(seed: u64, domains: usize) -> Self {
-        let mut sim = Self::new(seed);
-        sim.set_domains(domains);
-        sim
-    }
-
-    /// Sets the parallel domain count for subsequent `run_until` calls.
-    pub fn set_domains(&mut self, domains: usize) {
-        assert!(domains >= 1, "domain count must be at least 1");
-        self.domains = domains;
-    }
-
-    /// The requested parallel domain count.
-    pub fn domains(&self) -> usize {
-        self.domains
-    }
-
-    /// Events processed per domain during the most recent sharded
-    /// `run_until` (empty if the last run used the single-queue path).
-    pub fn domain_event_counts(&self) -> &[u64] {
-        &self.last_domain_events
     }
 
     /// Switches the event scheduler, migrating any queued events.  Both
@@ -979,19 +711,27 @@ impl Simulator {
     #[doc(hidden)]
     pub fn set_fanout_mode(&mut self, _mode: FanoutMode) {}
 
+    /// Does nothing: there is one engine.  The three `domain*` shims exist
+    /// only because `perfbench/src/sims.rs` still calls them (see
+    /// [`Simulator::set_fanout_mode`]); delete them with that call.
+    #[doc(hidden)]
+    pub fn set_domains(&mut self, _: usize) {}
+
+    /// Always 1; see [`Simulator::set_domains`].
+    #[doc(hidden)]
+    pub fn domains(&self) -> usize {
+        1
+    }
+
+    /// Always empty; see [`Simulator::set_domains`].
+    #[doc(hidden)]
+    pub fn domain_event_counts(&self) -> &[u64] {
+        &[]
+    }
+
     /// Runs the simulation until the event queue is empty or `until` is
     /// reached (whichever comes first).  Time is advanced to `until`.
-    ///
-    /// With a domain count above 1 (see [`Simulator::with_domains`] /
-    /// `TFMCC_DOMAINS`) and a topology that decomposes into bottleneck
-    /// domains, the run is sharded across one worker thread per domain with
-    /// conservative synchronization; the result is digest-identical to the
-    /// single-queue path.
     pub fn run_until(&mut self, until: SimTime) {
-        if self.domains > 1 && self.try_run_sharded(until) {
-            return;
-        }
-        self.last_domain_events.clear();
         while let Some(head_time) = self.world.queue.peek_time() {
             if head_time > until {
                 break;
@@ -1045,11 +785,6 @@ impl Simulator {
             EventKind::LinkTxComplete { link } => {
                 self.world.handle_link_tx_complete(link);
             }
-            EventKind::LinkIngress { link, packet } => {
-                // Replayed cut-link offer: by now the link is local, so this
-                // runs the exact enqueue the upstream router skipped.
-                self.world.offer_to_link(link, packet);
-            }
         }
     }
 
@@ -1071,583 +806,6 @@ impl Simulator {
         }
         self.agents[agent.0] = Some(boxed);
     }
-}
-
-/// RNG stream index base for per-domain streams — far above any link index,
-/// so domain streams never collide with the per-link streams derived from
-/// the same root seed.
-const DOMAIN_RNG_STREAM: u64 = 1 << 32;
-
-/// A cross-domain packet handoff in flight between two shards: an offer
-/// into a cut link, waiting to be replayed in the link's owning domain.
-struct Handoff {
-    time: SimTime,
-    src_domain: u32,
-    src_idx: u64,
-    link: LinkId,
-    packet: Packet,
-    /// Queue position of the dispatch that made the offer, preserved so the
-    /// replayed ingress event competes with membership deltas at exactly
-    /// the carrier's place in the single-queue interleaving.
-    ord: EventOrd,
-}
-
-/// Schedules one domain's accumulated handoffs as [`EventKind::LinkIngress`]
-/// events, in deterministic `(time, origin domain, origin order)` order.
-fn deliver_inbox(cell: &std::sync::Mutex<Simulator>, inbox: &mut Vec<Handoff>) {
-    inbox.sort_by_key(|h| (h.time, h.src_domain, h.src_idx));
-    let mut sim = cell.lock().expect("shard lock");
-    for h in inbox.drain(..) {
-        let sh = sim.world.shard.as_mut().expect("shard ctx");
-        let seq = sh.ingress_seq;
-        sh.ingress_seq += 1;
-        sh.ord_map.insert(seq, h.ord);
-        sim.world.queue.schedule(
-            h.time,
-            seq,
-            EventKind::LinkIngress {
-                link: h.link,
-                packet: h.packet,
-            },
-        );
-    }
-}
-
-/// Inert stand-in occupying a moved-out [`Link`] slot during a sharded run.
-fn placeholder_link(id: LinkId) -> Link {
-    Link::new(
-        id,
-        NodeId(0),
-        NodeId(0),
-        1.0,
-        1.0,
-        QueueDiscipline::drop_tail(1),
-        0,
-    )
-}
-
-impl World {
-    /// Applies queued remote membership deltas strictly ordered before
-    /// `upto = (time, ord)` (all of them for `None`) to this shard's
-    /// membership replica.  The strict comparison mirrors single-threaded
-    /// dispatch: a transition performed by the event at queue position `p`
-    /// is visible exactly to the events popped after it, i.e. those with a
-    /// greater `(time, ord)`.
-    fn apply_pending_deltas(&mut self, upto: Option<(SimTime, EventOrd)>) {
-        let Some(sh) = self.shard.as_mut() else {
-            return;
-        };
-        if sh.pending_deltas.is_empty() {
-            return;
-        }
-        let due: Vec<MembershipDelta> = match upto {
-            Some(bound) => {
-                let n = sh
-                    .pending_deltas
-                    .iter()
-                    .take_while(|d| (d.time, d.ord) < bound)
-                    .count();
-                sh.pending_deltas.drain(..n).collect()
-            }
-            None => sh.pending_deltas.drain(..).collect(),
-        };
-        for d in due {
-            if d.join {
-                self.multicast.join(d.group, d.node);
-            } else {
-                self.multicast.leave(d.group, d.node);
-            }
-        }
-    }
-}
-
-impl Simulator {
-    /// Processes this shard's events up to `bound` (exclusive, or inclusive
-    /// when `inclusive` — the final window of a `run_until`), interleaving
-    /// remote membership deltas by `(time, ord)`.
-    fn run_window(&mut self, bound: SimTime, inclusive: bool) {
-        while let Some(head) = self.world.queue.peek_time() {
-            if head > bound || (!inclusive && head == bound) {
-                break;
-            }
-            let (time, seq, kind) = self.world.queue.pop().expect("peeked event exists");
-            // Events of a *cut* link (owned here, fed from another domain)
-            // are processed one window behind: beyond the safe horizon an
-            // offer with an earlier timestamp may still be in flight from
-            // the upstream domain, and the link must see its event stream
-            // in time order.
-            if let Some(sh) = self.world.shard.as_ref() {
-                let defer = match &kind {
-                    EventKind::LinkTxComplete { link } | EventKind::LinkIngress { link, .. } => {
-                        time > sh.cut_safe
-                            && sh.node_domain[self.world.links[link.0].from.0] != sh.domain
-                    }
-                    _ => false,
-                };
-                if defer {
-                    let sh = self.world.shard.as_mut().expect("shard ctx");
-                    sh.held.push((time, seq, kind));
-                    continue;
-                }
-            }
-            // Resolve the event's global queue position: pre-split events
-            // *are* their sequence number; post-split and replayed-ingress
-            // events look theirs up from the position map (recorded at
-            // scheduling / handoff time).
-            let ord = if let Some(sh) = self.world.shard.as_mut() {
-                let ord = if seq < INGRESS_SEQ_BASE {
-                    EventOrd::Pre(seq)
-                } else {
-                    sh.ord_map
-                        .remove(&seq)
-                        .expect("post-split event has a recorded queue position")
-                };
-                sh.current_ord = ord;
-                sh.current_calls = 0;
-                Some(ord)
-            } else {
-                None
-            };
-            self.world.apply_pending_deltas(ord.map(|o| (time, o)));
-            self.world.now = time;
-            self.world.events_processed += 1;
-            self.dispatch(kind);
-        }
-        // Deltas still pending here came from stages that already ran this
-        // window, so they are timestamped inside it: fold them in before the
-        // window closes so next window's replica state is complete.
-        self.world.apply_pending_deltas(None);
-    }
-
-    /// Attempts to run `[now, until]` sharded across bottleneck domains.
-    /// Returns `false` (leaving the simulation untouched) when the topology
-    /// does not decompose, so `run_until` falls back to the single-queue
-    /// path.  See `DESIGN.md`, "Parallel domain sharding".
-    fn try_run_sharded(&mut self, until: SimTime) -> bool {
-        if self.world.queue.is_empty() {
-            return false;
-        }
-        // Settle any pending topology change first: the plan, the shard
-        // routing tables and the membership replicas must all see the same
-        // final topology.
-        self.world.ensure_routes();
-        let weights: Vec<u64> = self
-            .world
-            .nodes
-            .iter()
-            .map(|n| n.agents.len() as u64)
-            .collect();
-        let Some(plan) = partition(
-            self.world.nodes.len(),
-            &self.world.edges,
-            &weights,
-            self.domains,
-        ) else {
-            return false;
-        };
-        let DomainPlan {
-            domains: k,
-            lookahead,
-            node_domain,
-            stages,
-        } = plan;
-        let node_domain = Arc::new(node_domain);
-        // A link belongs to its *downstream* node's domain.  For intra-domain
-        // links the two sides agree; for cut links downstream ownership keeps
-        // the entire serialization/queue/propagation pipeline — and its event
-        // load — inside the receiving domain, so a hub fanning out to 10⁵
-        // legs costs the hub's domain one routing event per packet, not one
-        // `LinkTxComplete` per leg.  The upstream side hands the bare offer
-        // across the boundary (see `offer_to_link`).
-        let link_owner: Arc<Vec<u32>> = Arc::new(
-            self.world
-                .links
-                .iter()
-                .map(|l| node_domain[l.to.0])
-                .collect(),
-        );
-
-        let shards = self.split_into_shards(k, &node_domain, &link_owner);
-        let (shards, run_deltas) =
-            run_sharded_windows(shards, &stages, &link_owner, lookahead, until);
-        self.merge_shards(shards, &node_domain, &link_owner, run_deltas, until);
-        true
-    }
-
-    /// Builds one shard per domain and moves every domain-owned piece of the
-    /// master state (nodes, links, agents, queued events, pending timers)
-    /// into it.  Each shard is a full [`Simulator`] whose world spans the
-    /// whole topology — foreign slots hold inert placeholders — so the
-    /// existing dispatch machinery runs unchanged.
-    fn split_into_shards(
-        &mut self,
-        k: usize,
-        node_domain: &Arc<Vec<u32>>,
-        link_owner: &Arc<Vec<u32>>,
-    ) -> Vec<Simulator> {
-        let n_nodes = self.world.nodes.len();
-        let n_links = self.world.links.len();
-        let n_agents = self.agents.len();
-        let mut shards: Vec<Simulator> = (0..k)
-            .map(|d| {
-                let mut w = World::new(self.world.seed, self.world.scheduler);
-                w.now = self.world.now;
-                w.seq = self.world.seq.max(SHARD_LOCAL_SEQ_BASE);
-                w.id_stride = k as u64;
-                w.next_timer = self.world.next_timer + d as u64;
-                w.next_packet = self.world.next_packet + d as u64;
-                w.rng = SmallRng::seed_from_u64(stream_seed(w.seed, DOMAIN_RNG_STREAM + d as u64));
-                w.edges = self.world.edges.clone();
-                w.agent_addrs = self.world.agent_addrs.clone();
-                w.nodes = (0..n_nodes).map(|_| Node::default()).collect();
-                w.links = (0..n_links).map(|i| placeholder_link(LinkId(i))).collect();
-                // Node-level membership replica: every shard computes
-                // distribution trees over the full member set, wherever the
-                // members live.
-                for (group, members) in self.world.multicast.group_members() {
-                    for &m in members {
-                        w.multicast.join(group, m);
-                    }
-                }
-                w.shard = Some(ShardCtx {
-                    domain: d as u32,
-                    node_domain: Arc::clone(node_domain),
-                    link_owner: Arc::clone(link_owner),
-                    outbox: Vec::new(),
-                    current_ord: EventOrd::Pre(0),
-                    current_calls: 0,
-                    ord_map: BTreeMap::new(),
-                    deltas: Vec::new(),
-                    pending_deltas: Vec::new(),
-                    held: Vec::new(),
-                    cut_safe: self.world.now,
-                    ingress_seq: INGRESS_SEQ_BASE,
-                });
-                Simulator {
-                    world: w,
-                    agents: (0..n_agents).map(|_| None).collect(),
-                    domains: 1,
-                    last_domain_events: Vec::new(),
-                }
-            })
-            .collect();
-
-        for (n, &d) in node_domain.iter().enumerate() {
-            shards[d as usize].world.nodes[n] = std::mem::take(&mut self.world.nodes[n]);
-        }
-        for (l, &d) in link_owner.iter().enumerate() {
-            shards[d as usize].world.links[l] =
-                std::mem::replace(&mut self.world.links[l], placeholder_link(LinkId(l)));
-        }
-        for a in 0..n_agents {
-            let d = node_domain[self.world.agent_addrs[a].node.0] as usize;
-            shards[d].agents[a] = self.agents[a].take();
-        }
-        while let Some((time, seq, kind)) = self.world.queue.pop() {
-            let d = match &kind {
-                EventKind::AgentStart { agent }
-                | EventKind::Timer { agent, .. }
-                | EventKind::Deliver { agent, .. } => {
-                    node_domain[self.world.agent_addrs[agent.0].node.0] as usize
-                }
-                EventKind::NodeArrival { node, .. } => node_domain[node.0] as usize,
-                EventKind::LinkTxComplete { link } | EventKind::LinkIngress { link, .. } => {
-                    link_owner[link.0] as usize
-                }
-            };
-            if let EventKind::Timer { timer, .. } = &kind {
-                if let Some(entry) = self.world.pending_timers.remove(&timer.0) {
-                    shards[d].world.pending_timers.insert(timer.0, entry);
-                }
-            }
-            // Original sequence numbers are preserved so same-time events
-            // that stayed in one domain keep their exact relative order.
-            shards[d].world.queue.schedule(time, seq, kind);
-        }
-        debug_assert!(
-            self.world.pending_timers.is_empty(),
-            "a pending timer had no queue event"
-        );
-        shards
-    }
-
-    /// Moves every shard's state back into the master and re-establishes the
-    /// single-queue invariants: leftover future events are merged in
-    /// `(time, domain, shard seq)` order with fresh master sequence numbers,
-    /// pending timers are re-pointed at those, statistics registries are
-    /// absorbed, and the run's membership transitions are replayed into the
-    /// master multicast state in the deterministic global delta order.
-    fn merge_shards(
-        &mut self,
-        mut shards: Vec<Simulator>,
-        node_domain: &Arc<Vec<u32>>,
-        link_owner: &[u32],
-        run_deltas: Vec<(u32, u64, MembershipDelta)>,
-        until: SimTime,
-    ) {
-        self.last_domain_events = shards.iter().map(|s| s.world.events_processed).collect();
-        for (n, &d) in node_domain.iter().enumerate() {
-            self.world.nodes[n] = std::mem::take(&mut shards[d as usize].world.nodes[n]);
-        }
-        for (l, &d) in link_owner.iter().enumerate() {
-            self.world.links[l] = std::mem::replace(
-                &mut shards[d as usize].world.links[l],
-                placeholder_link(LinkId(l)),
-            );
-        }
-        for a in 0..self.agents.len() {
-            let d = node_domain[self.world.agent_addrs[a].node.0] as usize;
-            self.agents[a] = shards[d].agents[a].take();
-        }
-
-        let mut deltas = run_deltas;
-        deltas.sort_by_key(|&(domain, idx, d)| (d.time, d.ord, domain, idx));
-        for (_, _, d) in deltas {
-            if d.join {
-                self.world.multicast.join(d.group, d.node);
-            } else {
-                self.world.multicast.leave(d.group, d.node);
-            }
-        }
-
-        for shard in &mut shards {
-            self.world.events_processed += shard.world.events_processed;
-            self.world
-                .stats
-                .absorb(std::mem::take(&mut shard.world.stats));
-        }
-        // Restart the master sequence counter from zero: only the leftover
-        // events below survive the merge (each re-pushed with a fresh
-        // number, and `pending_timers` re-pointed accordingly), so low
-        // numbers are free again — and the band layout pre-split <
-        // [`INGRESS_SEQ_BASE`] < [`SHARD_LOCAL_SEQ_BASE`] then holds for
-        // every subsequent sharded run, not just the first.
-        self.world.seq = 0;
-        self.world.next_timer = shards
-            .iter()
-            .map(|s| s.world.next_timer)
-            .max()
-            .unwrap_or(self.world.next_timer);
-        self.world.next_packet = shards
-            .iter()
-            .map(|s| s.world.next_packet)
-            .max()
-            .unwrap_or(self.world.next_packet);
-
-        let mut leftovers: Vec<(SimTime, usize, u64, EventKind)> = Vec::new();
-        for (d, shard) in shards.iter_mut().enumerate() {
-            while let Some((time, seq, kind)) = shard.world.queue.pop() {
-                debug_assert!(time > until, "window loop left an event behind");
-                leftovers.push((time, d, seq, kind));
-            }
-            // Deferred cut-link events are replayed into the queue at every
-            // window boundary, so none survive the loop — but fold them in
-            // if they ever do rather than lose them.
-            let sh = shard.world.shard.as_mut().expect("shard ctx");
-            debug_assert!(sh.held.is_empty(), "cut-link event left deferred");
-            for (time, seq, kind) in sh.held.drain(..) {
-                leftovers.push((time, d, seq, kind));
-            }
-        }
-        leftovers.sort_by_key(|&(time, domain, seq, _)| (time, domain, seq));
-        self.world.now = until;
-        for (time, _d, _seq, kind) in leftovers {
-            let timer_id = match &kind {
-                EventKind::Timer { timer, .. } => Some(timer.0),
-                _ => None,
-            };
-            let seq = self.world.push_event(time, kind);
-            if let Some(id) = timer_id {
-                self.world.pending_timers.insert(id, (time, seq));
-            }
-        }
-    }
-}
-
-/// Runs the lockstep window loop over the shards: per window, run the stages
-/// deepest-first (domains inside a stage in parallel, one scoped worker
-/// thread each), route membership deltas to later stages inside the window
-/// and to everyone else for the next window, and merge cross-domain packet
-/// handoffs in `(time, origin domain, origin order)` order at the window
-/// boundary.  Returns the shards plus the run's full delta log.
-#[allow(clippy::type_complexity)]
-fn run_sharded_windows(
-    shards: Vec<Simulator>,
-    stages: &[Vec<usize>],
-    link_owner: &Arc<Vec<u32>>,
-    lookahead: f64,
-    until: SimTime,
-) -> (Vec<Simulator>, Vec<(u32, u64, MembershipDelta)>) {
-    use std::sync::Mutex;
-
-    let k = shards.len();
-    // Safe horizon: every cross-domain offer with a timestamp at or below
-    // it has been delivered (the upstream domains have all run past it).
-    // Grows as the running maximum of window bounds.
-    let mut safe = shards
-        .first()
-        .map(|s| s.world.now)
-        .expect("at least one shard");
-    let cells: Vec<Mutex<Simulator>> = shards.into_iter().map(Mutex::new).collect();
-    let mut inboxes: Vec<Vec<Handoff>> = (0..k).map(|_| Vec::new()).collect();
-    let mut run_deltas: Vec<(u32, u64, MembershipDelta)> = Vec::new();
-    let mut delta_counters: Vec<u64> = vec![0; k];
-
-    loop {
-        // Deliver handoffs that crossed a domain boundary last window, one
-        // worker per destination domain.  The sort key makes insertion
-        // order — and therefore the fresh local sequence numbers —
-        // deterministic for any stage interleaving; the offer times may lie
-        // behind the shard's clock (see [`EventKind::LinkIngress`]), which
-        // both queue implementations accept.
-        std::thread::scope(|scope| {
-            let mut busy = inboxes
-                .iter_mut()
-                .enumerate()
-                .filter(|(_, inbox)| !inbox.is_empty());
-            let inline = busy.next();
-            for (d, inbox) in busy {
-                let cell = &cells[d];
-                scope.spawn(move || deliver_inbox(cell, inbox));
-            }
-            if let Some((d, inbox)) = inline {
-                deliver_inbox(&cells[d], inbox);
-            }
-        });
-
-        // The next window starts at the globally earliest pending event —
-        // empty stretches of simulated time are skipped in one step, so the
-        // window count is bounded by the event count, not by the horizon.
-        let mut next: Option<SimTime> = None;
-        for cell in &cells {
-            let mut sim = cell.lock().expect("shard lock");
-            // Publish the new safe horizon and replay cut-link events that
-            // were deferred behind the old one, with their original keys.
-            let sh = sim.world.shard.as_mut().expect("shard ctx");
-            sh.cut_safe = safe;
-            let held = std::mem::take(&mut sh.held);
-            for (time, seq, kind) in held {
-                sim.world.queue.schedule(time, seq, kind);
-            }
-            if let Some(t) = sim.world.queue.peek_time() {
-                next = Some(match next {
-                    Some(n) if n <= t => n,
-                    _ => t,
-                });
-            }
-        }
-        let Some(window_start) = next else { break };
-        if window_start > until {
-            break;
-        }
-        let window_end = window_start + lookahead;
-        let inclusive = window_end > until;
-        let bound = if inclusive { until } else { window_end };
-        // Every shard runs through `bound` this window, so next window the
-        // horizon is at least `bound` (windows can regress behind it while
-        // deferred cut-link chains drain, hence the max).
-        safe = safe.max(bound);
-
-        // (producing stage, origin domain, delta) for this window.
-        let mut window_deltas: Vec<(usize, u32, MembershipDelta)> = Vec::new();
-        for (si, stage) in stages.iter().enumerate() {
-            // Hand deltas produced by the deeper stages of this window to
-            // this stage before it runs.
-            for &d in stage {
-                let mut sim = cells[d].lock().expect("shard lock");
-                let sh = sim.world.shard.as_mut().expect("shard ctx");
-                let mut added = false;
-                for &(_, origin, delta) in &window_deltas {
-                    if origin != d as u32 {
-                        sh.pending_deltas.push(delta);
-                        added = true;
-                    }
-                }
-                if added {
-                    sh.pending_deltas.sort_by_key(|d| (d.time, d.ord));
-                }
-            }
-            std::thread::scope(|scope| {
-                let mut spawned = Vec::new();
-                let mut inline: Option<&Mutex<Simulator>> = None;
-                for &d in stage {
-                    let cell = &cells[d];
-                    {
-                        let mut sim = cell.lock().expect("shard lock");
-                        let head = sim.world.queue.peek_time();
-                        let idle = match head {
-                            None => true,
-                            Some(t) => t > bound || (!inclusive && t == bound),
-                        };
-                        if idle {
-                            continue;
-                        }
-                    }
-                    match inline {
-                        None => inline = Some(cell),
-                        Some(_) => spawned.push(scope.spawn(move || {
-                            let mut sim = cell.lock().expect("shard lock");
-                            sim.run_window(bound, inclusive);
-                        })),
-                    }
-                }
-                // One busy domain runs on the orchestrator thread itself, so
-                // single-domain stages never pay a thread spawn.
-                if let Some(cell) = inline {
-                    let mut sim = cell.lock().expect("shard lock");
-                    sim.run_window(bound, inclusive);
-                }
-            });
-            // Collect what this stage produced.
-            for &d in stage {
-                let mut sim = cells[d].lock().expect("shard lock");
-                let world = &mut sim.world;
-                let sh = world.shard.as_mut().expect("shard ctx");
-                for delta in sh.deltas.drain(..) {
-                    window_deltas.push((si, d as u32, delta));
-                    run_deltas.push((d as u32, delta_counters[d], delta));
-                    delta_counters[d] += 1;
-                }
-                for (i, (time, link, packet, ord)) in sh.outbox.drain(..).enumerate() {
-                    inboxes[link_owner[link.0] as usize].push(Handoff {
-                        time,
-                        src_domain: d as u32,
-                        src_idx: i as u64,
-                        link,
-                        packet,
-                        ord,
-                    });
-                }
-            }
-        }
-        // Deltas flow backwards (and to same-stage siblings) at the window
-        // boundary: a domain in stage `u` receives every delta produced by
-        // stages `v >= u` this window, for application next window.
-        if !window_deltas.is_empty() {
-            for (u, stage) in stages.iter().enumerate() {
-                for &d in stage {
-                    let mut sim = cells[d].lock().expect("shard lock");
-                    let sh = sim.world.shard.as_mut().expect("shard ctx");
-                    let mut added = false;
-                    for &(v, origin, delta) in &window_deltas {
-                        if v >= u && origin != d as u32 {
-                            sh.pending_deltas.push(delta);
-                            added = true;
-                        }
-                    }
-                    if added {
-                        sh.pending_deltas.sort_by_key(|d| (d.time, d.ord));
-                    }
-                }
-            }
-        }
-    }
-
-    let shards = cells
-        .into_iter()
-        .map(|c| c.into_inner().expect("shard lock"))
-        .collect();
-    (shards, run_deltas)
 }
 
 #[cfg(test)]

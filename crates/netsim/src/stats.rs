@@ -194,31 +194,10 @@ impl StatsRegistry {
         self.counters.keys().cloned().collect()
     }
 
-    /// Folds another registry into this one: counters are summed, series are
-    /// appended and re-sorted by sample time (the sort is stable, so
-    /// same-time samples keep existing-before-absorbed order).  The domain
-    /// sharding layer merges per-shard registries back into the master with
-    /// this — counter increments are whole-valued, so the f64 sums are exact
-    /// regardless of merge order.
-    pub fn absorb(&mut self, other: StatsRegistry) {
-        for (name, value) in other.counters {
-            *self.counters.entry(name).or_insert(0.0) += value;
-        }
-        for (name, mut samples) in other.series {
-            let dst = self.series.entry(name).or_default();
-            dst.append(&mut samples);
-            dst.sort_by(|a, b| {
-                a.0.partial_cmp(&b.0)
-                    .expect("sample times are finite SimTime seconds")
-            });
-        }
-    }
-
     /// A 64-bit FNV-1a digest over every counter and series (names plus the
     /// raw f64 bit patterns of the values).  Two registries digest equal iff
-    /// they are bit-identical, which the domain-sharding equivalence gates
-    /// (`scale_probe domains=K`, `domain_equivalence.rs`) compare across
-    /// domain counts.
+    /// they are bit-identical, which the equivalence tests, `scale_probe`
+    /// and the benchmark compare across engine configurations and commits.
     pub fn digest(&self) -> u64 {
         let mut h = Fnv1a::new();
         for (name, value) in &self.counters {

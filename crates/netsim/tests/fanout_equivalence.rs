@@ -248,9 +248,7 @@ impl Fnv {
 
 /// Runs one scenario and digests every delivery log plus the leg counters.
 fn run_scenario(s: &Scenario) -> u64 {
-    // Pinned to the single-queue engine: a sharded run hands out packet ids
-    // from per-shard strided bands, so the ids in the logs would differ.
-    let mut sim = Simulator::with_domains(s.seed, 1);
+    let mut sim = Simulator::new(s.seed);
     let legs: Vec<StarLeg> = (0..s.legs)
         .map(|i| {
             let mut leg = StarLeg::clean(

@@ -26,11 +26,7 @@
 //! * `--queue KIND` selects the bottleneck queue discipline of figures with
 //!   a pluggable bottleneck (fig24) — `drop-tail`, `red`, `gentle-red` or
 //!   `codel` — by exporting the `TFMCC_QUEUE` environment variable the same
-//!   way (other figures ignore it);
-//! * `--domains K` shards every simulation of the run across K bottleneck
-//!   domains (`netsim::domains`), by exporting the `TFMCC_DOMAINS`
-//!   environment variable the same way — results are byte-identical for any
-//!   K, only the wall clock changes.
+//!   way (other figures ignore it).
 
 use std::time::Instant;
 
@@ -61,16 +57,14 @@ impl FigureCli {
     ///
     /// A `--scheduler` choice is exported as the `TFMCC_SCHEDULER`
     /// environment variable (see [`export_scheduler_env`]), a `--sessions`
-    /// choice as `TFMCC_SESSIONS` (see [`export_sessions_env`]), a
-    /// `--queue` choice as `TFMCC_QUEUE` (see [`export_queue_env`]) and a
-    /// `--domains` choice as `TFMCC_DOMAINS` (see [`export_domains_env`]); this
+    /// choice as `TFMCC_SESSIONS` (see [`export_sessions_env`]) and a
+    /// `--queue` choice as `TFMCC_QUEUE` (see [`export_queue_env`]); this
     /// runs before the sweep executor spawns its worker threads, so every
     /// simulation of the run sees it.
     pub fn from_runner_args(args: RunnerArgs) -> Self {
         export_scheduler_env(&args);
         export_sessions_env(&args);
         export_queue_env(&args);
-        export_domains_env(&args);
         FigureCli {
             scale: Scale::resolve(args.quick),
             runner: SweepRunner::new(args.effective_threads()),
@@ -107,17 +101,6 @@ pub fn export_sessions_env(args: &RunnerArgs) {
 pub fn export_queue_env(args: &RunnerArgs) {
     if let Some(queue) = &args.queue {
         std::env::set_var("TFMCC_QUEUE", queue);
-    }
-}
-
-/// Exports a `--domains` choice as the `TFMCC_DOMAINS` environment
-/// variable, which `netsim::Simulator::new` reads to shard every simulation
-/// of the process across that many bottleneck domains.  Call before
-/// spawning any worker thread; a no-op when the flag was not given (so a
-/// pre-set variable stays in effect).
-pub fn export_domains_env(args: &RunnerArgs) {
-    if let Some(domains) = args.domains {
-        std::env::set_var("TFMCC_DOMAINS", domains.to_string());
     }
 }
 

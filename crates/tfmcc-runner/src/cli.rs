@@ -17,9 +17,6 @@
 //! --queue KIND        bottleneck queue discipline for figures with a
 //!                     pluggable bottleneck (fig24): `drop-tail`, `red`,
 //!                     `gentle-red` or `codel`
-//! --domains N         bottleneck-domain count for the parallel domain-
-//!                     sharded simulation core (exported as TFMCC_DOMAINS;
-//!                     results are byte-identical for any N)
 //! ```
 //!
 //! `--threads=N`-style `=` forms are accepted too.  Scale resolution
@@ -51,8 +48,6 @@ pub struct RunnerArgs {
     /// `--queue KIND` (`drop-tail`, `red`, `gentle-red` or `codel`), if
     /// given.
     pub queue: Option<String>,
-    /// `--domains N`, if given.
-    pub domains: Option<usize>,
 }
 
 impl RunnerArgs {
@@ -64,7 +59,7 @@ impl RunnerArgs {
             Err(msg) => {
                 eprintln!("error: {msg}");
                 eprintln!(
-                    "usage: <bin> [--quick | --paper] [--threads N] [--out FILE] [--bench-out FILE] [--scheduler heap|calendar] [--sessions N] [--queue drop-tail|red|gentle-red|codel] [--domains N]"
+                    "usage: <bin> [--quick | --paper] [--threads N] [--out FILE] [--bench-out FILE] [--scheduler heap|calendar] [--sessions N] [--queue drop-tail|red|gentle-red|codel]"
                 );
                 std::process::exit(2);
             }
@@ -116,16 +111,6 @@ impl RunnerArgs {
                         return Err("--sessions must be at least 1".into());
                     }
                     parsed.sessions = Some(n);
-                }
-                "--domains" => {
-                    let v = value(&mut it)?;
-                    let n: usize = v
-                        .parse()
-                        .map_err(|_| format!("invalid --domains value '{v}'"))?;
-                    if n == 0 {
-                        return Err("--domains must be at least 1".into());
-                    }
-                    parsed.domains = Some(n);
                 }
                 "--scheduler" => {
                     let v = value(&mut it)?;
@@ -209,16 +194,6 @@ mod tests {
         assert!(parse(&["--sessions", "0"]).is_err());
         assert!(parse(&["--sessions", "many"]).is_err());
         assert!(parse(&["--sessions"]).is_err());
-    }
-
-    #[test]
-    fn parses_domains() {
-        let args = parse(&["--domains", "4"]).unwrap();
-        assert_eq!(args.domains, Some(4));
-        let args = parse(&["--domains=2"]).unwrap();
-        assert_eq!(args.domains, Some(2));
-        assert!(parse(&["--domains", "0"]).is_err());
-        assert!(parse(&["--domains", "x"]).is_err());
     }
 
     #[test]

@@ -83,9 +83,8 @@ impl UdpSenderEndpoint {
                 }
                 match socket.recv_from(&mut buf) {
                     Ok((len, _from)) => {
-                        if let Ok(WireMessage::Feedback(fb)) = decode_message(&buf[..len]) {
-                            let now = epoch.elapsed().as_secs_f64();
-                            sender.on_feedback(now, &fb);
+                        let now = epoch.elapsed().as_secs_f64();
+                        if sender_on_datagram(&mut sender, now, &buf[..len]) {
                             shared.lock().feedback_received += 1;
                         }
                     }
@@ -129,6 +128,20 @@ impl Drop for UdpSenderEndpoint {
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
+    }
+}
+
+/// Feeds one received datagram to the sender state machine.  Anything that
+/// does not decode as a receiver report — malformed, out of range (see
+/// [`crate::wire`]), or a stray data packet — is dropped.  Returns whether a
+/// report was processed.
+fn sender_on_datagram(sender: &mut TfmccSender, now: f64, datagram: &[u8]) -> bool {
+    match decode_message(datagram) {
+        Ok(WireMessage::Feedback(fb)) => {
+            sender.on_feedback(now, &fb);
+            true
+        }
+        _ => false,
     }
 }
 
@@ -253,6 +266,39 @@ mod tests {
 
     fn localhost_any() -> SocketAddr {
         "127.0.0.1:0".parse().unwrap()
+    }
+
+    #[test]
+    fn forged_nan_rtt_feedback_is_dropped_before_the_sender() {
+        use tfmcc_proto::packets::FeedbackPacket;
+
+        let report = |receiver, rtt| {
+            encode_message(&WireMessage::Feedback(FeedbackPacket {
+                receiver: ReceiverId(receiver),
+                timestamp: 1.0,
+                echo_timestamp: 0.9,
+                echo_delay: 0.001,
+                calculated_rate: 50_000.0,
+                loss_event_rate: 0.01,
+                receive_rate: 60_000.0,
+                rtt,
+                has_rtt_measurement: true,
+                feedback_round: 0,
+                leaving: false,
+            }))
+        };
+        let mut sender = TfmccSender::new(TfmccConfig::default());
+        sender.next_data(0.0);
+        assert!(sender_on_datagram(&mut sender, 1.0, &report(1, 0.05)));
+        assert!(!sender_on_datagram(
+            &mut sender,
+            1.1,
+            &report(666, f64::NAN)
+        ));
+        assert_eq!(sender.known_receivers(), 1, "the forged report registered");
+        let header = sender.next_data(1.2);
+        assert!(sender.max_rtt().is_finite() && header.max_rtt.is_finite());
+        assert!(sender.current_rate().is_finite() && header.current_rate.is_finite());
     }
 
     #[test]

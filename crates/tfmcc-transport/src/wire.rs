@@ -4,6 +4,13 @@
 //! order) with a one-byte message type and a one-byte version, sized so that
 //! a data header fits comfortably in front of application payload inside a
 //! single UDP datagram.
+//!
+//! Decoding is the trust boundary: datagrams come from the network, so
+//! [`decode_message`] rejects every real that the state machines could not
+//! have produced themselves (NaN, ±∞, negative rates/RTTs/delays, a loss
+//! event rate above 1) instead of handing it to them.  A datagram is exactly
+//! one message, so bytes after its end are rejected as well: no application
+//! payload travels in this version, `DataPacket::size` only declares it.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -18,7 +25,7 @@ const TYPE_FEEDBACK: u8 = 2;
 /// A decoded TFMCC message.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WireMessage {
-    /// Data-packet header (application payload follows it in the datagram).
+    /// Data-packet header.
     Data(DataPacket),
     /// Receiver report.
     Feedback(FeedbackPacket),
@@ -33,6 +40,10 @@ pub enum WireError {
     BadVersion(u8),
     /// Unknown message type byte.
     BadType(u8),
+    /// The named field holds a value no conforming endpoint sends: a
+    /// non-finite or negative real, a loss event rate above 1, an option tag
+    /// other than 0/1, or bytes after the end of the message.
+    BadValue(&'static str),
 }
 
 impl std::fmt::Display for WireError {
@@ -41,6 +52,7 @@ impl std::fmt::Display for WireError {
             WireError::Truncated => write!(f, "datagram too short"),
             WireError::BadVersion(v) => write!(f, "unsupported wire version {v}"),
             WireError::BadType(t) => write!(f, "unknown message type {t}"),
+            WireError::BadValue(field) => write!(f, "invalid {field}"),
         }
     }
 }
@@ -112,7 +124,8 @@ fn put_opt_u64(buf: &mut BytesMut, v: Option<u64>) {
     }
 }
 
-/// Decodes a datagram payload.
+/// Decodes a datagram payload, rejecting malformed and out-of-range input
+/// (see the [module documentation](self)).
 pub fn decode_message(mut data: &[u8]) -> Result<WireMessage, WireError> {
     if data.len() < 2 {
         return Err(WireError::Truncated);
@@ -122,57 +135,45 @@ pub fn decode_message(mut data: &[u8]) -> Result<WireMessage, WireError> {
         return Err(WireError::BadVersion(version));
     }
     let msg_type = data.get_u8();
-    match msg_type {
+    let msg = match msg_type {
         TYPE_DATA => {
             // Fixed part: 8+8+8+8+8+1 = 41, plus option tags handled below.
             if data.remaining() < 41 {
                 return Err(WireError::Truncated);
             }
             let seqno = data.get_u64();
-            let timestamp = data.get_f64();
-            let current_rate = data.get_f64();
-            let max_rtt = data.get_f64();
+            let timestamp = finite(data.get_f64(), "timestamp")?;
+            let current_rate = non_negative(data.get_f64(), "current_rate")?;
+            let max_rtt = non_negative(data.get_f64(), "max_rtt")?;
             let feedback_round = data.get_u64();
             let slowstart = data.get_u8() != 0;
-            let clr = get_opt_u64(&mut data)?.map(ReceiverId);
-            let rtt_echo = {
-                if data.remaining() < 1 {
-                    return Err(WireError::Truncated);
-                }
-                if data.get_u8() == 1 {
-                    if data.remaining() < 24 {
-                        return Err(WireError::Truncated);
-                    }
-                    Some(RttEcho {
-                        receiver: ReceiverId(data.get_u64()),
-                        echo_timestamp: data.get_f64(),
-                        echo_delay: data.get_f64(),
-                    })
-                } else {
-                    None
-                }
+            let clr = if get_option_tag(&mut data, 8)? {
+                Some(ReceiverId(data.get_u64()))
+            } else {
+                None
             };
-            let suppression = {
-                if data.remaining() < 1 {
-                    return Err(WireError::Truncated);
-                }
-                if data.get_u8() == 1 {
-                    if data.remaining() < 16 {
-                        return Err(WireError::Truncated);
-                    }
-                    Some(SuppressionEcho {
-                        receiver: ReceiverId(data.get_u64()),
-                        rate: data.get_f64(),
-                    })
-                } else {
-                    None
-                }
+            let rtt_echo = if get_option_tag(&mut data, 24)? {
+                Some(RttEcho {
+                    receiver: ReceiverId(data.get_u64()),
+                    echo_timestamp: finite(data.get_f64(), "echo_timestamp")?,
+                    echo_delay: non_negative(data.get_f64(), "echo_delay")?,
+                })
+            } else {
+                None
+            };
+            let suppression = if get_option_tag(&mut data, 16)? {
+                Some(SuppressionEcho {
+                    receiver: ReceiverId(data.get_u64()),
+                    rate: non_negative(data.get_f64(), "suppression rate")?,
+                })
+            } else {
+                None
             };
             if data.remaining() < 4 {
                 return Err(WireError::Truncated);
             }
             let size = data.get_u32();
-            Ok(WireMessage::Data(DataPacket {
+            WireMessage::Data(DataPacket {
                 seqno,
                 timestamp,
                 current_rate,
@@ -183,29 +184,34 @@ pub fn decode_message(mut data: &[u8]) -> Result<WireMessage, WireError> {
                 rtt_echo,
                 suppression,
                 size,
-            }))
+            })
         }
         TYPE_FEEDBACK => {
             if data.remaining() < 8 * 8 + 2 + 8 {
                 return Err(WireError::Truncated);
             }
             let receiver = ReceiverId(data.get_u64());
-            let timestamp = data.get_f64();
-            let echo_timestamp = data.get_f64();
-            let echo_delay = data.get_f64();
-            let raw_rate = data.get_f64();
+            let timestamp = finite(data.get_f64(), "timestamp")?;
+            let echo_timestamp = finite(data.get_f64(), "echo_timestamp")?;
+            let echo_delay = non_negative(data.get_f64(), "echo_delay")?;
+            // Any negative value is the encoder's sentinel for "no loss seen
+            // yet" (+∞ does not travel as itself).
+            let raw_rate = finite(data.get_f64(), "calculated_rate")?;
             let calculated_rate = if raw_rate < 0.0 {
                 f64::INFINITY
             } else {
                 raw_rate
             };
-            let loss_event_rate = data.get_f64();
-            let receive_rate = data.get_f64();
-            let rtt = data.get_f64();
+            let loss_event_rate = non_negative(data.get_f64(), "loss_event_rate")?;
+            if loss_event_rate > 1.0 {
+                return Err(WireError::BadValue("loss_event_rate"));
+            }
+            let receive_rate = non_negative(data.get_f64(), "receive_rate")?;
+            let rtt = non_negative(data.get_f64(), "rtt")?;
             let has_rtt_measurement = data.get_u8() != 0;
             let feedback_round = data.get_u64();
             let leaving = data.get_u8() != 0;
-            Ok(WireMessage::Feedback(FeedbackPacket {
+            WireMessage::Feedback(FeedbackPacket {
                 receiver,
                 timestamp,
                 echo_timestamp,
@@ -217,23 +223,45 @@ pub fn decode_message(mut data: &[u8]) -> Result<WireMessage, WireError> {
                 has_rtt_measurement,
                 feedback_round,
                 leaving,
-            }))
+            })
         }
-        other => Err(WireError::BadType(other)),
+        other => return Err(WireError::BadType(other)),
+    };
+    if data.remaining() > 0 {
+        return Err(WireError::BadValue("trailing bytes"));
+    }
+    Ok(msg)
+}
+
+/// A timestamp: any finite value (clock origins are arbitrary).
+fn finite(v: f64, field: &'static str) -> Result<f64, WireError> {
+    if v.is_finite() {
+        Ok(v)
+    } else {
+        Err(WireError::BadValue(field))
     }
 }
 
-fn get_opt_u64(data: &mut &[u8]) -> Result<Option<u64>, WireError> {
+/// A rate, RTT, delay or probability: finite and not negative.
+fn non_negative(v: f64, field: &'static str) -> Result<f64, WireError> {
+    if v.is_finite() && v >= 0.0 {
+        Ok(v)
+    } else {
+        Err(WireError::BadValue(field))
+    }
+}
+
+/// Reads an option tag; `true` means a `body`-byte value follows (and is
+/// fully present).
+fn get_option_tag(data: &mut &[u8], body: usize) -> Result<bool, WireError> {
     if data.remaining() < 1 {
         return Err(WireError::Truncated);
     }
-    if data.get_u8() == 1 {
-        if data.remaining() < 8 {
-            return Err(WireError::Truncated);
-        }
-        Ok(Some(data.get_u64()))
-    } else {
-        Ok(None)
+    match data.get_u8() {
+        0 => Ok(false),
+        1 if data.remaining() < body => Err(WireError::Truncated),
+        1 => Ok(true),
+        _ => Err(WireError::BadValue("option tag")),
     }
 }
 
@@ -320,7 +348,112 @@ mod tests {
         assert_eq!(decode_message(&[1, 77, 0, 0]), Err(WireError::BadType(77)));
     }
 
+    #[test]
+    fn out_of_range_values_are_rejected_by_name() {
+        let forge = |edit: fn(&mut FeedbackPacket)| {
+            let mut fb = sample_feedback();
+            edit(&mut fb);
+            decode_message(&encode_message(&WireMessage::Feedback(fb)))
+        };
+        assert_eq!(
+            forge(|fb| fb.rtt = f64::NAN),
+            Err(WireError::BadValue("rtt"))
+        );
+        assert_eq!(
+            forge(|fb| fb.receive_rate = -1.0),
+            Err(WireError::BadValue("receive_rate"))
+        );
+        assert_eq!(
+            forge(|fb| fb.loss_event_rate = 1.5),
+            Err(WireError::BadValue("loss_event_rate"))
+        );
+        assert_eq!(
+            forge(|fb| fb.timestamp = f64::INFINITY),
+            Err(WireError::BadValue("timestamp"))
+        );
+        let mut bytes = encode_message(&WireMessage::Data(sample_data())).to_vec();
+        bytes[43] = 2; // the CLR option tag, right after the 2 + 41 fixed bytes
+        assert_eq!(
+            decode_message(&bytes),
+            Err(WireError::BadValue("option tag"))
+        );
+    }
+
+    /// What [`decode_message`] promises about every message it accepts.
+    fn assert_in_range(msg: &WireMessage) {
+        let magnitude = |v: f64| v.is_finite() && v >= 0.0;
+        let ok = match msg {
+            WireMessage::Data(d) => {
+                d.timestamp.is_finite()
+                    && magnitude(d.current_rate)
+                    && magnitude(d.max_rtt)
+                    && d.rtt_echo
+                        .is_none_or(|e| e.echo_timestamp.is_finite() && magnitude(e.echo_delay))
+                    && d.suppression.is_none_or(|s| magnitude(s.rate))
+            }
+            WireMessage::Feedback(fb) => {
+                fb.timestamp.is_finite()
+                    && fb.echo_timestamp.is_finite()
+                    && magnitude(fb.echo_delay)
+                    // +∞ ("no loss yet") is the one legal non-finite value.
+                    && fb.calculated_rate >= 0.0
+                    && (0.0..=1.0).contains(&fb.loss_event_rate)
+                    && magnitude(fb.receive_rate)
+                    && magnitude(fb.rtt)
+            }
+        };
+        assert!(ok, "decoded an out-of-range message: {msg:?}");
+    }
+
     proptest! {
+        /// Hostile input, part one: arbitrary datagrams (half of them with a
+        /// valid version/type prefix, so the field checks are reached).
+        #[test]
+        fn arbitrary_bytes_never_panic_and_decode_in_range(
+            raw in proptest::collection::vec(any::<u8>(), 0..257),
+            framed in any::<bool>(),
+            msg_type in TYPE_DATA..=TYPE_FEEDBACK,
+        ) {
+            let mut bytes = raw;
+            if framed && bytes.len() >= 2 {
+                bytes[0] = WIRE_VERSION;
+                bytes[1] = msg_type;
+            }
+            if let Ok(msg) = decode_message(&bytes) {
+                assert_in_range(&msg);
+            }
+        }
+
+        /// Hostile input, part two: a valid encoding with 1–8 bit flips, a
+        /// truncation, or 1–8 appended bytes.
+        #[test]
+        fn mutated_encodings_never_panic_and_decode_in_range(
+            feedback in any::<bool>(),
+            mutation in 0u8..3,
+            draws in proptest::collection::vec(any::<u64>(), 1..9),
+        ) {
+            let msg = if feedback {
+                WireMessage::Feedback(sample_feedback())
+            } else {
+                WireMessage::Data(sample_data())
+            };
+            let mut bytes = encode_message(&msg).to_vec();
+            match mutation {
+                0 => {
+                    for d in &draws {
+                        let bit = *d as usize % (bytes.len() * 8);
+                        bytes[bit / 8] ^= 1 << (bit % 8);
+                    }
+                }
+                1 => bytes.truncate(draws[0] as usize % bytes.len()),
+                _ => bytes.extend(draws.iter().map(|d| *d as u8)),
+            }
+            if let Ok(msg) = decode_message(&bytes) {
+                prop_assert!(mutation == 0, "accepted a truncated or padded datagram");
+                assert_in_range(&msg);
+            }
+        }
+
         #[test]
         fn feedback_encoding_round_trips(
             receiver in 0u64..1_000_000,

@@ -21,18 +21,14 @@
 //! single session can represent 10⁶–10⁷ receivers in seconds of wall time
 //! at well under 100 B of heap per fluid receiver.
 //!
-//! With `domains=K` the probe runs the simulation sharded across K
-//! bottleneck domains on K worker threads (see `netsim::domains`), and
-//! reports the per-domain event counts plus the run's stats digest — by
-//! construction the digest is bit-identical to the `domains=1` run of the
-//! same arguments, only the wall clock differs.
+//! Every mode prints the run's stats digest (`digest=<hex>`), which must not
+//! depend on the scheduler.
 //!
 //! ```text
 //! cargo run --release --example scale_probe -- [RECEIVERS] [churn] [heap|calendar]
-//!     [sessions=K] [domains=K] [hybrid]
+//!     [sessions=K] [hybrid]
 //! cargo run --release --example scale_probe -- 100000 churn calendar
 //! cargo run --release --example scale_probe -- 100000 sessions=4
-//! cargo run --release --example scale_probe -- 100000 domains=4
 //! cargo run --release --example scale_probe -- 1000000 hybrid
 //! ```
 //!
@@ -101,7 +97,6 @@ fn main() {
     let mut churn = false;
     let mut scheduler = SchedulerKind::resolve();
     let mut sessions: usize = 0;
-    let mut domains = domains_from_env();
     let mut hybrid = false;
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
@@ -120,16 +115,6 @@ fn main() {
                     }
                     continue;
                 }
-                if let Some(k) = other.strip_prefix("domains=") {
-                    match k.parse() {
-                        Ok(count) if count >= 1 => domains = count,
-                        _ => {
-                            eprintln!("error: invalid domain count '{k}' (need an integer ≥ 1)");
-                            std::process::exit(2);
-                        }
-                    }
-                    continue;
-                }
                 match other.parse() {
                     Ok(count) if count >= 1 => n = count,
                     Ok(_) => {
@@ -138,7 +123,7 @@ fn main() {
                     }
                     Err(_) => {
                         eprintln!(
-                            "error: unknown argument '{other}' (expected a receiver count, churn, heap|calendar, sessions=K, domains=K, hybrid)"
+                            "error: unknown argument '{other}' (expected a receiver count, churn, heap|calendar, sessions=K, hybrid)"
                         );
                         std::process::exit(2);
                     }
@@ -148,34 +133,19 @@ fn main() {
     }
 
     if hybrid {
-        probe_hybrid(n, scheduler, domains);
+        probe_hybrid(n, scheduler);
     } else if sessions > 0 {
-        probe_sessions(n, sessions, scheduler, domains);
+        probe_sessions(n, sessions, scheduler);
     } else {
-        probe_cbr(n, churn, scheduler, domains);
-    }
-}
-
-/// Reports how a sharded run actually decomposed: events per domain (in
-/// domain order) and the stats digest that `domains=1` must reproduce.
-fn print_domain_report(sim: &Simulator, domains: usize) {
-    if domains > 1 {
-        println!(
-            "domains={domains} domain_events={:?} digest={:016x}",
-            sim.domain_event_counts(),
-            sim.stats().digest()
-        );
-    } else {
-        println!("domains=1 digest={:016x}", sim.stats().digest());
+        probe_cbr(n, churn, scheduler);
     }
 }
 
 /// The original single-group probe: CBR traffic into N `GroupSink`s.
-fn probe_cbr(n: usize, churn: bool, scheduler: SchedulerKind, domains: usize) {
+fn probe_cbr(n: usize, churn: bool, scheduler: SchedulerKind) {
     let heap0 = live_bytes();
     let t0 = Instant::now();
     let mut sim = Simulator::with_scheduler(1, scheduler);
-    sim.set_domains(domains.max(1));
     let legs: Vec<StarLeg> = (0..n).map(|_| StarLeg::clean(125_000.0, 0.02)).collect();
     let st = star(&mut sim, &StarConfig::default(), &legs);
     let group = GroupId(1);
@@ -216,7 +186,7 @@ fn probe_cbr(n: usize, churn: bool, scheduler: SchedulerKind, domains: usize) {
         "n={n} scheduler={scheduler:?} churn={churn} build={built:?} run={ran:?} events={} delivered={delivered}",
         sim.events_processed()
     );
-    print_domain_report(&sim, domains);
+    println!("digest={:016x}", sim.stats().digest());
     println!(
         "heap: {:.1} MB after build ({} B/receiver), {:.1} MB after run ({} B/receiver)",
         built_bytes as f64 / (1 << 20) as f64,
@@ -228,11 +198,10 @@ fn probe_cbr(n: usize, churn: bool, scheduler: SchedulerKind, domains: usize) {
 
 /// The multi-session probe: K concurrent TFMCC sessions over one shared
 /// 8 Mbit/s bottleneck, splitting the N receivers between them.
-fn probe_sessions(n: usize, k: usize, scheduler: SchedulerKind, domains: usize) {
+fn probe_sessions(n: usize, k: usize, scheduler: SchedulerKind) {
     let heap0 = live_bytes();
     let t0 = Instant::now();
     let mut sim = Simulator::with_scheduler(1, scheduler);
-    sim.set_domains(domains.max(1));
     let left = sim.add_node("left");
     let right = sim.add_node("right");
     sim.add_duplex_link(
@@ -288,7 +257,7 @@ fn probe_sessions(n: usize, k: usize, scheduler: SchedulerKind, domains: usize) 
         "n={receivers} sessions={k} scheduler={scheduler:?} build={built:?} run={ran:?} events={}",
         sim.events_processed()
     );
-    print_domain_report(&sim, domains);
+    println!("digest={:016x}", sim.stats().digest());
     for s in &report.sessions {
         println!(
             "  session {} (group {}, {} receivers): {:.1} kbit/s mean, {} data packets, CLR {:?}",
@@ -318,13 +287,12 @@ fn probe_sessions(n: usize, k: usize, scheduler: SchedulerKind, domains: usize) 
 /// a four-receiver cohort (the CLR candidates, on the lossiest legs) runs at
 /// packet level — the remaining `n - 4` are a fluid population whose
 /// feedback is computed analytically per round.
-fn probe_hybrid(n: usize, scheduler: SchedulerKind, domains: usize) {
+fn probe_hybrid(n: usize, scheduler: SchedulerKind) {
     let cohort = 4.min(n);
     let fluid_count = (n - cohort).max(1) as u64;
     let heap0 = live_bytes();
     let t0 = Instant::now();
     let mut sim = Simulator::with_scheduler(1, scheduler);
-    sim.set_domains(domains.max(1));
     let legs = vec![
         StarLeg::clean(1_250_000.0, 0.03).with_downstream_loss(0.05),
         StarLeg::clean(1_250_000.0, 0.02).with_downstream_loss(0.02),
@@ -361,7 +329,7 @@ fn probe_hybrid(n: usize, scheduler: SchedulerKind, domains: usize) {
         "n={n} hybrid cohort={cohort} fluid={fluid_count} scheduler={scheduler:?} build={built:?} run={ran:?} events={}",
         sim.events_processed()
     );
-    print_domain_report(&sim, domains);
+    println!("digest={:016x}", sim.stats().digest());
     println!(
         "population={} clr={:?} rate={:.1} kbit/s fluid_reports={} bins={}",
         sender.session_population(),

@@ -83,25 +83,4 @@ for bin in fig22_churn fig23_intertfmcc fig24_fairness_matrix; do
         echo "ok   $bin (heap scheduler, byte-identical)"
     fi
 done
-
-# Domain-sharding smoke: rerun the churn workload sharded across 4
-# bottleneck domains (worker threads + conservative lookahead windows, see
-# DESIGN.md "Parallel domain sharding") and byte-compare it with the
-# single-queue run above.  Sharded execution must reproduce the classic
-# run bit for bit, so any drift in the parallel core fails the smoke.
-for bin in fig22_churn; do
-    dom_json="$out_dir/$bin.domains4.json"
-    dom_csv="$out_dir/$bin.domains4.csv"
-    rm -f "$dom_json" "$dom_csv"
-    if ! TFMCC_DOMAINS=4 cargo run --release --quiet -p tfmcc-experiments --bin "$bin" -- \
-        --quick --threads 2 --out "$dom_json" > "$dom_csv"; then
-        echo "FAIL $bin under TFMCC_DOMAINS=4 (non-zero exit)" >&2
-        status=1
-    elif ! cmp -s "$out_dir/$bin.json" "$dom_json"; then
-        echo "FAIL $bin: 4-domain output differs from the single-queue run" >&2
-        status=1
-    else
-        echo "ok   $bin (4 domains, byte-identical)"
-    fi
-done
 exit "$status"
