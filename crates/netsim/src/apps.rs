@@ -28,7 +28,10 @@ impl CbrSource {
     /// A CBR source sending `rate` bytes/second of `packet_size`-byte packets
     /// to `dst`, starting at `start_at` seconds of simulation time.
     pub fn new(dst: Dest, flow: FlowId, packet_size: u32, rate: f64, start_at: f64) -> Self {
-        assert!(rate > 0.0, "rate must be positive");
+        assert!(
+            rate.is_finite() && rate > 0.0,
+            "CBR rate must be a positive, finite number of bytes/s, got {rate}"
+        );
         assert!(packet_size > 0, "packet size must be positive");
         CbrSource {
             dst,
@@ -228,6 +231,15 @@ mod tests {
         let b = sim.add_node("b");
         sim.add_duplex_link(a, b, 1e6, 0.005, QueueDiscipline::drop_tail(100));
         (sim, a, b)
+    }
+
+    /// An infinite rate means a zero send interval: `run_until` would never
+    /// return.
+    #[test]
+    #[should_panic(expected = "finite number of bytes/s, got inf")]
+    fn cbr_source_rejects_an_infinite_rate() {
+        let dst = unicast_to(Address::new(NodeId(0), Port(1)));
+        let _ = CbrSource::new(dst, FlowId(1), 1000, f64::INFINITY, 0.0);
     }
 
     #[test]

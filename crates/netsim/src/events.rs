@@ -29,9 +29,11 @@
 //! * [`HeapQueue`] records the `seq` in a tombstone set and silently drains
 //!   tombstoned entries when they surface at the top of the heap — the set
 //!   never holds more than the number of cancelled entries still queued;
-//! * [`CalendarQueue`] removes the entry from its bucket immediately
-//!   (an O(bucket-length) splice, O(1) at the maintained load factor), so it
-//!   needs no tombstones at all.
+//! * [`CalendarQueue`] removes the entry immediately, so it needs no
+//!   tombstones at all: from the sorted run being served by key (binary
+//!   search), from a bucket whose year has not come up by `seq` (buckets
+//!   are unsorted; the scan is O(1) at the maintained load factor and
+//!   O(burst) only for a timer parked inside a same-instant burst).
 //!
 //! A cancelled entry is never returned from `pop` and is not counted by
 //! [`EventQueue::len`] in either implementation.
@@ -49,8 +51,8 @@ pub enum SchedulerKind {
     /// drained on pop.
     Heap,
     /// The calendar-queue scheduler (the default): amortized `O(1)` push/pop
-    /// on a bucketed rotating wheel that resizes itself on load-factor
-    /// drift, cancellation by in-place bucket removal.
+    /// on a rotating wheel of append-only buckets that resizes itself on
+    /// load-factor drift, cancellation by in-place removal.
     #[default]
     Calendar,
 }
@@ -125,6 +127,13 @@ pub trait EventQueue<T>: Send {
     /// implementations that remove cancelled entries in place.
     fn tombstones(&self) -> usize {
         0
+    }
+
+    /// Entry slots currently allocated (live, spare and tombstoned alike):
+    /// what the queue holds on to, as opposed to what it holds.  A
+    /// diagnostic: implementations may walk their whole structure for it.
+    fn capacity(&self) -> usize {
+        self.len()
     }
 }
 
@@ -248,6 +257,10 @@ impl<T: Send> EventQueue<T> for HeapQueue<T> {
     fn tombstones(&self) -> usize {
         self.tombstones.len()
     }
+
+    fn capacity(&self) -> usize {
+        self.heap.capacity()
+    }
 }
 
 /// Minimum (and initial) bucket count of the calendar queue.
@@ -257,39 +270,45 @@ const MAX_BUCKETS: usize = 1 << 20;
 /// Bucket width floor, so degenerate spreads cannot produce a zero width.
 const MIN_WIDTH: f64 = 1e-9;
 /// Pops per cost-observation window.  At each window boundary the queue
-/// checks whether the wheel is actually hurting (long in-bucket splices =
-/// width too wide for the local event density; long empty-bucket scans =
-/// width too narrow) and only then rebuckets — estimate-driven resizing
-/// would thrash on bursty gap patterns whose window averages swing wildly
-/// while the wheel is performing fine.
+/// checks whether the wheel is actually hurting (long splices into the run
+/// being served = width too wide for the local event density; long
+/// empty-bucket scans = width too narrow) and only then rebuckets —
+/// estimate-driven resizing would thrash on bursty gap patterns whose
+/// window averages swing wildly while the wheel is performing fine.
 const COST_WINDOW: u64 = 1024;
-/// Rebucket when the average in-bucket splice distance per insert exceeds
-/// this over a window.
+/// Rebucket when the average splice distance per insert exceeds this over a
+/// window.
 const MAX_AVG_SPLICE: u64 = 4;
 /// Rebucket when the average empty-bucket scan steps per pop exceed this
 /// over a window.
 const MAX_AVG_SCAN: u64 = 8;
+/// A drained buffer with more entry slots than this is freed, not reused:
+/// retained capacity follows the live count, not the largest burst seen.
+const KEEP_CAPACITY: usize = 64;
+/// `min_year` of an empty bucket.
+const NEVER: u64 = u64::MAX;
 
 /// The calendar event queue (R. Brown, CACM 1988): a rotating wheel of
 /// `nbuckets` time buckets of `width` seconds each.  An entry at time `t`
-/// lives in bucket `floor(t / width) mod nbuckets`; a pop scans from the
-/// current bucket for an entry whose own "year" (absolute bucket number)
-/// has been reached, falling back to a direct minimum search when the
-/// queue is sparse.  Push, pop and
-/// cancel are all amortized O(1) at the maintained load factor, versus the
-/// heap's O(log n) — the difference `tfmcc_experiments::event_bench` times
-/// at 10⁵ queued events.
+/// belongs to "year" `floor(t / width)` and waits in bucket
+/// `year mod nbuckets`, an **unsorted, append-only** buffer, until the
+/// rotation reaches its year; the bucket's due entries then move to the one
+/// sorted run the queue owns, `current`, and pops come off its front.  A
+/// sparse queue falls back to a direct minimum search over the per-bucket
+/// minimum years.  Push and pop are amortized O(1) whatever a bucket holds
+/// — a same-instant burst of any size is appended, moved and sorted once —
+/// versus the heap's O(log n).
 ///
 /// # Determinism
 ///
 /// Pop order is exactly ascending `(time, seq)`, identical to [`HeapQueue`]:
 ///
-/// * buckets are kept sorted by `(time, seq)` (binary-search insertion), so
-///   within a bucket-year entries leave in heap order — FIFO by `seq` within
-///   a timestamp;
-/// * the rotation only yields an entry when its time falls inside the
-///   current bucket's year window, so no later bucket can hold an earlier
-///   entry (given the no-past-scheduling invariant);
+/// * `current` holds every entry whose year has been reached, sorted by
+///   `(time, seq)` (one sort per bucket visit, binary-search insertion for
+///   entries scheduled into a reached year, late inserts included), so
+///   entries leave in heap order — FIFO by `seq` within a timestamp;
+/// * the year is a monotone function of time, so no bucket can hold an
+///   entry earlier than anything in `current`;
 /// * resizing is triggered purely by deterministic operation counters
 ///   (entry counts, windowed splice/scan costs), so identical
 ///   schedule/pop/cancel sequences resize identically.
@@ -315,22 +334,25 @@ const MAX_AVG_SCAN: u64 = 8;
 /// ```
 #[derive(Debug)]
 pub struct CalendarQueue<T> {
-    /// The wheel.  Each bucket is sorted ascending by `(time, seq)`.
-    buckets: Vec<VecDeque<Entry<T>>>,
+    /// The wheel: entries whose year lies ahead of `cur_abs`, in arrival
+    /// order.
+    buckets: Vec<Vec<Entry<T>>>,
+    /// Smallest year among each bucket's entries ([`NEVER`] when empty):
+    /// the one word the rotation tests per bucket.
+    min_year: Vec<u64>,
+    /// Every entry whose year is `<= cur_abs`, sorted by `(time, seq)`.
+    current: VecDeque<Entry<T>>,
     /// Seconds of simulated time covered by one bucket.
     width: f64,
     /// Cached `1.0 / width`; the bucket mapping multiplies by this instead
     /// of dividing (see [`Self::abs_bucket`]).
     inv_width: f64,
-    /// Live entry count across all buckets.
+    /// Live entry count across `current` and all buckets.
     count: usize,
-    /// Absolute index (`floor(time / width)`) of the bucket the rotation is
-    /// currently serving; `cur_abs % nbuckets` is the wheel position and
-    /// `(cur_abs + 1) * width` the bucket's year boundary.
+    /// The last year (`floor(time / width)`) moved into `current`;
+    /// `cur_abs % nbuckets` is the wheel position.  A peek can park it
+    /// ahead of the caller's clock; inserts behind it go to `current`.
     cur_abs: u64,
-    /// Set after a resize (or at construction): the rotation position is
-    /// stale and the next pop must re-locate the global minimum directly.
-    needs_reposition: bool,
     /// Sum of the time gaps between successive pops since the last
     /// rebucketing; `width` is re-derived from this (Brown's estimator: a
     /// bucket should span a few average inter-dequeue gaps).  Accumulated
@@ -339,12 +361,12 @@ pub struct CalendarQueue<T> {
     /// Pops since the last rebucketing (the gap estimator's denominator).
     gap_pops: u64,
     /// Time of the most recent pop (the gap estimator's reference point).
-    last_pop_time: Option<f64>,
+    last_pop_time: Option<SimTime>,
     /// Pops in the current cost window.
     win_pops: u64,
     /// Empty-bucket rotation steps in the current cost window.
     win_scan_steps: u64,
-    /// Summed in-bucket splice distances in the current cost window.
+    /// Summed splice distances into `current` in the current cost window.
     win_insert_cost: u64,
     /// Inserts in the current cost window.
     win_inserts: u64,
@@ -352,6 +374,9 @@ pub struct CalendarQueue<T> {
     /// rebucketing is O(count), so one is allowed per ~count/2 pops at
     /// most, bounding the amortized cost).
     pops_since_rebucket: u64,
+    /// Entries moved, scanned or compared by splices, bucket visits, slot
+    /// cancels and rebuilds since construction (the tests' cost model).
+    work: u64,
     /// Full rebucketings performed (diagnostics).
     pub rebuckets: u64,
 }
@@ -360,12 +385,13 @@ impl<T> CalendarQueue<T> {
     /// Creates an empty calendar queue.
     pub fn new() -> Self {
         CalendarQueue {
-            buckets: (0..MIN_BUCKETS).map(|_| VecDeque::new()).collect(),
+            buckets: (0..MIN_BUCKETS).map(|_| Vec::new()).collect(),
+            min_year: vec![NEVER; MIN_BUCKETS],
+            current: VecDeque::new(),
             width: 0.01,
             inv_width: 100.0,
             count: 0,
             cur_abs: 0,
-            needs_reposition: true,
             pop_gap_sum: 0.0,
             gap_pops: 0,
             last_pop_time: None,
@@ -374,6 +400,7 @@ impl<T> CalendarQueue<T> {
             win_insert_cost: 0,
             win_inserts: 0,
             pops_since_rebucket: 0,
+            work: 0,
             rebuckets: 0,
         }
     }
@@ -383,118 +410,128 @@ impl<T> CalendarQueue<T> {
         self.buckets.len()
     }
 
-    /// Current bucket width in simulated seconds (for tests and
-    /// diagnostics).
+    /// Current bucket width in simulated seconds (tests and diagnostics).
     pub fn bucket_width(&self) -> f64 {
         self.width
     }
 
-    /// Length of the fullest bucket (for tests and diagnostics).
-    pub fn max_bucket_len(&self) -> usize {
-        self.buckets.iter().map(|b| b.len()).max().unwrap_or(0)
-    }
-
-    fn bucket_index(&self, time: SimTime) -> usize {
-        // The wheel size is always a power of two (see `bucket_target`).
-        (self.abs_bucket(time) & (self.buckets.len() as u64 - 1)) as usize
-    }
-
-    /// The absolute (non-wrapped) bucket number of `time`.  This is the one
-    /// pure function defining where an entry lives and when its year
-    /// arrives; every consumer (insert, cancel, rotation) goes through it,
-    /// so float rounding at bucket boundaries cannot produce disagreement.
-    fn abs_bucket(&self, time: SimTime) -> u64 {
+    /// The absolute (non-wrapped) bucket number — the year — of `time` at
+    /// bucket width `1 / inv_width`.  This is the one pure function defining
+    /// where an entry waits and when it is due; every consumer (insert,
+    /// cancel, bucket visit) goes through it, so float rounding at bucket
+    /// boundaries cannot produce disagreement.
+    fn year_of(time: SimTime, inv_width: f64) -> u64 {
         // `as u64` truncates toward zero, which is `floor` for the
         // non-negative times `SimTime` guarantees.
-        (time.as_secs() * self.inv_width) as u64
+        (time.as_secs() * inv_width) as u64
+    }
+
+    fn abs_bucket(&self, time: SimTime) -> u64 {
+        Self::year_of(time, self.inv_width)
+    }
+
+    /// The wheel position of `year` (the wheel size is a power of two).
+    fn bucket_of(&self, year: u64) -> usize {
+        (year & (self.buckets.len() as u64 - 1)) as usize
     }
 
     fn insert_entry(&mut self, entry: Entry<T>) {
-        // The rotation cursor tracks the *next* entry to pop, which can sit
-        // ahead of the caller's clock (e.g. a peek that ran past a
-        // `run_until` horizon).  An insert landing behind it would be
-        // skipped for a whole rotation, so flag a direct re-positioning.
-        if self.abs_bucket(entry.time) < self.cur_abs {
-            self.needs_reposition = true;
+        self.win_inserts += 1;
+        let year = self.abs_bucket(entry.time);
+        if year > self.cur_abs {
+            let idx = self.bucket_of(year);
+            self.min_year[idx] = self.min_year[idx].min(year);
+            self.buckets[idx].push(entry);
+            return;
         }
-        let idx = self.bucket_index(entry.time);
-        let bucket = &mut self.buckets[idx];
+        // The year is being served, or lies behind a cursor that a peek
+        // parked ahead of the caller's clock: splice into the sorted run.
+        // `seq` is unique, so an exact hit cannot happen; Err gives the
+        // sorted insertion point either way.
         let key = entry.key();
-        match bucket.binary_search_by(|e| e.key().cmp(&key)) {
-            // `seq` is unique, so an exact hit cannot happen; Err gives the
-            // sorted insertion point either way.
-            Ok(pos) | Err(pos) => {
-                // The splice moves min(pos, len - pos) entries; feed the
-                // cost observer that decides when rebucketing pays off.
-                self.win_insert_cost += pos.min(bucket.len() - pos) as u64;
-                self.win_inserts += 1;
-                bucket.insert(pos, entry);
-            }
+        let (Ok(pos) | Err(pos)) = self.current.binary_search_by(|e| e.key().cmp(&key));
+        // The splice moves min(pos, len - pos) entries; feed the cost
+        // observer that decides when rebucketing pays off.
+        let moved = pos.min(self.current.len() - pos) as u64;
+        self.win_insert_cost += moved;
+        self.work += moved;
+        self.current.insert(pos, entry);
+    }
+
+    /// Makes `due` (in arrival order) the run being served.  A burst
+    /// scheduled in `seq` order passes the linear check; colliding bursts
+    /// are sorted runs, which the stable sort merges (it allocates scratch
+    /// space even for sorted input, hence the check first).
+    fn serve(&mut self, mut due: Vec<Entry<T>>) {
+        self.work += due.len() as u64;
+        if !due.is_sorted() {
+            self.work += due.len() as u64 * u64::from(due.len().ilog2());
+            due.sort();
+        }
+        self.current = due.into();
+    }
+
+    /// Frees a drained `current` that a burst grew; a small one is reused.
+    fn release_current(&mut self) {
+        if self.current.is_empty() && self.current.capacity() > KEEP_CAPACITY {
+            self.current = VecDeque::new();
         }
     }
 
-    /// Points `cur_abs` at the bucket holding the global minimum entry.
-    fn reposition_to_min(&mut self) {
-        debug_assert!(self.count > 0);
-        let mut best: Option<(SimTime, u64, usize)> = None;
-        for (idx, bucket) in self.buckets.iter().enumerate() {
-            if let Some(front) = bucket.front() {
-                let key = (front.time, front.seq, idx);
-                if best.is_none_or(|b| (key.0, key.1) < (b.0, b.1)) {
-                    best = Some(key);
-                }
+    /// Moves the due entries of bucket `idx` into the empty `current`: a
+    /// buffer swap when the whole bucket is due, one order-preserving
+    /// partition otherwise.
+    fn load_bucket(&mut self, idx: usize) {
+        let (cur, inv) = (self.cur_abs, self.inv_width);
+        let year = |e: &Entry<T>| Self::year_of(e.time, inv);
+        let bucket = &mut self.buckets[idx];
+        self.work += bucket.len() as u64;
+        let mut due: Vec<Entry<T>> = std::mem::take(&mut self.current).into();
+        if bucket.iter().all(|e| year(e) <= cur) {
+            std::mem::swap(bucket, &mut due);
+        } else {
+            due.extend(bucket.extract_if(.., |e| year(e) <= cur));
+            if bucket.capacity() > KEEP_CAPACITY {
+                bucket.shrink_to(2 * bucket.len());
             }
         }
-        let (time, _, _) = best.expect("count > 0 implies a non-empty bucket");
-        self.cur_abs = self.abs_bucket(time);
-        self.needs_reposition = false;
+        self.min_year[idx] = bucket.iter().map(year).min().unwrap_or(NEVER);
+        self.serve(due);
     }
 
-    /// Advances the rotation to the bucket whose front is the next entry to
-    /// pop and returns its wheel index.
-    fn position_next(&mut self) -> Option<usize> {
+    /// Makes `current` non-empty by advancing the rotation to the next
+    /// bucket with a due entry; `None` when the queue is empty.
+    fn fill_current(&mut self) -> Option<()> {
+        if !self.current.is_empty() {
+            return Some(());
+        }
         if self.count == 0 {
             return None;
         }
-        if self.needs_reposition {
-            self.reposition_to_min();
-        }
-        let mask = self.buckets.len() as u64 - 1;
-        // One full rotation: a bucket's front whose own absolute bucket
-        // number has been reached is the global minimum — entries are
-        // sorted within buckets, `abs_bucket` is monotone in time, and
-        // no-past-scheduling keeps every entry at or after the last popped
-        // time.  Comparing bucket numbers (rather than times against a
-        // recomputed bucket-boundary product) makes the test agree with the
-        // insert mapping by construction, so float rounding at bucket
-        // boundaries cannot strand an entry.
-        for _ in 0..self.buckets.len() {
-            let idx = (self.cur_abs & mask) as usize;
-            if let Some(front) = self.buckets[idx].front() {
-                if self.abs_bucket(front.time) <= self.cur_abs {
-                    return Some(idx);
-                }
-            }
-            self.cur_abs += 1;
-            self.win_scan_steps += 1;
-        }
-        // Sparse queue: everything lives more than a year ahead.  Jump the
-        // rotation straight to the global minimum.
-        self.reposition_to_min();
-        let idx = (self.cur_abs & mask) as usize;
-        Some(idx)
+        // One full rotation, one word per bucket: the first bucket whose
+        // minimum year has been reached holds the global minimum — years
+        // are monotone in time and every earlier year has been served.
+        // Comparing years (not times against a recomputed bucket boundary)
+        // agrees with the insert mapping by construction, so float rounding
+        // at bucket boundaries cannot strand an entry.
+        let (cur, len) = (self.cur_abs, self.buckets.len() as u64);
+        let next = (cur + 1..=cur + len).find(|&y| self.min_year[self.bucket_of(y)] <= y);
+        self.win_scan_steps += next.map_or(len, |year| year - cur - 1);
+        // Sparse queue (everything lives more than a rotation ahead): jump
+        // straight to the smallest year on the wheel.
+        let sparse = || *self.min_year.iter().min().expect("at least one bucket");
+        self.cur_abs = next.unwrap_or_else(sparse);
+        self.load_bucket(self.bucket_of(self.cur_abs));
+        Some(())
     }
 
     /// Rebuilds the wheel at `new_buckets` buckets, re-deriving the bucket
     /// width from [`Self::estimate_width`] (a bucket should span ~3 average
-    /// event separations — the classic sweet spot between bucket scan cost
-    /// and empty-bucket rotation cost).  Skipped entirely when neither the
+    /// event separations — the classic sweet spot between splice cost and
+    /// empty-bucket rotation cost).  Skipped entirely when neither the
     /// wheel size nor the width would change.
     fn resize(&mut self, new_buckets: usize) {
-        let new_width = match self.estimate_width() {
-            Some(w) => w,
-            None => self.width,
-        };
+        let new_width = self.estimate_width().unwrap_or(self.width);
         self.reset_observers();
         // Rebucketing is O(count); skip it when neither the wheel size nor
         // the width would change materially — cost triggers can fire on
@@ -505,24 +542,31 @@ impl<T> CalendarQueue<T> {
             return;
         }
         self.rebuckets += 1;
-        let mut entries: Vec<Entry<T>> = Vec::with_capacity(self.count);
-        for bucket in &mut self.buckets {
-            entries.extend(bucket.drain(..));
-        }
+        self.work += self.count as u64;
         self.width = new_width;
         self.inv_width = 1.0 / new_width;
-        // Reuse the surviving buckets' backing storage (`clear` keeps
-        // capacity); only a growth allocates new, empty deques.
-        self.buckets.truncate(new_buckets);
-        for bucket in &mut self.buckets {
-            bucket.clear();
+        // A fresh wheel: every old buffer, oversized or not, is handed back.
+        let fresh = (0..new_buckets).map(|_| Vec::new()).collect();
+        let old_buckets = std::mem::replace(&mut self.buckets, fresh);
+        let old_current = std::mem::take(&mut self.current);
+        self.min_year = vec![NEVER; new_buckets];
+        // Restart the rotation at the caller's clock, not at the earliest
+        // entry: the event just popped may still schedule a burst in front
+        // of that entry, which must then reach a bucket, not `current`.
+        self.cur_abs = self.last_pop_time.map_or(0, |at| self.abs_bucket(at));
+        let mut due = Vec::new();
+        for entry in old_current
+            .into_iter()
+            .chain(old_buckets.into_iter().flatten())
+        {
+            if self.abs_bucket(entry.time) <= self.cur_abs {
+                due.push(entry);
+            } else {
+                self.insert_entry(entry);
+            }
         }
-        self.buckets.resize_with(new_buckets, VecDeque::new);
-        for entry in entries {
-            self.insert_entry(entry);
-        }
+        self.serve(due);
         self.reset_observers();
-        self.needs_reposition = true;
     }
 
     /// Restarts the gap estimator, the cost window and the rebucket
@@ -549,7 +593,7 @@ impl<T> CalendarQueue<T> {
             (self.pop_gap_sum > 0.0).then(|| self.pop_gap_sum / self.gap_pops as f64)
         } else if self.count >= 2 {
             let (mut min_t, mut max_t) = (f64::INFINITY, f64::NEG_INFINITY);
-            for e in self.buckets.iter().flatten() {
+            for e in self.buckets.iter().flatten().chain(&self.current) {
                 min_t = min_t.min(e.time.as_secs());
                 max_t = max_t.max(e.time.as_secs());
             }
@@ -570,8 +614,7 @@ impl<T> CalendarQueue<T> {
     /// Wheel size for `count` live entries: the power of two near
     /// `count / 4`.  With the width spanning ~3 average separations, this
     /// makes one wheel rotation cover roughly the whole span of queued
-    /// times while keeping the bucket headers cache-resident; in-bucket
-    /// splices stay a handful of entries either way.
+    /// times while keeping the per-bucket minimum years cache-resident.
     fn bucket_target(count: usize) -> usize {
         (count / 4)
             .next_power_of_two()
@@ -603,14 +646,14 @@ impl<T: Send> EventQueue<T> for CalendarQueue<T> {
     }
 
     fn pop(&mut self) -> Option<(SimTime, u64, T)> {
-        let idx = self.position_next()?;
-        let entry = self.buckets[idx].pop_front().expect("positioned bucket");
+        self.fill_current()?;
+        let entry = self.current.pop_front().expect("filled run");
+        self.release_current();
         self.count -= 1;
-        let now = entry.time.as_secs();
         if let Some(prev) = self.last_pop_time {
-            self.pop_gap_sum += (now - prev).max(0.0);
+            self.pop_gap_sum += (entry.time - prev).max(0.0);
         }
-        self.last_pop_time = Some(now);
+        self.last_pop_time = Some(entry.time);
         self.gap_pops += 1;
         self.win_pops += 1;
         self.pops_since_rebucket += 1;
@@ -635,23 +678,38 @@ impl<T: Send> EventQueue<T> for CalendarQueue<T> {
     }
 
     fn peek_time(&mut self) -> Option<SimTime> {
-        let idx = self.position_next()?;
-        self.buckets[idx].front().map(|e| e.time)
+        self.fill_current()?;
+        self.current.front().map(|e| e.time)
     }
 
     fn cancel(&mut self, time: SimTime, seq: u64) {
-        let idx = self.bucket_index(time);
-        let key = (time, seq);
-        if let Ok(pos) = self.buckets[idx].binary_search_by(|e| e.key().cmp(&key)) {
-            self.buckets[idx].remove(pos);
-            self.count -= 1;
+        let year = self.abs_bucket(time);
+        let found = if year <= self.cur_abs {
+            let hit = self.current.binary_search_by(|e| e.key().cmp(&(time, seq)));
+            let found = hit.ok().and_then(|pos| self.current.remove(pos));
+            self.release_current();
+            found
         } else {
-            debug_assert!(false, "cancel of an entry that is not queued");
-        }
+            // Not due yet: the bucket is in arrival order, so scan by `seq`.
+            let (idx, inv) = (self.bucket_of(year), self.inv_width);
+            let bucket = &mut self.buckets[idx];
+            self.work += bucket.len() as u64;
+            let pos = bucket.iter().position(|e| e.seq == seq);
+            let found = pos.map(|pos| bucket.remove(pos));
+            let years = bucket.iter().map(|e| Self::year_of(e.time, inv));
+            self.min_year[idx] = years.min().unwrap_or(NEVER);
+            found
+        };
+        debug_assert!(found.is_some(), "cancel of an entry that is not queued");
+        self.count -= usize::from(found.is_some());
     }
 
     fn len(&self) -> usize {
         self.count
+    }
+
+    fn capacity(&self) -> usize {
+        self.current.capacity() + self.buckets.iter().map(Vec::capacity).sum::<usize>()
     }
 }
 
@@ -794,6 +852,214 @@ mod tests {
     #[test]
     fn heap_and_calendar_pop_identically_at_scale() {
         compare_impls(99, 5000, 4000);
+    }
+
+    /// Drives a live calendar queue through burst scenarios — aimed with its
+    /// own geometry — recording every operation and result, for replay
+    /// against the heap.
+    struct BurstScript {
+        calendar: CalendarQueue<u64>,
+        ops: Vec<Op>,
+        results: Vec<Option<(SimTime, u64)>>,
+        seq: u64,
+        now: f64,
+    }
+
+    #[derive(Clone, Copy)]
+    enum Op {
+        Schedule(SimTime, u64),
+        Pop,
+        Peek,
+        Cancel(SimTime, u64),
+    }
+
+    impl Op {
+        fn apply(self, q: &mut dyn EventQueue<u64>) -> Option<(SimTime, u64)> {
+            match self {
+                Op::Schedule(at, seq) => q.schedule(at, seq, seq),
+                Op::Pop => return q.pop().map(|(at, seq, _)| (at, seq)),
+                Op::Peek => return q.peek_time().map(|at| (at, 0)),
+                Op::Cancel(at, seq) => q.cancel(at, seq),
+            }
+            None
+        }
+    }
+
+    impl BurstScript {
+        fn run(&mut self, op: Op) -> Option<(SimTime, u64)> {
+            let result = op.apply(&mut self.calendar);
+            if let (Op::Pop, Some((at, _))) = (op, result) {
+                self.now = at.as_secs();
+            }
+            self.ops.push(op);
+            self.results.push(result);
+            result
+        }
+
+        /// Schedules `n` entries at one instant; returns their `seq` range.
+        fn burst(&mut self, at: f64, n: u64) -> std::ops::Range<u64> {
+            let first = self.seq;
+            for _ in 0..n {
+                self.run(Op::Schedule(t(at), self.seq));
+                self.seq += 1;
+            }
+            first..self.seq
+        }
+
+        /// Pops until `n` entries of `burst` have come out.
+        fn pop_from(&mut self, burst: &std::ops::Range<u64>, n: u64) {
+            let mut seen = 0;
+            while seen < n {
+                let (_, seq) = self.run(Op::Pop).expect("burst entries are queued");
+                seen += u64::from(burst.contains(&seq));
+            }
+        }
+
+        /// The middle of the bucket `years` years after the one holding
+        /// `now`, in the calendar's current geometry.
+        fn mid_bucket(&self, years: u64) -> f64 {
+            let width = self.calendar.bucket_width();
+            ((self.now / width).floor() + years as f64 + 0.5) * width
+        }
+    }
+
+    /// Same-instant bursts; two bursts colliding in one bucket a rotation
+    /// apart, in both insertion orders; cancels hitting a bucket that is not
+    /// yet due and the run being served; a peek that parks the cursor
+    /// followed by inserts behind it; a resize in the middle of a
+    /// half-drained burst.  Returns how many collisions were on target.
+    fn compare_bursts(seed: u64) -> u32 {
+        let mut rng = Mix(seed);
+        let mut s = BurstScript {
+            calendar: CalendarQueue::new(),
+            ops: Vec::new(),
+            results: Vec::new(),
+            seq: 0,
+            now: 0.0,
+        };
+        let mut collisions = 0;
+        for round in 0..12u64 {
+            let k = 150 + rng.next() % 1500;
+            let ahead = 2 + rng.next() % 6;
+            let (width, rotation) = (s.calendar.bucket_width(), s.calendar.bucket_count());
+            let (early_at, late_at) = (s.mid_bucket(ahead), s.mid_bucket(ahead + rotation as u64));
+            let (early, late) = if round % 2 == 0 {
+                let late = s.burst(late_at, k);
+                (s.burst(early_at, k), late)
+            } else {
+                let early = s.burst(early_at, k);
+                (early, s.burst(late_at, k))
+            };
+            let held = s.calendar.bucket_width() == width && s.calendar.bucket_count() == rotation;
+            collisions += u32::from(held);
+            // A same-instant burst right at the clock, ahead of both.
+            let at_clock = s.burst(s.now, 1 + k / 8);
+            s.pop_from(&at_clock, 1);
+            // Cancel inside a bucket that is not due yet, then — with the
+            // early burst half drained — inside the run being served.
+            s.run(Op::Cancel(t(late_at), late.start + k / 3));
+            s.pop_from(&early, k / 2);
+            s.run(Op::Cancel(t(early_at), early.end - 1));
+            if round % 3 == 1 {
+                // Grow the queue past its wheel while the burst is half
+                // drained: the resize must carry the served run over.
+                let rebuckets = s.calendar.rebuckets;
+                let spread = 4 * s.calendar.len() as u64 + 64;
+                for i in 0..spread {
+                    let at = s.now + rng.unit() * 3.0 + i as f64 * 1e-3;
+                    s.run(Op::Schedule(t(at), s.seq));
+                    s.seq += 1;
+                }
+                assert!(s.calendar.rebuckets > rebuckets, "no resize (seed {seed})");
+            }
+            s.pop_from(&early, k - k / 2 - 1);
+            // Park the cursor on whatever comes next, then insert behind it.
+            if let Some((head, _)) = s.run(Op::Peek) {
+                for _ in 0..3 {
+                    let at = s.now + rng.unit() * (head.as_secs() - s.now);
+                    s.run(Op::Schedule(t(at), s.seq));
+                    s.seq += 1;
+                }
+            }
+            s.pop_from(&late, k / 4);
+        }
+        while s.run(Op::Pop).is_some() {}
+        let mut heap: HeapQueue<u64> = HeapQueue::new();
+        let expected: Vec<_> = s.ops.iter().map(|op| op.apply(&mut heap)).collect();
+        assert_eq!(s.results, expected, "burst script diverged (seed {seed})");
+        assert_eq!(s.calendar.len(), 0);
+        collisions
+    }
+
+    #[test]
+    fn heap_and_calendar_pop_identically_under_bursts() {
+        for seed in [1, 2, 7, 42, 1234, 99_991] {
+            let collisions = compare_bursts(seed);
+            assert!(
+                collisions >= 4,
+                "only {collisions} collisions (seed {seed})"
+            );
+        }
+    }
+
+    /// Two equally large same-instant bursts sharing one bucket a rotation
+    /// apart, the earlier one scheduled second: scheduling, visiting and
+    /// draining them costs O(k) queue work (entries moved, scanned or
+    /// compared) — not the k²/2 moves of splicing the second burst in front
+    /// of the first inside a sorted bucket.
+    #[test]
+    fn colliding_bursts_cost_linear_work() {
+        const K: u64 = 20_000;
+        let mut q: CalendarQueue<u64> = CalendarQueue::new();
+        // A standing far-future burst sizes the wheel, so the colliding
+        // bursts meet a settled geometry (no resize while they arrive).
+        for seq in 0..K {
+            q.schedule(t(11.0), seq, seq);
+        }
+        for seq in K..2 * K {
+            q.schedule(t(10.0), seq, seq);
+        }
+        let rebuckets = q.rebuckets;
+        let year = q.abs_bucket(t(10.0)) - q.bucket_count() as u64;
+        let early = t((year as f64 + 0.5) * q.bucket_width());
+        assert_eq!(
+            q.bucket_of(q.abs_bucket(early)),
+            q.bucket_of(q.abs_bucket(t(10.0)))
+        );
+        for seq in 2 * K..3 * K {
+            q.schedule(early, seq, seq);
+        }
+        assert_eq!(q.rebuckets, rebuckets, "the geometry must hold still");
+        for seq in (2 * K..3 * K).chain(K..2 * K) {
+            assert_eq!(q.pop().map(|(_, s, _)| s), Some(seq));
+        }
+        assert!(q.work <= 16 * K, "{} units of work for k = {K}", q.work);
+    }
+
+    /// Bursts walking across the wheel must not leave their buffers behind:
+    /// allocated entry slots follow the live count, not the number of
+    /// buckets a burst ever crossed.
+    #[test]
+    fn retained_capacity_follows_the_live_count() {
+        const BURST: u64 = 25_000;
+        let mut q: CalendarQueue<u64> = CalendarQueue::new();
+        let mut peak_live = 0;
+        for burst in 0..400u64 {
+            for seq in burst * BURST..(burst + 1) * BURST {
+                q.schedule(t(burst as f64 * 0.37), seq, seq);
+            }
+            peak_live = peak_live.max(q.len());
+            // Drain the previous burst: at most two are ever live.
+            for _ in 0..BURST.min(burst * BURST) {
+                q.pop().expect("the previous burst is queued");
+            }
+        }
+        assert_eq!(q.len() as u64, BURST);
+        assert!(
+            q.capacity() <= 4 * peak_live,
+            "{} entry slots allocated for a peak of {peak_live} live entries",
+            q.capacity()
+        );
     }
 
     #[test]

@@ -473,6 +473,10 @@ pub struct SchedulerDiagnostics {
     /// tombstones at all times — the unbounded-growth regression test pins
     /// this.
     pub queue_tombstones: usize,
+    /// Entry slots the queue has allocated ([`EventQueue::capacity`]):
+    /// retained memory, which must follow `queued_events` and not the
+    /// largest burst the run ever saw.
+    pub queue_capacity: usize,
     /// Timers scheduled and not yet fired or cancelled.
     pub pending_timers: usize,
 }
@@ -524,6 +528,7 @@ impl Simulator {
             scheduler: self.world.scheduler,
             queued_events: self.world.queue.len(),
             queue_tombstones: self.world.queue.tombstones(),
+            queue_capacity: self.world.queue.capacity(),
             pending_timers: self.world.pending_timers.len(),
         }
     }
@@ -1548,6 +1553,19 @@ mod tests {
                 diag.queue_tombstones <= 1,
                 "{kind:?}: cancellation left {} tombstones behind",
                 diag.queue_tombstones
+            );
+            // Retained memory: the calendar hands drained buffers back; the
+            // heap never shrinks, so it keeps what its 10⁴ tombstoned decoys
+            // (queued until they would have fired) once needed.
+            let bound = match kind {
+                SchedulerKind::Calendar => 256,
+                SchedulerKind::Heap => 16_384,
+            };
+            assert!(
+                diag.queue_capacity <= bound,
+                "{kind:?}: {} entry slots retained for {} events",
+                diag.queue_capacity,
+                diag.queued_events
             );
         }
     }

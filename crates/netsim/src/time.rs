@@ -17,10 +17,14 @@ impl SimTime {
     /// Time zero — the start of the simulation.
     pub const ZERO: SimTime = SimTime(0.0);
 
-    /// Creates a time from seconds.  Panics on NaN or negative values.
+    /// Creates a time from seconds.  Panics on NaN, infinite or negative
+    /// values: an event at +∞ never fires, and its year in the calendar
+    /// queue would saturate the cursor.
     pub fn from_secs(secs: f64) -> Self {
-        assert!(!secs.is_nan(), "SimTime cannot be NaN");
-        assert!(secs >= 0.0, "SimTime cannot be negative, got {secs}");
+        assert!(
+            secs.is_finite() && secs >= 0.0,
+            "SimTime must be a non-negative, finite number of seconds, got {secs}"
+        );
         SimTime(secs)
     }
 
@@ -108,6 +112,12 @@ mod tests {
     #[should_panic(expected = "negative")]
     fn negative_time_rejected() {
         let _ = SimTime::from_secs(-1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite number of seconds, got inf")]
+    fn infinite_time_rejected() {
+        let _ = SimTime::ZERO + f64::INFINITY;
     }
 
     #[test]

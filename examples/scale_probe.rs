@@ -3,8 +3,9 @@
 //! Builds an N-leg star (one node, two links and one receiver agent per
 //! leg), multicasts CBR traffic into it, and reports build time, run time,
 //! the event/delivery counts **and the live heap footprint** (measured by a
-//! counting global allocator: net bytes after build and after the run, per
-//! receiver).  Optionally a tenth of the receivers churn (leave and rejoin
+//! counting global allocator: net bytes after build, at the peak and after
+//! the run, per receiver) next to what the event queue holds and what it
+//! holds on to.  Optionally a tenth of the receivers churn (leave and rejoin
 //! the group on sub-second cycles).
 //!
 //! With `sessions=K` the probe becomes the **multi-session** workload from
@@ -47,14 +48,21 @@ use tfmcc_agents::population::{FluidSpec, PopulationSpec};
 use tfmcc_agents::session::TfmccSessionBuilder;
 use tfmcc_model::population::Dist;
 
-/// Counts live heap bytes so the probe can report per-receiver memory.
-/// (Twin of the allocator in `crates/tfmcc-proto/tests/receiver_mem.rs` —
-/// a `#[global_allocator]` must live in the binary that uses it, so the
-/// ~30 lines are duplicated rather than shipped in a library crate; keep
-/// the two in sync.)
+/// Counts live heap bytes, and their peak, so the probe can report
+/// per-receiver memory.  (Twin of the allocator in
+/// `crates/tfmcc-proto/tests/receiver_mem.rs`, which has no use for the
+/// peak — a `#[global_allocator]` must live in the binary that uses it, so
+/// the ~30 lines are duplicated rather than shipped in a library crate;
+/// keep the two in sync.)
 struct NetCountingAllocator;
 
 static NET_BYTES: AtomicI64 = AtomicI64::new(0);
+static PEAK_BYTES: AtomicI64 = AtomicI64::new(0);
+
+fn grow(by: i64) {
+    let live = NET_BYTES.fetch_add(by, Relaxed) + by;
+    PEAK_BYTES.fetch_max(live, Relaxed);
+}
 
 // SAFETY: every method forwards to `System` with unchanged arguments; the
 // added Relaxed counter update cannot affect the allocator contract.
@@ -62,7 +70,7 @@ unsafe impl GlobalAlloc for NetCountingAllocator {
     // SAFETY: forwarded verbatim to `System`; the caller's `GlobalAlloc`
     // obligations are passed through unchanged.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        NET_BYTES.fetch_add(layout.size() as i64, Relaxed);
+        grow(layout.size() as i64);
         System.alloc(layout)
     }
     // SAFETY: forwarded verbatim to `System`; the caller's `GlobalAlloc`
@@ -74,13 +82,13 @@ unsafe impl GlobalAlloc for NetCountingAllocator {
     // SAFETY: forwarded verbatim to `System`; the caller's `GlobalAlloc`
     // obligations are passed through unchanged.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        NET_BYTES.fetch_add(new_size as i64 - layout.size() as i64, Relaxed);
+        grow(new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
     // SAFETY: forwarded verbatim to `System`; the caller's `GlobalAlloc`
     // obligations are passed through unchanged.
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        NET_BYTES.fetch_add(layout.size() as i64, Relaxed);
+        grow(layout.size() as i64);
         System.alloc_zeroed(layout)
     }
 }
@@ -90,6 +98,10 @@ static ALLOCATOR: NetCountingAllocator = NetCountingAllocator;
 
 fn live_bytes() -> i64 {
     NET_BYTES.load(Relaxed)
+}
+
+fn peak_bytes() -> i64 {
+    PEAK_BYTES.load(Relaxed)
 }
 
 fn main() {
@@ -178,6 +190,7 @@ fn probe_cbr(n: usize, churn: bool, scheduler: SchedulerKind) {
     sim.run_until(SimTime::from_secs(10.0));
     let ran = t1.elapsed();
     let run_bytes = live_bytes() - heap0;
+    let peak = peak_bytes() - heap0;
     let delivered: u64 = sinks
         .iter()
         .map(|&s| sim.agent::<GroupSink>(s).unwrap().packets())
@@ -188,11 +201,18 @@ fn probe_cbr(n: usize, churn: bool, scheduler: SchedulerKind) {
     );
     println!("digest={:016x}", sim.stats().digest());
     println!(
-        "heap: {:.1} MB after build ({} B/receiver), {:.1} MB after run ({} B/receiver)",
+        "heap: {:.1} MB after build ({} B/receiver), {:.1} MB peak ({} B/receiver), {:.1} MB after run ({} B/receiver)",
         built_bytes as f64 / (1 << 20) as f64,
         built_bytes / n as i64,
+        peak as f64 / (1 << 20) as f64,
+        peak / n as i64,
         run_bytes as f64 / (1 << 20) as f64,
         run_bytes / n as i64,
+    );
+    let diag = sim.scheduler_diagnostics();
+    println!(
+        "queue: {} events queued, {} entry slots allocated",
+        diag.queued_events, diag.queue_capacity
     );
 }
 
