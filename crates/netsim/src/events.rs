@@ -1,140 +1,47 @@
-//! The event-queue core of the simulator: the [`EventQueue`] abstraction and
-//! its two implementations, a binary heap ([`HeapQueue`]) and a calendar
-//! queue ([`CalendarQueue`]).
+//! The event-queue core of the simulator: the [`CalendarQueue`].
 //!
-//! # The scheduler contract
+//! # The queue contract
 //!
-//! A queue stores `(time, seq, item)` entries, where `seq` is a caller-owned
-//! sequence number, unique among live entries (the simulator assigns one per
-//! scheduled event).  [`EventQueue::pop`] must return entries in ascending
-//! `(time, seq)` order — time first, `seq` within a time.  Entries may be
-//! scheduled at times *behind* the last popped entry's time: a peek can
-//! park the calendar's cursor ahead of the caller's clock, so inserts behind
-//! the cursor have to work anyway, and the contract makes that unconditional
-//! (the simulator itself never schedules into the past, see
-//! `World::push_event`).  A late insert simply pops next (in
-//! `(time, seq)` order among the remaining entries); it cannot, of course,
-//! retroactively order before entries that were already popped.  Both
-//! implementations honour all of this exactly, so swapping one for the other
-//! reproduces every simulation bit for bit (the `scheduler_equivalence`
-//! property test and the golden figure outputs pin this).
+//! The queue stores `(time, seq, item)` entries, where `seq` is a
+//! caller-owned sequence number, unique among live entries (the simulator
+//! assigns one per scheduled event).  [`CalendarQueue::pop`] returns entries
+//! in ascending `(time, seq)` order — time first, `seq` within a time.
+//! Entries may be scheduled at times *behind* the last popped entry's time: a
+//! peek can park the calendar's cursor ahead of the caller's clock, so
+//! inserts behind the cursor have to work anyway, and the contract makes that
+//! unconditional (the simulator itself never schedules into the past, see
+//! `World::push_event`).  A late insert simply pops next (in `(time, seq)`
+//! order among the remaining entries); it cannot, of course, retroactively
+//! order before entries that were already popped.
+//!
+//! The unit tests below hold the queue to this order against a binary-heap
+//! oracle, operation by operation; the simulator asserts it again at every
+//! pop of every debug-profile run (see `Simulator::run_until`).
 //!
 //! # Cancellation
 //!
 //! Entries are cancelled by their `(time, seq)` key via
-//! [`EventQueue::cancel`].  The caller (the simulator's timer table) only
-//! cancels entries it knows are still queued, which is what lets both
-//! implementations keep cancellation state bounded:
-//!
-//! * [`HeapQueue`] records the `seq` in a tombstone set and silently drains
-//!   tombstoned entries when they surface at the top of the heap — the set
-//!   never holds more than the number of cancelled entries still queued;
-//! * [`CalendarQueue`] removes the entry immediately, so it needs no
-//!   tombstones at all: from the sorted run being served by key (binary
-//!   search), from a bucket whose year has not come up by `seq` (buckets
-//!   are unsorted; the scan is O(1) at the maintained load factor and
-//!   O(burst) only for a timer parked inside a same-instant burst).
-//!
-//! A cancelled entry is never returned from `pop` and is not counted by
-//! [`EventQueue::len`] in either implementation.
+//! [`CalendarQueue::cancel`].  The caller (the simulator's timer table) only
+//! cancels entries it knows are still queued, and the queue removes the entry
+//! immediately: from the sorted run being served by key (binary search), from
+//! a bucket whose year has not come up by `seq` (buckets are unsorted; the
+//! scan is O(1) at the maintained load factor and O(burst) only for a timer
+//! parked inside a same-instant burst).  A cancelled entry is never returned
+//! from `pop`, is not counted by [`CalendarQueue::len`] and leaves nothing
+//! behind.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::time::SimTime;
 
-/// How the simulator's event queue is implemented.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// The one event queue there is.  Exists only because `perfbench/src/sims.rs`
+/// and `perfbench/src/replay.rs` still name it (the benchmark is frozen
+/// outside `[benchmark]` PRs); delete it once those mentions are gone.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy)]
 pub enum SchedulerKind {
-    /// The binary-heap scheduler (the fallback, `TFMCC_SCHEDULER=heap`):
-    /// `O(log n)` push/pop on a `BinaryHeap`, cancellation via tombstones
-    /// drained on pop.
-    Heap,
-    /// The calendar-queue scheduler (the default): amortized `O(1)` push/pop
-    /// on a rotating wheel of append-only buckets that resizes itself on
-    /// load-factor drift, cancellation by in-place removal.
-    #[default]
+    /// The calendar queue.
     Calendar,
-}
-
-impl SchedulerKind {
-    /// Reads the `TFMCC_SCHEDULER` environment override (`heap` /
-    /// `binary-heap` or `calendar`, case-insensitive).  Returns `None` when
-    /// unset; unknown values warn on stderr and are ignored so a typo cannot
-    /// silently select a different scheduler.
-    pub fn from_env() -> Option<Self> {
-        let value = std::env::var("TFMCC_SCHEDULER").ok()?;
-        match value.to_ascii_lowercase().as_str() {
-            "heap" | "binary-heap" | "binary_heap" => Some(SchedulerKind::Heap),
-            "calendar" => Some(SchedulerKind::Calendar),
-            other => {
-                eprintln!(
-                    "warning: ignoring unknown TFMCC_SCHEDULER value '{other}' (use 'heap' or 'calendar')"
-                );
-                None
-            }
-        }
-    }
-
-    /// Resolves the scheduler for a new simulation: the `TFMCC_SCHEDULER`
-    /// environment override when set, otherwise the built-in default
-    /// ([`SchedulerKind::Calendar`]).
-    pub fn resolve() -> Self {
-        Self::from_env().unwrap_or_default()
-    }
-
-    /// Builds an empty event queue of this kind.
-    pub fn build<T: Send + 'static>(self) -> Box<dyn EventQueue<T>> {
-        match self {
-            SchedulerKind::Heap => Box::new(HeapQueue::new()),
-            SchedulerKind::Calendar => Box::new(CalendarQueue::new()),
-        }
-    }
-}
-
-/// A priority queue of timestamped events, popped in `(time, seq)` order.
-///
-/// See the [module documentation](self) for the ordering and cancellation
-/// contract shared by all implementations.
-pub trait EventQueue<T>: Send {
-    /// Enqueues `item` at `time`.  `seq` must be unique among live entries;
-    /// `time` may lie behind the last popped entry's time (a late insert
-    /// pops next, see the [module documentation](self)).
-    fn schedule(&mut self, time: SimTime, seq: u64, item: T);
-
-    /// Removes and returns the entry with the smallest `(time, seq)`.
-    fn pop(&mut self) -> Option<(SimTime, u64, T)>;
-
-    /// The time of the entry [`Self::pop`] would return, without removing
-    /// it.  Takes `&mut self` so implementations may drain cancelled entries
-    /// or rotate their internal cursor while looking.
-    fn peek_time(&mut self) -> Option<SimTime>;
-
-    /// Cancels the queued entry with exactly this `(time, seq)` key.  The
-    /// caller must only cancel keys it has scheduled and not yet popped or
-    /// cancelled; the entry will never be returned from [`Self::pop`].
-    fn cancel(&mut self, time: SimTime, seq: u64);
-
-    /// Number of live (scheduled, not yet popped or cancelled) entries.
-    fn len(&self) -> usize;
-
-    /// True when no live entries remain.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Number of cancelled-but-still-stored entries (tombstones).  Zero for
-    /// implementations that remove cancelled entries in place.
-    fn tombstones(&self) -> usize {
-        0
-    }
-
-    /// Entry slots currently allocated (live, spare and tombstoned alike):
-    /// what the queue holds on to, as opposed to what it holds.  A
-    /// diagnostic: implementations may walk their whole structure for it.
-    fn capacity(&self) -> usize {
-        self.len()
-    }
 }
 
 /// One queued entry.
@@ -165,101 +72,6 @@ impl<T> Ord for Entry<T> {
 impl<T> PartialOrd for Entry<T> {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
-    }
-}
-
-/// The binary-heap event queue.
-///
-/// # Determinism
-///
-/// `BinaryHeap` is not a stable heap, but entries are ordered by the full
-/// `(time, seq)` key and `seq` is unique, so the pop order is total and
-/// deterministic: ascending time, insertion order within a time.  This is
-/// the reference ordering the calendar queue must (and does) reproduce.
-///
-/// # Example: schedule/cancel round-trip
-///
-/// ```
-/// use netsim::events::{EventQueue, HeapQueue};
-/// use netsim::time::SimTime;
-///
-/// let mut q = HeapQueue::new();
-/// q.schedule(SimTime::from_secs(0.3), 0, "late");
-/// q.schedule(SimTime::from_secs(0.1), 1, "early");
-/// q.schedule(SimTime::from_secs(0.2), 2, "cancelled");
-/// q.cancel(SimTime::from_secs(0.2), 2);
-/// assert_eq!(q.len(), 2);
-/// assert_eq!(q.pop().map(|(_, _, item)| item), Some("early"));
-/// assert_eq!(q.pop().map(|(_, _, item)| item), Some("late"));
-/// assert_eq!(q.pop(), None);
-/// assert_eq!(q.tombstones(), 0); // drained when the entry surfaced
-/// ```
-#[derive(Debug)]
-pub struct HeapQueue<T> {
-    heap: BinaryHeap<Reverse<Entry<T>>>,
-    /// `seq`s of cancelled entries still inside the heap; drained as the
-    /// entries surface at the top (in `pop`/`peek_time`), so the set stays
-    /// bounded by the number of cancelled entries still queued.
-    tombstones: BTreeSet<u64>,
-}
-
-impl<T> HeapQueue<T> {
-    /// Creates an empty heap queue.
-    pub fn new() -> Self {
-        HeapQueue {
-            heap: BinaryHeap::with_capacity(1024),
-            tombstones: BTreeSet::new(),
-        }
-    }
-
-    /// Drops cancelled entries sitting at the top of the heap.
-    fn drain_tombstones(&mut self) {
-        while let Some(Reverse(head)) = self.heap.peek() {
-            if self.tombstones.remove(&head.seq) {
-                self.heap.pop();
-            } else {
-                break;
-            }
-        }
-    }
-}
-
-impl<T> Default for HeapQueue<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T: Send> EventQueue<T> for HeapQueue<T> {
-    fn schedule(&mut self, time: SimTime, seq: u64, item: T) {
-        self.heap.push(Reverse(Entry { time, seq, item }));
-    }
-
-    fn pop(&mut self) -> Option<(SimTime, u64, T)> {
-        self.drain_tombstones();
-        let Reverse(entry) = self.heap.pop()?;
-        Some((entry.time, entry.seq, entry.item))
-    }
-
-    fn peek_time(&mut self) -> Option<SimTime> {
-        self.drain_tombstones();
-        self.heap.peek().map(|Reverse(e)| e.time)
-    }
-
-    fn cancel(&mut self, _time: SimTime, seq: u64) {
-        self.tombstones.insert(seq);
-    }
-
-    fn len(&self) -> usize {
-        self.heap.len() - self.tombstones.len()
-    }
-
-    fn tombstones(&self) -> usize {
-        self.tombstones.len()
-    }
-
-    fn capacity(&self) -> usize {
-        self.heap.capacity()
     }
 }
 
@@ -296,39 +108,34 @@ const NEVER: u64 = u64::MAX;
 /// sorted run the queue owns, `current`, and pops come off its front.  A
 /// sparse queue falls back to a direct minimum search over the per-bucket
 /// minimum years.  Push and pop are amortized O(1) whatever a bucket holds
-/// — a same-instant burst of any size is appended, moved and sorted once —
-/// versus the heap's O(log n).
+/// — a same-instant burst of any size is appended, moved and sorted once.
 ///
 /// # Determinism
 ///
-/// Pop order is exactly ascending `(time, seq)`, identical to [`HeapQueue`]:
+/// Pop order is exactly ascending `(time, seq)`:
 ///
 /// * `current` holds every entry whose year has been reached, sorted by
 ///   `(time, seq)` (one sort per bucket visit, binary-search insertion for
 ///   entries scheduled into a reached year, late inserts included), so
-///   entries leave in heap order — FIFO by `seq` within a timestamp;
+///   entries leave in key order — FIFO by `seq` within a timestamp;
 /// * the year is a monotone function of time, so no bucket can hold an
 ///   entry earlier than anything in `current`;
 /// * resizing is triggered purely by deterministic operation counters
 ///   (entry counts, windowed splice/scan costs), so identical
 ///   schedule/pop/cancel sequences resize identically.
 ///
-/// The `scheduler_equivalence` property test drives both implementations
-/// over random churning topologies and asserts identical delivery sequences.
-///
 /// # Example: schedule/cancel round-trip
 ///
 /// ```
-/// use netsim::events::{CalendarQueue, EventQueue};
+/// use netsim::events::CalendarQueue;
 /// use netsim::time::SimTime;
 ///
 /// let mut q = CalendarQueue::new();
 /// for seq in 0..100u64 {
 ///     q.schedule(SimTime::from_secs(seq as f64 * 0.25), seq, seq);
 /// }
-/// q.cancel(SimTime::from_secs(0.25), 1); // removed in place, no tombstone
+/// q.cancel(SimTime::from_secs(0.25), 1); // removed in place
 /// assert_eq!(q.len(), 99);
-/// assert_eq!(q.tombstones(), 0);
 /// assert_eq!(q.pop().map(|(_, seq, _)| seq), Some(0));
 /// assert_eq!(q.pop().map(|(_, seq, _)| seq), Some(2));
 /// ```
@@ -630,22 +437,18 @@ impl<T> CalendarQueue<T> {
             self.resize(target.max(MIN_BUCKETS));
         }
     }
-}
 
-impl<T> Default for CalendarQueue<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T: Send> EventQueue<T> for CalendarQueue<T> {
-    fn schedule(&mut self, time: SimTime, seq: u64, item: T) {
+    /// Enqueues `item` at `time`.  `seq` must be unique among live entries;
+    /// `time` may lie behind the last popped entry's time (a late insert
+    /// pops next, see the [module documentation](self)).
+    pub fn schedule(&mut self, time: SimTime, seq: u64, item: T) {
         self.insert_entry(Entry { time, seq, item });
         self.count += 1;
         self.maybe_grow();
     }
 
-    fn pop(&mut self) -> Option<(SimTime, u64, T)> {
+    /// Removes and returns the entry with the smallest `(time, seq)`.
+    pub fn pop(&mut self) -> Option<(SimTime, u64, T)> {
         self.fill_current()?;
         let entry = self.current.pop_front().expect("filled run");
         self.release_current();
@@ -677,12 +480,17 @@ impl<T: Send> EventQueue<T> for CalendarQueue<T> {
         Some((entry.time, entry.seq, entry.item))
     }
 
-    fn peek_time(&mut self) -> Option<SimTime> {
+    /// The time of the entry [`Self::pop`] would return, without removing
+    /// it.  Takes `&mut self` because looking may rotate the cursor.
+    pub fn peek_time(&mut self) -> Option<SimTime> {
         self.fill_current()?;
         self.current.front().map(|e| e.time)
     }
 
-    fn cancel(&mut self, time: SimTime, seq: u64) {
+    /// Cancels the queued entry with exactly this `(time, seq)` key.  The
+    /// caller must only cancel keys it has scheduled and not yet popped or
+    /// cancelled; the entry will never be returned from [`Self::pop`].
+    pub fn cancel(&mut self, time: SimTime, seq: u64) {
         let year = self.abs_bucket(time);
         let found = if year <= self.cur_abs {
             let hit = self.current.binary_search_by(|e| e.key().cmp(&(time, seq)));
@@ -704,17 +512,35 @@ impl<T: Send> EventQueue<T> for CalendarQueue<T> {
         self.count -= usize::from(found.is_some());
     }
 
-    fn len(&self) -> usize {
+    /// Number of live (scheduled, not yet popped or cancelled) entries.
+    pub fn len(&self) -> usize {
         self.count
     }
 
-    fn capacity(&self) -> usize {
+    /// True when no live entries remain.
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+
+    /// Entry slots currently allocated (live and spare alike): what the
+    /// queue holds on to, as opposed to what it holds.  A diagnostic: it
+    /// walks the whole wheel.
+    pub fn capacity(&self) -> usize {
         self.current.capacity() + self.buckets.iter().map(Vec::capacity).sum::<usize>()
+    }
+}
+
+impl<T> Default for CalendarQueue<T> {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
     use super::*;
 
     fn t(secs: f64) -> SimTime {
@@ -722,7 +548,7 @@ mod tests {
     }
 
     /// Drains a queue completely, asserting (time, seq) never goes backward.
-    fn drain<T>(q: &mut dyn EventQueue<T>) -> Vec<(SimTime, u64)> {
+    fn drain<T>(q: &mut CalendarQueue<T>) -> Vec<(SimTime, u64)> {
         let mut out = Vec::new();
         let mut last: Option<(SimTime, u64)> = None;
         while let Some((time, seq, _)) = q.pop() {
@@ -754,92 +580,117 @@ mod tests {
         }
     }
 
-    /// Both implementations accept inserts behind the last popped entry's
-    /// time (the scheduler contract allows it unconditionally) and surface
-    /// them next, in `(time, seq)` order among the remaining entries.
-    #[test]
-    fn accepts_late_inserts_behind_the_clock() {
-        let mut heap: HeapQueue<u64> = HeapQueue::new();
-        let mut calendar: CalendarQueue<u64> = CalendarQueue::new();
-        for q in [
-            &mut heap as &mut dyn EventQueue<u64>,
-            &mut calendar as &mut dyn EventQueue<u64>,
-        ] {
-            q.schedule(t(1.0), 0, 0);
-            q.schedule(t(5.0), 1, 1);
-            assert_eq!(q.pop().map(|(time, ..)| time), Some(t(1.0)));
-            // The last pop was at 1.0; insert two entries behind it and one
-            // tying an existing time with a larger seq.
-            q.schedule(t(0.5), 100, 2);
-            q.schedule(t(0.25), 101, 3);
-            q.schedule(t(5.0), 50, 4);
-            assert_eq!(q.peek_time(), Some(t(0.25)));
-            let order: Vec<(SimTime, u64)> = drain(q);
-            assert_eq!(
-                order,
-                vec![(t(0.25), 101), (t(0.5), 100), (t(5.0), 1), (t(5.0), 50)]
-            );
+    /// A calendar queue and its oracle driven in lock step: every operation
+    /// goes to both, and every result is compared on the spot.
+    #[derive(Default)]
+    struct Checked {
+        calendar: CalendarQueue<u64>,
+        /// The reference order: a binary heap of `(time, seq)` keys (every
+        /// test item equals its `seq`).  `BinaryHeap` is not stable, but the
+        /// key is total and `seq` unique, so its pop order is; a cancel
+        /// removes the key outright, so there is no cancellation state to
+        /// get wrong.
+        oracle: BinaryHeap<Reverse<(SimTime, u64)>>,
+    }
+
+    impl Checked {
+        fn schedule(&mut self, at: SimTime, seq: u64) {
+            self.calendar.schedule(at, seq, seq);
+            self.oracle.push(Reverse((at, seq)));
+        }
+
+        fn pop(&mut self) -> Option<(SimTime, u64)> {
+            let got = self.calendar.pop();
+            let want = self.oracle.pop().map(|Reverse((at, seq))| (at, seq, seq));
+            assert_eq!(got, want, "pop diverged from the heap order");
+            assert_eq!(self.calendar.len(), self.oracle.len());
+            got.map(|(at, seq, _)| (at, seq))
+        }
+
+        fn peek_time(&mut self) -> Option<SimTime> {
+            let got = self.calendar.peek_time();
+            let want = self.oracle.peek().map(|&Reverse((at, _))| at);
+            assert_eq!(got, want, "peek diverged from the heap order");
+            got
+        }
+
+        fn cancel(&mut self, at: SimTime, seq: u64) {
+            self.calendar.cancel(at, seq);
+            self.oracle.retain(|&Reverse(queued)| queued != (at, seq));
+            assert_eq!(self.calendar.len(), self.oracle.len());
         }
     }
 
-    /// Runs an identical schedule/pop/cancel workload against both queue
-    /// implementations and asserts identical pop sequences.
+    /// The queue accepts inserts behind the last popped entry's time (the
+    /// contract allows it unconditionally) and surfaces them next, in
+    /// `(time, seq)` order among the remaining entries.
+    #[test]
+    fn accepts_late_inserts_behind_the_clock() {
+        let mut q = Checked::default();
+        q.schedule(t(1.0), 0);
+        q.schedule(t(5.0), 1);
+        assert_eq!(q.pop(), Some((t(1.0), 0)));
+        // The last pop was at 1.0; insert two entries behind it and one
+        // tying an existing time with a larger seq.
+        q.schedule(t(0.5), 100);
+        q.schedule(t(0.25), 101);
+        q.schedule(t(5.0), 50);
+        assert_eq!(q.peek_time(), Some(t(0.25)));
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(
+            order,
+            vec![(t(0.25), 101), (t(0.5), 100), (t(5.0), 1), (t(5.0), 50)]
+        );
+    }
+
+    /// Runs a randomized schedule/pop/cancel workload against the calendar
+    /// queue and the oracle in lock step.
     fn compare_impls(seed: u64, prefill: usize, ops: usize) {
-        let mut heap: HeapQueue<u64> = HeapQueue::new();
-        let mut calendar: CalendarQueue<u64> = CalendarQueue::new();
-        let run = |q: &mut dyn EventQueue<u64>| -> Vec<(SimTime, u64, u64)> {
-            let mut rng = Mix(seed);
-            let mut seq = 0u64;
-            let mut now = 0.0f64;
-            let mut cancel_pool: Vec<(SimTime, u64)> = Vec::new();
-            let mut popped = Vec::new();
-            for _ in 0..prefill {
-                let at = t(now + rng.unit() * 5.0);
-                q.schedule(at, seq, seq);
-                if seq % 7 == 3 {
+        let mut q = Checked::default();
+        let mut rng = Mix(seed);
+        let mut seq = 0u64;
+        let mut now = 0.0f64;
+        let mut cancel_pool: Vec<(SimTime, u64)> = Vec::new();
+        let mut popped = Vec::new();
+        for _ in 0..prefill {
+            let at = t(now + rng.unit() * 5.0);
+            q.schedule(at, seq);
+            if seq % 7 == 3 {
+                cancel_pool.push((at, seq));
+            }
+            seq += 1;
+        }
+        for i in 0..ops {
+            match q.pop() {
+                Some((time, s)) => {
+                    now = time.as_secs();
+                    popped.push(s);
+                }
+                None => break,
+            }
+            // Reschedule a little ahead, sometimes in bursts.
+            let burst = 1 + (i % 3);
+            for _ in 0..burst {
+                let at = t(now + rng.unit() * 2.0);
+                q.schedule(at, seq);
+                if seq % 11 == 5 {
                     cancel_pool.push((at, seq));
                 }
                 seq += 1;
             }
-            for i in 0..ops {
-                match q.pop() {
-                    Some((time, s, item)) => {
-                        now = time.as_secs();
-                        popped.push((time, s, item));
-                    }
-                    None => break,
-                }
-                // Reschedule a little ahead, sometimes in bursts.
-                let burst = 1 + (i % 3);
-                for _ in 0..burst {
-                    let at = t(now + rng.unit() * 2.0);
-                    q.schedule(at, seq, seq);
-                    if seq % 11 == 5 {
-                        cancel_pool.push((at, seq));
-                    }
-                    seq += 1;
-                }
-                // Cancel an outstanding entry now and then (skipping any that
-                // already popped).
-                if i % 5 == 2 {
-                    while let Some((at, s)) = cancel_pool.pop() {
-                        if popped.iter().all(|&(_, ps, _)| ps != s) {
-                            q.cancel(at, s);
-                            break;
-                        }
+            // Cancel an outstanding entry now and then (skipping any that
+            // already popped).
+            if i % 5 == 2 {
+                while let Some((at, s)) = cancel_pool.pop() {
+                    if !popped.contains(&s) {
+                        q.cancel(at, s);
+                        break;
                     }
                 }
             }
-            while let Some(e) = q.pop() {
-                popped.push(e);
-            }
-            popped
-        };
-        let h = run(&mut heap);
-        let c = run(&mut calendar);
-        assert_eq!(h.len(), c.len(), "pop counts diverged (seed {seed})");
-        assert_eq!(h, c, "pop sequences diverged (seed {seed})");
-        assert_eq!(heap.tombstones(), 0, "tombstones must drain by exhaustion");
+        }
+        while q.pop().is_some() {}
+        assert!(q.calendar.is_empty(), "entries left behind (seed {seed})");
     }
 
     #[test]
@@ -854,54 +705,34 @@ mod tests {
         compare_impls(99, 5000, 4000);
     }
 
-    /// Drives a live calendar queue through burst scenarios — aimed with its
-    /// own geometry — recording every operation and result, for replay
-    /// against the heap.
+    /// Drives a checked calendar queue through burst scenarios aimed with
+    /// its own geometry.
+    #[derive(Default)]
     struct BurstScript {
-        calendar: CalendarQueue<u64>,
-        ops: Vec<Op>,
-        results: Vec<Option<(SimTime, u64)>>,
+        q: Checked,
         seq: u64,
         now: f64,
     }
 
-    #[derive(Clone, Copy)]
-    enum Op {
-        Schedule(SimTime, u64),
-        Pop,
-        Peek,
-        Cancel(SimTime, u64),
-    }
-
-    impl Op {
-        fn apply(self, q: &mut dyn EventQueue<u64>) -> Option<(SimTime, u64)> {
-            match self {
-                Op::Schedule(at, seq) => q.schedule(at, seq, seq),
-                Op::Pop => return q.pop().map(|(at, seq, _)| (at, seq)),
-                Op::Peek => return q.peek_time().map(|at| (at, 0)),
-                Op::Cancel(at, seq) => q.cancel(at, seq),
-            }
-            None
-        }
-    }
-
     impl BurstScript {
-        fn run(&mut self, op: Op) -> Option<(SimTime, u64)> {
-            let result = op.apply(&mut self.calendar);
-            if let (Op::Pop, Some((at, _))) = (op, result) {
+        fn schedule(&mut self, at: f64) {
+            self.q.schedule(t(at), self.seq);
+            self.seq += 1;
+        }
+
+        fn pop(&mut self) -> Option<(SimTime, u64)> {
+            let popped = self.q.pop();
+            if let Some((at, _)) = popped {
                 self.now = at.as_secs();
             }
-            self.ops.push(op);
-            self.results.push(result);
-            result
+            popped
         }
 
         /// Schedules `n` entries at one instant; returns their `seq` range.
         fn burst(&mut self, at: f64, n: u64) -> std::ops::Range<u64> {
             let first = self.seq;
             for _ in 0..n {
-                self.run(Op::Schedule(t(at), self.seq));
-                self.seq += 1;
+                self.schedule(at);
             }
             first..self.seq
         }
@@ -910,15 +741,21 @@ mod tests {
         fn pop_from(&mut self, burst: &std::ops::Range<u64>, n: u64) {
             let mut seen = 0;
             while seen < n {
-                let (_, seq) = self.run(Op::Pop).expect("burst entries are queued");
+                let (_, seq) = self.pop().expect("burst entries are queued");
                 seen += u64::from(burst.contains(&seq));
             }
+        }
+
+        /// The calendar's current `(bucket width, bucket count)`.
+        fn geometry(&self) -> (f64, usize) {
+            let calendar = &self.q.calendar;
+            (calendar.bucket_width(), calendar.bucket_count())
         }
 
         /// The middle of the bucket `years` years after the one holding
         /// `now`, in the calendar's current geometry.
         fn mid_bucket(&self, years: u64) -> f64 {
-            let width = self.calendar.bucket_width();
+            let (width, _) = self.geometry();
             ((self.now / width).floor() + years as f64 + 0.5) * width
         }
     }
@@ -930,18 +767,12 @@ mod tests {
     /// half-drained burst.  Returns how many collisions were on target.
     fn compare_bursts(seed: u64) -> u32 {
         let mut rng = Mix(seed);
-        let mut s = BurstScript {
-            calendar: CalendarQueue::new(),
-            ops: Vec::new(),
-            results: Vec::new(),
-            seq: 0,
-            now: 0.0,
-        };
+        let mut s = BurstScript::default();
         let mut collisions = 0;
         for round in 0..12u64 {
             let k = 150 + rng.next() % 1500;
             let ahead = 2 + rng.next() % 6;
-            let (width, rotation) = (s.calendar.bucket_width(), s.calendar.bucket_count());
+            let (width, rotation) = s.geometry();
             let (early_at, late_at) = (s.mid_bucket(ahead), s.mid_bucket(ahead + rotation as u64));
             let (early, late) = if round % 2 == 0 {
                 let late = s.burst(late_at, k);
@@ -950,44 +781,39 @@ mod tests {
                 let early = s.burst(early_at, k);
                 (early, s.burst(late_at, k))
             };
-            let held = s.calendar.bucket_width() == width && s.calendar.bucket_count() == rotation;
-            collisions += u32::from(held);
+            collisions += u32::from(s.geometry() == (width, rotation));
             // A same-instant burst right at the clock, ahead of both.
             let at_clock = s.burst(s.now, 1 + k / 8);
             s.pop_from(&at_clock, 1);
             // Cancel inside a bucket that is not due yet, then — with the
             // early burst half drained — inside the run being served.
-            s.run(Op::Cancel(t(late_at), late.start + k / 3));
+            s.q.cancel(t(late_at), late.start + k / 3);
             s.pop_from(&early, k / 2);
-            s.run(Op::Cancel(t(early_at), early.end - 1));
+            s.q.cancel(t(early_at), early.end - 1);
             if round % 3 == 1 {
                 // Grow the queue past its wheel while the burst is half
                 // drained: the resize must carry the served run over.
-                let rebuckets = s.calendar.rebuckets;
-                let spread = 4 * s.calendar.len() as u64 + 64;
+                let rebuckets = s.q.calendar.rebuckets;
+                let spread = 4 * s.q.calendar.len() as u64 + 64;
                 for i in 0..spread {
-                    let at = s.now + rng.unit() * 3.0 + i as f64 * 1e-3;
-                    s.run(Op::Schedule(t(at), s.seq));
-                    s.seq += 1;
+                    s.schedule(s.now + rng.unit() * 3.0 + i as f64 * 1e-3);
                 }
-                assert!(s.calendar.rebuckets > rebuckets, "no resize (seed {seed})");
+                assert!(
+                    s.q.calendar.rebuckets > rebuckets,
+                    "no resize (seed {seed})"
+                );
             }
             s.pop_from(&early, k - k / 2 - 1);
             // Park the cursor on whatever comes next, then insert behind it.
-            if let Some((head, _)) = s.run(Op::Peek) {
+            if let Some(head) = s.q.peek_time() {
                 for _ in 0..3 {
-                    let at = s.now + rng.unit() * (head.as_secs() - s.now);
-                    s.run(Op::Schedule(t(at), s.seq));
-                    s.seq += 1;
+                    s.schedule(s.now + rng.unit() * (head.as_secs() - s.now));
                 }
             }
             s.pop_from(&late, k / 4);
         }
-        while s.run(Op::Pop).is_some() {}
-        let mut heap: HeapQueue<u64> = HeapQueue::new();
-        let expected: Vec<_> = s.ops.iter().map(|op| op.apply(&mut heap)).collect();
-        assert_eq!(s.results, expected, "burst script diverged (seed {seed})");
-        assert_eq!(s.calendar.len(), 0);
+        while s.pop().is_some() {}
+        assert_eq!(s.q.calendar.len(), 0);
         collisions
     }
 
@@ -1084,33 +910,27 @@ mod tests {
 
     #[test]
     fn identical_times_pop_in_seq_order() {
-        for kind in [SchedulerKind::Heap, SchedulerKind::Calendar] {
-            let mut q = kind.build::<u64>();
-            for seq in 0..100u64 {
-                q.schedule(t(1.0), seq, seq);
-            }
-            let order = drain(q.as_mut());
-            let seqs: Vec<u64> = order.iter().map(|&(_, s)| s).collect();
-            assert_eq!(seqs, (0..100).collect::<Vec<_>>(), "{kind:?}");
+        let mut q: CalendarQueue<u64> = CalendarQueue::new();
+        for seq in 0..100u64 {
+            q.schedule(t(1.0), seq, seq);
         }
+        let seqs: Vec<u64> = drain(&mut q).iter().map(|&(_, s)| s).collect();
+        assert_eq!(seqs, (0..100).collect::<Vec<_>>());
     }
 
     #[test]
     fn sparse_far_future_events_are_found() {
         // Everything lives many "years" past the initial rotation position;
         // the direct-search fallback must find the minimum, not spin.
-        for kind in [SchedulerKind::Heap, SchedulerKind::Calendar] {
-            let mut q = kind.build::<u64>();
-            q.schedule(t(5_000.0), 0, 0);
-            q.schedule(t(90_000.0), 1, 1);
-            q.schedule(t(5_500.0), 2, 2);
-            assert_eq!(q.peek_time(), Some(t(5_000.0)), "{kind:?}");
-            let order = drain(q.as_mut());
-            assert_eq!(
-                order,
-                vec![(t(5_000.0), 0), (t(5_500.0), 2), (t(90_000.0), 1)]
-            );
-        }
+        let mut q: CalendarQueue<u64> = CalendarQueue::new();
+        q.schedule(t(5_000.0), 0, 0);
+        q.schedule(t(90_000.0), 1, 1);
+        q.schedule(t(5_500.0), 2, 2);
+        assert_eq!(q.peek_time(), Some(t(5_000.0)));
+        assert_eq!(
+            drain(&mut q),
+            vec![(t(5_000.0), 0), (t(5_500.0), 2), (t(90_000.0), 1)]
+        );
     }
 
     /// A peek can park the rotation cursor at a far-future bucket (that is
@@ -1118,54 +938,30 @@ mod tests {
     /// pop and that parked position must still pop first.
     #[test]
     fn insert_behind_a_peeked_cursor_is_not_stranded() {
-        for kind in [SchedulerKind::Heap, SchedulerKind::Calendar] {
-            let mut q = kind.build::<u64>();
-            q.schedule(t(1.0), 0, 0);
-            q.schedule(t(2.0), 1, 1);
-            assert_eq!(q.pop().map(|(_, s, _)| s), Some(0), "{kind:?}");
-            // Parks the cursor at 2.0's bucket.
-            assert_eq!(q.peek_time(), Some(t(2.0)), "{kind:?}");
-            // Legal insert (>= last popped time) behind the parked cursor.
-            q.schedule(t(1.5), 2, 2);
-            assert_eq!(
-                q.pop().map(|(ti, s, _)| (ti, s)),
-                Some((t(1.5), 2)),
-                "{kind:?}"
-            );
-            assert_eq!(
-                q.pop().map(|(ti, s, _)| (ti, s)),
-                Some((t(2.0), 1)),
-                "{kind:?}"
-            );
-        }
+        let mut q: CalendarQueue<u64> = CalendarQueue::new();
+        q.schedule(t(1.0), 0, 0);
+        q.schedule(t(2.0), 1, 1);
+        assert_eq!(q.pop().map(|(_, s, _)| s), Some(0));
+        // Parks the cursor at 2.0's bucket.
+        assert_eq!(q.peek_time(), Some(t(2.0)));
+        // Legal insert (>= last popped time) behind the parked cursor.
+        q.schedule(t(1.5), 2, 2);
+        assert_eq!(q.pop().map(|(ti, s, _)| (ti, s)), Some((t(1.5), 2)));
+        assert_eq!(q.pop().map(|(ti, s, _)| (ti, s)), Some((t(2.0), 1)));
     }
 
     #[test]
-    fn cancel_keeps_len_and_tombstones_bounded() {
-        for kind in [SchedulerKind::Heap, SchedulerKind::Calendar] {
-            let mut q = kind.build::<u64>();
-            for seq in 0..1000u64 {
-                q.schedule(t(1.0 + seq as f64), seq, seq);
-            }
-            for seq in 0..1000u64 {
-                if seq % 2 == 0 {
-                    q.cancel(t(1.0 + seq as f64), seq);
-                }
-            }
-            assert_eq!(q.len(), 500, "{kind:?}");
-            let order = drain(q.as_mut());
-            assert_eq!(order.len(), 500, "{kind:?}");
-            assert!(order.iter().all(|&(_, s)| s % 2 == 1), "{kind:?}");
-            assert_eq!(q.tombstones(), 0, "{kind:?}: tombstones must drain");
+    fn cancel_removes_entries_and_keeps_len_exact() {
+        let mut q: CalendarQueue<u64> = CalendarQueue::new();
+        for seq in 0..1000u64 {
+            q.schedule(t(1.0 + seq as f64), seq, seq);
         }
-    }
-
-    #[test]
-    fn scheduler_kind_env_round_trip() {
-        // `SchedulerKind::from_env` is exercised via the string matcher only;
-        // mutating the process environment here would race other tests.
-        assert_eq!(SchedulerKind::default(), SchedulerKind::Calendar);
-        assert_eq!(SchedulerKind::Heap.build::<u8>().len(), 0);
-        assert_eq!(SchedulerKind::Calendar.build::<u8>().len(), 0);
+        for seq in (0..1000u64).step_by(2) {
+            q.cancel(t(1.0 + seq as f64), seq);
+        }
+        assert_eq!(q.len(), 500);
+        let order = drain(&mut q);
+        assert_eq!(order.len(), 500);
+        assert!(order.iter().all(|&(_, s)| s % 2 == 1));
     }
 }

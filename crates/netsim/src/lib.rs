@@ -16,7 +16,7 @@
 //!
 //! | Module | What lives there |
 //! |---|---|
-//! | [`events`] | The event-queue core: the [`events::EventQueue`] abstraction and its binary-heap and calendar-queue implementations, selectable per simulation ([`events::SchedulerKind`], env `TFMCC_SCHEDULER`) |
+//! | [`events`] | The event-queue core: [`events::CalendarQueue`], popped in `(time, seq)` order, with in-place cancellation |
 //! | [`sim`] | The [`sim::Simulator`]: world state, agent dispatch, the timer table, and the [`sim::Context`] agents act through |
 //! | [`packet`] | Zero-copy [`packet::Packet`] handles (`Arc`-backed), addresses, destinations and ids |
 //! | [`link`] | Links: serialization, propagation, queue disciplines, loss models, per-link statistics |
@@ -32,12 +32,10 @@
 //!
 //! The simulator is single-threaded and deterministic: the same seed and the
 //! same agent behaviour reproduce the same run bit for bit, which the
-//! experiment harness relies on.  Determinism survives the choice of event
-//! scheduler — both [`events::EventQueue`] implementations pop events in
-//! identical `(time, seq)` order (see the `# Determinism` sections on
-//! [`events::HeapQueue`] and [`events::CalendarQueue`]), and link loss/RED
-//! draws come from per-link RNG streams ([`rng`]) that unrelated traffic
-//! cannot perturb.
+//! experiment harness relies on.  Events pop in `(time, seq)` order (see
+//! the `# Determinism` section on [`events::CalendarQueue`]), and link
+//! loss/RED draws come from per-link RNG streams ([`rng`]) that unrelated
+//! traffic cannot perturb.
 //!
 //! # Example
 //!
@@ -76,6 +74,8 @@ pub mod topology;
 /// Convenient glob import of the most commonly used types.
 pub mod prelude {
     pub use crate::apps::{CbrSource, GroupSink, Sink};
+    // Shim for `perfbench/src/sims.rs` (glob import); goes with the type.
+    #[doc(hidden)]
     pub use crate::events::SchedulerKind;
     pub use crate::link::{LinkStats, LossModel};
     pub use crate::packet::{

@@ -1,17 +1,15 @@
 //! The discrete-event simulator core: world state, the [`Agent`] trait
 //! protocol endpoints implement, and the [`Context`] handed to agents for
-//! interacting with the simulated network.  The event queue itself lives in
-//! [`crate::events`] behind the [`EventQueue`] abstraction; this module
-//! drives it and owns the timer table that makes cancellation O(1) and
-//! bounded.
+//! interacting with the simulated network.  The event queue itself is
+//! [`crate::events::CalendarQueue`]; this module drives it and owns the timer
+//! table that makes cancellation O(1) and bounded.
 //!
 //! # Structure
 //!
 //! The [`Simulator`] owns two halves:
 //!
-//! * the [`World`]: event queue (heap or calendar, see [`SchedulerKind`]),
-//!   nodes, links, routing, multicast state, statistics and the RNG used
-//!   for link loss / RED;
+//! * the [`World`]: event queue, nodes, links, routing, multicast state,
+//!   statistics and the RNG used for link loss / RED;
 //! * the agents: boxed [`Agent`] trait objects attached to `(node, port)`
 //!   addresses.
 //!
@@ -27,7 +25,7 @@ use std::sync::Arc;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::events::{EventQueue, SchedulerKind};
+use crate::events::{CalendarQueue, SchedulerKind};
 use crate::link::{Link, LinkAccept, LinkStats, LossModel};
 use crate::packet::{Address, AgentId, Dest, GroupId, LinkId, NodeId, Packet, Port};
 use crate::queue::QueueDiscipline;
@@ -115,9 +113,11 @@ struct Node {
 /// Everything in the simulation except the agents themselves.
 pub struct World {
     now: SimTime,
-    queue: Box<dyn EventQueue<EventKind>>,
-    scheduler: SchedulerKind,
+    queue: CalendarQueue<EventKind>,
     seq: u64,
+    /// `(time, seq)` of the last event popped: every pop must be strictly
+    /// greater (see [`Simulator::run_until`]).
+    last_popped: Option<(SimTime, u64)>,
     nodes: Vec<Node>,
     links: Vec<Link>,
     edges: Vec<Edge>,
@@ -132,9 +132,8 @@ pub struct World {
     agent_addrs: Vec<Address>,
     /// Timer id → `(fire time, event seq)` of every scheduled, not yet fired
     /// or cancelled timer.  Cancellation resolves through this table, so a
-    /// stale [`Context::cancel`] (the timer already fired) is a no-op and —
-    /// unlike the historical tombstone-only design — cannot leave a
-    /// permanent tombstone behind.
+    /// stale [`Context::cancel`] (the timer already fired) is a no-op and
+    /// leaves nothing behind.
     pending_timers: BTreeMap<u64, (SimTime, u64)>,
     next_timer: u64,
     next_packet: u64,
@@ -147,12 +146,12 @@ pub struct World {
 }
 
 impl World {
-    fn new(seed: u64, scheduler: SchedulerKind) -> Self {
+    fn new(seed: u64) -> Self {
         World {
             now: SimTime::ZERO,
-            queue: scheduler.build(),
-            scheduler,
+            queue: CalendarQueue::new(),
             seq: 0,
+            last_popped: None,
             nodes: Vec::new(),
             links: Vec::new(),
             edges: Vec::new(),
@@ -197,8 +196,8 @@ impl World {
     /// single port, and multicast subscribers on one node are distinguished
     /// by their (unique) port, of which the destination names one — so the
     /// local delivery, if any, is returned instead of being pushed through
-    /// the event heap.  The dispatcher invokes the agent inline, which saves
-    /// one heap push+pop per delivered packet on the fan-out hot path;
+    /// the event queue.  The dispatcher invokes the agent inline, which saves
+    /// one schedule+pop per delivered packet on the fan-out hot path;
     /// `Context::send` still enqueues it (the sending agent is detached from
     /// its slot while its callback runs, so a send-to-self cannot be
     /// dispatched inline).
@@ -405,10 +404,9 @@ impl Context<'_> {
     }
 
     /// Cancels a previously scheduled timer (no-op if it already fired or
-    /// was already cancelled).  The timer's queue entry is removed in place
-    /// (calendar scheduler) or tombstoned until it surfaces (heap
-    /// scheduler); either way cancellation state stays bounded by the number
-    /// of outstanding timers, even across unbounded churn.
+    /// was already cancelled).  The timer's queue entry is removed in place,
+    /// so cancellation state stays bounded by the number of outstanding
+    /// timers, even across unbounded churn.
     pub fn cancel(&mut self, timer: TimerId) {
         if let Some((time, seq)) = self.world.pending_timers.remove(&timer.0) {
             self.world.queue.cancel(time, seq);
@@ -464,16 +462,9 @@ const _: fn() = || {
 /// diagnostics (see [`Simulator::scheduler_diagnostics`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchedulerDiagnostics {
-    /// Which scheduler implementation is active.
-    pub scheduler: SchedulerKind,
     /// Live (scheduled, not yet dispatched or cancelled) events.
     pub queued_events: usize,
-    /// Cancelled entries still stored inside the queue (heap tombstones;
-    /// always 0 for the calendar scheduler).  Bounded by `queued_events` +
-    /// tombstones at all times — the unbounded-growth regression test pins
-    /// this.
-    pub queue_tombstones: usize,
-    /// Entry slots the queue has allocated ([`EventQueue::capacity`]):
+    /// Entry slots the queue has allocated ([`CalendarQueue::capacity`]):
     /// retained memory, which must follow `queued_events` and not the
     /// largest burst the run ever saw.
     pub queue_capacity: usize,
@@ -483,51 +474,25 @@ pub struct SchedulerDiagnostics {
 
 impl Simulator {
     /// Creates an empty simulation with a deterministic RNG seed.
-    ///
-    /// The event scheduler defaults to [`SchedulerKind::Calendar`]; the
-    /// `TFMCC_SCHEDULER` environment variable (`heap` / `calendar`)
-    /// overrides the default so whole experiment runs can be switched
-    /// without code changes.  Use [`Simulator::with_scheduler`] to pin one
-    /// explicitly.
     pub fn new(seed: u64) -> Self {
-        Self::with_scheduler(seed, SchedulerKind::resolve())
-    }
-
-    /// Creates an empty simulation with an explicit event scheduler,
-    /// ignoring the `TFMCC_SCHEDULER` environment variable.
-    pub fn with_scheduler(seed: u64, scheduler: SchedulerKind) -> Self {
         Simulator {
-            world: World::new(seed, scheduler),
+            world: World::new(seed),
             agents: Vec::new(),
         }
     }
 
-    /// Switches the event scheduler, migrating any queued events.  Both
-    /// schedulers pop in identical `(time, seq)` order, so switching — even
-    /// mid-run — does not change the simulation's behaviour.
-    pub fn set_scheduler(&mut self, scheduler: SchedulerKind) {
-        if scheduler == self.world.scheduler {
-            return;
-        }
-        let mut queue = scheduler.build();
-        while let Some((time, seq, kind)) = self.world.queue.pop() {
-            queue.schedule(time, seq, kind);
-        }
-        self.world.queue = queue;
-        self.world.scheduler = scheduler;
-    }
-
-    /// The active event scheduler.
-    pub fn scheduler(&self) -> SchedulerKind {
-        self.world.scheduler
+    /// Same as [`Simulator::new`]: there is one event queue.  Exists only
+    /// because `perfbench/src/sims.rs` still calls it (see
+    /// [`Simulator::set_fanout_mode`]); delete it with that call.
+    #[doc(hidden)]
+    pub fn with_scheduler(seed: u64, _: SchedulerKind) -> Self {
+        Self::new(seed)
     }
 
     /// Event-core bookkeeping counters, for tests and diagnostics.
     pub fn scheduler_diagnostics(&self) -> SchedulerDiagnostics {
         SchedulerDiagnostics {
-            scheduler: self.world.scheduler,
             queued_events: self.world.queue.len(),
-            queue_tombstones: self.world.queue.tombstones(),
             queue_capacity: self.world.queue.capacity(),
             pending_timers: self.world.pending_timers.len(),
         }
@@ -538,9 +503,8 @@ impl Simulator {
         self.world.now
     }
 
-    /// Number of events processed so far.  Cancelled timers are removed (or
-    /// tombstoned) inside the event queue and are never dispatched, so they
-    /// do not count.
+    /// Number of events processed so far.  Cancelled timers are removed
+    /// from the event queue and never dispatched, so they do not count.
     pub fn events_processed(&self) -> u64 {
         self.world.events_processed
     }
@@ -736,17 +700,24 @@ impl Simulator {
 
     /// Runs the simulation until the event queue is empty or `until` is
     /// reached (whichever comes first).  Time is advanced to `until`.
+    ///
+    /// Nothing is ever scheduled before `now` and `seq` only grows, so every
+    /// pop must be strictly greater in `(time, seq)` than the one before —
+    /// which is heap order for everything popped.  Debug builds assert it.
     pub fn run_until(&mut self, until: SimTime) {
         while let Some(head_time) = self.world.queue.peek_time() {
             if head_time > until {
                 break;
             }
-            let (time, _seq, kind) = self.world.queue.pop().expect("peeked event exists");
+            let (time, seq, kind) = self.world.queue.pop().expect("peeked event exists");
             debug_assert!(
-                time >= self.world.now,
-                "event queue popped backward in time: {time} after {}",
+                time >= self.world.now && Some((time, seq)) > self.world.last_popped,
+                "event queue popped out of order: {:?} after {:?} at {}",
+                (time, seq),
+                self.world.last_popped,
                 self.world.now
             );
+            self.world.last_popped = Some((time, seq));
             self.world.now = time;
             self.world.events_processed += 1;
             self.dispatch(kind);
@@ -782,7 +753,7 @@ impl Simulator {
             }
             EventKind::NodeArrival { node, packet } => {
                 // Inline local delivery: a routed packet matches at most one
-                // agent, so no heap round-trip is needed.
+                // agent, so no queue round-trip is needed.
                 if let Some((agent, packet)) = self.world.route_packet(node, packet) {
                     self.with_agent(agent, |a, ctx| a.on_packet(ctx, packet));
                 }
@@ -1280,54 +1251,6 @@ mod tests {
         assert_eq!(plain_stats, extra_stats);
     }
 
-    /// The heap and calendar schedulers must produce byte-identical RED and
-    /// CoDel drop sequences — the scheduler-equivalence contract extended to
-    /// the AQM disciplines.
-    #[test]
-    fn aqm_drop_sequences_are_scheduler_invariant() {
-        let run = |kind: SchedulerKind, discipline: QueueDiscipline| {
-            let mut sim = Simulator::with_scheduler(7, kind);
-            let a = sim.add_node("a");
-            let b = sim.add_node("b");
-            let (ab, _) = sim.add_duplex_link(a, b, 1e5, 0.003, discipline);
-            let sink_addr = Address::new(b, Port(1));
-            let sink = sim.add_agent(
-                b,
-                Port(1),
-                Box::new(Blaster::new(
-                    Dest::Unicast(Address::new(a, Port(9))),
-                    100,
-                    0,
-                    1.0,
-                )),
-            );
-            let _src = sim.add_agent(
-                a,
-                Port(1),
-                Box::new(Blaster::new(Dest::Unicast(sink_addr), 900, 400, 0.004)),
-            );
-            sim.run_until(SimTime::from_secs(8.0));
-            let log = sim.agent::<Blaster>(sink).unwrap().received.clone();
-            (log, sim.link_stats(ab), sim.events_processed())
-        };
-        for discipline in [
-            QueueDiscipline::red(8),
-            QueueDiscipline::red_gentle(8),
-            QueueDiscipline::codel(8),
-        ] {
-            let heap = run(SchedulerKind::Heap, discipline.clone());
-            let calendar = run(SchedulerKind::Calendar, discipline.clone());
-            assert!(
-                heap.1.dropped_queue > 0,
-                "{discipline:?}: the workload must make the discipline drop"
-            );
-            assert_eq!(
-                heap, calendar,
-                "schedulers diverged on a {discipline:?} bottleneck"
-            );
-        }
-    }
-
     #[test]
     #[should_panic(expected = "bandwidth must be a positive")]
     fn zero_bandwidth_link_is_rejected() {
@@ -1483,9 +1406,8 @@ mod tests {
         assert!(!a[0].shares_data_with(&a[1]));
     }
 
-    /// Regression for the unbounded `cancelled_timers` tombstone set: a
-    /// churn-style agent that repeatedly schedules timers and cancels them —
-    /// including *stale* cancels of timers that already fired, exactly what
+    /// A churn-style agent that repeatedly schedules timers and cancels them
+    /// — including *stale* cancels of timers that already fired, exactly what
     /// `TfmccReceiverAgent` does when a receiver leaves mid-round — must not
     /// grow the event core's cancellation state monotonically.
     #[test]
@@ -1505,8 +1427,7 @@ mod tests {
                     return;
                 }
                 self.cycles += 1;
-                // Stale cancel: this timer fired long ago.  The historical
-                // tombstone-only design leaked one set entry per call here.
+                // Stale cancel: this timer fired long ago.
                 ctx.cancel(self.fired);
                 // Live cancel: schedule a decoy far in the future and cancel
                 // it before it can ever fire.
@@ -1525,124 +1446,34 @@ mod tests {
                 self
             }
         }
-        for kind in [SchedulerKind::Heap, SchedulerKind::Calendar] {
-            let mut sim = Simulator::with_scheduler(11, kind);
-            let n = sim.add_node("n");
-            sim.add_agent(
-                n,
-                Port(1),
-                Box::new(ChurnAgent {
-                    live: None,
-                    fired: TimerId(u64::MAX),
-                    cycles: 0,
-                }),
-            );
-            sim.run_until(SimTime::from_secs(60.0));
-            let diag = sim.scheduler_diagnostics();
-            assert_eq!(diag.scheduler, kind);
-            // 10 000 churn cycles with 20 000 cancels: the only surviving
-            // state is the one decoy timer still pending (plus, on the heap,
-            // its at-most-one drained-on-pop tombstone window).
-            assert_eq!(diag.pending_timers, 1, "{kind:?}");
-            assert!(
-                diag.queued_events <= 2,
-                "{kind:?}: queue grew to {} events",
-                diag.queued_events
-            );
-            assert!(
-                diag.queue_tombstones <= 1,
-                "{kind:?}: cancellation left {} tombstones behind",
-                diag.queue_tombstones
-            );
-            // Retained memory: the calendar hands drained buffers back; the
-            // heap never shrinks, so it keeps what its 10⁴ tombstoned decoys
-            // (queued until they would have fired) once needed.
-            let bound = match kind {
-                SchedulerKind::Calendar => 256,
-                SchedulerKind::Heap => 16_384,
-            };
-            assert!(
-                diag.queue_capacity <= bound,
-                "{kind:?}: {} entry slots retained for {} events",
-                diag.queue_capacity,
-                diag.queued_events
-            );
-        }
-    }
-
-    /// The calendar scheduler must reproduce the heap's behaviour exactly on
-    /// a full simulation (the cross-topology guarantee lives in the
-    /// `scheduler_equivalence` proptest; this is the cheap in-crate pin).
-    #[test]
-    fn schedulers_agree_on_a_full_simulation() {
-        let run = |kind: SchedulerKind| {
-            let mut sim = Simulator::with_scheduler(7, kind);
-            let a = sim.add_node("a");
-            let b = sim.add_node("b");
-            let (ab, _) = sim.add_duplex_link(a, b, 1e5, 0.003, QueueDiscipline::drop_tail(8));
-            sim.set_link_loss(ab, LossModel::Bernoulli { p: 0.1 });
-            let sink_addr = Address::new(b, Port(1));
-            let sink = sim.add_agent(
-                b,
-                Port(1),
-                Box::new(Blaster::new(
-                    Dest::Unicast(Address::new(a, Port(9))),
-                    100,
-                    0,
-                    1.0,
-                )),
-            );
-            let _src = sim.add_agent(
-                a,
-                Port(1),
-                Box::new(Blaster::new(Dest::Unicast(sink_addr), 900, 400, 0.004)),
-            );
-            sim.run_until(SimTime::from_secs(8.0));
-            let log = sim.agent::<Blaster>(sink).unwrap().received.clone();
-            (log, sim.events_processed())
-        };
-        let heap = run(SchedulerKind::Heap);
-        let calendar = run(SchedulerKind::Calendar);
-        assert_eq!(heap, calendar, "schedulers diverged on a lossy workload");
-    }
-
-    /// Switching schedulers mid-run migrates the queue without perturbing
-    /// the simulation.
-    #[test]
-    fn mid_run_scheduler_switch_is_transparent() {
-        let run = |switch: bool| {
-            let mut sim = Simulator::with_scheduler(21, SchedulerKind::Heap);
-            let (s, r) = {
-                let s = sim.add_node("s");
-                let r = sim.add_node("r");
-                sim.add_duplex_link(s, r, 1e6, 0.002, QueueDiscipline::drop_tail(20));
-                (s, r)
-            };
-            let sink_addr = Address::new(r, Port(1));
-            let sink = sim.add_agent(
-                r,
-                Port(1),
-                Box::new(Blaster::new(
-                    Dest::Unicast(Address::new(s, Port(9))),
-                    100,
-                    0,
-                    1.0,
-                )),
-            );
-            sim.add_agent(
-                s,
-                Port(1),
-                Box::new(Blaster::new(Dest::Unicast(sink_addr), 500, 200, 0.01)),
-            );
-            sim.run_until(SimTime::from_secs(1.0));
-            if switch {
-                sim.set_scheduler(SchedulerKind::Calendar);
-                assert_eq!(sim.scheduler(), SchedulerKind::Calendar);
-            }
-            sim.run_until(SimTime::from_secs(5.0));
-            sim.agent::<Blaster>(sink).unwrap().received.clone()
-        };
-        assert_eq!(run(false), run(true));
+        let mut sim = Simulator::new(11);
+        let n = sim.add_node("n");
+        sim.add_agent(
+            n,
+            Port(1),
+            Box::new(ChurnAgent {
+                live: None,
+                fired: TimerId(u64::MAX),
+                cycles: 0,
+            }),
+        );
+        sim.run_until(SimTime::from_secs(60.0));
+        let diag = sim.scheduler_diagnostics();
+        // 10 000 churn cycles with 20 000 cancels: the only surviving state
+        // is the one decoy timer still pending.
+        assert_eq!(diag.pending_timers, 1);
+        assert!(
+            diag.queued_events <= 2,
+            "queue grew to {} events",
+            diag.queued_events
+        );
+        // Retained memory: drained buffers are handed back.
+        assert!(
+            diag.queue_capacity <= 256,
+            "{} entry slots retained for {} events",
+            diag.queue_capacity,
+            diag.queued_events
+        );
     }
 
     #[test]

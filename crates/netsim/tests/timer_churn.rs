@@ -1,14 +1,13 @@
-//! Property test: the calendar-queue scheduler produces exactly the same
-//! delivery sequences as the binary-heap scheduler, over randomized star
-//! topologies with loss, membership churn and timer-cancellation churn.
+//! Property test: timer-cancellation churn leaves nothing behind and does
+//! not disturb determinism, over randomized star topologies with loss and
+//! membership churn.
 //!
-//! This is the determinism contract of `netsim::events`: both [`EventQueue`]
-//! implementations pop in ascending `(time, seq)` order, so every
-//! simulation — including its RNG draws, which interleave in event order —
-//! is bit-identical under either scheduler.  The test also exercises the
-//! cancelled-timer path (receivers cancel live timers and issue stale
-//! cancels of already-fired ones) and asserts the cancellation bookkeeping
-//! stays bounded at the end of every run.
+//! Receivers cancel live timers and issue stale cancels of already-fired
+//! ones while toggling their group membership.  At the end of every run the
+//! timer table and the event queue's retained capacity must be bounded by
+//! the receiver count, and two runs of one seed must agree on every delivery
+//! log, link counter and the event count — in debug builds with
+//! `Simulator::run_until` asserting `(time, seq)` pop order at every event.
 
 use std::any::Any;
 
@@ -26,7 +25,7 @@ struct Marked {
 /// cycle when configured, and continuously churns its own timers: every
 /// toggle schedules a far-future decoy that is cancelled on the next one
 /// (live cancel), and re-cancels the long-fired bootstrap timer (stale
-/// cancel — the historical tombstone leak).
+/// cancel).
 struct ChurningMember {
     group: GroupId,
     toggle_every: Option<f64>,
@@ -118,15 +117,18 @@ impl Agent for MarkedSource {
     }
 }
 
+/// Entry slots an idle queue may keep: a minimum-size wheel of 16 buckets
+/// plus the run being served, each allowed one small (≤ 64-slot) buffer, with
+/// headroom.  A leaked burst buffer or a wheel that never shrank back shows
+/// as several thousand.
+const QUEUE_CAPACITY_BOUND: usize = 2_048;
+
 /// One delivery record: (time, packet id, payload seq, size).
 type DeliveryLog = Vec<(SimTime, u64, u64, u32)>;
 
-/// Runs the randomized scenario under the given scheduler and returns, per
-/// receiver, the full delivery log plus aggregate link statistics and the
-/// total event count.
-#[allow(clippy::too_many_arguments)]
+/// Runs the randomized scenario and returns, per receiver, the full
+/// delivery log plus aggregate link statistics and the total event count.
 fn run_scenario(
-    scheduler: SchedulerKind,
     seed: u64,
     receivers: usize,
     churners: usize,
@@ -135,7 +137,7 @@ fn run_scenario(
     packet_count: u64,
     toggle_every_ms: u64,
 ) -> (Vec<DeliveryLog>, u64, u64, u64) {
-    let mut sim = Simulator::with_scheduler(seed, scheduler);
+    let mut sim = Simulator::new(seed);
     let legs: Vec<StarLeg> = (0..receivers)
         .map(|i| {
             let mut leg = StarLeg::clean(
@@ -186,18 +188,19 @@ fn run_scenario(
     );
     sim.run_until(SimTime::from_secs(5.0));
     let diag = sim.scheduler_diagnostics();
-    // Calendar cancellation is in-place: no tombstones, ever.  (Heap
-    // tombstones are bounded by the cancelled entries still queued; the
-    // dedicated regression test in `netsim::sim` pins that they drain.)
-    if scheduler == SchedulerKind::Calendar {
-        assert_eq!(diag.queue_tombstones, 0, "calendar queue grew tombstones");
-    }
     // The timer table must not leak: only each receiver's one live decoy
     // (plus its membership-toggle timer) may remain pending.
     assert!(
         diag.pending_timers <= 2 * receivers + 2,
-        "{scheduler:?}: {} pending timers for {receivers} receivers — cancellation state leaked",
+        "{} pending timers for {receivers} receivers — cancellation state leaked",
         diag.pending_timers
+    );
+    // Nor may the queue hold on to the buffers its bursts once needed.
+    assert!(
+        diag.queue_capacity <= QUEUE_CAPACITY_BOUND,
+        "{} entry slots retained for {} queued events",
+        diag.queue_capacity,
+        diag.queued_events
     );
     let logs = ids
         .iter()
@@ -215,7 +218,7 @@ fn run_scenario(
 
 proptest! {
     #[test]
-    fn heap_and_calendar_schedulers_deliver_identical_sequences(
+    fn timer_churn_stays_bounded_and_deterministic(
         seed in 0u64..1_000_000,
         receivers in 1usize..14,
         churn_fraction in 0usize..=2,
@@ -225,18 +228,13 @@ proptest! {
         toggle_every_ms in 0u64..400,
     ) {
         let churners = receivers * churn_fraction / 2;
-        let heap = run_scenario(
-            SchedulerKind::Heap,
+        let run = || run_scenario(
             seed, receivers, churners, loss_percent, queue_len, packet_count, toggle_every_ms,
         );
-        let calendar = run_scenario(
-            SchedulerKind::Calendar,
-            seed, receivers, churners, loss_percent, queue_len, packet_count, toggle_every_ms,
-        );
-        prop_assert_eq!(&heap.0, &calendar.0,
-            "delivery sequences diverged between heap and calendar schedulers");
-        prop_assert_eq!(heap.1, calendar.1, "delivered link counts diverged");
-        prop_assert_eq!(heap.2, calendar.2, "drop counts diverged");
-        prop_assert_eq!(heap.3, calendar.3, "events-processed counts diverged");
+        let (first, second) = (run(), run());
+        prop_assert_eq!(&first.0, &second.0, "delivery sequences diverged between two runs");
+        prop_assert_eq!(first.1, second.1, "delivered link counts diverged");
+        prop_assert_eq!(first.2, second.2, "drop counts diverged");
+        prop_assert_eq!(first.3, second.3, "events-processed counts diverged");
     }
 }

@@ -5,6 +5,7 @@
 //!
 //! ```text
 //! fig07_scaling [--quick | --paper] [--threads N] [--out FILE] [--bench-out FILE]
+//!               [--sessions N] [--queue drop-tail|red|gentle-red|codel]
 //! ```
 //!
 //! * `--quick` / `--paper` select the experiment [`Scale`] (the `TFMCC_SCALE`
@@ -14,15 +15,12 @@
 //!   are byte-identical for any `N`;
 //! * `--out FILE` writes the figure as deterministic JSON in addition to the
 //!   CSV on stdout;
-//! * `--bench-out FILE` writes the run's timing trajectory (`BENCH_*.json`);
-//! * `--scheduler heap|calendar` selects the event-queue scheduler for every
-//!   simulation of the run, by exporting the `TFMCC_SCHEDULER` environment
-//!   variable before any worker thread starts (setting the variable directly
-//!   works too; both schedulers produce byte-identical results — the knob
-//!   exists for performance comparisons, see `netsim::events`);
+//! * `--bench-out FILE` writes the run's per-point timing trajectory as
+//!   JSON;
 //! * `--sessions K` pins multi-session figures (fig23) to K concurrent TFMCC
-//!   sessions, by exporting the `TFMCC_SESSIONS` environment variable the
-//!   same way (single-session figures ignore it);
+//!   sessions, by exporting the `TFMCC_SESSIONS` environment variable before
+//!   any worker thread starts (setting the variable directly works too;
+//!   single-session figures ignore it);
 //! * `--queue KIND` selects the bottleneck queue discipline of figures with
 //!   a pluggable bottleneck (fig24) — `drop-tail`, `red`, `gentle-red` or
 //!   `codel` — by exporting the `TFMCC_QUEUE` environment variable the same
@@ -55,14 +53,12 @@ impl FigureCli {
 
     /// Builds the configuration from already-parsed arguments.
     ///
-    /// A `--scheduler` choice is exported as the `TFMCC_SCHEDULER`
-    /// environment variable (see [`export_scheduler_env`]), a `--sessions`
-    /// choice as `TFMCC_SESSIONS` (see [`export_sessions_env`]) and a
-    /// `--queue` choice as `TFMCC_QUEUE` (see [`export_queue_env`]); this
-    /// runs before the sweep executor spawns its worker threads, so every
-    /// simulation of the run sees it.
+    /// A `--sessions` choice is exported as the `TFMCC_SESSIONS`
+    /// environment variable (see [`export_sessions_env`]) and a `--queue`
+    /// choice as `TFMCC_QUEUE` (see [`export_queue_env`]); this runs before
+    /// the sweep executor spawns its worker threads, so every simulation of
+    /// the run sees it.
     pub fn from_runner_args(args: RunnerArgs) -> Self {
-        export_scheduler_env(&args);
         export_sessions_env(&args);
         export_queue_env(&args);
         FigureCli {
@@ -71,16 +67,6 @@ impl FigureCli {
             out: args.out,
             bench_out: args.bench_out,
         }
-    }
-}
-
-/// Exports a `--scheduler` choice as the `TFMCC_SCHEDULER` environment
-/// variable, which `netsim::Simulator::new` reads for every simulation of
-/// the process.  Call before spawning any worker thread; a no-op when the
-/// flag was not given (so a pre-set variable stays in effect).
-pub fn export_scheduler_env(args: &RunnerArgs) {
-    if let Some(scheduler) = &args.scheduler {
-        std::env::set_var("TFMCC_SCHEDULER", scheduler);
     }
 }
 

@@ -13,16 +13,10 @@
 //!     --quick --threads 2 --out crates/tfmcc-experiments/tests/golden/fig09_quick.json
 //! ```
 
-use std::sync::Mutex;
-
 use tfmcc_experiments::fairness_figs::fig09_single_bottleneck;
 use tfmcc_experiments::{Scale, SweepRunner};
 
 const GOLDEN: &str = include_str!("golden/fig09_quick.json");
-
-/// Serializes the two tests: both run full simulations whose scheduler is
-/// chosen through the process-global `TFMCC_SCHEDULER` variable.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 fn render_fig09() -> String {
     let fig = fig09_single_bottleneck(&SweepRunner::new(2), Scale::Quick);
@@ -33,25 +27,9 @@ fn render_fig09() -> String {
 
 #[test]
 fn fig09_quick_json_matches_golden() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    std::env::remove_var("TFMCC_SCHEDULER");
     assert_eq!(
         render_fig09(),
         GOLDEN,
         "fig09 --quick output drifted from the pinned golden file"
-    );
-}
-
-/// The calendar-queue scheduler must reproduce the pinned golden byte for
-/// byte — the determinism contract of `netsim::events` applied end to end.
-#[test]
-fn fig09_quick_json_matches_golden_under_calendar_scheduler() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    std::env::set_var("TFMCC_SCHEDULER", "calendar");
-    let rendered = render_fig09();
-    std::env::remove_var("TFMCC_SCHEDULER");
-    assert_eq!(
-        rendered, GOLDEN,
-        "fig09 --quick output under the calendar scheduler drifted from the pinned golden file"
     );
 }

@@ -12,17 +12,10 @@
 //!     --quick --threads 2 --out crates/tfmcc-experiments/tests/golden/fig23_quick.json
 //! ```
 
-use std::sync::Mutex;
-
 use tfmcc_experiments::intersession_figs::fig23_intertfmcc;
 use tfmcc_experiments::{Scale, SweepRunner};
 
 const GOLDEN: &str = include_str!("golden/fig23_quick.json");
-
-/// Serializes the two tests: both run full simulations whose scheduler is
-/// chosen through the process-global `TFMCC_SCHEDULER` variable (and the
-/// session count through `TFMCC_SESSIONS`).
-static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 fn render_fig23() -> String {
     std::env::remove_var("TFMCC_SESSIONS");
@@ -34,26 +27,9 @@ fn render_fig23() -> String {
 
 #[test]
 fn fig23_quick_json_matches_golden() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    std::env::remove_var("TFMCC_SCHEDULER");
     assert_eq!(
         render_fig23(),
         GOLDEN,
         "fig23 --quick output drifted from the pinned golden file"
-    );
-}
-
-/// The calendar-queue scheduler must reproduce the pinned golden byte for
-/// byte — the determinism contract of `netsim::events` applied to the
-/// multi-session workload.
-#[test]
-fn fig23_quick_json_matches_golden_under_calendar_scheduler() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    std::env::set_var("TFMCC_SCHEDULER", "calendar");
-    let rendered = render_fig23();
-    std::env::remove_var("TFMCC_SCHEDULER");
-    assert_eq!(
-        rendered, GOLDEN,
-        "fig23 --quick output under the calendar scheduler drifted from the pinned golden file"
     );
 }

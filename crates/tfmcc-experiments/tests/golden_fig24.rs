@@ -15,17 +15,10 @@
 //!     --quick --threads 2 --out crates/tfmcc-experiments/tests/golden/fig24_quick.json
 //! ```
 
-use std::sync::Mutex;
-
 use tfmcc_experiments::fairness_matrix::fig24_fairness_matrix;
 use tfmcc_experiments::{Scale, SweepRunner};
 
 const GOLDEN: &str = include_str!("golden/fig24_quick.json");
-
-/// Serializes the two tests: both run full simulations whose scheduler is
-/// chosen through the process-global `TFMCC_SCHEDULER` variable (and the
-/// queue discipline through `TFMCC_QUEUE`).
-static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 fn render_fig24() -> String {
     std::env::remove_var("TFMCC_QUEUE");
@@ -37,26 +30,9 @@ fn render_fig24() -> String {
 
 #[test]
 fn fig24_quick_json_matches_golden() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    std::env::remove_var("TFMCC_SCHEDULER");
     assert_eq!(
         render_fig24(),
         GOLDEN,
         "fig24 --quick output drifted from the pinned golden file"
-    );
-}
-
-/// The calendar-queue scheduler must reproduce the pinned golden byte for
-/// byte — the determinism contract of `netsim::events` applied to RED's
-/// probabilistic drops and CoDel's sojourn clocks.
-#[test]
-fn fig24_quick_json_matches_golden_under_calendar_scheduler() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    std::env::set_var("TFMCC_SCHEDULER", "calendar");
-    let rendered = render_fig24();
-    std::env::remove_var("TFMCC_SCHEDULER");
-    assert_eq!(
-        rendered, GOLDEN,
-        "fig24 --quick output under the calendar scheduler drifted from the pinned golden file"
     );
 }

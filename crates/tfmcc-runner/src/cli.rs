@@ -9,8 +9,6 @@
 //!                     (default: all available cores)
 //! --out FILE          write the figure as deterministic JSON to FILE
 //! --bench-out FILE    write the run's per-point timing trajectory (JSON)
-//! --scheduler KIND    event-queue scheduler for every simulation of the
-//!                     run: `heap` or `calendar` (default)
 //! --sessions N        number of concurrent TFMCC sessions for multi-session
 //!                     experiments (figures that sweep the session count pin
 //!                     it to N; single-session figures ignore the flag)
@@ -22,9 +20,10 @@
 //! `--threads=N`-style `=` forms are accepted too.  Scale resolution
 //! (including the `TFMCC_SCALE` environment override) is layered on top by
 //! the experiments crate, which owns the `Scale` type; likewise
-//! `--scheduler` is applied by the experiments crate, which exports it to
-//! simulations through the `TFMCC_SCHEDULER` environment variable (this
-//! crate does not depend on the simulator).
+//! `--sessions` and `--queue` are applied by the experiments crate, which
+//! exports them to its figure functions through the `TFMCC_SESSIONS` and
+//! `TFMCC_QUEUE` environment variables (this crate does not depend on the
+//! simulator).
 
 use std::path::PathBuf;
 
@@ -41,8 +40,6 @@ pub struct RunnerArgs {
     pub out: Option<PathBuf>,
     /// `--bench-out FILE`, if given.
     pub bench_out: Option<PathBuf>,
-    /// `--scheduler KIND` (`heap` or `calendar`), if given.
-    pub scheduler: Option<String>,
     /// `--sessions N`, if given.
     pub sessions: Option<usize>,
     /// `--queue KIND` (`drop-tail`, `red`, `gentle-red` or `codel`), if
@@ -59,7 +56,7 @@ impl RunnerArgs {
             Err(msg) => {
                 eprintln!("error: {msg}");
                 eprintln!(
-                    "usage: <bin> [--quick | --paper] [--threads N] [--out FILE] [--bench-out FILE] [--scheduler heap|calendar] [--sessions N] [--queue drop-tail|red|gentle-red|codel]"
+                    "usage: <bin> [--quick | --paper] [--threads N] [--out FILE] [--bench-out FILE] [--sessions N] [--queue drop-tail|red|gentle-red|codel]"
                 );
                 std::process::exit(2);
             }
@@ -111,15 +108,6 @@ impl RunnerArgs {
                         return Err("--sessions must be at least 1".into());
                     }
                     parsed.sessions = Some(n);
-                }
-                "--scheduler" => {
-                    let v = value(&mut it)?;
-                    if !matches!(v.as_str(), "heap" | "calendar") {
-                        return Err(format!(
-                            "invalid --scheduler value '{v}' (use 'heap' or 'calendar')"
-                        ));
-                    }
-                    parsed.scheduler = Some(v);
                 }
                 "--queue" => {
                     let v = value(&mut it)?;
@@ -178,14 +166,6 @@ mod tests {
     }
 
     #[test]
-    fn parses_scheduler() {
-        let args = parse(&["--scheduler", "calendar"]).unwrap();
-        assert_eq!(args.scheduler.as_deref(), Some("calendar"));
-        let args = parse(&["--scheduler=heap"]).unwrap();
-        assert_eq!(args.scheduler.as_deref(), Some("heap"));
-    }
-
-    #[test]
     fn parses_sessions() {
         let args = parse(&["--sessions", "4"]).unwrap();
         assert_eq!(args.sessions, Some(4));
@@ -209,8 +189,8 @@ mod tests {
     #[test]
     fn rejects_bad_input() {
         assert!(parse(&["--threads", "zero"]).is_err());
-        assert!(parse(&["--scheduler", "wheel"]).is_err());
-        assert!(parse(&["--scheduler"]).is_err());
+        // No longer a flag: it must fail loudly, not be accepted and ignored.
+        assert!(parse(&["--scheduler", "heap"]).is_err());
         assert!(parse(&["--threads", "0"]).is_err());
         assert!(parse(&["--threads"]).is_err());
         assert!(parse(&["--frobnicate"]).is_err());

@@ -22,21 +22,15 @@
 //! single session can represent 10⁶–10⁷ receivers in seconds of wall time
 //! at well under 100 B of heap per fluid receiver.
 //!
-//! Every mode prints the run's stats digest (`digest=<hex>`), which must not
-//! depend on the scheduler.
+//! Every mode prints the run's stats digest (`digest=<hex>`), which depends
+//! on nothing but the arguments.
 //!
 //! ```text
-//! cargo run --release --example scale_probe -- [RECEIVERS] [churn] [heap|calendar]
-//!     [sessions=K] [hybrid]
-//! cargo run --release --example scale_probe -- 100000 churn calendar
+//! cargo run --release --example scale_probe -- [RECEIVERS] [churn] [sessions=K] [hybrid]
+//! cargo run --release --example scale_probe -- 100000 churn
 //! cargo run --release --example scale_probe -- 100000 sessions=4
 //! cargo run --release --example scale_probe -- 1000000 hybrid
 //! ```
-//!
-//! The scheduler token (or the `TFMCC_SCHEDULER` environment variable)
-//! selects the event-queue implementation, so the heap and the calendar
-//! queue can be compared at 10⁵ receivers; both produce identical runs
-//! (see `netsim::events`), only the wall clock differs.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, Ordering::Relaxed};
@@ -107,14 +101,11 @@ fn peak_bytes() -> i64 {
 fn main() {
     let mut n: usize = 10_000;
     let mut churn = false;
-    let mut scheduler = SchedulerKind::resolve();
     let mut sessions: usize = 0;
     let mut hybrid = false;
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "churn" => churn = true,
-            "heap" => scheduler = SchedulerKind::Heap,
-            "calendar" => scheduler = SchedulerKind::Calendar,
             "hybrid" => hybrid = true,
             other => {
                 if let Some(k) = other.strip_prefix("sessions=") {
@@ -135,7 +126,7 @@ fn main() {
                     }
                     Err(_) => {
                         eprintln!(
-                            "error: unknown argument '{other}' (expected a receiver count, churn, heap|calendar, sessions=K, hybrid)"
+                            "error: unknown argument '{other}' (expected a receiver count, churn, sessions=K, hybrid)"
                         );
                         std::process::exit(2);
                     }
@@ -145,19 +136,19 @@ fn main() {
     }
 
     if hybrid {
-        probe_hybrid(n, scheduler);
+        probe_hybrid(n);
     } else if sessions > 0 {
-        probe_sessions(n, sessions, scheduler);
+        probe_sessions(n, sessions);
     } else {
-        probe_cbr(n, churn, scheduler);
+        probe_cbr(n, churn);
     }
 }
 
 /// The original single-group probe: CBR traffic into N `GroupSink`s.
-fn probe_cbr(n: usize, churn: bool, scheduler: SchedulerKind) {
+fn probe_cbr(n: usize, churn: bool) {
     let heap0 = live_bytes();
     let t0 = Instant::now();
-    let mut sim = Simulator::with_scheduler(1, scheduler);
+    let mut sim = Simulator::new(1);
     let legs: Vec<StarLeg> = (0..n).map(|_| StarLeg::clean(125_000.0, 0.02)).collect();
     let st = star(&mut sim, &StarConfig::default(), &legs);
     let group = GroupId(1);
@@ -196,7 +187,7 @@ fn probe_cbr(n: usize, churn: bool, scheduler: SchedulerKind) {
         .map(|&s| sim.agent::<GroupSink>(s).unwrap().packets())
         .sum();
     println!(
-        "n={n} scheduler={scheduler:?} churn={churn} build={built:?} run={ran:?} events={} delivered={delivered}",
+        "n={n} churn={churn} build={built:?} run={ran:?} events={} delivered={delivered}",
         sim.events_processed()
     );
     println!("digest={:016x}", sim.stats().digest());
@@ -218,10 +209,10 @@ fn probe_cbr(n: usize, churn: bool, scheduler: SchedulerKind) {
 
 /// The multi-session probe: K concurrent TFMCC sessions over one shared
 /// 8 Mbit/s bottleneck, splitting the N receivers between them.
-fn probe_sessions(n: usize, k: usize, scheduler: SchedulerKind) {
+fn probe_sessions(n: usize, k: usize) {
     let heap0 = live_bytes();
     let t0 = Instant::now();
-    let mut sim = Simulator::with_scheduler(1, scheduler);
+    let mut sim = Simulator::new(1);
     let left = sim.add_node("left");
     let right = sim.add_node("right");
     sim.add_duplex_link(
@@ -274,7 +265,7 @@ fn probe_sessions(n: usize, k: usize, scheduler: SchedulerKind) {
 
     let report = manager.report(&sim, duration * 0.5, duration);
     println!(
-        "n={receivers} sessions={k} scheduler={scheduler:?} build={built:?} run={ran:?} events={}",
+        "n={receivers} sessions={k} build={built:?} run={ran:?} events={}",
         sim.events_processed()
     );
     println!("digest={:016x}", sim.stats().digest());
@@ -307,12 +298,12 @@ fn probe_sessions(n: usize, k: usize, scheduler: SchedulerKind) {
 /// a four-receiver cohort (the CLR candidates, on the lossiest legs) runs at
 /// packet level — the remaining `n - 4` are a fluid population whose
 /// feedback is computed analytically per round.
-fn probe_hybrid(n: usize, scheduler: SchedulerKind) {
+fn probe_hybrid(n: usize) {
     let cohort = 4.min(n);
     let fluid_count = (n - cohort).max(1) as u64;
     let heap0 = live_bytes();
     let t0 = Instant::now();
-    let mut sim = Simulator::with_scheduler(1, scheduler);
+    let mut sim = Simulator::new(1);
     let legs = vec![
         StarLeg::clean(1_250_000.0, 0.03).with_downstream_loss(0.05),
         StarLeg::clean(1_250_000.0, 0.02).with_downstream_loss(0.02),
@@ -346,7 +337,7 @@ fn probe_hybrid(n: usize, scheduler: SchedulerKind) {
     let sender = session.sender_agent(&sim).protocol();
     let fluid = session.fluid_agent(&sim, 0);
     println!(
-        "n={n} hybrid cohort={cohort} fluid={fluid_count} scheduler={scheduler:?} build={built:?} run={ran:?} events={}",
+        "n={n} hybrid cohort={cohort} fluid={fluid_count} build={built:?} run={ran:?} events={}",
         sim.events_processed()
     );
     println!("digest={:016x}", sim.stats().digest());

@@ -59,28 +59,4 @@ for bin in "${bins[@]}"; do
     fi
     echo "ok   $bin"
 done
-
-# Second-scheduler smoke: rerun the churn workload, the multi-session
-# fairness workload and the cross-protocol fairness matrix under the
-# binary-heap event scheduler (the fallback to the calendar-queue default).
-# Both schedulers must produce byte-identical figures (the netsim
-# determinism contract), so each heap run is compared against the default
-# run's JSON, keeping the fallback scheduler exercised and its equivalence
-# enforced end to end — including across concurrent TFMCC sessions and
-# gentle-RED/CoDel probabilistic drops.
-for bin in fig22_churn fig23_intertfmcc fig24_fairness_matrix; do
-    heap_json="$out_dir/$bin.heap.json"
-    heap_csv="$out_dir/$bin.heap.csv"
-    rm -f "$heap_json" "$heap_csv"
-    if ! TFMCC_SCHEDULER=heap cargo run --release --quiet -p tfmcc-experiments --bin "$bin" -- \
-        --quick --threads 2 --out "$heap_json" > "$heap_csv"; then
-        echo "FAIL $bin under TFMCC_SCHEDULER=heap (non-zero exit)" >&2
-        status=1
-    elif ! cmp -s "$out_dir/$bin.json" "$heap_json"; then
-        echo "FAIL $bin: heap-scheduler output differs from the calendar run" >&2
-        status=1
-    else
-        echo "ok   $bin (heap scheduler, byte-identical)"
-    fi
-done
 exit "$status"
