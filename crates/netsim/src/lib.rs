@@ -4,7 +4,9 @@
 //! ns-2 plays in the original paper.  It models
 //!
 //! * nodes connected by unidirectional links with bandwidth, propagation
-//!   delay, drop-tail or RED queues, and optional Bernoulli random loss;
+//!   delay, drop-tail, RED or CoDel queues, and optional Bernoulli random
+//!   loss — a packet crossing a drop-tail link costs one event, its arrival,
+//!   fixed the moment the packet is offered to the link;
 //! * unicast routing (shortest path by delay) and source-rooted multicast
 //!   distribution trees derived from the unicast routes;
 //! * protocol endpoints as [`sim::Agent`] trait objects that exchange
@@ -19,8 +21,8 @@
 //! | [`events`] | The event-queue core: [`events::CalendarQueue`], popped in `(time, seq)` order, with in-place cancellation |
 //! | [`sim`] | The [`sim::Simulator`]: world state, agent dispatch, the timer table, and the [`sim::Context`] agents act through |
 //! | [`packet`] | Zero-copy [`packet::Packet`] handles (`Arc`-backed), addresses, destinations and ids |
-//! | [`link`] | Links: serialization, propagation, queue disciplines, loss models, per-link statistics |
-//! | [`queue`] | Drop-tail and RED queue disciplines |
+//! | [`link`] | Links: serialization, propagation, loss models, per-link statistics; eventless drop-tail service, per-packet RED/CoDel service |
+//! | [`queue`] | Queue-discipline configuration, and the packet-holding `Queue` behind RED and CoDel links |
 //! | [`routing`] | Lazy per-destination unicast routing and incremental source-rooted multicast trees |
 //! | [`rng`] | Deterministic per-stream seed derivation (`stream_seed`) for link-private RNG streams |
 //! | [`apps`] | Reusable traffic endpoints: CBR source, sinks, churning group members |
@@ -33,9 +35,11 @@
 //! The simulator is single-threaded and deterministic: the same seed and the
 //! same agent behaviour reproduce the same run bit for bit, which the
 //! experiment harness relies on.  Events pop in `(time, seq)` order (see
-//! the `# Determinism` section on [`events::CalendarQueue`]), and link
-//! loss/RED draws come from per-link RNG streams ([`rng`]) that unrelated
-//! traffic cannot perturb.
+//! the `# Determinism` section on [`events::CalendarQueue`]) — a packet's
+//! arrival takes its `seq` when the packet is offered to a drop-tail link,
+//! so same-instant arrivals dispatch in offer order — and link loss/RED
+//! draws come from per-link RNG streams ([`rng`]) that unrelated traffic
+//! cannot perturb.
 //!
 //! # Example
 //!

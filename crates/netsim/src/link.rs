@@ -5,6 +5,16 @@
 //! mirroring how the evaluation topologies (paper Figure 8, the star
 //! topologies of Sections 4.2–4.3, the tail circuits of Figure 10) are
 //! specified: per-direction bandwidth, delay and loss.
+//!
+//! A **drop-tail** link is *eventless*: a FIFO transmits packet `i` from
+//! `max(offer time, end of packet i − 1)` (Lindley's recursion), so
+//! [`Link::offer`] fixes the packet's whole fate and hands it straight back
+//! as [`LinkAccept::Arrives`].  Such a link never holds a packet, only the
+//! busy horizon and the start times of the packets still waiting — its queue
+//! occupancy.  **RED and CoDel** links hold their packets, because those
+//! disciplines decide from the real dequeue instants: they answer
+//! [`LinkAccept::Accepted`] and the caller drives one [`Link::tx_complete`]
+//! per packet.
 
 use std::collections::VecDeque;
 
@@ -62,9 +72,13 @@ pub struct LinkStats {
     pub dropped_queue: u64,
     /// Packets dropped by the random loss model.
     pub dropped_loss: u64,
-    /// Packets fully delivered to the downstream node.
+    /// Packets certain to reach the downstream node, counted the moment
+    /// that becomes certain: at acceptance on a drop-tail link (so
+    /// `delivered == enqueued` there, even while the packet is still on the
+    /// wire), at the end of transmission on a RED or CoDel link (CoDel can
+    /// still drop a queued packet at dequeue).
     pub delivered: u64,
-    /// Bytes fully delivered to the downstream node.
+    /// Bytes of the packets counted in `delivered`.
     pub delivered_bytes: u64,
 }
 
@@ -83,22 +97,7 @@ pub struct Link {
     pub delay: f64,
     /// Random loss model applied at ingress.
     pub loss: LossModel,
-    queue: Queue,
-    /// Packet currently being serialized onto the wire, if any (RED links
-    /// and the head-of-burst packet of an idle→busy transition).
-    in_flight: Option<Packet>,
-    /// Completion horizon of the current drained burst (drop-tail links
-    /// only): the link is busy until this time, and the one pending
-    /// `TxComplete` event fires exactly then.  `None` when no burst is in
-    /// progress.
-    batch_until: Option<SimTime>,
-    /// Transmission start times (ascending) of burst packets whose
-    /// serialization has not yet begun at the current simulated time.  A
-    /// burst drain hands every queued packet's future delivery to the
-    /// caller at once, but each packet still occupies a queue slot until
-    /// its transmission starts — these timestamps are what keeps the
-    /// drop-tail limit check exact under batching.
-    pending_starts: VecDeque<SimTime>,
+    service: Service,
     /// This link's private RNG stream for loss and RED draws.  Each link is
     /// seeded independently (splitmix64 over the simulation seed and the
     /// link id), so one link's draw sequence never shifts when other links
@@ -108,12 +107,42 @@ pub struct Link {
     pub stats: LinkStats,
 }
 
+/// How a link serves its queue (see the module docs).
+#[derive(Debug)]
+enum Service {
+    DropTail {
+        limit_packets: usize,
+        /// End of the last accepted packet's transmission.
+        busy_until: SimTime,
+        /// Transmission start times (ascending) of accepted packets that had
+        /// not begun transmitting at the last offer: the queue occupancy.
+        /// Entries `<= now` are stale and popped by the next offer.
+        pending_starts: VecDeque<SimTime>,
+    },
+    /// RED and CoDel; the queue is boxed so that the common drop-tail link
+    /// does not carry the AQM state.
+    PerPacket {
+        queue: Box<Queue>,
+        /// Packet currently being serialized onto the wire, if any.
+        in_flight: Option<Packet>,
+    },
+}
+
 /// What a link did with a packet offered to it.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub enum LinkAccept {
-    /// The packet was queued (or started transmitting); if transmission
-    /// started, the completion time is returned so the caller can schedule a
-    /// `TxComplete` event.
+    /// Drop-tail links: the packet was accepted and comes straight back with
+    /// the instant it reaches the downstream node (end of its serialization
+    /// plus [`Link::delay`]).
+    Arrives {
+        /// The packet offered.
+        packet: Packet,
+        /// When it arrives at [`Link::to`].
+        arrives_at: SimTime,
+    },
+    /// RED and CoDel links: the packet was queued (or started transmitting);
+    /// if transmission started, the completion time is returned so the
+    /// caller can schedule a `TxComplete` event.
     Accepted {
         /// `Some(t)` if the link was idle and serialization of this packet
         /// completes at `t`.
@@ -127,9 +156,9 @@ impl Link {
     /// Creates an idle link; `seed` initialises the link's private RNG
     /// stream for loss and RED draws.
     ///
-    /// Bandwidth and delay must be positive and finite (same contract as
-    /// `Simulator::add_link`): a zero-bandwidth link never transmits and a
-    /// zero-delay link has a degenerate zero routing metric.
+    /// Panics unless bandwidth and delay are positive and finite (the check
+    /// `Simulator::add_link` relies on): a zero-bandwidth link never
+    /// transmits and a zero-delay link has a degenerate zero routing metric.
     pub fn new(
         id: LinkId,
         from: NodeId,
@@ -147,6 +176,18 @@ impl Link {
             delay.is_finite() && delay > 0.0,
             "link delay must be a positive, finite number of seconds, got {delay}"
         );
+        discipline.validate();
+        let service = match discipline {
+            QueueDiscipline::DropTail { limit_packets } => Service::DropTail {
+                limit_packets,
+                busy_until: SimTime::ZERO,
+                pending_starts: VecDeque::new(),
+            },
+            aqm => Service::PerPacket {
+                queue: Box::new(Queue::new(aqm)),
+                in_flight: None,
+            },
+        };
         Link {
             id,
             from,
@@ -154,10 +195,7 @@ impl Link {
             bandwidth,
             delay,
             loss: LossModel::None,
-            queue: Queue::new(discipline),
-            in_flight: None,
-            batch_until: None,
-            pending_starts: VecDeque::new(),
+            service,
             rng: SmallRng::seed_from_u64(seed),
             stats: LinkStats::default(),
         }
@@ -168,11 +206,15 @@ impl Link {
         f64::from(size) / self.bandwidth
     }
 
-    /// Number of packets waiting for their transmission to start (not
-    /// counting the one in flight).  Burst-drained packets whose start time
-    /// has not yet passed may still be counted.
-    pub fn queue_len(&self) -> usize {
-        self.queue.len() + self.pending_starts.len()
+    /// Number of packets waiting at `now` for their transmission to start
+    /// (not counting the one in flight).
+    pub fn queue_len(&self, now: SimTime) -> usize {
+        match &self.service {
+            Service::DropTail { pending_starts, .. } => {
+                pending_starts.len() - pending_starts.partition_point(|&s| s <= now)
+            }
+            Service::PerPacket { queue, .. } => queue.len(),
+        }
     }
 
     /// Offers a packet to this link, drawing any needed loss/RED samples
@@ -200,105 +242,90 @@ impl Link {
             self.stats.dropped_loss += 1;
             return LinkAccept::Dropped;
         }
-        if self.in_flight.is_none() && self.batch_until.is_none() {
-            // Link idle: begin transmitting immediately, bypassing the queue.
-            let done = now + self.tx_time(packet.size);
-            self.stats.enqueued += 1;
-            self.in_flight = Some(packet);
-            return LinkAccept::Accepted {
-                tx_complete_at: Some(done),
-            };
-        }
-        // Burst packets stop occupying queue slots once their transmission
-        // has started.
-        while self.pending_starts.front().is_some_and(|&s| s <= now) {
-            self.pending_starts.pop_front();
-        }
-        match self
-            .queue
-            .enqueue_offset(packet, now, queue_uniform, self.pending_starts.len())
-        {
-            EnqueueResult::Queued => {
+        let tx_time = self.tx_time(packet.size);
+        match &mut self.service {
+            Service::DropTail {
+                limit_packets,
+                busy_until,
+                pending_starts,
+            } => {
+                // A packet stops occupying a queue slot the instant its
+                // transmission starts — including an offer at exactly that
+                // instant, which therefore sees the slot as free.
+                while pending_starts.front().is_some_and(|&s| s <= now) {
+                    pending_starts.pop_front();
+                }
+                let start = if *busy_until <= now {
+                    now
+                } else if pending_starts.len() >= *limit_packets {
+                    self.stats.dropped_queue += 1;
+                    return LinkAccept::Dropped;
+                } else {
+                    pending_starts.push_back(*busy_until);
+                    *busy_until
+                };
+                let done = start + tx_time;
+                *busy_until = done;
                 self.stats.enqueued += 1;
-                LinkAccept::Accepted {
-                    tx_complete_at: None,
+                self.stats.delivered += 1;
+                self.stats.delivered_bytes += u64::from(packet.size);
+                LinkAccept::Arrives {
+                    packet,
+                    arrives_at: done + self.delay,
                 }
             }
-            EnqueueResult::DroppedFull | EnqueueResult::DroppedEarly => {
-                self.stats.dropped_queue += 1;
-                LinkAccept::Dropped
+            Service::PerPacket { queue, in_flight } => {
+                let tx_complete_at = if in_flight.is_none() {
+                    // Link idle: begin transmitting immediately, bypassing the queue.
+                    *in_flight = Some(packet);
+                    Some(now + tx_time)
+                } else if queue.enqueue(packet, now, queue_uniform) == EnqueueResult::Queued {
+                    None
+                } else {
+                    self.stats.dropped_queue += 1;
+                    return LinkAccept::Dropped;
+                };
+                self.stats.enqueued += 1;
+                LinkAccept::Accepted { tx_complete_at }
             }
         }
     }
 
-    /// Completes the transmission of the in-flight packet (or settles the
-    /// current burst) and, on drop-tail links, drains the whole queue as one
-    /// burst.
+    /// Completes the transmission of the in-flight packet of a RED or CoDel
+    /// link and starts the next one (drop-tail links answer
+    /// [`LinkAccept::Arrives`] and never get here).
     ///
-    /// Every `(packet, completion_time)` pair pushed onto `out` is a packet
-    /// whose serialization finishes at that time — the caller delivers each
-    /// to the downstream node after [`Link::delay`].  Returns the time of
-    /// the next `TxComplete` event to schedule, if the link stays busy.
-    ///
-    /// Draining the queue in one event (instead of one event per packet) is
-    /// what keeps the event count per congested-link packet at one; RED and
-    /// CoDel links keep the per-packet path because RED's average-queue
-    /// estimator and CoDel's sojourn clock depend on the actual dequeue
-    /// times.
+    /// The `(packet, completion_time)` pair pushed onto `out` is the packet
+    /// whose serialization finishes now — the caller delivers it to the
+    /// downstream node after [`Link::delay`].  Returns the time of the next
+    /// `TxComplete` event to schedule, if the link stays busy.
     pub fn tx_complete(
         &mut self,
         now: SimTime,
         out: &mut Vec<(Packet, SimTime)>,
     ) -> Option<SimTime> {
-        if let Some(done) = self.in_flight.take() {
+        let Service::PerPacket { queue, in_flight } = &mut self.service else {
+            panic!("tx_complete on a drop-tail link, which schedules no transmission events");
+        };
+        if let Some(done) = in_flight.take() {
             self.stats.delivered += 1;
             self.stats.delivered_bytes += u64::from(done.size);
             out.push((done, now));
-        } else {
-            debug_assert_eq!(
-                self.batch_until,
-                Some(now),
-                "tx_complete with no packet in flight and no burst ending now"
-            );
         }
-        self.batch_until = None;
-        self.pending_starts.clear();
-        if self.queue.is_drop_tail() {
-            // Burst drain: packet i starts when packet i-1 completes, so the
-            // completion chain is the same iterative sum the per-packet path
-            // would compute event by event.
-            let mut t = now;
-            while let Some(p) = self.queue.dequeue(now) {
-                if t > now {
-                    self.pending_starts.push_back(t);
-                }
-                t += self.tx_time(p.size);
-                self.stats.delivered += 1;
-                self.stats.delivered_bytes += u64::from(p.size);
-                out.push((p, t));
-            }
-            if t > now {
-                self.batch_until = Some(t);
-                Some(t)
-            } else {
-                None
-            }
-        } else {
-            // Per-packet path (RED, CoDel): CoDel may drop packets at
-            // dequeue based on their sojourn time.
-            let (pkt, dropped) = self.queue.dequeue_tx(now);
-            self.stats.dropped_queue += dropped;
-            pkt.map(|p| {
-                let t = now + self.tx_time(p.size);
-                self.in_flight = Some(p);
-                t
-            })
-        }
+        // CoDel may drop packets at dequeue based on their sojourn time.
+        let (next, dropped) = queue.dequeue_tx(now);
+        self.stats.dropped_queue += dropped;
+        let size = next.as_ref()?.size;
+        *in_flight = next;
+        Some(now + self.tx_time(size))
     }
 
-    /// True if a packet is currently being serialized.
-    pub fn is_busy(&self) -> bool {
-        self.in_flight.is_some() || self.batch_until.is_some()
+    /// True if a packet is being serialized at `now`.
+    pub fn is_busy(&self, now: SimTime) -> bool {
+        match &self.service {
+            Service::DropTail { busy_until, .. } => now < *busy_until,
+            Service::PerPacket { in_flight, .. } => in_flight.is_some(),
+        }
     }
 }
 
@@ -306,6 +333,7 @@ impl Link {
 mod tests {
     use super::*;
     use crate::packet::{Address, Dest, FlowId, Payload, Port};
+    use proptest::prelude::*;
 
     fn pkt(size: u32) -> Packet {
         let a = Address::new(NodeId(0), Port(0));
@@ -324,87 +352,69 @@ mod tests {
         )
     }
 
+    /// Offers `size` bytes at `at` seconds with samples that never drop;
+    /// returns the arrival time downstream, or `None` if the queue was full.
+    fn arrival(l: &mut Link, size: u32, at: f64) -> Option<SimTime> {
+        match l.offer_sampled(pkt(size), SimTime::from_secs(at), 0.9, 0.9) {
+            LinkAccept::Arrives { packet, arrives_at } => {
+                assert_eq!(packet.size, size);
+                Some(arrives_at)
+            }
+            LinkAccept::Dropped => None,
+            other => panic!("drop-tail links never answer {other:?}"),
+        }
+    }
+
+    /// `secs + delay`, summed in the order the link sums it.
+    fn at(secs: f64, delay: f64) -> Option<SimTime> {
+        Some(SimTime::from_secs(secs) + delay)
+    }
+
     #[test]
     fn idle_link_transmits_immediately() {
         let mut l = link(1000.0, 0.01, 10);
-        let accept = l.offer_sampled(pkt(500), SimTime::ZERO, 0.9, 0.9);
-        match accept {
-            LinkAccept::Accepted { tx_complete_at } => {
-                assert_eq!(tx_complete_at.unwrap().as_secs(), 0.5);
-            }
-            _ => panic!("expected acceptance"),
-        }
-        assert!(l.is_busy());
+        // 500 B at 1 kB/s: serialized by t = 0.5, then 10 ms of propagation.
+        assert_eq!(arrival(&mut l, 500, 0.0), at(0.5, 0.01));
+        assert!(l.is_busy(SimTime::ZERO));
+        assert!(!l.is_busy(SimTime::from_secs(0.5)));
     }
 
     #[test]
     fn busy_link_queues_and_chains_transmissions() {
         let mut l = link(1000.0, 0.001, 10);
-        l.offer_sampled(pkt(1000), SimTime::ZERO, 0.9, 0.9);
-        let second = l.offer_sampled(pkt(500), SimTime::ZERO, 0.9, 0.9);
-        assert_eq!(
-            second,
-            LinkAccept::Accepted {
-                tx_complete_at: None
-            }
-        );
-        assert_eq!(l.queue_len(), 1);
-        // First completes at t=1.0; the queued packet drains as a burst that
+        // The first packet completes at t = 1.0; the second waits for it,
         // starts then and takes 0.5 s.
-        let mut out = Vec::new();
-        let next = l.tx_complete(SimTime::from_secs(1.0), &mut out);
-        assert_eq!(next.unwrap().as_secs(), 1.5);
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0].0.size, 1000);
-        assert_eq!(out[0].1.as_secs(), 1.0);
-        assert_eq!(out[1].0.size, 500);
-        assert_eq!(out[1].1.as_secs(), 1.5);
-        assert!(l.is_busy());
-        // The burst-end event settles the link.
-        out.clear();
-        let next2 = l.tx_complete(SimTime::from_secs(1.5), &mut out);
-        assert!(next2.is_none());
-        assert!(out.is_empty());
-        assert!(!l.is_busy());
+        assert_eq!(arrival(&mut l, 1000, 0.0), at(1.0, 0.001));
+        assert_eq!(arrival(&mut l, 500, 0.0), at(1.5, 0.001));
+        assert_eq!(l.queue_len(SimTime::ZERO), 1);
+        assert_eq!(l.queue_len(SimTime::from_secs(1.0)), 0);
+        assert!(l.is_busy(SimTime::from_secs(1.2)));
+        assert!(!l.is_busy(SimTime::from_secs(1.5)));
+        // Both deliveries were certain the moment the packets were accepted.
+        assert_eq!(l.stats.enqueued, 2);
         assert_eq!(l.stats.delivered, 2);
         assert_eq!(l.stats.delivered_bytes, 1500);
     }
 
     #[test]
-    fn burst_drained_packets_still_occupy_queue_slots() {
+    fn queued_packets_occupy_slots_until_their_transmission_starts() {
         // Limit 2: one in flight (free), two queued.
         let mut l = link(1000.0, 0.001, 2);
-        l.offer_sampled(pkt(1000), SimTime::ZERO, 0.9, 0.9); // in flight, done t=1
-        l.offer_sampled(pkt(1000), SimTime::ZERO, 0.9, 0.9); // starts t=1
-        l.offer_sampled(pkt(1000), SimTime::ZERO, 0.9, 0.9); // starts t=2
-        let mut out = Vec::new();
-        let next = l.tx_complete(SimTime::from_secs(1.0), &mut out);
-        assert_eq!(next.unwrap().as_secs(), 3.0);
-        assert_eq!(out.len(), 3);
+        assert_eq!(arrival(&mut l, 1000, 0.0), at(1.0, 0.001)); // in flight
+        assert_eq!(arrival(&mut l, 1000, 0.0), at(2.0, 0.001)); // starts t=1
+        assert_eq!(arrival(&mut l, 1000, 0.0), at(3.0, 0.001)); // starts t=2
+        assert_eq!(l.queue_len(SimTime::ZERO), 2);
         // At t=1.5 the second packet is transmitting and the third still
         // waits: exactly one slot is occupied, so one more offer fits and a
         // second one overflows — the same decisions the per-packet path
-        // would have made.
-        assert!(matches!(
-            l.offer_sampled(pkt(1000), SimTime::from_secs(1.5), 0.9, 0.9),
-            LinkAccept::Accepted { .. }
-        ));
-        assert_eq!(
-            l.offer_sampled(pkt(1000), SimTime::from_secs(1.5), 0.9, 0.9),
-            LinkAccept::Dropped
-        );
-        // At t=2.5 only the (newly queued) fourth packet occupies a slot.
-        assert!(matches!(
-            l.offer_sampled(pkt(1000), SimTime::from_secs(2.5), 0.9, 0.9),
-            LinkAccept::Accepted { .. }
-        ));
-        // The burst-end event picks the late arrivals up as the next burst.
-        out.clear();
-        let next = l.tx_complete(SimTime::from_secs(3.0), &mut out);
-        assert_eq!(next.unwrap().as_secs(), 5.0);
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0].1.as_secs(), 4.0);
-        assert_eq!(out[1].1.as_secs(), 5.0);
+        // makes.
+        assert_eq!(l.queue_len(SimTime::from_secs(1.5)), 1);
+        assert_eq!(arrival(&mut l, 1000, 1.5), at(4.0, 0.001));
+        assert_eq!(arrival(&mut l, 1000, 1.5), None);
+        // At t=2.5 only the fourth packet (starts t=3) occupies a slot.
+        assert_eq!(arrival(&mut l, 1000, 2.5), at(5.0, 0.001));
+        assert_eq!(l.queue_len(SimTime::from_secs(2.5)), 2);
+        assert_eq!(l.stats.dropped_queue, 1);
     }
 
     #[test]
@@ -448,8 +458,9 @@ mod tests {
             1,
         );
         let mut next_tx = None;
+        let mut t = SimTime::ZERO;
         for i in 0..40 {
-            let t = SimTime::from_secs(i as f64 * 0.5);
+            t = SimTime::from_secs(i as f64 * 0.5);
             let mut out = Vec::new();
             while let Some(due) = next_tx.filter(|&d| d <= t) {
                 next_tx = l.tx_complete(due, &mut out);
@@ -473,19 +484,18 @@ mod tests {
             l.stats.enqueued,
             l.stats.delivered
                 + l.stats.dropped_queue
-                + l.queue_len() as u64
-                + u64::from(l.is_busy()),
+                + l.queue_len(t) as u64
+                + u64::from(l.is_busy(t)),
         );
     }
 
     #[test]
     fn queue_overflow_drops() {
         let mut l = link(1000.0, 0.001, 2);
-        l.offer_sampled(pkt(100), SimTime::ZERO, 0.9, 0.9); // in flight
-        l.offer_sampled(pkt(100), SimTime::ZERO, 0.9, 0.9); // queued 1
-        l.offer_sampled(pkt(100), SimTime::ZERO, 0.9, 0.9); // queued 2
-        let r = l.offer_sampled(pkt(100), SimTime::ZERO, 0.9, 0.9);
-        assert_eq!(r, LinkAccept::Dropped);
+        assert!(arrival(&mut l, 100, 0.0).is_some()); // in flight
+        assert!(arrival(&mut l, 100, 0.0).is_some()); // queued 1
+        assert!(arrival(&mut l, 100, 0.0).is_some()); // queued 2
+        assert_eq!(arrival(&mut l, 100, 0.0), None);
         assert_eq!(l.stats.dropped_queue, 1);
         assert_eq!(l.stats.enqueued, 3);
     }
@@ -494,15 +504,16 @@ mod tests {
     fn bernoulli_loss_drops_based_on_sample() {
         let mut l = link(1000.0, 0.001, 10);
         l.loss = LossModel::Bernoulli { p: 0.25 };
-        assert_eq!(
+        assert!(matches!(
             l.offer_sampled(pkt(100), SimTime::ZERO, 0.1, 0.9),
             LinkAccept::Dropped
-        );
+        ));
         assert!(matches!(
             l.offer_sampled(pkt(100), SimTime::ZERO, 0.5, 0.9),
-            LinkAccept::Accepted { .. }
+            LinkAccept::Arrives { .. }
         ));
         assert_eq!(l.stats.dropped_loss, 1);
+        assert_eq!(l.stats.dropped_queue, 0);
     }
 
     #[test]
@@ -517,5 +528,119 @@ mod tests {
         let l = link(1_000_000.0, 0.001, 10);
         assert_eq!(l.tx_time(1_000_000), 1.0);
         assert_eq!(l.tx_time(500_000), 0.5);
+    }
+
+    /// The per-packet reference for the eventless drop-tail path: the same
+    /// discipline served the way RED and CoDel links are served — packets
+    /// held in a [`Queue`], one `tx_complete` per packet — with every
+    /// completion processed before an offer at the same instant.
+    struct PerPacketOracle {
+        link: Link,
+        next_tx: Option<SimTime>,
+        /// Downstream arrival times of the packets transmitted so far.
+        arrivals: Vec<SimTime>,
+    }
+
+    impl PerPacketOracle {
+        fn new(bandwidth: f64, delay: f64, limit: usize) -> Self {
+            let mut link = link(bandwidth, delay, limit);
+            link.service = Service::PerPacket {
+                queue: Box::new(Queue::new(QueueDiscipline::drop_tail(limit))),
+                in_flight: None,
+            };
+            PerPacketOracle {
+                link,
+                next_tx: None,
+                arrivals: Vec::new(),
+            }
+        }
+
+        fn complete_until(&mut self, now: SimTime) {
+            let mut out = Vec::new();
+            while let Some(due) = self.next_tx.filter(|&due| due <= now) {
+                self.next_tx = self.link.tx_complete(due, &mut out);
+            }
+            let delay = self.link.delay;
+            self.arrivals
+                .extend(out.into_iter().map(|(_, done)| done + delay));
+        }
+
+        /// True if the packet was accepted.
+        fn offer(&mut self, size: u32, now: SimTime) -> bool {
+            self.complete_until(now);
+            match self.link.offer_sampled(pkt(size), now, 0.9, 0.9) {
+                LinkAccept::Accepted { tx_complete_at } => {
+                    self.next_tx = self.next_tx.or(tx_complete_at);
+                    true
+                }
+                LinkAccept::Dropped => false,
+                other => panic!("the per-packet path never answers {other:?}"),
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// One random script against both paths: same-instant bursts, gaps
+        /// that land exactly on a completion instant (where a queue slot
+        /// frees) or one ulp before it, and gaps long enough to idle the
+        /// link.  Decisions, arrival times (bit for bit), occupancy and
+        /// counters must agree.
+        #[test]
+        fn eventless_drop_tail_matches_the_per_packet_oracle(
+            limit in 1usize..=8,
+            bandwidth in 20_000.0f64..200_000.0,
+            delay in 0.001f64..0.2,
+            gap_kinds in proptest::collection::vec(0u8..4, 60..61),
+            gaps in proptest::collection::vec(0.0f64..0.04, 60..61),
+            bursts in proptest::collection::vec(
+                proptest::collection::vec(40u32..=1500, 1..13),
+                1..61,
+            ),
+        ) {
+            let mut new = link(bandwidth, delay, limit);
+            let mut oracle = PerPacketOracle::new(bandwidth, delay, limit);
+            let mut arrivals = Vec::new();
+            let mut now = SimTime::ZERO;
+            for (step, burst) in bursts.iter().enumerate() {
+                let completion = oracle.next_tx.filter(|&due| due > now);
+                now = match (gap_kinds[step], completion) {
+                    (0, Some(due)) => due,
+                    (1, Some(due)) => {
+                        now.max(SimTime::from_secs(f64::from_bits(due.as_secs().to_bits() - 1)))
+                    }
+                    (2, _) => now + gaps[step] * 20.0,
+                    _ => now + gaps[step],
+                };
+                // Introspection is exact at any instant, not just after an
+                // offer has swept the stale start times away.
+                oracle.complete_until(now);
+                prop_assert_eq!(new.queue_len(now), oracle.link.queue_len(now));
+                prop_assert_eq!(new.is_busy(now), oracle.link.is_busy(now));
+                for &size in burst {
+                    let accepted = oracle.offer(size, now);
+                    match new.offer_sampled(pkt(size), now, 0.9, 0.9) {
+                        LinkAccept::Arrives { arrives_at, .. } => {
+                            prop_assert!(accepted, "step {step}: oracle dropped at {now}");
+                            arrivals.push(arrives_at);
+                        }
+                        LinkAccept::Dropped => {
+                            prop_assert!(!accepted, "step {step}: oracle accepted at {now}");
+                        }
+                        other => panic!("drop-tail links never answer {other:?}"),
+                    }
+                    prop_assert_eq!(new.queue_len(now), oracle.link.queue_len(now));
+                    prop_assert_eq!(new.is_busy(now), oracle.link.is_busy(now));
+                }
+            }
+            oracle.complete_until(SimTime::from_secs(f64::MAX));
+            prop_assert_eq!(
+                arrivals.iter().map(|t| t.as_secs().to_bits()).collect::<Vec<_>>(),
+                oracle.arrivals.iter().map(|t| t.as_secs().to_bits()).collect::<Vec<_>>()
+            );
+            prop_assert_eq!(new.stats, oracle.link.stats);
+            prop_assert!(new.stats.dropped_loss == 0 && new.stats.enqueued > 0);
+        }
     }
 }

@@ -14,6 +14,11 @@
 //!   inter-drop gap shrinking as `interval / sqrt(count)` while the queue
 //!   stays above target.
 //!
+//! [`QueueDiscipline`] is what a link is configured with; [`Queue`] holds the
+//! packets of a RED or CoDel link.  A drop-tail *link* computes its FIFO
+//! service times at offer instead (see [`crate::link`]) and `Queue`'s
+//! drop-tail discipline is the per-packet reference it is tested against.
+//!
 //! Determinism contract: RED consumes exactly one uniform sample per offered
 //! packet (drawn by the link from its private per-link RNG stream — see
 //! `rng::stream_seed`); CoDel is entirely deterministic and consumes none.
@@ -282,52 +287,23 @@ impl Queue {
         self.bytes
     }
 
-    /// True for drop-tail queues, whose drop decision depends only on the
-    /// instantaneous occupancy — the property the link layer's burst
-    /// draining relies on.  RED needs per-packet enqueue times for its
-    /// average; CoDel needs per-packet dequeue times for its sojourn clock.
-    pub fn is_drop_tail(&self) -> bool {
-        matches!(self.discipline, QueueDiscipline::DropTail { .. })
-    }
-
     /// Offers a packet to the queue.  `uniform` must be a fresh uniform random
     /// sample in `[0, 1)` (used only by RED).
     pub fn enqueue(&mut self, packet: Packet, now: SimTime, uniform: f64) -> EnqueueResult {
-        self.enqueue_offset(packet, now, uniform, 0)
-    }
-
-    /// [`Queue::enqueue`] with `offset` phantom occupants counted against
-    /// the hard limit: packets the link has burst-drained but whose
-    /// transmission has not started yet still hold a queue slot.
-    pub fn enqueue_offset(
-        &mut self,
-        packet: Packet,
-        now: SimTime,
-        uniform: f64,
-        offset: usize,
-    ) -> EnqueueResult {
-        match &self.discipline {
-            QueueDiscipline::DropTail { limit_packets } => {
-                if self.packets.len() + offset >= *limit_packets {
-                    EnqueueResult::DroppedFull
-                } else {
-                    self.accept(packet, now);
-                    EnqueueResult::Queued
-                }
-            }
+        // Drop-tail and CoDel only enforce the hard limit at enqueue.
+        let limit = match &self.discipline {
+            QueueDiscipline::DropTail { limit_packets } => *limit_packets,
+            QueueDiscipline::CoDel(cfg) => cfg.limit_packets,
             QueueDiscipline::Red(cfg) => {
                 let cfg = cfg.clone();
-                self.enqueue_red(packet, now, uniform, &cfg)
+                return self.enqueue_red(packet, now, uniform, &cfg);
             }
-            QueueDiscipline::CoDel(cfg) => {
-                if self.packets.len() + offset >= cfg.limit_packets {
-                    EnqueueResult::DroppedFull
-                } else {
-                    self.accept(packet, now);
-                    EnqueueResult::Queued
-                }
-            }
+        };
+        if self.packets.len() >= limit {
+            return EnqueueResult::DroppedFull;
         }
+        self.accept(packet, now);
+        EnqueueResult::Queued
     }
 
     fn accept(&mut self, packet: Packet, now: SimTime) {

@@ -141,7 +141,8 @@ pub struct World {
     seed: u64,
     rng: SmallRng,
     events_processed: u64,
-    /// Reused scratch buffer for link burst drains (packet, completion time).
+    /// Reused buffer for the packet a RED/CoDel link hands back per
+    /// `LinkTxComplete` (packet, completion time).
     tx_scratch: Vec<(Packet, SimTime)>,
 }
 
@@ -248,14 +249,17 @@ impl World {
         let now = self.now;
         // Loss/RED randomness comes from the link's own stream.
         match self.links[link_id.0].offer(packet, now) {
-            LinkAccept::Accepted {
-                tx_complete_at: Some(t),
-            } => {
-                self.push_event(t, EventKind::LinkTxComplete { link: link_id });
+            // Drop-tail link: the arrival is already fixed, so the one event
+            // of this hop takes its tie-break `seq` here, in offer order.
+            LinkAccept::Arrives { packet, arrives_at } => {
+                let node = self.links[link_id.0].to;
+                self.push_event(arrives_at, EventKind::NodeArrival { node, packet });
             }
-            LinkAccept::Accepted {
-                tx_complete_at: None,
-            } => {}
+            LinkAccept::Accepted { tx_complete_at } => {
+                if let Some(t) = tx_complete_at {
+                    self.push_event(t, EventKind::LinkTxComplete { link: link_id });
+                }
+            }
             LinkAccept::Dropped => self.stats.add("drops.link", 1.0),
         }
     }
@@ -318,22 +322,18 @@ impl World {
     }
 
     fn handle_link_tx_complete(&mut self, link_id: LinkId) {
-        let now = self.now;
         let mut out = std::mem::take(&mut self.tx_scratch);
-        let dropped_before = self.links[link_id.0].stats.dropped_queue;
-        let next = self.links[link_id.0].tx_complete(now, &mut out);
+        let link = &mut self.links[link_id.0];
+        let dropped_before = link.stats.dropped_queue;
+        let next = link.tx_complete(self.now, &mut out);
         // CoDel drops packets at dequeue time; fold those into the same
         // world-level counter that ingress drops (loss model, full queue,
         // RED early detection) feed.
-        let dequeue_drops = self.links[link_id.0].stats.dropped_queue - dropped_before;
+        let dequeue_drops = link.stats.dropped_queue - dropped_before;
+        let (to, delay) = (link.to, link.delay);
         if dequeue_drops > 0 {
             self.stats.add("drops.link", dequeue_drops as f64);
         }
-        let delay = self.links[link_id.0].delay;
-        let to = self.links[link_id.0].to;
-        // On drop-tail links the whole queue drains as one burst: every
-        // future arrival is scheduled here and a single `LinkTxComplete`
-        // marks the end of the burst, instead of one event per packet.
         for (packet, completes_at) in out.drain(..) {
             let arrives_at = completes_at + delay;
             self.push_event(arrives_at, EventKind::NodeArrival { node: to, packet });
@@ -525,8 +525,8 @@ impl Simulator {
     /// `bandwidth` is in bytes per second, `delay` in seconds.  Both must be
     /// positive and finite — a zero-bandwidth or zero-delay link silently
     /// degenerates the simulation (infinite serialization time, zero-cost
-    /// routing metric), so such parameters are rejected here with a clear
-    /// panic instead.
+    /// routing metric), so [`Link::new`] rejects such parameters with a
+    /// clear panic instead.
     pub fn add_link(
         &mut self,
         from: NodeId,
@@ -537,14 +537,6 @@ impl Simulator {
     ) -> LinkId {
         assert!(from.0 < self.world.nodes.len(), "unknown from node");
         assert!(to.0 < self.world.nodes.len(), "unknown to node");
-        assert!(
-            bandwidth.is_finite() && bandwidth > 0.0,
-            "link bandwidth must be a positive, finite number of bytes/s, got {bandwidth}"
-        );
-        assert!(
-            delay.is_finite() && delay > 0.0,
-            "link delay must be a positive, finite number of seconds, got {delay}"
-        );
         let id = LinkId(self.world.links.len());
         let link_seed = stream_seed(self.world.seed, id.0 as u64);
         self.world.links.push(Link::new(
@@ -585,6 +577,10 @@ impl Simulator {
     /// Changes the propagation delay of a link at runtime (used by the
     /// RTT-responsiveness experiments).  Routing is recomputed because the
     /// delay is the routing metric.
+    ///
+    /// The new delay applies to packets offered to the link after the call:
+    /// a drop-tail link fixes a packet's arrival when it is offered, so one
+    /// already accepted keeps the delay it was offered under.
     pub fn set_link_delay(&mut self, link: LinkId, delay: f64) {
         assert!(
             delay.is_finite() && delay > 0.0,
@@ -609,9 +605,9 @@ impl Simulator {
         &self.world.links[link.0]
     }
 
-    /// Current queue length of a link.
+    /// Packets waiting on a link right now for their transmission to start.
     pub fn link_queue_len(&self, link: LinkId) -> usize {
-        self.world.links[link.0].queue_len()
+        self.world.links[link.0].queue_len(self.world.now)
     }
 
     /// Attaches an agent to `(node, port)`; its [`Agent::start`] runs at the
@@ -857,6 +853,78 @@ mod tests {
         fn as_any_mut(&mut self) -> &mut dyn Any {
             self
         }
+    }
+
+    /// Sends one `size`-byte packet to `dst` at each of the `at` instants
+    /// (all timers are scheduled up front, in order) and — if `echo` — from
+    /// inside every delivery; logs what it gets.
+    struct Scripted {
+        dst: Dest,
+        size: u32,
+        at: Vec<f64>,
+        echo: bool,
+        got: Vec<(SimTime, Packet)>,
+    }
+
+    impl Scripted {
+        fn new(dst: Dest, size: u32, at: &[f64]) -> Self {
+            Scripted {
+                dst,
+                size,
+                at: at.to_vec(),
+                echo: false,
+                got: Vec::new(),
+            }
+        }
+
+        fn send(&self, ctx: &mut Context<'_>) {
+            let pkt = Packet::new(ctx.addr(), self.dst, self.size, FlowId(1), Payload::empty());
+            ctx.send(pkt);
+        }
+    }
+
+    impl Agent for Scripted {
+        fn start(&mut self, ctx: &mut Context<'_>) {
+            for &t in &self.at {
+                ctx.schedule(t, 0);
+            }
+        }
+        fn on_timer(&mut self, ctx: &mut Context<'_>, _token: u64) {
+            self.send(ctx);
+        }
+        fn on_packet(&mut self, ctx: &mut Context<'_>, packet: Packet) {
+            self.got.push((ctx.now(), packet));
+            if self.echo {
+                self.send(ctx);
+            }
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// `a → b` over one drop-tail link of `bandwidth` B/s and `limit` queue
+    /// slots; a [`Scripted`] agent on `a` sends `size`-byte packets to one on
+    /// `b` at the `at` instants.  Returns the simulation, the link and the
+    /// receiving agent.
+    fn scripted_pair(
+        bandwidth: f64,
+        delay: f64,
+        limit: usize,
+        size: u32,
+        at: &[f64],
+    ) -> (Simulator, LinkId, AgentId) {
+        let mut sim = Simulator::new(1);
+        let a = sim.add_node("a");
+        let b = sim.add_node("b");
+        let link = sim.add_link(a, b, bandwidth, delay, QueueDiscipline::drop_tail(limit));
+        let to = Dest::Unicast(Address::new(b, Port(1)));
+        let sink = sim.add_agent(b, Port(1), Box::new(Scripted::new(to, 0, &[])));
+        sim.add_agent(a, Port(1), Box::new(Scripted::new(to, size, at)));
+        (sim, link, sink)
     }
 
     fn two_node_sim() -> (Simulator, NodeId, NodeId) {
@@ -1113,8 +1181,18 @@ mod tests {
             Port(1),
             Box::new(Blaster::new(Dest::Unicast(sink_addr), 1000, 2000, 0.001)),
         );
+        // A drop-tail link counts a delivery the moment it accepts the
+        // packet, so the two counters agree mid-run too.
+        sim.run_until(SimTime::from_secs(1.0));
+        let mid = sim.link_stats(ab);
+        assert!(mid.enqueued > 0 && mid.enqueued < 1600);
+        assert_eq!(mid.delivered, mid.enqueued);
         sim.run_until(SimTime::from_secs(10.0));
+        let stats = sim.link_stats(ab);
+        assert_eq!(stats.delivered, stats.enqueued);
+        assert_eq!(stats.dropped_queue, 0);
         let got = sim.agent::<Blaster>(sink).unwrap().received.len() as f64;
+        assert_eq!(got, stats.delivered as f64);
         let frac = got / 2000.0;
         assert!(
             (0.75..=0.85).contains(&frac),
@@ -1249,6 +1327,10 @@ mod tests {
             "adding unrelated links/agents must not perturb a RED link's drop pattern"
         );
         assert_eq!(plain_stats, extra_stats);
+        // A RED link counts a delivery when the transmission ends; the run
+        // drained the queue, so every accepted packet got there.
+        assert_eq!(plain_stats.delivered, plain_stats.enqueued);
+        assert_eq!(plain_stats.delivered, plain_log.len() as u64);
     }
 
     #[test]
@@ -1473,6 +1555,129 @@ mod tests {
             "{} entry slots retained for {} events",
             diag.queue_capacity,
             diag.queued_events
+        );
+    }
+
+    /// The tie rule: arrivals at a bit-identical instant dispatch in the
+    /// order their packets were offered to the links — not in the order the
+    /// legs finish serializing.
+    #[test]
+    fn same_instant_arrivals_dispatch_in_offer_order() {
+        let mut sim = Simulator::new(1);
+        let hub = sim.add_node("hub");
+        let group = GroupId(1);
+        let collector = sim.add_agent(
+            hub,
+            Port(9),
+            Box::new(Scripted::new(
+                Dest::Unicast(Address::new(hub, Port(9))),
+                0,
+                &[],
+            )),
+        );
+        // 700 B take 14 ms + 5 ms on leg 0 and 10 ms + 9 ms on leg 1: both
+        // arrive at 19 ms, but leg 1 finishes serializing first.
+        let members: Vec<AgentId> = [(50_000.0, 0.005), (70_000.0, 0.009)]
+            .into_iter()
+            .map(|(bandwidth, delay)| {
+                let r = sim.add_node("r");
+                sim.add_duplex_link(hub, r, bandwidth, delay, QueueDiscipline::drop_tail(10));
+                let mut member = Scripted::new(Dest::Unicast(sim.agent_addr(collector)), 40, &[]);
+                member.echo = true;
+                let id = sim.add_agent(r, Port(1), Box::new(member));
+                sim.join_group(id, group);
+                id
+            })
+            .collect();
+        let to_group = Dest::Multicast {
+            group,
+            port: Port(1),
+        };
+        sim.add_agent(hub, Port(1), Box::new(Scripted::new(to_group, 700, &[0.0])));
+        sim.run_until(SimTime::from_secs(1.0));
+        let got = |id| sim.agent::<Scripted>(id).unwrap().got.clone();
+        let arrived: Vec<SimTime> = members.iter().map(|&id| got(id)[0].0).collect();
+        assert_eq!(arrived[0], SimTime::from_secs(0.014) + 0.005);
+        assert_eq!(arrived[0], arrived[1], "the scenario must produce a tie");
+        // Each member acknowledges from inside its delivery and packet ids
+        // are handed out in dispatch order: the data packet is id 0, the
+        // member on the leg offered first sends ack 1.
+        let mut acks: Vec<(u64, NodeId)> = got(collector)
+            .iter()
+            .map(|(_, ack)| (ack.id, ack.src.node))
+            .collect();
+        acks.sort_unstable();
+        let node_of = |id| sim.agent_addr(id).node;
+        assert_eq!(
+            acks,
+            vec![(1, node_of(members[0])), (2, node_of(members[1]))]
+        );
+    }
+
+    /// The slot-edge rule: a packet stops occupying its queue slot at the
+    /// instant its transmission starts, so an offer at exactly that instant
+    /// finds the slot free — whatever else is scheduled for that instant.
+    #[test]
+    fn offer_at_the_instant_a_transmission_starts_finds_the_slot_free() {
+        // 1000 B at 1 kB/s with one queue slot: packet 0 transmits over
+        // [0, 1], packet 1 waits in the slot until t = 1.  Packet 2, offered
+        // a nanosecond before that, is dropped; packet 3, offered at exactly
+        // t = 1, is accepted and transmits over [2, 3].
+        let (mut sim, link, sink) =
+            scripted_pair(1000.0, 0.001, 1, 1000, &[0.0, 0.0, 1.0 - 1e-9, 1.0]);
+        sim.run_until(SimTime::from_secs(0.5));
+        assert_eq!(sim.link_queue_len(link), 1);
+        sim.run_until(SimTime::from_secs(10.0));
+        let got: Vec<(SimTime, u64)> = sim
+            .agent::<Scripted>(sink)
+            .unwrap()
+            .got
+            .iter()
+            .map(|(t, p)| (*t, p.id))
+            .collect();
+        let at = |secs: f64| SimTime::from_secs(secs) + 0.001;
+        assert_eq!(got, vec![(at(1.0), 0), (at(2.0), 1), (at(3.0), 3)]);
+        let stats = sim.link_stats(link);
+        assert_eq!((stats.enqueued, stats.dropped_queue), (3, 1));
+    }
+
+    /// `link_queue_len` is exact at the current time, including long after
+    /// the last offer.
+    #[test]
+    fn link_queue_len_counts_only_packets_still_waiting() {
+        // Three back-to-back 1 s packets: transmitted over [0,1], [1,2], [2,3].
+        let (mut sim, link, _) = scripted_pair(1000.0, 0.001, 5, 1000, &[0.0, 0.0, 0.0]);
+        for (until, waiting) in [(0.5, 2), (1.0, 1), (1.5, 1), (2.0, 0), (2.5, 0), (9.0, 0)] {
+            sim.run_until(SimTime::from_secs(until));
+            assert_eq!(sim.link_queue_len(link), waiting, "at t = {until}");
+            assert_eq!(sim.link(link).is_busy(sim.now()), until < 3.0);
+            // Delivery was certain at acceptance, long before the last arrival.
+            assert_eq!(sim.link_stats(link).delivered, 3);
+        }
+    }
+
+    /// `set_link_delay` applies to packets offered after the call: a packet
+    /// already accepted keeps the delay it was offered under.
+    #[test]
+    fn set_link_delay_leaves_accepted_packets_on_the_old_delay() {
+        // 100 B at 1 kB/s: 0.1 s of serialization, then 0.5 s of propagation.
+        let (mut sim, link, sink) = scripted_pair(1000.0, 0.5, 5, 100, &[0.0, 1.0]);
+        sim.run_until(SimTime::from_secs(0.05));
+        sim.set_link_delay(link, 0.2);
+        sim.run_until(SimTime::from_secs(5.0));
+        let arrived: Vec<SimTime> = sim
+            .agent::<Scripted>(sink)
+            .unwrap()
+            .got
+            .iter()
+            .map(|(t, _)| *t)
+            .collect();
+        assert_eq!(
+            arrived,
+            vec![
+                SimTime::from_secs(0.1) + 0.5,
+                (SimTime::from_secs(1.0) + 0.1) + 0.2
+            ]
         );
     }
 

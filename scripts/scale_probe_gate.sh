@@ -1,8 +1,13 @@
 #!/usr/bin/env bash
-# Packet-level memory gate: run `scale_probe N` and fail unless it prints a
-# digest and its peak and after-run heap per receiver stay within fixed
-# bounds (3140 / 2983 B at 20 000 receivers when the bounds were set, ~10 %
-# headroom).  Exact allocator counts, not timings, so the gate cannot flake.
+# Packet-level memory and event-count gate: run `scale_probe N` and fail
+# unless it prints a digest, its peak and after-run heap per receiver stay
+# within fixed bounds (3140 / 2983 B at 20 000 receivers when the bounds were
+# set, ~10 % headroom), and it dispatched at most 1.05 events per delivered
+# packet.  The last bound guards the eventless drop-tail link: every hop of
+# the CBR star costs one `NodeArrival` and nothing else (1.002 today; 2.004
+# while a `LinkTxComplete` preceded each arrival), so a change that brings a
+# per-packet link event back fails here.  Exact counts, not timings, so the
+# gate cannot flake.
 #
 # Usage: scripts/scale_probe_gate.sh [RECEIVERS] [OUT_DIR]   (default: 20000 out/figs)
 set -euo pipefail
@@ -12,20 +17,23 @@ n="${1:-20000}"
 out_dir="${2:-out/figs}"
 max_peak=3500
 max_after=3300
+max_events_per_delivery=1.05
 mkdir -p "$out_dir"
 
 cargo build --release --quiet --example scale_probe
 target/release/examples/scale_probe "$n" | tee "$out_dir/scale_probe_$n.txt"
 
-# "<digest> <peak B/receiver> <after-run B/receiver>" of the run.
-read -r digest peak after < <(
+# "<digest> <peak B/receiver> <after-run B/receiver> <events> <delivered>".
+read -r digest peak after events delivered < <(
     awk -F'[(]' '/^digest=/ { sub("digest=", ""); digest = $0 }
                  /^heap:/ { peak = $3 + 0; after = $4 + 0 }
-                 END { print digest, peak, after }' "$out_dir/scale_probe_$n.txt"
+                 match($0, /events=[0-9]+/) { events = substr($0, RSTART + 7, RLENGTH - 7) }
+                 match($0, /delivered=[0-9]+/) { delivered = substr($0, RSTART + 10, RLENGTH - 10) }
+                 END { print digest, peak, after, events, delivered }' "$out_dir/scale_probe_$n.txt"
 )
 
-if [ -z "$digest" ] || [ -z "$after" ]; then
-    echo "error: scale_probe $n printed no digest or heap line" >&2
+if [ -z "$digest" ] || [ -z "$after" ] || [ -z "$delivered" ]; then
+    echo "error: scale_probe $n printed no digest, heap line or events=/delivered= counts" >&2
     exit 1
 fi
 for triple in "peak $peak $max_peak" "after-run $after $max_after"; do
@@ -35,4 +43,9 @@ for triple in "peak $peak $max_peak" "after-run $after $max_after"; do
         exit 1
     fi
 done
-echo "scale_probe $n: digest $digest; B/receiver: peak $peak (<= $max_peak), after run $after (<= $max_after)"
+if ! per_delivery=$(awk -v e="$events" -v d="$delivered" -v max="$max_events_per_delivery" \
+    'BEGIN { if (d <= 0) exit 1; r = e / d; printf "%.3f", r; exit !(r <= max) }'); then
+    echo "error: $events events for $delivered deliveries (${per_delivery:-n/a} per delivery) exceeds $max_events_per_delivery" >&2
+    exit 1
+fi
+echo "scale_probe $n: digest $digest; B/receiver: peak $peak (<= $max_peak), after run $after (<= $max_after); events/delivery $per_delivery (<= $max_events_per_delivery)"
