@@ -186,7 +186,6 @@ impl TfmccSession {
 mod tests {
     use super::*;
     use netsim::prelude::*;
-    use tfmcc_tcp::{TcpSender, TcpSenderConfig, TcpSink};
 
     /// Steady-state TFMCC over a single clean bottleneck should settle near
     /// the bottleneck rate (like TCP would), starting from slowstart.
@@ -252,51 +251,6 @@ mod tests {
         assert!(
             (clean - rate).abs() <= 0.2 * rate.max(clean),
             "single-rate protocol: both receivers see the same rate ({clean} vs {rate})"
-        );
-    }
-
-    /// TFMCC sharing a bottleneck with one TCP flow should get a comparable
-    /// long-term share (within a factor of ~3 either way).
-    #[test]
-    fn tfmcc_and_tcp_share_a_bottleneck() {
-        let mut sim = Simulator::new(103);
-        let cfg = DumbbellConfig {
-            pairs: 2,
-            bottleneck_bandwidth: 250_000.0, // 2 Mbit/s
-            bottleneck_delay: 0.02,
-            bottleneck_queue: QueueDiscipline::drop_tail(40),
-            ..DumbbellConfig::default()
-        };
-        let d = netsim::topology::dumbbell(&mut sim, &cfg);
-        // TFMCC on pair 0.
-        let session = TfmccSessionBuilder::default().build_population(
-            &mut sim,
-            d.senders[0],
-            &[PopulationSpec::packet(d.receivers[0])],
-        );
-        // TCP on pair 1.
-        let tcp_sink = sim.add_agent(d.receivers[1], Port(1), Box::new(TcpSink::new(1.0)));
-        sim.add_agent(
-            d.senders[1],
-            Port(1),
-            Box::new(TcpSender::new(TcpSenderConfig::new(
-                Address::new(d.receivers[1], Port(1)),
-                FlowId(2),
-            ))),
-        );
-        sim.run_until(SimTime::from_secs(200.0));
-        let tfmcc_rate = session.receiver_throughput(&sim, 0, 80.0, 195.0);
-        let tcp_rate = sim
-            .agent::<TcpSink>(tcp_sink)
-            .unwrap()
-            .meter()
-            .average_between(80.0, 195.0);
-        assert!(tfmcc_rate > 10_000.0, "TFMCC starved: {tfmcc_rate}");
-        assert!(tcp_rate > 10_000.0, "TCP starved: {tcp_rate}");
-        let ratio = tfmcc_rate / tcp_rate;
-        assert!(
-            (1.0 / 4.0..=4.0).contains(&ratio),
-            "TFMCC/TCP share ratio out of range: {tfmcc_rate} vs {tcp_rate}"
         );
     }
 

@@ -1,0 +1,17 @@
+//! The protocols TFMCC is compared against in the paper's evaluation, as
+//! `netsim` agents:
+//!
+//! * [`tcp`] — TCP Reno, the competing traffic every fairness figure
+//!   measures TFMCC against;
+//! * [`pgmcc`] — PGMCC, the window-based single-rate multicast comparator;
+//! * [`tfrc`] — unicast TFRC, TFMCC's parent protocol, as a one-receiver
+//!   TFMCC session.
+
+// Enforced by tfmcc-lint rule U001: pure math/protocol logic, no unsafe.
+#![forbid(unsafe_code)]
+#![warn(missing_docs)]
+#![warn(rust_2018_idioms)]
+
+pub mod pgmcc;
+pub mod tcp;
+pub mod tfrc;

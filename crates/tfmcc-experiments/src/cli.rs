@@ -1,11 +1,11 @@
-//! The shared experiment CLI and the common `main` of every figure binary.
+//! The shared experiment CLI behind the `figs` binary.
 //!
-//! All `fig*` binaries accept the same flags (parsed by
-//! [`tfmcc_runner::RunnerArgs`]):
+//! Every figure of [`crate::FIGURES`] runs as `figs <name>` with the same
+//! flags (parsed by [`tfmcc_runner::RunnerArgs`]):
 //!
 //! ```text
-//! fig07_scaling [--quick | --paper] [--threads N] [--out FILE] [--bench-out FILE]
-//!               [--sessions N] [--queue drop-tail|red|gentle-red|codel]
+//! figs fig07_scaling [--quick | --paper] [--threads N] [--out FILE] [--bench-out FILE]
+//!                    [--sessions N] [--queue drop-tail|red|gentle-red|codel]
 //! ```
 //!
 //! * `--quick` / `--paper` select the experiment [`Scale`] (the `TFMCC_SCALE`
@@ -30,10 +30,10 @@ use std::time::Instant;
 
 use tfmcc_runner::{RunnerArgs, SweepRunner};
 
-use crate::output::Figure;
 use crate::scale::Scale;
+use crate::FigureFn;
 
-/// Resolved configuration of one figure-binary invocation.
+/// Resolved configuration of one figure run.
 pub struct FigureCli {
     /// The experiment scale.
     pub scale: Scale,
@@ -46,9 +46,10 @@ pub struct FigureCli {
 }
 
 impl FigureCli {
-    /// Parses the process arguments and environment (exits on CLI errors).
-    pub fn parse() -> Self {
-        Self::from_runner_args(RunnerArgs::parse())
+    /// Parses `args` (the flags after the figure name) and the environment
+    /// (exits on CLI errors).
+    pub fn parse(args: impl IntoIterator<Item = String>) -> Self {
+        Self::from_runner_args(RunnerArgs::parse(args))
     }
 
     /// Builds the configuration from already-parsed arguments.
@@ -90,11 +91,11 @@ pub fn export_queue_env(args: &RunnerArgs) {
     }
 }
 
-/// The shared `main` of the figure binaries: parse the CLI, run the figure
-/// on the sweep executor, print CSV to stdout, honour `--out`/`--bench-out`,
+/// Runs one figure of `figs`: parse the flags in `args`, run the figure on
+/// the sweep executor, print CSV to stdout, honour `--out`/`--bench-out`,
 /// and log a one-line timing summary to stderr.
-pub fn figure_main(run: fn(&SweepRunner, Scale) -> Figure) {
-    let cli = FigureCli::parse();
+pub fn figure_main(run: FigureFn, args: impl IntoIterator<Item = String>) {
+    let cli = FigureCli::parse(args);
     let started = Instant::now();
     let figure = run(&cli.runner, cli.scale);
     print!("{}", figure.to_csv());

@@ -9,8 +9,8 @@
 use netsim::prelude::*;
 use tfmcc_agents::population::PopulationSpec;
 use tfmcc_agents::session::{ReceiverSpec, TfmccSessionBuilder};
+use tfmcc_baselines::tcp::{TcpSender, TcpSenderConfig, TcpSink};
 use tfmcc_runner::SweepRunner;
-use tfmcc_tcp::{TcpSender, TcpSenderConfig, TcpSink};
 
 use crate::output::{Figure, Series};
 use crate::scale::Scale;

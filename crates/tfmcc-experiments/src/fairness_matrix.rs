@@ -23,11 +23,11 @@ use netsim::prelude::*;
 use tfmcc_agents::manager::{jain_index, SessionId, SessionManager, SessionSpec};
 use tfmcc_agents::population::{FluidSpec, PopulationSpec};
 use tfmcc_agents::session::TfmccSessionBuilder;
+use tfmcc_baselines::pgmcc::{PgmccReceiverAgent, PgmccSenderAgent};
+use tfmcc_baselines::tcp::{TcpSender, TcpSenderConfig, TcpSink};
+use tfmcc_baselines::tfrc::{TfrcSession, TfrcSessionBuilder};
 use tfmcc_model::population::Dist;
-use tfmcc_pgmcc::{PgmccReceiverAgent, PgmccSenderAgent};
 use tfmcc_runner::{Sweep, SweepRunner};
-use tfmcc_tcp::{TcpSender, TcpSenderConfig, TcpSink};
-use tfmcc_tfrc::{TfrcSession, TfrcSessionBuilder};
 
 use crate::fairness_figs::meter_series;
 use crate::output::{Figure, Series};

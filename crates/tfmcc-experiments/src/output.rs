@@ -1,4 +1,4 @@
-//! Result containers and CSV/JSON output for the experiment binaries.
+//! Result containers and CSV/JSON output for the `figs` binary.
 
 use tfmcc_runner::Json;
 

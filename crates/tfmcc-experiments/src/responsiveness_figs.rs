@@ -9,8 +9,8 @@
 use netsim::prelude::*;
 use tfmcc_agents::population::PopulationSpec;
 use tfmcc_agents::session::{ReceiverSpec, TfmccSessionBuilder};
+use tfmcc_baselines::tcp::{TcpSender, TcpSenderConfig, TcpSink};
 use tfmcc_runner::{Sweep, SweepRunner};
-use tfmcc_tcp::{TcpSender, TcpSenderConfig, TcpSink};
 
 use crate::fairness_figs::meter_series;
 use crate::output::{Figure, Series};

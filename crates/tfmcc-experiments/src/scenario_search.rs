@@ -18,8 +18,8 @@
 //! point the search visits can be written out as a `tfmcc-replay-v1` file
 //! ([`to_replay`]) and re-executed bit-exactly later ([`replay_scenario`]) —
 //! that is how worst cases found here become regression tests.  Set
-//! `TFMCC_REPLAY_DIR` to make the search binary write the two worst-case
-//! replays there.
+//! `TFMCC_REPLAY_DIR` to make `figs scenario_search` write the two
+//! worst-case replays there.
 
 use netsim::prelude::*;
 use rand::rngs::SmallRng;

@@ -9,7 +9,7 @@
 //! deliberate: regenerate with
 //!
 //! ```text
-//! cargo run --release -p tfmcc-experiments --bin fig09_single_bottleneck -- \
+//! cargo run --release -p tfmcc-experiments --bin figs -- fig09_single_bottleneck \
 //!     --quick --threads 2 --out crates/tfmcc-experiments/tests/golden/fig09_quick.json
 //! ```
 

@@ -8,7 +8,7 @@
 //! regenerate with
 //!
 //! ```text
-//! cargo run --release -p tfmcc-experiments --bin fig23_intertfmcc -- \
+//! cargo run --release -p tfmcc-experiments --bin figs -- fig23_intertfmcc \
 //!     --quick --threads 2 --out crates/tfmcc-experiments/tests/golden/fig23_quick.json
 //! ```
 

@@ -11,7 +11,7 @@
 //! alters this output must be deliberate: regenerate with
 //!
 //! ```text
-//! cargo run --release -p tfmcc-experiments --bin fig24_fairness_matrix -- \
+//! cargo run --release -p tfmcc-experiments --bin figs -- fig24_fairness_matrix \
 //!     --quick --threads 2 --out crates/tfmcc-experiments/tests/golden/fig24_quick.json
 //! ```
 

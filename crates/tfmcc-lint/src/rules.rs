@@ -28,9 +28,7 @@ pub const SIM_VISIBLE_CRATES: &[&str] = &[
     "tfmcc-agents",
     "tfmcc-model",
     "tfmcc-mc",
-    "tfmcc-pgmcc",
-    "tfmcc-tfrc",
-    "tfmcc-tcp",
+    "tfmcc-baselines",
 ];
 
 /// Crates that *are* the bench/CLI timing layer: wall-clock reads are their
@@ -46,9 +44,7 @@ pub const FORBID_UNSAFE_CRATES: &[&str] = &[
     "tfmcc-model",
     "tfmcc-feedback",
     "tfmcc-mc",
-    "tfmcc-tfrc",
-    "tfmcc-tcp",
-    "tfmcc-pgmcc",
+    "tfmcc-baselines",
 ];
 
 /// One diagnostic produced by a rule.
@@ -276,4 +272,28 @@ fn has_safety_comment(tokens: &[Token], line: usize) -> bool {
             && t.line <= line
             && t.line + 3 >= line
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A crate list naming a crate that no longer exists would silently drop
+    /// that crate's successor out of its rules.
+    #[test]
+    fn every_listed_crate_is_a_directory_under_crates() {
+        let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+        for list in [
+            SIM_VISIBLE_CRATES,
+            TIMING_LAYER_CRATES,
+            FORBID_UNSAFE_CRATES,
+        ] {
+            for name in list {
+                assert!(
+                    crates.join(name).is_dir(),
+                    "{name} is listed in rules.rs but is not under crates/"
+                );
+            }
+        }
+    }
 }

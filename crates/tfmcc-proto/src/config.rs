@@ -4,10 +4,8 @@
 //! paper's defaults.  The configuration is shared by sender and receivers; in
 //! a deployment it would be distributed out of band (session description).
 
-use serde::{Deserialize, Serialize};
-
 /// TFMCC protocol parameters (paper Section 2, defaults as published).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TfmccConfig {
     /// Packet size `s` in bytes used in the control equation.
     pub packet_size: u32,

@@ -4,15 +4,13 @@
 //! them; adapters (the netsim agents in `tfmcc-agents`, the UDP transport in
 //! `tfmcc-transport`) decide how they travel.
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a receiver within one TFMCC session.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ReceiverId(pub u64);
 
 /// Echo of a receiver report carried in a data packet so the receiver can
 /// measure its RTT (paper Section 2.4.2).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RttEcho {
     /// The receiver whose report is echoed.
     pub receiver: ReceiverId,
@@ -27,7 +25,7 @@ pub struct RttEcho {
 /// Echo of the lowest-rate feedback received so far in the current feedback
 /// round, used by receivers to suppress their own feedback (paper
 /// Section 2.5.2).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SuppressionEcho {
     /// The receiver whose feedback is echoed.
     pub receiver: ReceiverId,
@@ -36,7 +34,7 @@ pub struct SuppressionEcho {
 }
 
 /// Header of a TFMCC data packet (multicast from the sender to the group).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DataPacket {
     /// Sequence number, consecutive per session.
     pub seqno: u64,
@@ -63,7 +61,7 @@ pub struct DataPacket {
 }
 
 /// A receiver report (unicast from a receiver to the sender).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FeedbackPacket {
     /// The reporting receiver.
     pub receiver: ReceiverId,
@@ -109,7 +107,7 @@ impl FeedbackPacket {
 /// report except that the aggregator entry carries the bin's weight, so
 /// [`population`](crate::aggregator::FeedbackAggregator::population) reflects
 /// the receivers the session actually stands for.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PopulationReport {
     /// The bin's report.
     pub feedback: FeedbackPacket,

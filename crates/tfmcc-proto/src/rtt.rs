@@ -9,8 +9,6 @@
 
 use std::hash::Hasher;
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::TfmccConfig;
 use crate::step::{hash_f64, hash_opt_f64, StateFingerprint};
 
@@ -18,7 +16,7 @@ use crate::step::{hash_f64, hash_opt_f64, StateFingerprint};
 pub const MIN_RTT: f64 = 1e-4;
 
 /// Receiver-side RTT estimator.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RttEstimator {
     estimate: f64,
     has_measurement: bool,

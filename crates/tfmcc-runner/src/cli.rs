@@ -1,6 +1,6 @@
 //! The shared experiment command line.
 //!
-//! Every experiment binary accepts the same flags:
+//! Every figure run as `figs <name>` accepts the same flags:
 //!
 //! ```text
 //! --quick             reduced scale (tests, CI smoke)
@@ -48,16 +48,20 @@ pub struct RunnerArgs {
 }
 
 impl RunnerArgs {
-    /// Parses the process arguments, printing usage and exiting with status 2
-    /// on errors.
-    pub fn parse() -> Self {
-        match Self::try_parse(std::env::args().skip(1)) {
+    /// The command line these flags belong to.
+    pub const USAGE: &'static str = "usage: figs <name> [--quick | --paper] [--threads N] [--out FILE] [--bench-out FILE] [--sessions N] [--queue drop-tail|red|gentle-red|codel]";
+
+    /// Parses `args` (the flags after the figure name), printing usage and
+    /// exiting with status 2 on errors.
+    pub fn parse<I>(args: I) -> Self
+    where
+        I: IntoIterator<Item = String>,
+    {
+        match Self::try_parse(args) {
             Ok(args) => args,
             Err(msg) => {
                 eprintln!("error: {msg}");
-                eprintln!(
-                    "usage: <bin> [--quick | --paper] [--threads N] [--out FILE] [--bench-out FILE] [--sessions N] [--queue drop-tail|red|gentle-red|codel]"
-                );
+                eprintln!("{}", Self::USAGE);
                 std::process::exit(2);
             }
         }

@@ -96,7 +96,7 @@ impl SweepRunner {
             }
         } else {
             let cursor = AtomicUsize::new(0);
-            let (tx, rx) = crossbeam::channel::bounded(n);
+            let (tx, rx) = std::sync::mpsc::sync_channel(n);
             std::thread::scope(|scope| {
                 for worker in 0..workers {
                     let tx = tx.clone();

@@ -5,15 +5,13 @@
 //! reports; [`UdpReceiverEndpoint`] consumes data packets, manages the single
 //! feedback timer and unicasts reports back to the sender.  Both run their
 //! socket loop on a background thread and expose a small control surface
-//! protected by a `parking_lot` mutex.
+//! protected by a mutex.
 
 use std::net::{SocketAddr, UdpSocket};
-use std::sync::Arc;
+use std::sync::mpsc::{sync_channel, SyncSender};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-use crossbeam::channel::{bounded, Sender as ChannelSender};
-use parking_lot::Mutex;
 
 use tfmcc_proto::config::TfmccConfig;
 use tfmcc_proto::packets::ReceiverId;
@@ -21,6 +19,12 @@ use tfmcc_proto::receiver::TfmccReceiver;
 use tfmcc_proto::sender::TfmccSender;
 
 use crate::wire::{decode_message, encode_message, WireMessage};
+
+/// Locks a snapshot, ignoring poisoning: a snapshot is plain counters, so
+/// one a panicking thread left behind is still good to read.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Shared view of the sender's state for monitoring.
 #[derive(Debug, Clone, Copy, Default)]
@@ -36,7 +40,7 @@ pub struct SenderSnapshot {
 /// A TFMCC sender bound to a UDP socket.
 pub struct UdpSenderEndpoint {
     snapshot: Arc<Mutex<SenderSnapshot>>,
-    stop: ChannelSender<()>,
+    stop: SyncSender<()>,
     handle: Option<JoinHandle<()>>,
     local_addr: SocketAddr,
 }
@@ -56,7 +60,7 @@ impl UdpSenderEndpoint {
             ..SenderSnapshot::default()
         }));
         let shared = Arc::clone(&snapshot);
-        let (stop, stop_rx) = bounded::<()>(1);
+        let (stop, stop_rx) = sync_channel::<()>(1);
         let handle = std::thread::spawn(move || {
             let mut sender = TfmccSender::new(config);
             // tfmcc-lint: allow(D002, reason = "real-time UDP transport thread: the wall clock IS the protocol clock here, and nothing derived from it enters a simulation")
@@ -75,7 +79,7 @@ impl UdpSenderEndpoint {
                         let _ = socket.send_to(&datagram, addr);
                     }
                     {
-                        let mut snap = shared.lock();
+                        let mut snap = lock(&shared);
                         snap.packets_sent += 1;
                         snap.rate = sender.current_rate();
                     }
@@ -85,7 +89,7 @@ impl UdpSenderEndpoint {
                     Ok((len, _from)) => {
                         let now = epoch.elapsed().as_secs_f64();
                         if sender_on_datagram(&mut sender, now, &buf[..len]) {
-                            shared.lock().feedback_received += 1;
+                            lock(&shared).feedback_received += 1;
                         }
                     }
                     Err(ref e)
@@ -110,7 +114,7 @@ impl UdpSenderEndpoint {
 
     /// A snapshot of the sender's progress.
     pub fn snapshot(&self) -> SenderSnapshot {
-        *self.snapshot.lock()
+        *lock(&self.snapshot)
     }
 
     /// Stops the background thread.
@@ -161,7 +165,7 @@ pub struct ReceiverSnapshot {
 /// A TFMCC receiver bound to a UDP socket.
 pub struct UdpReceiverEndpoint {
     snapshot: Arc<Mutex<ReceiverSnapshot>>,
-    stop: ChannelSender<()>,
+    stop: SyncSender<()>,
     handle: Option<JoinHandle<()>>,
     local_addr: SocketAddr,
 }
@@ -179,7 +183,7 @@ impl UdpReceiverEndpoint {
         socket.set_read_timeout(Some(Duration::from_millis(2)))?;
         let snapshot = Arc::new(Mutex::new(ReceiverSnapshot::default()));
         let shared = Arc::clone(&snapshot);
-        let (stop, stop_rx) = bounded::<()>(1);
+        let (stop, stop_rx) = sync_channel::<()>(1);
         let handle = std::thread::spawn(move || {
             let mut receiver = TfmccReceiver::new(id, config);
             // tfmcc-lint: allow(D002, reason = "real-time UDP transport thread: the wall clock IS the protocol clock here, and nothing derived from it enters a simulation")
@@ -196,7 +200,7 @@ impl UdpReceiverEndpoint {
                         if let Some(fb) = receiver.on_timer(now) {
                             let datagram = encode_message(&WireMessage::Feedback(fb));
                             let _ = socket.send_to(&datagram, sender_addr);
-                            shared.lock().feedback_sent += 1;
+                            lock(&shared).feedback_sent += 1;
                         }
                     }
                 }
@@ -205,7 +209,7 @@ impl UdpReceiverEndpoint {
                         if let Ok(WireMessage::Data(header)) = decode_message(&buf[..len]) {
                             let now = epoch.elapsed().as_secs_f64();
                             let reply = receiver.on_data(now, &header);
-                            let mut snap = shared.lock();
+                            let mut snap = lock(&shared);
                             snap.packets_received += 1;
                             snap.loss_event_rate = receiver.loss_event_rate();
                             snap.rtt = receiver.rtt();
@@ -213,7 +217,7 @@ impl UdpReceiverEndpoint {
                             if let Some(fb) = reply {
                                 let datagram = encode_message(&WireMessage::Feedback(fb));
                                 let _ = socket.send_to(&datagram, sender_addr);
-                                shared.lock().feedback_sent += 1;
+                                lock(&shared).feedback_sent += 1;
                             }
                         }
                     }
@@ -239,7 +243,7 @@ impl UdpReceiverEndpoint {
 
     /// A snapshot of the receiver's progress.
     pub fn snapshot(&self) -> ReceiverSnapshot {
-        *self.snapshot.lock()
+        *lock(&self.snapshot)
     }
 
     /// Stops the background thread.
@@ -323,13 +327,22 @@ mod tests {
             UdpSenderEndpoint::start(sender_addr, vec![r1.local_addr(), r2.local_addr()], cfg)
                 .unwrap();
 
-        // Let the session run briefly.  The initial rate is 2 packets/s and
-        // the slowstart feedback window is ~3 s, so five seconds guarantees
-        // data flow plus at least one feedback round.
-        std::thread::sleep(Duration::from_millis(5000));
-        let s = sender.snapshot();
-        let s1 = r1.snapshot();
-        let s2 = r2.snapshot();
+        // Poll until the session has moved data both ways.  The initial rate
+        // is 2 packets/s and the slowstart feedback window is ~3 s, so this
+        // takes a few seconds; the assertions below fire at the deadline.
+        // tfmcc-lint: allow(D002, reason = "test deadline for a real-time UDP session; nothing derived from it enters a simulation")
+        let started = Instant::now();
+        let (s, s1, s2) = loop {
+            let (s, s1, s2) = (sender.snapshot(), r1.snapshot(), r2.snapshot());
+            let done = s.packets_sent >= 3
+                && s1.packets_received >= 2
+                && s2.packets_received >= 2
+                && s.feedback_received >= 1;
+            if done || started.elapsed() >= Duration::from_secs(10) {
+                break (s, s1, s2);
+            }
+            std::thread::sleep(Duration::from_millis(50));
+        };
         assert!(
             s.packets_sent >= 3,
             "sender sent only {} packets",

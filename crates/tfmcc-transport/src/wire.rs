@@ -12,8 +12,6 @@
 //! one message, so bytes after its end are rejected as well: no application
 //! payload travels in this version, `DataPacket::size` only declares it.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-
 use tfmcc_proto::packets::{DataPacket, FeedbackPacket, ReceiverId, RttEcho, SuppressionEcho};
 
 /// Wire protocol version.
@@ -60,8 +58,8 @@ impl std::fmt::Display for WireError {
 impl std::error::Error for WireError {}
 
 /// Encodes a message into a datagram payload.
-pub fn encode_message(msg: &WireMessage) -> Bytes {
-    let mut buf = BytesMut::with_capacity(128);
+pub fn encode_message(msg: &WireMessage) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(128);
     buf.put_u8(WIRE_VERSION);
     match msg {
         WireMessage::Data(d) => {
@@ -111,10 +109,10 @@ pub fn encode_message(msg: &WireMessage) -> Bytes {
             buf.put_u8(u8::from(fb.leaving));
         }
     }
-    buf.freeze()
+    buf
 }
 
-fn put_opt_u64(buf: &mut BytesMut, v: Option<u64>) {
+fn put_opt_u64(buf: &mut Vec<u8>, v: Option<u64>) {
     match v {
         Some(x) => {
             buf.put_u8(1);
@@ -262,6 +260,62 @@ fn get_option_tag(data: &mut &[u8], body: usize) -> Result<bool, WireError> {
         1 if data.remaining() < body => Err(WireError::Truncated),
         1 => Ok(true),
         _ => Err(WireError::BadValue("option tag")),
+    }
+}
+
+/// Network-order (big-endian) writes onto a datagram being built.
+trait PutBe {
+    fn put_u8(&mut self, v: u8);
+    fn put_u32(&mut self, v: u32);
+    fn put_u64(&mut self, v: u64);
+    fn put_f64(&mut self, v: f64);
+}
+
+impl PutBe for Vec<u8> {
+    fn put_u8(&mut self, v: u8) {
+        self.push(v);
+    }
+    fn put_u32(&mut self, v: u32) {
+        self.extend(v.to_be_bytes());
+    }
+    fn put_u64(&mut self, v: u64) {
+        self.extend(v.to_be_bytes());
+    }
+    fn put_f64(&mut self, v: f64) {
+        self.extend(v.to_be_bytes());
+    }
+}
+
+/// Network-order (big-endian) reads off the front of a datagram.  A read
+/// past the end panics, so the decoder checks `remaining()` first.
+trait GetBe {
+    fn remaining(&self) -> usize;
+    fn take<const N: usize>(&mut self) -> [u8; N];
+
+    fn get_u8(&mut self) -> u8 {
+        u8::from_be_bytes(self.take())
+    }
+    fn get_u32(&mut self) -> u32 {
+        u32::from_be_bytes(self.take())
+    }
+    fn get_u64(&mut self) -> u64 {
+        u64::from_be_bytes(self.take())
+    }
+    fn get_f64(&mut self) -> f64 {
+        f64::from_be_bytes(self.take())
+    }
+}
+
+impl GetBe for &[u8] {
+    fn remaining(&self) -> usize {
+        self.len()
+    }
+    fn take<const N: usize>(&mut self) -> [u8; N] {
+        let (head, tail) = self
+            .split_first_chunk()
+            .expect("length checked before the read");
+        *self = tail;
+        *head
     }
 }
 

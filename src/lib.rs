@@ -11,9 +11,9 @@
 //! * [`mc`] — the bounded model checker for the protocol core;
 //! * [`sim`] — the discrete-event packet simulator substrate;
 //! * [`agents`] — simulator bindings and the session builder;
-//! * [`tcp`] — the TCP Reno competing-traffic agent;
-//! * [`tfrc`] — the unicast TFRC baseline;
-//! * [`pgmcc`] — the PGMCC baseline;
+//! * [`tcp`], [`tfrc`], [`pgmcc`] — the baselines (`tfmcc-baselines`): the
+//!   TCP Reno competing-traffic agent, the unicast TFRC baseline and the
+//!   PGMCC comparator;
 //! * [`transport`] — the real-network UDP transport;
 //! * [`experiments`] — the figure-by-figure experiment harness;
 //! * [`runner`] — the parallel sweep runner the harness executes on.
@@ -26,15 +26,13 @@
 
 pub use netsim as sim;
 pub use tfmcc_agents as agents;
+pub use tfmcc_baselines::{pgmcc, tcp, tfrc};
 pub use tfmcc_experiments as experiments;
 pub use tfmcc_feedback as feedback;
 pub use tfmcc_mc as mc;
 pub use tfmcc_model as model;
-pub use tfmcc_pgmcc as pgmcc;
 pub use tfmcc_proto as proto;
 pub use tfmcc_runner as runner;
-pub use tfmcc_tcp as tcp;
-pub use tfmcc_tfrc as tfrc;
 pub use tfmcc_transport as transport;
 
 /// Commonly used types across the workspace.

@@ -163,7 +163,7 @@ fn feedback_volume_scales_sublinearly_with_receivers() {
 }
 
 /// The experiment harness's quick scale stays runnable end to end (smoke test
-/// for the per-figure binaries), including on a multi-threaded sweep runner.
+/// for the `figs` binary), including on a multi-threaded sweep runner.
 #[test]
 fn experiment_harness_quick_scale_smoke() {
     use tfmcc::experiments::{feedback_figs, scaling_figs, Scale, SweepRunner};
