@@ -7,16 +7,25 @@
 //! assigns one per scheduled event).  [`CalendarQueue::pop`] returns entries
 //! in ascending `(time, seq)` order — time first, `seq` within a time.
 //! Entries may be scheduled at times *behind* the last popped entry's time: a
-//! peek can park the calendar's cursor ahead of the caller's clock, so
+//! [`CalendarQueue::pop_instant`] that finds its head beyond `until` leaves
+//! the calendar's cursor parked on that head, ahead of the caller's clock, so
 //! inserts behind the cursor have to work anyway, and the contract makes that
 //! unconditional (the simulator itself never schedules into the past, see
 //! `World::push_event`).  A late insert simply pops next (in `(time, seq)`
 //! order among the remaining entries); it cannot, of course, retroactively
 //! order before entries that were already popped.
 //!
+//! [`CalendarQueue::pop_instant`] takes the same entries in the same order,
+//! a whole instant at a time: every entry at the head time moves out in one
+//! call, with one round of bookkeeping.  This is how the simulator
+//! dispatches — on a multicast star one call hands over all the same-instant
+//! arrivals of a packet.  An entry scheduled at that instant while the run is
+//! being dispatched has a larger `seq` than every entry of the run, so it
+//! would have popped after them anyway; the next call returns it.
+//!
 //! The unit tests below hold the queue to this order against a binary-heap
-//! oracle, operation by operation; the simulator asserts it again at every
-//! pop of every debug-profile run (see `Simulator::run_until`).
+//! oracle, operation by operation; the simulator asserts it again for every
+//! run of every debug-profile simulation (see `Simulator::run_until`).
 //!
 //! # Cancellation
 //!
@@ -27,8 +36,10 @@
 //! a bucket whose year has not come up by `seq` (buckets are unsorted; the
 //! scan is O(1) at the maintained load factor and O(burst) only for a timer
 //! parked inside a same-instant burst).  A cancelled entry is never returned
-//! from `pop`, is not counted by [`CalendarQueue::len`] and leaves nothing
-//! behind.
+//! from `pop` or `pop_instant`, is not counted by [`CalendarQueue::len`] and
+//! leaves nothing behind.  An entry already taken out by `pop_instant` is no
+//! longer queued and cannot be cancelled here; the simulator's timer table
+//! skips it instead.
 
 use std::collections::VecDeque;
 
@@ -157,8 +168,9 @@ pub struct CalendarQueue<T> {
     /// Live entry count across `current` and all buckets.
     count: usize,
     /// The last year (`floor(time / width)`) moved into `current`;
-    /// `cur_abs % nbuckets` is the wheel position.  A peek can park it
-    /// ahead of the caller's clock; inserts behind it go to `current`.
+    /// `cur_abs % nbuckets` is the wheel position.  A `pop_instant` that
+    /// stops at `until` can park it ahead of the caller's clock; inserts
+    /// behind it go to `current`.
     cur_abs: u64,
     /// Sum of the time gaps between successive pops since the last
     /// rebucketing; `width` is re-derived from this (Brown's estimator: a
@@ -251,7 +263,7 @@ impl<T> CalendarQueue<T> {
             self.buckets[idx].push(entry);
             return;
         }
-        // The year is being served, or lies behind a cursor that a peek
+        // The year is being served, or lies behind a cursor that a look
         // parked ahead of the caller's clock: splice into the sorted run.
         // `seq` is unique, so an exact hit cannot happen; Err gives the
         // sorted insertion point either way.
@@ -451,15 +463,54 @@ impl<T> CalendarQueue<T> {
     pub fn pop(&mut self) -> Option<(SimTime, u64, T)> {
         self.fill_current()?;
         let entry = self.current.pop_front().expect("filled run");
-        self.release_current();
-        self.count -= 1;
-        if let Some(prev) = self.last_pop_time {
-            self.pop_gap_sum += (entry.time - prev).max(0.0);
+        self.note_pops(entry.time, 1);
+        Some((entry.time, entry.seq, entry.item))
+    }
+
+    /// Removes every entry at the head instant, if that instant is
+    /// `<= until`, appends them to `out` as `(seq, item)` in `seq` order and
+    /// returns the instant; `None`, with `out` untouched, when the queue is
+    /// empty or its head lies beyond `until`.
+    ///
+    /// The entries leave in the order that many [`Self::pop`] calls would
+    /// take them.  An entry scheduled at the same instant afterwards has a
+    /// larger `seq`, so it sorts behind the run just taken and the next call
+    /// returns it.
+    pub fn pop_instant(&mut self, until: SimTime, out: &mut Vec<(u64, T)>) -> Option<SimTime> {
+        self.fill_current()?;
+        let time = self.current.front().expect("filled run").time;
+        if time > until {
+            return None;
         }
-        self.last_pop_time = Some(entry.time);
-        self.gap_pops += 1;
-        self.win_pops += 1;
-        self.pops_since_rebucket += 1;
+        // `current` is sorted by `(time, seq)`: the head instant is a prefix.
+        // Most instants hold one entry; a longer run is counted before it
+        // moves, so `out` is sized to the exact run length, not doubled.
+        let head = self.current.pop_front().expect("filled run");
+        out.push((head.seq, head.item));
+        let mut n = 1;
+        if self.current.front().is_some_and(|e| e.time == time) {
+            let rest = self.current.iter().take_while(|e| e.time == time).count();
+            out.extend(self.current.drain(..rest).map(|e| (e.seq, e.item)));
+            n += rest;
+        }
+        self.note_pops(time, n);
+        Some(time)
+    }
+
+    /// The bookkeeping of `n` pops at `time`, done once: hands back a
+    /// drained run, feeds the gap estimator (the gaps inside a same-instant
+    /// run are zero) and the cost window, and shrinks or re-tunes the wheel.
+    fn note_pops(&mut self, time: SimTime, n: usize) {
+        self.release_current();
+        self.count -= n;
+        if let Some(prev) = self.last_pop_time {
+            self.pop_gap_sum += (time - prev).max(0.0);
+        }
+        self.last_pop_time = Some(time);
+        let n = n as u64;
+        self.gap_pops += n;
+        self.win_pops += n;
+        self.pops_since_rebucket += n;
         self.maybe_shrink();
         // Cost-triggered re-tuning: at each window boundary, rebucket (with
         // a freshly estimated width) only when the wheel is measurably
@@ -477,14 +528,6 @@ impl<T> CalendarQueue<T> {
                 self.resize(Self::bucket_target(self.count.max(1)));
             }
         }
-        Some((entry.time, entry.seq, entry.item))
-    }
-
-    /// The time of the entry [`Self::pop`] would return, without removing
-    /// it.  Takes `&mut self` because looking may rotate the cursor.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.fill_current()?;
-        self.current.front().map(|e| e.time)
     }
 
     /// Cancels the queued entry with exactly this `(time, seq)` key.  The
@@ -607,11 +650,27 @@ mod tests {
             got.map(|(at, seq, _)| (at, seq))
         }
 
-        fn peek_time(&mut self) -> Option<SimTime> {
-            let got = self.calendar.peek_time();
-            let want = self.oracle.peek().map(|&Reverse((at, _))| at);
-            assert_eq!(got, want, "peek diverged from the heap order");
-            got
+        /// `pop_instant` on the calendar; the oracle pops every key at its
+        /// head time if that is `<= until`.  Returns the run's `seq`s.  A
+        /// head beyond `until` makes it a look: nothing leaves, and the
+        /// calendar's cursor is parked on the head.
+        fn pop_instant(&mut self, until: SimTime) -> Option<(SimTime, Vec<u64>)> {
+            let mut got = Vec::new();
+            let time = self.calendar.pop_instant(until, &mut got);
+            let head = self.oracle.peek().map(|&Reverse((at, _))| at);
+            let want_time = head.filter(|&at| at <= until);
+            let mut want = Vec::new();
+            while let Some(&Reverse((at, seq))) = self.oracle.peek() {
+                if Some(at) != want_time {
+                    break;
+                }
+                self.oracle.pop();
+                want.push((seq, seq));
+            }
+            assert_eq!(time, want_time, "pop_instant took a different instant");
+            assert_eq!(got, want, "pop_instant diverged from the heap order");
+            assert_eq!(self.calendar.len(), self.oracle.len());
+            time.map(|at| (at, want.into_iter().map(|(seq, _)| seq).collect()))
         }
 
         fn cancel(&mut self, at: SimTime, seq: u64) {
@@ -635,7 +694,7 @@ mod tests {
         q.schedule(t(0.5), 100);
         q.schedule(t(0.25), 101);
         q.schedule(t(5.0), 50);
-        assert_eq!(q.peek_time(), Some(t(0.25)));
+        assert_eq!(q.pop_instant(t(0.2)), None);
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
         assert_eq!(
             order,
@@ -661,17 +720,29 @@ mod tests {
             seq += 1;
         }
         for i in 0..ops {
-            match q.pop() {
-                Some((time, s)) => {
-                    now = time.as_secs();
-                    popped.push(s);
-                }
-                None => break,
+            // Every third step takes a whole instant, with `until` sometimes
+            // short of the head.
+            let step = if i % 3 == 0 {
+                q.pop_instant(t(now + rng.unit() * 0.5))
+            } else {
+                q.pop().map(|(time, s)| (time, vec![s]))
+            };
+            if let Some((time, seqs)) = step {
+                now = time.as_secs();
+                popped.extend(seqs);
+            } else if q.calendar.is_empty() {
+                break;
             }
-            // Reschedule a little ahead, sometimes in bursts.
+            // Reschedule a little ahead, sometimes in bursts; every other
+            // burst shares one instant.
             let burst = 1 + (i % 3);
+            let shared = t(now + rng.unit() * 2.0);
             for _ in 0..burst {
-                let at = t(now + rng.unit() * 2.0);
+                let at = if i % 2 == 0 {
+                    shared
+                } else {
+                    t(now + rng.unit() * 2.0)
+                };
                 q.schedule(at, seq);
                 if seq % 11 == 5 {
                     cancel_pool.push((at, seq));
@@ -762,7 +833,7 @@ mod tests {
 
     /// Same-instant bursts; two bursts colliding in one bucket a rotation
     /// apart, in both insertion orders; cancels hitting a bucket that is not
-    /// yet due and the run being served; a peek that parks the cursor
+    /// yet due and the run being served; a look that parks the cursor
     /// followed by inserts behind it; a resize in the middle of a
     /// half-drained burst.  Returns how many collisions were on target.
     fn compare_bursts(seed: u64) -> u32 {
@@ -782,9 +853,15 @@ mod tests {
                 (early, s.burst(late_at, k))
             };
             collisions += u32::from(s.geometry() == (width, rotation));
-            // A same-instant burst right at the clock, ahead of both.
+            // A same-instant burst right at the clock, ahead of both; after
+            // one entry, the rest leaves as one run.
             let at_clock = s.burst(s.now, 1 + k / 8);
             s.pop_from(&at_clock, 1);
+            let (_, run) =
+                s.q.pop_instant(t(s.now))
+                    .expect("the burst is at the clock");
+            let rest: Vec<u64> = (at_clock.start + 1..at_clock.end).collect();
+            assert!(run.ends_with(&rest), "the at-clock burst left out of order");
             // Cancel inside a bucket that is not due yet, then — with the
             // early burst half drained — inside the run being served.
             s.q.cancel(t(late_at), late.start + k / 3);
@@ -804,15 +881,19 @@ mod tests {
                 );
             }
             s.pop_from(&early, k - k / 2 - 1);
-            // Park the cursor on whatever comes next, then insert behind it.
-            if let Some(head) = s.q.peek_time() {
+            // Look at the clock, short of whatever comes next (which parks
+            // the cursor on it), then insert behind it.
+            if let Some(&Reverse((head, _))) = s.q.oracle.peek() {
+                if head > t(s.now) {
+                    s.q.pop_instant(t(s.now));
+                }
                 for _ in 0..3 {
                     s.schedule(s.now + rng.unit() * (head.as_secs() - s.now));
                 }
             }
             s.pop_from(&late, k / 4);
         }
-        while s.pop().is_some() {}
+        while s.q.pop_instant(t(f64::MAX)).is_some() {}
         assert_eq!(s.q.calendar.len(), 0);
         collisions
     }
@@ -926,16 +1007,17 @@ mod tests {
         q.schedule(t(5_000.0), 0, 0);
         q.schedule(t(90_000.0), 1, 1);
         q.schedule(t(5_500.0), 2, 2);
-        assert_eq!(q.peek_time(), Some(t(5_000.0)));
+        assert_eq!(q.pop_instant(t(4_999.0), &mut Vec::new()), None);
         assert_eq!(
             drain(&mut q),
             vec![(t(5_000.0), 0), (t(5_500.0), 2), (t(90_000.0), 1)]
         );
     }
 
-    /// A peek can park the rotation cursor at a far-future bucket (that is
-    /// how `run_until` decides to stop); a later insert *between* the last
-    /// pop and that parked position must still pop first.
+    /// A look at the queue can park the rotation cursor at a far-future
+    /// bucket (that is how `run_until` stops: a `pop_instant` whose head lies
+    /// beyond `until`); a later insert *between* the last pop and that
+    /// parked position must still pop first.
     #[test]
     fn insert_behind_a_peeked_cursor_is_not_stranded() {
         let mut q: CalendarQueue<u64> = CalendarQueue::new();
@@ -943,7 +1025,7 @@ mod tests {
         q.schedule(t(2.0), 1, 1);
         assert_eq!(q.pop().map(|(_, s, _)| s), Some(0));
         // Parks the cursor at 2.0's bucket.
-        assert_eq!(q.peek_time(), Some(t(2.0)));
+        assert_eq!(q.pop_instant(t(1.0), &mut Vec::new()), None);
         // Legal insert (>= last popped time) behind the parked cursor.
         q.schedule(t(1.5), 2, 2);
         assert_eq!(q.pop().map(|(ti, s, _)| (ti, s)), Some((t(1.5), 2)));

@@ -18,8 +18,8 @@
 //!
 //! | Module | What lives there |
 //! |---|---|
-//! | [`events`] | The event-queue core: [`events::CalendarQueue`], popped in `(time, seq)` order, with in-place cancellation |
-//! | [`sim`] | The [`sim::Simulator`]: world state, agent dispatch, the timer table, and the [`sim::Context`] agents act through |
+//! | [`events`] | The event-queue core: [`events::CalendarQueue`], taken in `(time, seq)` order one entry or one instant at a time, with in-place cancellation |
+//! | [`sim`] | The [`sim::Simulator`]: world state, dispatch of each same-instant run, the timer table, and the [`sim::Context`] agents act through |
 //! | [`packet`] | Zero-copy [`packet::Packet`] handles (`Arc`-backed), addresses, destinations and ids |
 //! | [`link`] | Links: serialization, propagation, loss models, per-link statistics; eventless drop-tail service, per-packet RED/CoDel service |
 //! | [`queue`] | Queue-discipline configuration, and the packet-holding `Queue` behind RED and CoDel links |

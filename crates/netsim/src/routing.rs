@@ -19,7 +19,6 @@
 //! change.
 
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
-use std::sync::Arc;
 
 use crate::packet::{GroupId, LinkId, NodeId};
 
@@ -230,18 +229,19 @@ fn dijkstra_hops(adjacency: &[Vec<Hop>], root: usize) -> Vec<Option<(NodeId, Lin
 /// Built with one forward Dijkstra from the source; after that, member joins
 /// and leaves walk only the member's path to the source, maintaining a
 /// per-node reference count (how many members' paths pass through the node)
-/// and the per-node sorted out-link lists.  The out-link lists are shared
-/// (`Arc`) so the fan-out can iterate them without copying while the event
-/// handler mutates the world.
+/// and the per-node sorted out-link lists.  The simulator's fan-out iterates
+/// a node's list in place while it offers the replicas (the list is borrowed
+/// from the tree, the links and the event queue are other fields), so a
+/// lookup neither copies nor touches a reference count.
 #[derive(Debug)]
 pub struct SourceTree {
     parents: PathParents,
     /// Number of members whose delivery path passes through each node
     /// (the source itself is not counted).
     cnt: Vec<u32>,
-    /// Sorted replication links out of each node; slots share one empty
-    /// allocation until first use.
-    out: Vec<Arc<Vec<LinkId>>>,
+    /// Sorted replication links out of each node (empty lists allocate
+    /// nothing).
+    out: Vec<Vec<LinkId>>,
 }
 
 impl SourceTree {
@@ -249,11 +249,10 @@ impl SourceTree {
     pub fn build(source: NodeId, members: &BTreeSet<NodeId>, routes: &RoutingTable) -> Self {
         let parents = routes.parents_from(source);
         let node_count = parents.parent.len();
-        let empty = Arc::new(Vec::new());
         let mut tree = SourceTree {
             parents,
             cnt: vec![0; node_count],
-            out: vec![empty; node_count],
+            out: vec![Vec::new(); node_count],
         };
         // BTreeSet iteration is already the deterministic (ascending) attach
         // order.
@@ -273,7 +272,7 @@ impl SourceTree {
         while let Some((up, link)) = self.parents.parent(cur) {
             self.cnt[cur.0] += 1;
             if self.cnt[cur.0] == 1 {
-                let list = Arc::make_mut(&mut self.out[up.0]);
+                let list = &mut self.out[up.0];
                 if let Err(pos) = list.binary_search(&link) {
                     list.insert(pos, link);
                 }
@@ -292,7 +291,7 @@ impl SourceTree {
             debug_assert!(self.cnt[cur.0] > 0, "leave without matching join");
             self.cnt[cur.0] = self.cnt[cur.0].saturating_sub(1);
             if self.cnt[cur.0] == 0 {
-                let list = Arc::make_mut(&mut self.out[up.0]);
+                let list = &mut self.out[up.0];
                 if let Ok(pos) = list.binary_search(&link) {
                     list.remove(pos);
                 }
@@ -301,15 +300,14 @@ impl SourceTree {
         }
     }
 
-    /// The shared, sorted out-link list at `node` — cloning the `Arc` is the
-    /// zero-copy way to iterate it while mutating the simulation.
-    pub fn out_links(&self, node: NodeId) -> &Arc<Vec<LinkId>> {
+    /// The sorted out-link list at `node`.
+    pub fn out_links(&self, node: NodeId) -> &[LinkId] {
         &self.out[node.0]
     }
 
     /// Total number of edges in the tree.
     pub fn edge_count(&self) -> usize {
-        self.out.iter().map(|v| v.len()).sum()
+        self.out.iter().map(Vec::len).sum()
     }
 }
 
@@ -358,10 +356,10 @@ impl MulticastState {
     /// Returns (building and caching if necessary) the incrementally
     /// maintained distribution tree for `group` rooted at `source`.
     pub fn tree(&mut self, group: GroupId, source: NodeId, routes: &RoutingTable) -> &SourceTree {
-        let members = self.members.get(&group);
+        let members = &self.members;
         self.trees.entry((group, source)).or_insert_with(|| {
             let empty = BTreeSet::new();
-            SourceTree::build(source, members.unwrap_or(&empty), routes)
+            SourceTree::build(source, members.get(&group).unwrap_or(&empty), routes)
         })
     }
 
@@ -505,11 +503,8 @@ mod tests {
         let members: BTreeSet<NodeId> = [NodeId(2), NodeId(3)].into_iter().collect();
         let tree = SourceTree::build(NodeId(0), &members, &rt);
         // Node 0 forwards once toward node 1; node 1 branches to 2 and 3.
-        assert_eq!(tree.out_links(NodeId(0)).as_slice(), &[LinkId(0)]);
-        assert_eq!(
-            tree.out_links(NodeId(1)).as_slice(),
-            &[LinkId(2), LinkId(4)]
-        );
+        assert_eq!(tree.out_links(NodeId(0)), &[LinkId(0)]);
+        assert_eq!(tree.out_links(NodeId(1)), &[LinkId(2), LinkId(4)]);
         assert!(tree.out_links(NodeId(2)).is_empty());
         assert_eq!(tree.edge_count(), 3);
     }
@@ -546,7 +541,7 @@ mod tests {
             );
             for v in 0..n {
                 assert_eq!(
-                    **tree.out_links(NodeId(v)),
+                    tree.out_links(NodeId(v)),
                     reference.out_links(NodeId(v)),
                     "out links diverged at node {v} after {step:?}"
                 );

@@ -17,10 +17,26 @@
 //! slot and invoked with a [`Context`] that borrows only the world, so agents
 //! can freely send packets, schedule timers and join multicast groups from
 //! within their callbacks without aliasing issues.
+//!
+//! # Dispatch
+//!
+//! [`Simulator::run_until`] takes the queue one instant at a time
+//! ([`CalendarQueue::pop_instant`]): every event at the head time moves into
+//! a buffer the simulator keeps, the clock is set once, and the run is
+//! dispatched in a tight loop.  The order is the queue's `(time, seq)` order
+//! either way — an event scheduled at the same instant during the run has a
+//! larger `seq`, so it comes with the next run.  Two rules keep the counts
+//! exact:
+//!
+//! * a timer cancelled by an earlier event of its own run has already left
+//!   the queue; [`Context::cancel`] only drops its timer-table entry, and the
+//!   loop skips it — not dispatched, not counted in
+//!   [`Simulator::events_processed`];
+//! * debug builds assert, for every run, that it starts at or after the
+//!   clock and strictly after the last key taken, in `(time, seq)` order.
 
 use std::any::Any;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -40,8 +56,8 @@ use crate::time::SimTime;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FanoutMode {
     /// Zero-copy fan-out: every replica shares one `PacketData` allocation,
-    /// local subscribers come from a sorted per-`(node, group)` list and tree
-    /// out-links are iterated through a shared `Arc` slice.
+    /// local subscribers come from a node's sorted `(group, agent)` list and
+    /// a tree's out-links are iterated in place.
     #[default]
     Shared,
 }
@@ -100,14 +116,15 @@ enum EventKind {
     },
 }
 
+/// A node's local tables: flat sorted arrays, because a node holds a handful
+/// of entries and every delivery walks one of them.
 #[derive(Debug, Default)]
 struct Node {
-    #[allow(dead_code)]
-    name: String,
-    agents: BTreeMap<Port, AgentId>,
-    /// Sorted subscriber list per group, maintained on join/leave (an empty
-    /// list means no agent on this node is subscribed).
-    subscriptions: BTreeMap<GroupId, Vec<AgentId>>,
+    /// Bound ports, sorted by port.
+    agents: Vec<(Port, AgentId)>,
+    /// Every `(group, subscriber)` pair of this node, sorted; the node is a
+    /// group member while it has an entry for the group.
+    subscriptions: Vec<(GroupId, AgentId)>,
 }
 
 /// Everything in the simulation except the agents themselves.
@@ -115,8 +132,10 @@ pub struct World {
     now: SimTime,
     queue: CalendarQueue<EventKind>,
     seq: u64,
-    /// `(time, seq)` of the last event popped: every pop must be strictly
-    /// greater (see [`Simulator::run_until`]).
+    /// `(time, seq)` of the last event taken out of the queue — the last of
+    /// the run being dispatched.  The next run must start strictly after it
+    /// (see [`Simulator::run_until`]), and a pending timer at or before it
+    /// is in that run (see [`Context::cancel`]).
     last_popped: Option<(SimTime, u64)>,
     nodes: Vec<Node>,
     links: Vec<Link>,
@@ -175,11 +194,7 @@ impl World {
     /// Enqueues an event; returns the event's sequence number (the tie-break
     /// half of its `(time, seq)` queue key).
     fn push_event(&mut self, time: SimTime, kind: EventKind) -> u64 {
-        debug_assert!(time >= self.now, "cannot schedule into the past");
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.schedule(time, seq, kind);
-        seq
+        enqueue(&mut self.queue, &mut self.seq, self.now, time, kind)
     }
 
     fn ensure_routes(&mut self) {
@@ -205,16 +220,26 @@ impl World {
     #[must_use]
     fn route_packet(&mut self, node: NodeId, packet: Packet) -> Option<(AgentId, Packet)> {
         self.ensure_routes();
+        let now = self.now;
         match packet.dst {
             Dest::Unicast(addr) => {
                 if addr.node == node {
-                    match self.nodes[node.0].agents.get(&addr.port) {
-                        Some(&agent) => return Some((agent, packet)),
-                        None => self.stats.add("drops.no_listener", 1.0),
+                    let agents = &self.nodes[node.0].agents;
+                    match agents.binary_search_by_key(&addr.port, |&(port, _)| port) {
+                        Ok(i) => return Some((agents[i].1, packet)),
+                        Err(_) => self.stats.add("drops.no_listener", 1.0),
                     }
                 } else {
                     match self.routes.next_hop(node, addr.node) {
-                        Some(link) => self.offer_to_link(link, packet),
+                        Some(link) => offer_to_link(
+                            &mut self.links,
+                            &mut self.queue,
+                            &mut self.seq,
+                            &mut self.stats,
+                            now,
+                            link,
+                            packet,
+                        ),
                         None => self.stats.add("drops.no_route", 1.0),
                     }
                 }
@@ -222,45 +247,35 @@ impl World {
             }
             Dest::Multicast { group, port } => {
                 // Replicate along the distribution tree rooted at the
-                // source; the out-link slice is shared, not copied, and
-                // every replica shares the one `PacketData`.
-                let out = Arc::clone(
-                    self.multicast
-                        .tree(group, packet.src.node, &self.routes)
-                        .out_links(node),
-                );
-                for &link in out.iter() {
-                    self.offer_to_link(link, packet.clone());
+                // source, iterating its out-link list in place; every
+                // replica shares the one `PacketData`.
+                let tree = self.multicast.tree(group, packet.src.node, &self.routes);
+                for &link in tree.out_links(node) {
+                    offer_to_link(
+                        &mut self.links,
+                        &mut self.queue,
+                        &mut self.seq,
+                        &mut self.stats,
+                        now,
+                        link,
+                        packet.clone(),
+                    );
                 }
-                // Local delivery: scan the sorted subscriber list for the
-                // (unique) agent bound to the destination port — no
+                // Local delivery: scan the node's subscribers to `group` for
+                // the (unique) agent bound to the destination port — no
                 // allocation, no sort.
-                let subs = self.nodes[node.0].subscriptions.get(&group)?;
-                let agent = subs.iter().copied().find(|a| {
-                    let addr = self.agent_addrs[a.0];
-                    addr.port == port && addr != packet.src
-                })?;
+                let subs = &self.nodes[node.0].subscriptions;
+                let first = subs.partition_point(|&(g, _)| g < group);
+                let agent = subs[first..]
+                    .iter()
+                    .take_while(|&&(g, _)| g == group)
+                    .map(|&(_, agent)| agent)
+                    .find(|a| {
+                        let addr = self.agent_addrs[a.0];
+                        addr.port == port && addr != packet.src
+                    })?;
                 Some((agent, packet))
             }
-        }
-    }
-
-    fn offer_to_link(&mut self, link_id: LinkId, packet: Packet) {
-        let now = self.now;
-        // Loss/RED randomness comes from the link's own stream.
-        match self.links[link_id.0].offer(packet, now) {
-            // Drop-tail link: the arrival is already fixed, so the one event
-            // of this hop takes its tie-break `seq` here, in offer order.
-            LinkAccept::Arrives { packet, arrives_at } => {
-                let node = self.links[link_id.0].to;
-                self.push_event(arrives_at, EventKind::NodeArrival { node, packet });
-            }
-            LinkAccept::Accepted { tx_complete_at } => {
-                if let Some(t) = tx_complete_at {
-                    self.push_event(t, EventKind::LinkTxComplete { link: link_id });
-                }
-            }
-            LinkAccept::Dropped => self.stats.add("drops.link", 1.0),
         }
     }
 
@@ -274,11 +289,11 @@ impl World {
         // e.g. a node added after a tree was cached would otherwise be
         // out of bounds for the tree's parent table.
         self.ensure_routes();
-        let list = self.nodes[node.0].subscriptions.entry(group).or_default();
-        let Err(pos) = list.binary_search(&agent) else {
+        let subs = &mut self.nodes[node.0].subscriptions;
+        let Err(pos) = subs.binary_search(&(group, agent)) else {
             return; // already subscribed
         };
-        list.insert(pos, agent);
+        subs.insert(pos, (group, agent));
         self.multicast.join(group, node);
         self.stats.add("multicast.agent_joins", 1.0);
         // Per-group (per-session) counter, so multi-session workloads can
@@ -306,14 +321,12 @@ impl World {
         // See `subscribe`: in-place tree maintenance requires the topology
         // to be settled first.
         self.ensure_routes();
-        let Some(list) = self.nodes[node.0].subscriptions.get_mut(&group) else {
-            return;
-        };
-        let Ok(pos) = list.binary_search(&agent) else {
+        let subs = &mut self.nodes[node.0].subscriptions;
+        let Ok(pos) = subs.binary_search(&(group, agent)) else {
             return; // was not subscribed
         };
-        list.remove(pos);
-        if list.is_empty() {
+        subs.remove(pos);
+        if subs.binary_search_by_key(&group, |&(g, _)| g).is_err() {
             self.multicast.leave(group, node);
         }
         self.stats.add("multicast.agent_leaves", 1.0);
@@ -342,6 +355,58 @@ impl World {
         if let Some(t) = next {
             self.push_event(t, EventKind::LinkTxComplete { link: link_id });
         }
+    }
+}
+
+/// Enqueues `kind` at `time` under the next sequence number and returns that
+/// number.  Takes the two fields it needs, not the [`World`], so a link
+/// offer can schedule while a multicast tree is borrowed.
+fn enqueue(
+    queue: &mut CalendarQueue<EventKind>,
+    seq: &mut u64,
+    now: SimTime,
+    time: SimTime,
+    kind: EventKind,
+) -> u64 {
+    debug_assert!(time >= now, "cannot schedule into the past");
+    let this = *seq;
+    *seq += 1;
+    queue.schedule(time, this, kind);
+    this
+}
+
+/// Offers `packet` to a link at `now` and schedules what the link answers;
+/// the one offer path.  It takes the world's fields one by one so that
+/// [`World::route_packet`] can call it while it iterates a tree's out-links
+/// in place.
+fn offer_to_link(
+    links: &mut [Link],
+    queue: &mut CalendarQueue<EventKind>,
+    seq: &mut u64,
+    stats: &mut StatsRegistry,
+    now: SimTime,
+    link_id: LinkId,
+    packet: Packet,
+) {
+    let link = &mut links[link_id.0];
+    // Loss/RED randomness comes from the link's own stream.
+    match link.offer(packet, now) {
+        // Drop-tail link: the arrival is already fixed, so the one event of
+        // this hop takes its tie-break `seq` here, in offer order.
+        LinkAccept::Arrives { packet, arrives_at } => {
+            let arrival = EventKind::NodeArrival {
+                node: link.to,
+                packet,
+            };
+            enqueue(queue, seq, now, arrives_at, arrival);
+        }
+        LinkAccept::Accepted { tx_complete_at } => {
+            if let Some(t) = tx_complete_at {
+                let done = EventKind::LinkTxComplete { link: link_id };
+                enqueue(queue, seq, now, t, done);
+            }
+        }
+        LinkAccept::Dropped => stats.add("drops.link", 1.0),
     }
 }
 
@@ -408,7 +473,14 @@ impl Context<'_> {
     /// so cancellation state stays bounded by the number of outstanding
     /// timers, even across unbounded churn.
     pub fn cancel(&mut self, timer: TimerId) {
-        if let Some((time, seq)) = self.world.pending_timers.remove(&timer.0) {
+        let Some((time, seq)) = self.world.pending_timers.remove(&timer.0) else {
+            return;
+        };
+        // A key at or before the last one taken out of the queue (so at
+        // `now`, not later in the run than its last event) belongs to the
+        // run being dispatched: it is no longer queued, and the dispatch
+        // loop skips it once its table entry is gone.
+        if Some((time, seq)) > self.world.last_popped {
             self.world.queue.cancel(time, seq);
         }
     }
@@ -448,6 +520,9 @@ impl Context<'_> {
 pub struct Simulator {
     world: World,
     agents: Vec<Option<Box<dyn Agent>>>,
+    /// The same-instant run being dispatched, `(seq, event)` in `seq` order;
+    /// kept between runs so dispatch allocates nothing.
+    run: Vec<(u64, EventKind)>,
 }
 
 // The parallel sweep runner builds and runs simulations on worker threads;
@@ -478,6 +553,7 @@ impl Simulator {
         Simulator {
             world: World::new(seed),
             agents: Vec::new(),
+            run: Vec::new(),
         }
     }
 
@@ -509,13 +585,11 @@ impl Simulator {
         self.world.events_processed
     }
 
-    /// Adds a node and returns its id.
-    pub fn add_node(&mut self, name: &str) -> NodeId {
+    /// Adds a node and returns its id.  The name labels the node at the
+    /// call site only; the simulator does not keep it.
+    pub fn add_node(&mut self, _name: &str) -> NodeId {
         let id = NodeId(self.world.nodes.len());
-        self.world.nodes.push(Node {
-            name: name.to_string(),
-            ..Node::default()
-        });
+        self.world.nodes.push(Node::default());
         self.world.routes_dirty = true;
         id
     }
@@ -615,11 +689,11 @@ impl Simulator {
     pub fn add_agent(&mut self, node: NodeId, port: Port, agent: Box<dyn Agent>) -> AgentId {
         assert!(node.0 < self.world.nodes.len(), "unknown node");
         let id = AgentId(self.agents.len());
-        let previous = self.world.nodes[node.0].agents.insert(port, id);
-        assert!(
-            previous.is_none(),
-            "port {port:?} on node {node:?} is already bound"
-        );
+        let agents = &mut self.world.nodes[node.0].agents;
+        let Err(pos) = agents.binary_search_by_key(&port, |&(bound, _)| bound) else {
+            panic!("port {port:?} on node {node:?} is already bound");
+        };
+        agents.insert(pos, (port, id));
         self.agents.push(Some(agent));
         self.world.agent_addrs.push(Address::new(node, port));
         self.world
@@ -697,27 +771,39 @@ impl Simulator {
     /// Runs the simulation until the event queue is empty or `until` is
     /// reached (whichever comes first).  Time is advanced to `until`.
     ///
-    /// Nothing is ever scheduled before `now` and `seq` only grows, so every
-    /// pop must be strictly greater in `(time, seq)` than the one before —
-    /// which is heap order for everything popped.  Debug builds assert it.
+    /// Events leave the queue one instant at a time and are dispatched from
+    /// a reused buffer (see the [module documentation](self)).  Nothing is
+    /// ever scheduled before `now` and `seq` only grows, so every run must
+    /// start strictly after the last key taken, in `(time, seq)` order, and
+    /// ascend in `seq` — which is heap order for everything dispatched.
+    /// Debug builds assert it.
     pub fn run_until(&mut self, until: SimTime) {
-        while let Some(head_time) = self.world.queue.peek_time() {
-            if head_time > until {
-                break;
-            }
-            let (time, seq, kind) = self.world.queue.pop().expect("peeked event exists");
+        let mut run = std::mem::take(&mut self.run);
+        while let Some(time) = self.world.queue.pop_instant(until, &mut run) {
+            let (first, last) = (run[0].0, run[run.len() - 1].0);
             debug_assert!(
-                time >= self.world.now && Some((time, seq)) > self.world.last_popped,
+                time >= self.world.now
+                    && Some((time, first)) > self.world.last_popped
+                    && run.is_sorted_by(|a, b| a.0 < b.0),
                 "event queue popped out of order: {:?} after {:?} at {}",
-                (time, seq),
+                (time, first),
                 self.world.last_popped,
                 self.world.now
             );
-            self.world.last_popped = Some((time, seq));
             self.world.now = time;
-            self.world.events_processed += 1;
-            self.dispatch(kind);
+            self.world.last_popped = Some((time, last));
+            for (_, kind) in run.drain(..) {
+                if let EventKind::Timer { timer, .. } = kind {
+                    // Cancelled by an earlier event of this run.
+                    if self.world.pending_timers.remove(&timer.0).is_none() {
+                        continue;
+                    }
+                }
+                self.world.events_processed += 1;
+                self.dispatch(kind);
+            }
         }
+        self.run = run;
         if self.world.now < until {
             self.world.now = until;
         }
@@ -734,14 +820,8 @@ impl Simulator {
             EventKind::AgentStart { agent } => {
                 self.with_agent(agent, |a, ctx| a.start(ctx));
             }
-            EventKind::Timer {
-                agent,
-                token,
-                timer,
-            } => {
-                // Cancelled timers never surface from the queue; this timer
-                // is live, so retire its pending-table entry and fire it.
-                self.world.pending_timers.remove(&timer.0);
+            EventKind::Timer { agent, token, .. } => {
+                // `run_until` has retired the timer's table entry.
                 self.with_agent(agent, |a, ctx| a.on_timer(ctx, token));
             }
             EventKind::Deliver { agent, packet } => {
@@ -1105,11 +1185,17 @@ mod tests {
         );
     }
 
+    /// Timers fire in `(time, seq)` order and cancels take, including the
+    /// two same-instant run rules: a timer cancelled by an earlier event of
+    /// its own run is skipped (not dispatched, not counted, not left in the
+    /// table), and a zero-delay timer scheduled from inside a run fires
+    /// after the whole run.
     #[test]
     fn timers_fire_in_order_and_cancel_works() {
         struct TimerAgent {
             fired: Vec<u64>,
             cancel_target: Option<TimerId>,
+            same_instant_target: Option<TimerId>,
         }
         impl Agent for TimerAgent {
             fn start(&mut self, ctx: &mut Context<'_>) {
@@ -1118,14 +1204,24 @@ mod tests {
                 let t = ctx.schedule(0.2, 2);
                 self.cancel_target = Some(t);
                 ctx.schedule(0.15, 99);
+                // Canceller and target share an instant, canceller first.
+                ctx.schedule(0.5, 98);
+                self.same_instant_target = Some(ctx.schedule(0.5, 4));
+                // A two-event run whose first event schedules a zero delay.
+                ctx.schedule(0.6, 5);
+                ctx.schedule(0.6, 6);
             }
             fn on_timer(&mut self, ctx: &mut Context<'_>, token: u64) {
-                if token == 99 {
+                self.fired.push(token);
+                match token {
                     // Cancel token 2 before it fires.
-                    let t = self.cancel_target.take().unwrap();
-                    ctx.cancel(t);
-                } else {
-                    self.fired.push(token);
+                    99 => ctx.cancel(self.cancel_target.take().unwrap()),
+                    // Cancel token 4 inside the run it belongs to.
+                    98 => ctx.cancel(self.same_instant_target.take().unwrap()),
+                    5 => {
+                        ctx.schedule(0.0, 7);
+                    }
+                    _ => {}
                 }
             }
             fn as_any(&self) -> &dyn Any {
@@ -1143,11 +1239,16 @@ mod tests {
             Box::new(TimerAgent {
                 fired: Vec::new(),
                 cancel_target: None,
+                same_instant_target: None,
             }),
         );
         sim.run_until(SimTime::from_secs(1.0));
         let a: &TimerAgent = sim.agent(id).unwrap();
-        assert_eq!(a.fired, vec![1, 3]);
+        assert_eq!(a.fired, vec![1, 99, 3, 98, 5, 6, 7]);
+        // The agent's start plus the seven timers that fired.
+        assert_eq!(sim.events_processed(), 8);
+        let diag = sim.scheduler_diagnostics();
+        assert_eq!((diag.pending_timers, diag.queued_events), (0, 0));
     }
 
     #[test]
@@ -1679,6 +1780,28 @@ mod tests {
                 (SimTime::from_secs(1.0) + 0.1) + 0.2
             ]
         );
+    }
+
+    /// A rejected duplicate binding leaves the node as it was: the next
+    /// agent gets the next id and its own port, and the first port still
+    /// reaches the first agent.
+    #[test]
+    fn rejected_duplicate_binding_leaves_the_node_intact() {
+        let mut sim = Simulator::new(8);
+        let n = sim.add_node("n");
+        let to = |port| Dest::Unicast(Address::new(n, Port(port)));
+        let sink = |sim: &mut Simulator, port| {
+            sim.add_agent(n, Port(port), Box::new(Scripted::new(to(port), 0, &[])))
+        };
+        let first = sink(&mut sim, 1);
+        let duplicate =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sink(&mut sim, 1)));
+        assert!(duplicate.is_err(), "a bound port must be rejected");
+        let second = sink(&mut sim, 2);
+        sim.add_agent(n, Port(3), Box::new(Scripted::new(to(1), 10, &[0.5])));
+        sim.run_until(SimTime::from_secs(1.0));
+        let got = |id| sim.agent::<Scripted>(id).unwrap().got.len();
+        assert_eq!((got(first), got(second)), (1, 0));
     }
 
     #[test]

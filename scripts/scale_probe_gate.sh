@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
-# Packet-level memory and event-count gate: run `scale_probe N` and fail
-# unless it prints a digest, its peak and after-run heap per receiver stay
-# within fixed bounds (3140 / 2983 B at 20 000 receivers when the bounds were
-# set, ~10 % headroom), and it dispatched at most 1.05 events per delivered
-# packet.  The last bound guards the eventless drop-tail link: every hop of
-# the CBR star costs one `NodeArrival` and nothing else (1.002 today; 2.004
-# while a `LinkTxComplete` preceded each arrival), so a change that brings a
+# Packet-level memory, event-count and behaviour gate: run `scale_probe N`
+# and fail unless it prints a digest — at the default N = 20 000, exactly
+# the recorded one, so an engine change that moves a single delivery fails
+# here —, its peak and after-run heap per receiver stay within fixed bounds
+# (2 053 / 1 975 B at 20 000 receivers when the bounds were set, 10 %
+# headroom), and it dispatched at most 1.05 events per delivered packet.  The
+# last bound guards the eventless drop-tail link: every hop of the CBR star
+# costs one `NodeArrival` and nothing else (1.002 today; 2.004 while a
+# `LinkTxComplete` preceded each arrival), so a change that brings a
 # per-packet link event back fails here.  Exact counts, not timings, so the
 # gate cannot flake.
 #
@@ -15,9 +17,11 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 n="${1:-20000}"
 out_dir="${2:-out/figs}"
-max_peak=3500
-max_after=3300
+max_peak=2258
+max_after=2172
 max_events_per_delivery=1.05
+# The digest `scale_probe 20000` prints; other sizes have none on record.
+expected_digest_20000=fbf914ddd693c1fd
 mkdir -p "$out_dir"
 
 cargo build --release --quiet --example scale_probe
@@ -34,6 +38,10 @@ read -r digest peak after events delivered < <(
 
 if [ -z "$digest" ] || [ -z "$after" ] || [ -z "$delivered" ]; then
     echo "error: scale_probe $n printed no digest, heap line or events=/delivered= counts" >&2
+    exit 1
+fi
+if [ "$n" = 20000 ] && [ "$digest" != "$expected_digest_20000" ]; then
+    echo "error: scale_probe 20000 digest $digest, expected $expected_digest_20000" >&2
     exit 1
 fi
 for triple in "peak $peak $max_peak" "after-run $after $max_after"; do
