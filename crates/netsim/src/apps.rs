@@ -97,7 +97,6 @@ impl Agent for CbrSource {
 pub struct Sink {
     meter: ThroughputMeter,
     packets: u64,
-    last_arrival: Option<SimTime>,
 }
 
 impl Sink {
@@ -106,7 +105,6 @@ impl Sink {
         Sink {
             meter: ThroughputMeter::new(bin),
             packets: 0,
-            last_arrival: None,
         }
     }
 
@@ -122,7 +120,7 @@ impl Sink {
 
     /// Time of the most recent arrival.
     pub fn last_arrival(&self) -> Option<SimTime> {
-        self.last_arrival
+        self.meter.last_at()
     }
 }
 
@@ -130,7 +128,6 @@ impl Agent for Sink {
     fn on_packet(&mut self, ctx: &mut Context<'_>, packet: Packet) {
         self.meter.record(ctx.now(), u64::from(packet.size));
         self.packets += 1;
-        self.last_arrival = Some(ctx.now());
     }
     fn as_any(&self) -> &dyn Any {
         self

@@ -20,7 +20,7 @@
 //! |---|---|
 //! | [`events`] | The event-queue core: [`events::CalendarQueue`], taken in `(time, seq)` order one entry or one instant at a time, with in-place cancellation |
 //! | [`sim`] | The [`sim::Simulator`]: world state, dispatch of each same-instant run, the timer table, and the [`sim::Context`] agents act through |
-//! | [`packet`] | Zero-copy [`packet::Packet`] handles (`Arc`-backed), addresses, destinations and ids |
+//! | [`packet`] | Zero-copy [`packet::Packet`] handles (`Rc`-backed), addresses, destinations and ids |
 //! | [`link`] | Links: serialization, propagation, loss models, per-link statistics; eventless drop-tail service, per-packet RED/CoDel service |
 //! | [`queue`] | Queue-discipline configuration, and the packet-holding `Queue` behind RED and CoDel links |
 //! | [`routing`] | Lazy per-destination unicast routing and incremental source-rooted multicast trees |

@@ -7,18 +7,28 @@
 //!
 //! # Zero-copy representation
 //!
-//! A [`Packet`] is a thin handle (`Arc<PacketData>`): cloning it — which the
+//! A [`Packet`] is a thin handle (`Rc<PacketData>`): cloning it — which the
 //! multicast fan-out does once per out-link and once per local subscriber —
-//! is a single reference-count bump, no matter how many receivers a group
-//! has.  The header fields are reached through `Deref`, so `packet.size`,
-//! `packet.src` etc. read as before.  The simulator stamps `id`/`src`/
-//! `sent_at` exactly once, at send time, while it still holds the only
-//! reference (a free copy-on-write via [`Arc::make_mut`]); after that the
+//! is a single, non-atomic reference-count bump, no matter how many
+//! receivers a group has.  The header fields are reached through `Deref`, so
+//! `packet.size`, `packet.src` etc. read as before.  The simulator stamps
+//! `id`/`src`/`sent_at` exactly once, at send time, while it still holds the
+//! only reference (a free copy-on-write via [`Rc::make_mut`]); after that the
 //! packet is immutable all the way to every receiver.
+//!
+//! Packets are simulation-local: a simulation is built, run and read out on
+//! one thread, so the count need not be atomic and a [`Packet`] is not
+//! `Send`:
+//!
+//! ```compile_fail
+//! fn assert_send<T: Send>() {}
+//! assert_send::<netsim::packet::Packet>();
+//! ```
 
 use std::any::Any;
 use std::fmt;
 use std::ops::Deref;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use crate::time::SimTime;
@@ -153,7 +163,7 @@ pub struct PacketData {
 /// A packet in flight: a shared handle to one immutable [`PacketData`].
 #[derive(Debug, Clone)]
 pub struct Packet {
-    data: Arc<PacketData>,
+    data: Rc<PacketData>,
 }
 
 impl Deref for Packet {
@@ -169,7 +179,7 @@ impl Packet {
     /// `id` and `sent_at` are filled in by the simulator.
     pub fn new(src: Address, dst: Dest, size: u32, flow: FlowId, payload: Payload) -> Self {
         Packet {
-            data: Arc::new(PacketData {
+            data: Rc::new(PacketData {
                 id: 0,
                 src,
                 dst,
@@ -185,7 +195,7 @@ impl Packet {
     /// once, before the packet enters the network; at that point the handle
     /// is still unique, so the copy-on-write is free.
     pub(crate) fn stamp(&mut self, id: u64, src: Address, sent_at: SimTime) {
-        let data = Arc::make_mut(&mut self.data);
+        let data = Rc::make_mut(&mut self.data);
         data.id = id;
         data.src = src;
         data.sent_at = sent_at;
@@ -194,7 +204,7 @@ impl Packet {
     /// True if both handles point at the same `PacketData` allocation —
     /// i.e. the fan-out shared this packet instead of copying it.
     pub fn shares_data_with(&self, other: &Packet) -> bool {
-        Arc::ptr_eq(&self.data, &other.data)
+        Rc::ptr_eq(&self.data, &other.data)
     }
 }
 

@@ -72,10 +72,11 @@ pub struct TimerId(u64);
 /// downcast a finished simulation's agents back to their concrete type to
 /// read out measurements.
 ///
-/// Agents must be `Send`: whole simulations are built and run inside worker
-/// threads by the parallel sweep runner, so a [`Simulator`] (which owns the
-/// boxed agents) has to be movable across threads.
-pub trait Agent: Any + Send {
+/// Agents need not be `Send`: a simulation is built, run and read out on
+/// one thread (the parallel sweep runner builds each point's simulation on
+/// the worker that runs it and sends back only the results), so agents and
+/// the packets they exchange share state through `Rc`, not atomics.
+pub trait Agent: Any {
     /// Called once when the simulation starts (or when the agent is added to
     /// an already-running simulation).
     fn start(&mut self, _ctx: &mut Context<'_>) {}
@@ -524,14 +525,6 @@ pub struct Simulator {
     /// kept between runs so dispatch allocates nothing.
     run: Vec<(u64, EventKind)>,
 }
-
-// The parallel sweep runner builds and runs simulations on worker threads;
-// this assertion keeps every field of the simulator (agents included, via
-// the `Send` supertrait on [`Agent`]) transferable across threads.
-const _: fn() = || {
-    fn assert_send<T: Send>() {}
-    assert_send::<Simulator>();
-};
 
 /// A snapshot of the event-core bookkeeping, exposed for tests and
 /// diagnostics (see [`Simulator::scheduler_diagnostics`]).

@@ -12,12 +12,20 @@ use crate::time::SimTime;
 
 /// Bins received (or sent) bytes into fixed-size time intervals so that a
 /// throughput-vs-time series can be produced afterwards.
+///
+/// The bin being written is kept inline (`open`) and added to `bins` only
+/// when a record lands in another bin, so the per-packet `record` of a
+/// receiver touches the meter itself and not its bin vector.  Readers fold
+/// the open bin in; byte counts are integers, so the folded bins equal the
+/// ones an eager meter would hold.
 #[derive(Debug, Clone)]
 pub struct ThroughputMeter {
     bin: f64,
+    /// Bytes per bin, without the open bin's.
     bins: Vec<u64>,
+    /// `(bin index, bytes)` of the bin being written.
+    open: Option<(usize, u64)>,
     total_bytes: u64,
-    first_at: Option<SimTime>,
     last_at: Option<SimTime>,
 }
 
@@ -28,8 +36,8 @@ impl ThroughputMeter {
         ThroughputMeter {
             bin,
             bins: Vec::new(),
+            open: None,
             total_bytes: 0,
-            first_at: None,
             last_at: None,
         }
     }
@@ -37,15 +45,36 @@ impl ThroughputMeter {
     /// Records `bytes` observed at `now`.
     pub fn record(&mut self, now: SimTime, bytes: u64) {
         let idx = (now.as_secs() / self.bin) as usize;
-        if idx >= self.bins.len() {
-            self.bins.resize(idx + 1, 0);
+        match self.open {
+            Some((open, ref mut open_bytes)) if open == idx => *open_bytes += bytes,
+            previous => {
+                if let Some((i, b)) = previous {
+                    if i >= self.bins.len() {
+                        self.bins.resize(i + 1, 0);
+                    }
+                    self.bins[i] += b;
+                }
+                self.open = Some((idx, bytes));
+            }
         }
-        self.bins[idx] += bytes;
         self.total_bytes += bytes;
-        if self.first_at.is_none() {
-            self.first_at = Some(now);
-        }
         self.last_at = Some(now);
+    }
+
+    /// Bytes per bin, the open bin folded in, from bin 0 to the last bin
+    /// recorded into.
+    fn bins(&self) -> impl Iterator<Item = u64> + '_ {
+        let len = match self.open {
+            Some((i, _)) => self.bins.len().max(i + 1),
+            None => self.bins.len(),
+        };
+        (0..len).map(move |i| {
+            let closed = self.bins.get(i).copied().unwrap_or(0);
+            match self.open {
+                Some((open, bytes)) if open == i => closed + bytes,
+                _ => closed,
+            }
+        })
     }
 
     /// Total bytes recorded.
@@ -53,12 +82,16 @@ impl ThroughputMeter {
         self.total_bytes
     }
 
+    /// Time of the most recent record.
+    pub fn last_at(&self) -> Option<SimTime> {
+        self.last_at
+    }
+
     /// Throughput series as `(bin start time, bytes/second)` tuples.
     pub fn series(&self) -> Vec<(f64, f64)> {
-        self.bins
-            .iter()
+        self.bins()
             .enumerate()
-            .map(|(i, &b)| (i as f64 * self.bin, b as f64 / self.bin))
+            .map(|(i, b)| (i as f64 * self.bin, b as f64 / self.bin))
             .collect()
     }
 
@@ -66,7 +99,7 @@ impl ThroughputMeter {
     pub fn average_between(&self, from: f64, to: f64) -> f64 {
         assert!(to > from, "invalid interval");
         let mut bytes = 0u64;
-        for (i, &b) in self.bins.iter().enumerate() {
+        for (i, b) in self.bins().enumerate() {
             let start = i as f64 * self.bin;
             let end = start + self.bin;
             if start >= from && end <= to {
@@ -78,10 +111,8 @@ impl ThroughputMeter {
 
     /// Average throughput in bytes/second over the whole recording.
     pub fn average(&self) -> f64 {
-        match (self.first_at, self.last_at) {
-            (Some(_), Some(last)) if last.as_secs() > 0.0 => {
-                self.total_bytes as f64 / last.as_secs()
-            }
+        match self.last_at {
+            Some(last) if last.as_secs() > 0.0 => self.total_bytes as f64 / last.as_secs(),
             _ => 0.0,
         }
     }
@@ -93,14 +124,13 @@ impl ThroughputMeter {
     /// zeros — callers comparing flows over a window should also assert on
     /// the average, which does cover silence.
     fn rates_between(&self, from: f64, to: f64) -> Vec<f64> {
-        self.bins
-            .iter()
+        self.bins()
             .enumerate()
             .filter(|(i, _)| {
                 let start = *i as f64 * self.bin;
                 start >= from && start + self.bin <= to
             })
-            .map(|(_, &b)| b as f64 / self.bin)
+            .map(|(_, b)| b as f64 / self.bin)
             .collect()
     }
 
@@ -140,10 +170,7 @@ impl ThroughputMeter {
 
     /// Maximum per-bin throughput in bytes/second.
     pub fn peak(&self) -> f64 {
-        self.bins
-            .iter()
-            .map(|&b| b as f64 / self.bin)
-            .fold(0.0, f64::max)
+        self.bins().map(|b| b as f64 / self.bin).fold(0.0, f64::max)
     }
 }
 
@@ -160,9 +187,17 @@ impl StatsRegistry {
         Self::default()
     }
 
-    /// Adds `delta` to the named counter.
+    /// Adds `delta` to the named counter.  Only the first write of a name
+    /// allocates its key.
     pub fn add(&mut self, name: &str, delta: f64) {
-        *self.counters.entry(name.to_string()).or_insert(0.0) += delta;
+        match self.counters.get_mut(name) {
+            Some(value) => *value += delta,
+            // `0.0 + delta`, not `delta`: a first `-0.0` is stored as `+0.0`,
+            // as accumulating onto a zeroed counter does.
+            None => {
+                self.counters.insert(name.to_string(), 0.0 + delta);
+            }
+        }
     }
 
     /// Reads a counter (0 if never written).
@@ -170,12 +205,18 @@ impl StatsRegistry {
         self.counters.get(name).copied().unwrap_or(0.0)
     }
 
-    /// Appends a `(time, value)` sample to the named series.
+    /// Appends a `(time, value)` sample to the named series.  Only the first
+    /// sample of a name allocates its key.
     pub fn sample(&mut self, name: &str, time: SimTime, value: f64) {
-        self.series
-            .entry(name.to_string())
-            .or_default()
-            .push((time.as_secs(), value));
+        let sample = (time.as_secs(), value);
+        match self.series.get_mut(name) {
+            Some(samples) => samples.push(sample),
+            None => self
+                .series
+                .entry(name.to_string())
+                .or_default()
+                .push(sample),
+        }
     }
 
     /// Returns the samples of a series (empty if never written).
@@ -239,6 +280,7 @@ impl Fnv1a {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn meter_bins_bytes_by_time() {
@@ -325,5 +367,74 @@ mod tests {
         assert_eq!(r.series("rate")[1], (2.0, 43.0));
         assert_eq!(r.series_names(), vec!["rate".to_string()]);
         assert_eq!(r.counter_names(), vec!["drops".to_string()]);
+    }
+
+    #[test]
+    fn registry_stores_a_first_negative_zero_as_accumulated() {
+        let mut r = StatsRegistry::new();
+        r.add("z", -0.0);
+        assert_eq!(r.counter("z").to_bits(), (0.0f64 + -0.0).to_bits());
+    }
+
+    /// The pre-open-bin `record`: every byte goes straight into `bins`, so a
+    /// meter filled this way has no open bin and its readers see exactly
+    /// the eager bins.
+    fn record_eager(m: &mut ThroughputMeter, now: SimTime, bytes: u64) {
+        let idx = (now.as_secs() / m.bin) as usize;
+        if idx >= m.bins.len() {
+            m.bins.resize(idx + 1, 0);
+        }
+        m.bins[idx] += bytes;
+        m.total_bytes += bytes;
+        m.last_at = Some(now);
+    }
+
+    fn bits(xs: &[(f64, f64)]) -> Vec<(u64, u64)> {
+        xs.iter().map(|(a, b)| (a.to_bits(), b.to_bits())).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random record sequences — steps inside a bin, jumps across bins
+        /// and returns to an earlier bin — with every reader compared bit
+        /// for bit against the eager meter after each record.
+        #[test]
+        fn open_bin_meter_reads_bit_equal_to_the_eager_meter(
+            bin in 0.1f64..2.0,
+            steps in proptest::collection::vec(-3.0f64..2.0, 120..121),
+            sizes in proptest::collection::vec(0u64..3000, 1..120),
+            froms in proptest::collection::vec(0.0f64..20.0, 4..5),
+            lens in proptest::collection::vec(0.05f64..15.0, 4..5),
+        ) {
+            let mut meter = ThroughputMeter::new(bin);
+            let mut eager = ThroughputMeter::new(bin);
+            let mut now = 0.0f64;
+            for (&dt, &bytes) in steps.iter().zip(&sizes) {
+                now = (now + dt).max(0.0);
+                meter.record(SimTime::from_secs(now), bytes);
+                record_eager(&mut eager, SimTime::from_secs(now), bytes);
+                prop_assert_eq!(bits(&meter.series()), bits(&eager.series()));
+                prop_assert_eq!(meter.average().to_bits(), eager.average().to_bits());
+                prop_assert_eq!(meter.peak().to_bits(), eager.peak().to_bits());
+                prop_assert_eq!(meter.total_bytes(), eager.total_bytes());
+                prop_assert_eq!(meter.last_at(), eager.last_at());
+                for (&from, &len) in froms.iter().zip(&lens) {
+                    let to = from + len;
+                    prop_assert_eq!(
+                        meter.average_between(from, to).to_bits(),
+                        eager.average_between(from, to).to_bits()
+                    );
+                    prop_assert_eq!(
+                        meter.coefficient_of_variation(from, to).to_bits(),
+                        eager.coefficient_of_variation(from, to).to_bits()
+                    );
+                    prop_assert_eq!(
+                        meter.mean_relative_change(from, to).to_bits(),
+                        eager.mean_relative_change(from, to).to_bits()
+                    );
+                }
+            }
+        }
     }
 }

@@ -38,6 +38,8 @@
 //! statistics, and the cross-session Jain fairness index the inter-TFMCC
 //! experiments plot.
 
+use std::sync::Arc;
+
 use netsim::packet::{AgentId, FlowId, GroupId, NodeId, Port};
 use netsim::sim::Simulator;
 
@@ -440,6 +442,8 @@ impl SessionManager {
         }
         let sender = sim.add_agent(sender_node, sender_port, Box::new(sender_agent));
 
+        // One configuration for the session: every receiver shares it.
+        let receiver_config = Arc::new(spec.config.clone());
         let mut receiver_ids = Vec::new();
         let mut fluid_ids = Vec::new();
         for pspec in populations {
@@ -447,7 +451,7 @@ impl SessionManager {
                 PopulationSpec::Packet(rspec) => {
                     let mut agent = TfmccReceiverAgent::new(
                         ReceiverId(receiver_ids.len() as u64 + 1),
-                        spec.config.clone(),
+                        Arc::clone(&receiver_config),
                         sender_addr,
                         group,
                         flow,

@@ -1,6 +1,7 @@
 //! The TFMCC receiver bound to the simulator.
 
 use std::any::Any;
+use std::sync::Arc;
 
 use netsim::packet::{Address, Dest, FlowId, GroupId, Packet, Payload};
 use netsim::sim::{Agent, Context, TimerId};
@@ -30,7 +31,7 @@ const LEAVE_TOKEN: u64 = 2;
 pub struct TfmccReceiverAgent {
     receiver: TfmccReceiver,
     id: ReceiverId,
-    config: TfmccConfig,
+    config: Arc<TfmccConfig>,
     sender_addr: Address,
     group: GroupId,
     flow: FlowId,
@@ -51,20 +52,25 @@ pub struct TfmccReceiverAgent {
     generation: u64,
 }
 
+const _: () = assert!(std::mem::size_of::<TfmccReceiverAgent>() <= 656);
+
 impl TfmccReceiverAgent {
     /// Creates the agent; the protocol receiver is built from `id` and
     /// `config` (and rebuilt from them on every churn rejoin).  Reports are
     /// unicast to `sender_addr`; received data is attributed to `flow` in
-    /// the local throughput meter.
+    /// the local throughput meter.  A session passes one shared
+    /// `Arc<TfmccConfig>` to all its receivers; a plain [`TfmccConfig`] is
+    /// wrapped in its own `Arc`.
     pub fn new(
         id: ReceiverId,
-        config: TfmccConfig,
+        config: impl Into<Arc<TfmccConfig>>,
         sender_addr: Address,
         group: GroupId,
         flow: FlowId,
     ) -> Self {
+        let config = config.into();
         TfmccReceiverAgent {
-            receiver: TfmccReceiver::new(id, config.clone()),
+            receiver: TfmccReceiver::new(id, Arc::clone(&config)),
             id,
             config,
             sender_addr,
@@ -194,7 +200,7 @@ impl Agent for TfmccReceiverAgent {
                 }
                 // Churn rejoin: start over with fresh protocol state, as a
                 // receiver re-entering the session would.
-                self.receiver = TfmccReceiver::new(self.id, self.config.clone());
+                self.receiver = TfmccReceiver::new(self.id, Arc::clone(&self.config));
                 self.left = false;
             }
             ctx.join_group(self.group);
@@ -206,6 +212,12 @@ impl Agent for TfmccReceiverAgent {
         }
         if token == LEAVE_TOKEN {
             self.left = true;
+            if self.membership_changes == 0 {
+                // A leave before the first join: the receiver never enters
+                // the session, so it has no group to leave and no sender to
+                // sign off with.
+                return;
+            }
             ctx.leave_group(self.group);
             self.membership_changes += 1;
             let fb = self.receiver.leave(ctx.now().as_secs());
@@ -252,5 +264,48 @@ impl Agent for TfmccReceiverAgent {
     }
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::sender_agent::TfmccSenderAgent;
+    use netsim::prelude::*;
+    use tfmcc_proto::sender::TfmccSender;
+
+    /// A receiver whose leave comes before its first join never enters the
+    /// session: no membership change, no leave report, nothing for the
+    /// sender to count or sign off.
+    #[test]
+    fn leave_before_first_join_sends_no_leave_report() {
+        let mut sim = Simulator::new(5);
+        let legs = [StarLeg::clean(1_250_000.0, 0.02)];
+        let st = star(&mut sim, &StarConfig::default(), &legs);
+        let (group, data_port, sender_port, flow) = (GroupId(1), Port(5000), Port(5001), FlowId(1));
+        let sender = TfmccSenderAgent::new(
+            TfmccSender::new(TfmccConfig::default()),
+            group,
+            data_port,
+            flow,
+        );
+        let sender = sim.add_agent(st.sender, sender_port, Box::new(sender));
+        let receiver = TfmccReceiverAgent::new(
+            ReceiverId(1),
+            TfmccConfig::default(),
+            Address::new(st.sender, sender_port),
+            group,
+            flow,
+        )
+        .joining_at(2.0)
+        .leaving_at(1.0);
+        let receiver = sim.add_agent(st.receivers[0], data_port, Box::new(receiver));
+        sim.run_until(SimTime::from_secs(5.0));
+
+        let r: &TfmccReceiverAgent = sim.agent(receiver).unwrap();
+        assert_eq!(r.membership_changes(), 0);
+        assert_eq!(r.protocol().stats().feedback_sent, 0);
+        let s: &TfmccSenderAgent = sim.agent(sender).unwrap();
+        assert_eq!(s.protocol().stats().feedback_received, 0);
     }
 }

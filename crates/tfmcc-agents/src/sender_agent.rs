@@ -20,7 +20,8 @@ pub struct TfmccSenderAgent {
     data_port: Port,
     flow: FlowId,
     start_at: f64,
-    record_rate_series: bool,
+    /// `tfmcc.rate.<flow>`, formatted once, when the rate series is on.
+    rate_series: Option<String>,
     started: bool,
 }
 
@@ -34,7 +35,7 @@ impl TfmccSenderAgent {
             data_port,
             flow,
             start_at: 0.0,
-            record_rate_series: false,
+            rate_series: None,
             started: false,
         }
     }
@@ -48,7 +49,7 @@ impl TfmccSenderAgent {
     /// Records the sending rate into the simulation statistics registry under
     /// the series name `tfmcc.rate.<flow>` (one sample per data packet).
     pub fn with_rate_series(mut self) -> Self {
-        self.record_rate_series = true;
+        self.rate_series = Some(format!("tfmcc.rate.{}", self.flow.0));
         self
     }
 
@@ -72,10 +73,9 @@ impl Agent for TfmccSenderAgent {
         let now = ctx.now().as_secs();
         let header = self.sender.next_data(now);
         let size = header.size;
-        if self.record_rate_series {
-            let name = format!("tfmcc.rate.{}", self.flow.0);
+        if let Some(name) = &self.rate_series {
             let at = ctx.now();
-            ctx.stats().sample(&name, at, self.sender.current_rate());
+            ctx.stats().sample(name, at, self.sender.current_rate());
         }
         let pkt = Packet::new(
             ctx.addr(),

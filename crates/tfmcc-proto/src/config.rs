@@ -3,6 +3,8 @@
 //! Every tunable the paper mentions is collected in [`TfmccConfig`], with the
 //! paper's defaults.  The configuration is shared by sender and receivers; in
 //! a deployment it would be distributed out of band (session description).
+//! In a simulation every receiver of a session holds the same
+//! `Arc<TfmccConfig>` rather than a copy of its own.
 
 /// TFMCC protocol parameters (paper Section 2, defaults as published).
 #[derive(Debug, Clone, PartialEq)]
@@ -98,16 +100,22 @@ impl TfmccConfig {
     /// recent half gets full weight, then the weights fall off linearly.
     pub fn loss_interval_weights(len: usize) -> Vec<f64> {
         assert!(len >= 1);
-        let half = len.div_ceil(2);
         (0..len)
-            .map(|i| {
-                if i < half {
-                    half as f64 + 1.0
-                } else {
-                    (len - i) as f64
-                }
-            })
+            .map(|i| Self::loss_interval_weight(len, i))
             .collect()
+    }
+
+    /// The weight of interval `i` (0 = most recent) in a history of `len`
+    /// intervals: element `i` of [`Self::loss_interval_weights`], computed
+    /// without building the table.
+    pub fn loss_interval_weight(len: usize, i: usize) -> f64 {
+        debug_assert!(i < len, "interval {i} outside a history of {len}");
+        let half = len.div_ceil(2);
+        if i < half {
+            half as f64 + 1.0
+        } else {
+            (len - i) as f64
+        }
     }
 
     /// The feedback window `T` in seconds given the current maximum receiver

@@ -31,13 +31,20 @@ pub struct LossUpdate {
 }
 
 /// Per-receiver loss-event history.
+///
+/// The weights are a pure function of `history_len`
+/// ([`TfmccConfig::loss_interval_weight`]), so a receiver stores none.  The
+/// weighted average over the closed intervals changes only when the ring
+/// does, so it is cached there; only the average with the open interval is
+/// computed per packet.
 #[derive(Debug, Clone)]
 pub struct LossHistory {
     history_len: usize,
-    weights: Vec<f64>,
     packet_size: u32,
     /// Closed loss intervals, most recent first, in packets.
     intervals: VecDeque<f64>,
+    /// `weighted_average(None)`, refreshed wherever `intervals` changes.
+    closed_average: f64,
     /// Packets received since the start of the most recent loss event.
     open_interval: f64,
     /// Time at which the most recent loss event started.
@@ -58,17 +65,17 @@ pub struct LossHistory {
 }
 
 impl LossHistory {
-    /// Creates an empty history using the weights and history length from
-    /// `config`.
+    /// Creates an empty history using the history length and packet size
+    /// from `config`.
     pub fn new(config: &TfmccConfig) -> Self {
         LossHistory {
             history_len: config.loss_history_len,
-            weights: TfmccConfig::loss_interval_weights(config.loss_history_len),
             packet_size: config.packet_size,
             // The ring never holds more than `history_len` intervals
             // (`push_interval` evicts), so this one allocation at
             // construction is the last one the loss path ever makes.
             intervals: VecDeque::with_capacity(config.loss_history_len + 1),
+            closed_average: 0.0,
             open_interval: 0.0,
             last_loss_event_at: None,
             expected_seq: None,
@@ -171,6 +178,7 @@ impl LossHistory {
                 self.synthetic_age = None;
             }
         }
+        self.closed_average = self.weighted_average(None);
     }
 
     /// Initialises the loss history after the first loss event (Appendix B).
@@ -192,6 +200,7 @@ impl LossHistory {
         let interval = (1.0 / p).max(1.0);
         self.intervals.clear();
         self.intervals.push_front(interval);
+        self.closed_average = self.weighted_average(None);
         self.synthetic_age = Some(0);
         self.synthetic_used_initial_rtt = using_initial_rtt;
     }
@@ -214,6 +223,7 @@ impl LossHistory {
         if let Some(slot) = self.intervals.get_mut(age) {
             let factor = (measured_rtt / initial_rtt).powi(2);
             *slot = (*slot * factor).max(1.0);
+            self.closed_average = self.weighted_average(None);
         }
     }
 
@@ -225,28 +235,28 @@ impl LossHistory {
         if self.intervals.is_empty() {
             return None;
         }
-        let closed = self.weighted_average(None);
         let with_open = self.weighted_average(Some(self.open_interval));
-        Some(closed.max(with_open))
+        Some(self.closed_average.max(with_open))
     }
 
     /// Weighted average over the closed intervals, optionally treating
     /// `open` as the most recent interval (shifting the rest by one).
     ///
-    /// This runs (twice) on the receiver's per-packet path whenever the loss
-    /// event rate is evaluated, so it iterates the ring in place — no
-    /// scratch `Vec` — accumulating in the same order the historical
-    /// collect-then-sum implementation did, which keeps the floating-point
-    /// results bit-identical.
+    /// The open-interval variant runs on the receiver's per-packet path
+    /// whenever the loss event rate is evaluated, so it iterates the ring in
+    /// place — no scratch `Vec`, no weight table — accumulating in the same
+    /// order the historical collect-then-sum implementation did, which keeps
+    /// the floating-point results bit-identical.
     fn weighted_average(&self, open: Option<f64>) -> f64 {
         let mut num = 0.0;
         let mut den = 0.0;
-        for (v, w) in open
+        for (i, v) in open
             .into_iter()
             .chain(self.intervals.iter().copied())
             .take(self.history_len)
-            .zip(self.weights.iter())
+            .enumerate()
         {
+            let w = TfmccConfig::loss_interval_weight(self.history_len, i);
             num += v * w;
             den += w;
         }
@@ -279,7 +289,7 @@ impl LossHistory {
 
 impl StateFingerprint for LossHistory {
     /// Hashes everything that influences future loss-rate computation.  The
-    /// `weights` table is a pure function of `history_len` and the
+    /// cached closed average is a pure function of the hashed ring and the
     /// `total_received` / `total_lost` counters are observational
     /// ([`raw_loss_fraction`](Self::raw_loss_fraction) only), so both are
     /// excluded.
@@ -314,6 +324,7 @@ impl StateFingerprint for LossHistory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn history() -> LossHistory {
         LossHistory::new(&TfmccConfig::default())
@@ -509,6 +520,78 @@ mod tests {
         let upd = h.on_packet(2, 0.15, rtt); // late arrival
         assert_eq!(upd.packets_lost, 0);
         assert_eq!(h.packets_lost(), lost_before);
+    }
+
+    /// The average as computed before the closed average was cached: both
+    /// weighted sums from scratch over the weight table.
+    fn scratch_average(h: &LossHistory) -> Option<f64> {
+        if h.intervals.is_empty() {
+            return None;
+        }
+        let weights = TfmccConfig::loss_interval_weights(h.history_len);
+        let average = |open: Option<f64>| {
+            let (mut num, mut den) = (0.0, 0.0);
+            for (v, w) in open
+                .into_iter()
+                .chain(h.intervals.iter().copied())
+                .take(h.history_len)
+                .zip(&weights)
+            {
+                num += v * w;
+                den += w;
+            }
+            if den == 0.0 {
+                0.0
+            } else {
+                num / den
+            }
+        };
+        Some(average(None).max(average(Some(h.open_interval))))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The cached closed average never goes stale: after every step of
+        /// a random mix of arrivals (with gaps), history initialisations and
+        /// RTT remodels, the average is bit-equal to the from-scratch one.
+        #[test]
+        fn cached_average_is_bit_equal_to_a_from_scratch_average(
+            len in 1usize..=32,
+            ops in proptest::collection::vec(0u8..16, 200..201),
+            gaps in proptest::collection::vec(0u64..4, 200..201),
+            dts in proptest::collection::vec(0.0001f64..0.05, 200..201),
+            rates in proptest::collection::vec(1_000.0f64..2e6, 200..201),
+            rtts in proptest::collection::vec(0.005f64..0.6, 200..201),
+        ) {
+            let config = TfmccConfig {
+                loss_history_len: len,
+                ..TfmccConfig::default()
+            };
+            let mut h = LossHistory::new(&config);
+            let (mut seq, mut t) = (0u64, 0.0);
+            for step in 0..ops.len() {
+                match ops[step] {
+                    0 => h.initialize_first_interval(rates[step], rtts[step], step % 2 == 0),
+                    1 => h.remodel_for_measured_rtt(config.initial_rtt, rtts[step]),
+                    _ => {
+                        // Gaps of 1–3 lost packets on a quarter of arrivals.
+                        seq += if ops[step] % 4 == 0 { gaps[step] } else { 0 };
+                        let update = h.on_packet(seq, t, rtts[step] * 0.2);
+                        if update.first_loss_event {
+                            h.initialize_first_interval(rates[step], rtts[step], true);
+                        }
+                        seq += 1;
+                        t += dts[step];
+                    }
+                }
+                prop_assert_eq!(
+                    h.average_loss_interval().map(f64::to_bits),
+                    scratch_average(&h).map(f64::to_bits),
+                    "step {}", step
+                );
+            }
+        }
     }
 
     #[test]

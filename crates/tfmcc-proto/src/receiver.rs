@@ -24,8 +24,14 @@
 //! receive-rate meter recycle preallocated rings, and the weighted-average
 //! computation iterates in place (see `loss.rs` / `rate_meter.rs`).  The
 //! allocation-counting test in `tests/alloc_count.rs` pins this.
+//!
+//! A receiver stores only its own state: the configuration is one
+//! `Arc<TfmccConfig>` shared by every receiver of a session, and the
+//! [`FeedbackPlanner`] is built from it where it is used.  The size
+//! assertion below keeps the struct from silently growing back.
 
 use std::hash::Hasher;
+use std::sync::Arc;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -64,8 +70,7 @@ pub struct ReceiverStats {
 #[derive(Debug, Clone)]
 pub struct TfmccReceiver {
     id: ReceiverId,
-    config: TfmccConfig,
-    planner: FeedbackPlanner,
+    config: Arc<TfmccConfig>,
     loss: LossHistory,
     rtt: RttEstimator,
     recv_meter: ReceiveRateMeter,
@@ -92,17 +97,20 @@ pub struct TfmccReceiver {
     stats: ReceiverStats,
 }
 
+const _: () = assert!(std::mem::size_of::<TfmccReceiver>() <= 416);
+
 impl TfmccReceiver {
-    /// Creates a receiver with the given session-unique id.
-    pub fn new(id: ReceiverId, config: TfmccConfig) -> Self {
+    /// Creates a receiver with the given session-unique id.  Pass the
+    /// session's `Arc<TfmccConfig>` to share one configuration between
+    /// receivers; a plain [`TfmccConfig`] is wrapped in its own `Arc`.
+    pub fn new(id: ReceiverId, config: impl Into<Arc<TfmccConfig>>) -> Self {
+        let config = config.into();
         config.validate().expect("invalid TFMCC configuration");
-        let planner = FeedbackPlanner::from_config(&config);
         let loss = LossHistory::new(&config);
         let rtt = RttEstimator::new(&config);
         let recv_meter = ReceiveRateMeter::new(2.0 * config.initial_rtt);
         TfmccReceiver {
             id,
-            planner,
             loss,
             rtt,
             recv_meter,
@@ -270,13 +278,14 @@ impl TfmccReceiver {
         if let (Some(supp), Some(pending)) = (&data.suppression, self.timer) {
             if pending.round == self.current_round && supp.receiver != self.id {
                 let own = self.reportable_rate(now);
+                let planner = FeedbackPlanner::from_config(&self.config);
                 let cancel = if self.slowstart && self.loss.has_loss() {
                     // A receiver that has experienced loss during slowstart is
                     // only suppressed by reports that also indicate loss,
                     // i.e. echoed rates below the sending rate.
-                    supp.rate < self.sender_rate && self.planner.should_cancel(own, supp.rate)
+                    supp.rate < self.sender_rate && planner.should_cancel(own, supp.rate)
                 } else {
-                    self.planner.should_cancel(own, supp.rate)
+                    planner.should_cancel(own, supp.rate)
                 };
                 if cancel {
                     self.timer = None;
@@ -354,7 +363,7 @@ impl TfmccReceiver {
         // every receiver (and the sender's feedback rounds) agree on `T`.
         let window = self.config.feedback_window(self.max_rtt, self.sender_rate);
         let uniform: f64 = self.rng.gen_range(1e-12..=1.0);
-        let delay = self.planner.timer(ratio, window, uniform);
+        let delay = FeedbackPlanner::from_config(&self.config).timer(ratio, window, uniform);
         self.timer = Some(PendingFeedback {
             fire_at: now + delay,
             round: self.current_round,
@@ -388,7 +397,7 @@ impl StateFingerprint for TfmccReceiver {
     /// different future timers fingerprint differently.
     fn fingerprint<H: Hasher>(&self, h: &mut H) {
         h.write_u64(self.id.0);
-        self.planner.fingerprint(h);
+        FeedbackPlanner::from_config(&self.config).fingerprint(h);
         self.loss.fingerprint(h);
         self.rtt.fingerprint(h);
         self.recv_meter.fingerprint(h);

@@ -19,17 +19,19 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, Ordering::Relaxed};
+use std::sync::Arc;
 
 use tfmcc_proto::config::TfmccConfig;
 use tfmcc_proto::packets::{DataPacket, ReceiverId, RttEcho};
 use tfmcc_proto::receiver::TfmccReceiver;
 
 /// Pinned upper bound on the settled heap bytes one receiver retains
-/// (measured 2184 bytes with the default 8-interval loss history — rate
-/// meter and interval rings dominate; the ~15 % headroom covers allocator
-/// layout drift across toolchains, not new state: 10⁵ receivers stay under
-/// 250 MB of protocol state).
-const MAX_HEAP_BYTES_PER_RECEIVER: i64 = 2560;
+/// (measured 2120 bytes, plus 416 inline, with the default 8-interval loss
+/// history and a configuration shared by the batch — rate meter and
+/// interval rings dominate; the 15 % headroom covers allocator layout drift
+/// across toolchains, not new state: 10⁵ receivers stay under 250 MB of
+/// protocol state).
+const MAX_HEAP_BYTES_PER_RECEIVER: i64 = 2438;
 
 /// Receivers in the measured batch — large enough that per-batch noise
 /// (allocator bookkeeping, container growth slack) is amortized to nothing.
@@ -117,11 +119,15 @@ fn warm(r: &mut TfmccReceiver, packets: u64) {
 
 #[test]
 fn settled_receiver_heap_footprint_stays_under_pinned_bound() {
-    let config = TfmccConfig::default();
+    // One configuration shared by the whole batch, as a session shares it.
+    let config = Arc::new(TfmccConfig::default());
     let before = NET_BYTES.load(Relaxed);
     let mut batch: Vec<TfmccReceiver> = Vec::with_capacity(BATCH);
     for i in 0..BATCH {
-        batch.push(TfmccReceiver::new(ReceiverId(i as u64 + 1), config.clone()));
+        batch.push(TfmccReceiver::new(
+            ReceiverId(i as u64 + 1),
+            Arc::clone(&config),
+        ));
     }
     for r in &mut batch {
         warm(r, 2000);

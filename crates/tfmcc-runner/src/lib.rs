@@ -20,8 +20,10 @@
 //! * [`json::Json`] renders deterministic JSON for result files.
 //!
 //! The crate is deliberately simulator-agnostic: a point is whatever the
-//! caller's closure computes.  `netsim::Simulator` is `Send`, so closures may
-//! build, run and even return whole simulations from worker threads.
+//! caller's closure computes.  A `netsim::Simulator` is simulation-local
+//! (its packets are `Rc`-shared, so it is not `Send`): a closure builds and
+//! runs its simulation on the worker that calls it and returns the results,
+//! never the simulation itself.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
