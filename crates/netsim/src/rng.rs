@@ -6,6 +6,19 @@
 //! unrelated link or agent to a scenario therefore leaves every existing
 //! link's loss pattern untouched — the property the golden-output regression
 //! tests pin down.
+//!
+//! A generator can only be built from such a seed.  The vendored `rand` has
+//! no entropy source, so neither a thread-local generator nor an
+//! entropy-seeded one compiles:
+//!
+//! ```compile_fail,E0425
+//! let mut rng = rand::thread_rng();
+//! ```
+//!
+//! ```compile_fail,E0599
+//! use rand::{rngs::SmallRng, SeedableRng};
+//! let mut rng = SmallRng::from_entropy();
+//! ```
 
 /// Derives the seed of `stream` from a root seed.
 ///

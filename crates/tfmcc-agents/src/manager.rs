@@ -499,7 +499,10 @@ impl SessionManager {
 
     /// Input validation shared by every construction path (the session-layer
     /// counterpart of netsim's link-parameter validation).
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "checks every id a construction path allocates; a struct would exist only to be destructured here"
+    )]
     fn validate(
         &self,
         spec: &SessionSpec,

@@ -7,7 +7,7 @@
 //! * [`tfrc`] — unicast TFRC, TFMCC's parent protocol, as a one-receiver
 //!   TFMCC session.
 
-// Enforced by tfmcc-lint rule U001: pure math/protocol logic, no unsafe.
+// Pure math/protocol logic: no unsafe code, and the compiler rejects any.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -124,7 +124,10 @@ impl PgmccSenderAgent {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the fields of one decoded ACK, passed straight from the match that unpacks it"
+    )]
     fn on_ack(
         &mut self,
         ctx: &mut Context<'_>,

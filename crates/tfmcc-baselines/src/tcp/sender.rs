@@ -54,12 +54,6 @@ impl TcpSenderConfig {
         self.start_at = t;
         self
     }
-
-    /// Sets the segment size.
-    pub fn with_packet_size(mut self, size: u32) -> Self {
-        self.packet_size = size;
-        self
-    }
 }
 
 /// Counters exposed by the sender.

@@ -40,12 +40,6 @@ impl Scale {
         })
     }
 
-    /// Parses `--quick` / `--paper` style command line arguments (overridden
-    /// by `TFMCC_SCALE` when set), defaulting to [`Scale::Paper`].
-    pub fn from_args() -> Self {
-        Self::resolve(std::env::args().any(|a| a == "--quick"))
-    }
-
     /// Picks between the quick and paper value of a parameter.
     pub fn pick<T>(self, quick: T, paper: T) -> T {
         match self {

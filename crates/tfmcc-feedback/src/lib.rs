@@ -16,7 +16,7 @@
 //!   [`tfmcc_proto::feedback::FeedbackPlanner`], so the numbers measured here
 //!   describe exactly the code the protocol runs.
 
-// Enforced by tfmcc-lint rule U001: pure math/protocol logic, no unsafe.
+// Pure math/protocol logic: no unsafe code, and the compiler rejects any.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

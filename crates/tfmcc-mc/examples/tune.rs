@@ -3,6 +3,11 @@
 //!
 //! Run with `cargo run --release -p tfmcc-mc --example tune`.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "timing layer: wall time per candidate budget is what this aid prints"
+)]
+
 use std::time::Instant;
 
 use tfmcc_mc::{explore, Limits, McConfig, McModel, Strategy};

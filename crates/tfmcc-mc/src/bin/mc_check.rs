@@ -10,6 +10,11 @@
 //! checked in under `tests/regressions/` — and the process exits 1.  A
 //! truncated (state-capped) clean run exits 0 but says so.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "timing layer: the wall clock only times the exploration for the summary line"
+)]
+
 use std::process::ExitCode;
 
 use tfmcc_mc::{explore, Limits, McConfig, McModel, Replay, Strategy};

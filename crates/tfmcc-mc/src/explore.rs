@@ -8,8 +8,10 @@
 //! reach it; on an invariant violation the exact action schedule that
 //! reached the bad state is reconstructed for replay.
 
-#[allow(clippy::disallowed_types)]
-// tfmcc-lint: allow(D001, reason = "fingerprint dedup set: membership-only, iteration order never escapes, and hashing u64 fingerprints is the hot loop of the explorer")
+#[allow(
+    clippy::disallowed_types,
+    reason = "fingerprint dedup set: membership-only, iteration order never escapes, and hashing u64 fingerprints is the hot loop of the explorer"
+)]
 use std::collections::{HashSet, VecDeque};
 use std::rc::Rc;
 
@@ -126,8 +128,10 @@ pub fn explore<M: Model>(model: &M, strategy: Strategy, limits: Limits) -> Check
         return outcome;
     }
 
-    #[allow(clippy::disallowed_types)]
-    // tfmcc-lint: allow(D001, reason = "membership-only probe set of u64 fingerprints; never iterated, so ordering cannot leak into exploration results")
+    #[allow(
+        clippy::disallowed_types,
+        reason = "membership-only probe set of u64 fingerprints; never iterated, so ordering cannot leak into exploration results"
+    )]
     let mut visited: HashSet<u64> = HashSet::new();
     visited.insert(model.fingerprint(&initial));
     outcome.states_explored = 1;

@@ -34,7 +34,7 @@
 //! [`SenderStep`]: tfmcc_proto::step::SenderStep
 //! [`ReceiverStep`]: tfmcc_proto::step::ReceiverStep
 
-// Enforced by tfmcc-lint rule U001: pure math/protocol logic, no unsafe.
+// Pure math/protocol logic: no unsafe code, and the compiler rejects any.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

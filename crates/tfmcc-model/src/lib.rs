@@ -21,7 +21,7 @@
 //! All rates are in bytes per second, all times in seconds and all packet
 //! sizes in bytes unless a function documents otherwise.
 
-// Enforced by tfmcc-lint rule U001: pure math/protocol logic, no unsafe.
+// Pure math/protocol logic: no unsafe code, and the compiler rejects any.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

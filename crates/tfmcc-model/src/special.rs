@@ -57,11 +57,6 @@ pub fn gamma_p(a: f64, x: f64) -> f64 {
     }
 }
 
-/// Regularized upper incomplete gamma function `Q(a, x) = 1 - P(a, x)`.
-pub fn gamma_q(a: f64, x: f64) -> f64 {
-    1.0 - gamma_p(a, x)
-}
-
 /// CDF of a Gamma(shape, scale) distribution evaluated at `x`.
 pub fn gamma_cdf(shape: f64, scale: f64, x: f64) -> f64 {
     assert!(scale > 0.0, "gamma_cdf requires scale > 0, got {scale}");

@@ -30,6 +30,15 @@
 //! [`TfmccSender::with_aggregator`] exists so the equivalence proptest and
 //! the model checker's shadow sender can run the reference beside it.
 //!
+//! The indexes key floats by their order-preserving bits, never by the
+//! float itself.  That is not a convention: `f64` has no total order, so a
+//! raw float key in an ordered container does not compile.
+//!
+//! ```compile_fail,E0277
+//! let mut rtts = std::collections::BTreeSet::new();
+//! rtts.insert(0.25_f64);
+//! ```
+//!
 //! [`TfmccSender::new`]: crate::sender::TfmccSender::new
 //! [`TfmccSender::on_tick`]: crate::sender::TfmccSender::on_tick
 //! [`TfmccSender::with_aggregator`]: crate::sender::TfmccSender::with_aggregator

@@ -128,30 +128,75 @@ impl TfmccConfig {
         base.max(low_rate)
     }
 
-    /// Basic sanity checks; call once after building a custom configuration.
+    /// Checks every field against its range; call once after building a
+    /// custom configuration.  Every float must be finite, so a NaN anywhere
+    /// is rejected.
     pub fn validate(&self) -> Result<(), String> {
         if self.packet_size == 0 {
             return Err("packet_size must be positive".into());
         }
-        if self.initial_rtt <= 0.0 {
-            return Err("initial_rtt must be positive".into());
-        }
         if self.loss_history_len < 2 {
             return Err("loss_history_len must be at least 2".into());
         }
-        if !(0.0..=1.0).contains(&self.feedback_cancel_alpha) {
-            return Err("feedback_cancel_alpha must be in [0, 1]".into());
+        let positive = [
+            ("initial_rtt", self.initial_rtt),
+            ("feedback_t_rtt_multiple", self.feedback_t_rtt_multiple),
+            ("slowstart_multiple", self.slowstart_multiple),
+            ("clr_timeout_multiple", self.clr_timeout_multiple),
+            ("initial_packets_per_rtt", self.initial_packets_per_rtt),
+        ];
+        for (name, x) in positive {
+            require(name, x, x > 0.0, "finite and positive")?;
         }
-        if !(0.0..1.0).contains(&self.feedback_offset_fraction) {
-            return Err("feedback_offset_fraction must be in [0, 1)".into());
+        let non_negative = [
+            ("low_rate_q", self.low_rate_q),
+            ("previous_clr_hold_rtts", self.previous_clr_hold_rtts),
+        ];
+        for (name, x) in non_negative {
+            require(name, x, x >= 0.0, "finite and non-negative")?;
         }
-        if self.bias_saturation_ratio >= self.bias_start_ratio {
-            return Err("bias_saturation_ratio must be below bias_start_ratio".into());
+        let ewma_weights = [
+            ("rtt_beta_clr", self.rtt_beta_clr),
+            ("rtt_beta_non_clr", self.rtt_beta_non_clr),
+            ("rtt_beta_one_way", self.rtt_beta_one_way),
+        ];
+        for (name, x) in ewma_weights {
+            require(name, x, x > 0.0 && x <= 1.0, "finite and in (0, 1]")?;
         }
-        if self.receiver_set_estimate <= 1.0 {
-            return Err("receiver_set_estimate must exceed 1".into());
-        }
+        let x = self.receiver_set_estimate;
+        require("receiver_set_estimate", x, x > 1.0, "finite and above 1")?;
+        let x = self.feedback_offset_fraction;
+        require(
+            "feedback_offset_fraction",
+            x,
+            (0.0..1.0).contains(&x),
+            "finite and in [0, 1)",
+        )?;
+        let x = self.feedback_cancel_alpha;
+        require(
+            "feedback_cancel_alpha",
+            x,
+            (0.0..=1.0).contains(&x),
+            "finite and in [0, 1]",
+        )?;
+        let (saturation, start) = (self.bias_saturation_ratio, self.bias_start_ratio);
+        require("bias_saturation_ratio", saturation, true, "finite")?;
+        require(
+            "bias_start_ratio",
+            start,
+            start > saturation,
+            "finite and above bias_saturation_ratio",
+        )
+    }
+}
+
+/// `Ok` if `value` is finite and `in_range`; otherwise an error naming the
+/// field and the `range` it must lie in.
+fn require(name: &str, value: f64, in_range: bool, range: &str) -> Result<(), String> {
+    if value.is_finite() && in_range {
         Ok(())
+    } else {
+        Err(format!("{name} must be {range}, got {value}"))
     }
 }
 
@@ -213,20 +258,47 @@ mod tests {
             ..Default::default()
         };
         assert!(c.validate().is_err());
+
+        // Each float field is rejected as NaN, as infinity and at a value
+        // just outside its range, with an error that names it.
+        macro_rules! rejects {
+            ($field:ident, $out_of_range:expr) => {
+                for bad in [f64::NAN, f64::INFINITY, $out_of_range] {
+                    let name = stringify!($field);
+                    let c = TfmccConfig {
+                        $field: bad,
+                        ..Default::default()
+                    };
+                    let err = c.validate().expect_err(&format!("{name} = {bad} accepted"));
+                    assert!(err.contains(name), "{name} = {bad}: {err}");
+                }
+            };
+        }
+        rejects!(initial_rtt, 0.0);
+        rejects!(receiver_set_estimate, 1.0);
+        rejects!(feedback_t_rtt_multiple, 0.0);
+        rejects!(feedback_offset_fraction, 1.0);
+        rejects!(feedback_cancel_alpha, 1.5);
+        rejects!(bias_saturation_ratio, 0.95);
+        rejects!(bias_start_ratio, 0.4);
+        rejects!(low_rate_q, -1.0);
+        rejects!(rtt_beta_clr, 0.0);
+        rejects!(rtt_beta_non_clr, 1.5);
+        rejects!(rtt_beta_one_way, -0.05);
+        rejects!(slowstart_multiple, 0.0);
+        rejects!(clr_timeout_multiple, -1.0);
+        rejects!(previous_clr_hold_rtts, -1.0);
+        rejects!(initial_packets_per_rtt, 0.0);
+
+        // The inclusive edges stay valid: with q = 0 the low-rate window
+        // still spans one packet, a zero hold disables the previous-CLR
+        // optimisation, and a weight of 1 keeps only the newest RTT sample.
         let c = TfmccConfig {
-            bias_saturation_ratio: 0.95,
+            low_rate_q: 0.0,
+            previous_clr_hold_rtts: 0.0,
+            rtt_beta_clr: 1.0,
             ..Default::default()
         };
-        assert!(c.validate().is_err());
-        let c = TfmccConfig {
-            feedback_cancel_alpha: 1.5,
-            ..Default::default()
-        };
-        assert!(c.validate().is_err());
-        let c = TfmccConfig {
-            receiver_set_estimate: 1.0,
-            ..Default::default()
-        };
-        assert!(c.validate().is_err());
+        c.validate().unwrap();
     }
 }

@@ -110,12 +110,6 @@ impl FeedbackPlanner {
     pub fn should_cancel(&self, own_rate: f64, echoed_rate: f64) -> bool {
         own_rate >= (1.0 - self.cancel_alpha) * echoed_rate
     }
-
-    /// Maximum possible timer value (used by tests and by adapters sizing
-    /// their timer wheels).
-    pub fn max_timer(&self, window: f64) -> f64 {
-        window
-    }
 }
 
 impl StateFingerprint for FeedbackPlanner {

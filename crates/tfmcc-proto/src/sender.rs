@@ -124,11 +124,6 @@ impl TfmccSender {
         }
     }
 
-    /// Which feedback-aggregation implementation this sender runs on.
-    pub fn aggregator_kind(&self) -> AggregatorKind {
-        self.receivers.kind()
-    }
-
     /// Current sending rate in bytes/second.
     pub fn current_rate(&self) -> f64 {
         self.current_rate

@@ -63,7 +63,10 @@ impl UdpSenderEndpoint {
         let (stop, stop_rx) = sync_channel::<()>(1);
         let handle = std::thread::spawn(move || {
             let mut sender = TfmccSender::new(config);
-            // tfmcc-lint: allow(D002, reason = "real-time UDP transport thread: the wall clock IS the protocol clock here, and nothing derived from it enters a simulation")
+            #[allow(
+                clippy::disallowed_methods,
+                reason = "real-time UDP transport thread: the wall clock IS the protocol clock here, and nothing derived from it enters a simulation"
+            )]
             let epoch = Instant::now();
             let mut next_send = 0.0_f64;
             let mut buf = [0u8; 2048];
@@ -186,7 +189,10 @@ impl UdpReceiverEndpoint {
         let (stop, stop_rx) = sync_channel::<()>(1);
         let handle = std::thread::spawn(move || {
             let mut receiver = TfmccReceiver::new(id, config);
-            // tfmcc-lint: allow(D002, reason = "real-time UDP transport thread: the wall clock IS the protocol clock here, and nothing derived from it enters a simulation")
+            #[allow(
+                clippy::disallowed_methods,
+                reason = "real-time UDP transport thread: the wall clock IS the protocol clock here, and nothing derived from it enters a simulation"
+            )]
             let epoch = Instant::now();
             let mut buf = [0u8; 2048];
             loop {
@@ -330,7 +336,10 @@ mod tests {
         // Poll until the session has moved data both ways.  The initial rate
         // is 2 packets/s and the slowstart feedback window is ~3 s, so this
         // takes a few seconds; the assertions below fire at the deadline.
-        // tfmcc-lint: allow(D002, reason = "test deadline for a real-time UDP session; nothing derived from it enters a simulation")
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "test deadline for a real-time UDP session; nothing derived from it enters a simulation"
+        )]
         let started = Instant::now();
         let (s, s1, s2) = loop {
             let (s, s1, s2) = (sender.snapshot(), r1.snapshot(), r2.snapshot());

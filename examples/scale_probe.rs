@@ -32,6 +32,11 @@
 //! cargo run --release --example scale_probe -- 1000000 hybrid
 //! ```
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "timing layer: build and run wall times are reported next to the digest, which does not depend on them"
+)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, Ordering::Relaxed};
 use std::time::Instant;
