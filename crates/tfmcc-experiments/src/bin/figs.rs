@@ -3,16 +3,13 @@
 //! beyond it) on the parallel sweep runner; `figs list` prints the names.
 //! An unknown name exits with status 2.
 //!
-//! Flags: `--quick` / `--paper` select the scale (overridden by the
-//! `TFMCC_SCALE` environment variable), `--threads N` sizes the sweep
-//! executor (results are byte-identical for any N), `--out FILE` writes the
-//! figure as deterministic JSON and `--bench-out FILE` writes the run's
-//! timing trajectory.  `--sessions K` pins fig23's session-count sweep to a
-//! single K (overridden by `TFMCC_SESSIONS`); `--queue KIND` selects fig24's
-//! bottleneck queue discipline (`drop-tail`, `red`, `gentle-red` or `codel`;
-//! overridden by `TFMCC_QUEUE`, default gentle-red).  `scenario_search`
-//! also writes its worst cases as `tfmcc-replay-v1` files into
-//! `TFMCC_REPLAY_DIR` when that is set.
+//! Flags: `--quick` / `--paper` select the scale, `--threads N` sizes the
+//! sweep executor (results are byte-identical for any N), `--out FILE`
+//! writes the figure as deterministic JSON and `--bench-out FILE` writes the
+//! run's timing trajectory.  No figure reads the environment; the one
+//! variable consulted, `TFMCC_REPLAY_DIR`, only names the directory into
+//! which `scenario_search` writes its worst cases as `tfmcc-replay-v1`
+//! files.
 
 use tfmcc_experiments::{cli, FIGURES};
 use tfmcc_runner::RunnerArgs;

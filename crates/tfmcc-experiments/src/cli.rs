@@ -5,26 +5,22 @@
 //!
 //! ```text
 //! figs fig07_scaling [--quick | --paper] [--threads N] [--out FILE] [--bench-out FILE]
-//!                    [--sessions N] [--queue drop-tail|red|gentle-red|codel]
 //! ```
 //!
-//! * `--quick` / `--paper` select the experiment [`Scale`] (the `TFMCC_SCALE`
-//!   environment variable overrides both, so tests and CI can pin the scale
-//!   without controlling argv);
+//! * `--quick` / `--paper` select the experiment [`Scale`] (default paper);
 //! * `--threads N` sizes the sweep executor (default: all cores).  Results
 //!   are byte-identical for any `N`;
 //! * `--out FILE` writes the figure as deterministic JSON in addition to the
 //!   CSV on stdout;
 //! * `--bench-out FILE` writes the run's per-point timing trajectory as
-//!   JSON;
-//! * `--sessions K` pins multi-session figures (fig23) to K concurrent TFMCC
-//!   sessions, by exporting the `TFMCC_SESSIONS` environment variable before
-//!   any worker thread starts (setting the variable directly works too;
-//!   single-session figures ignore it);
-//! * `--queue KIND` selects the bottleneck queue discipline of figures with
-//!   a pluggable bottleneck (fig24) — `drop-tail`, `red`, `gentle-red` or
-//!   `codel` — by exporting the `TFMCC_QUEUE` environment variable the same
-//!   way (other figures ignore it).
+//!   JSON.
+//!
+//! The flags are the whole configuration: a figure reads no environment
+//! variable, so the same flags always produce the same output.
+#![allow(
+    clippy::disallowed_methods,
+    reason = "timing layer: the wall clock times the figure for the stderr summary, and no result depends on it"
+)]
 
 use std::time::Instant;
 
@@ -46,48 +42,24 @@ pub struct FigureCli {
 }
 
 impl FigureCli {
-    /// Parses `args` (the flags after the figure name) and the environment
-    /// (exits on CLI errors).
+    /// Parses `args` (the flags after the figure name), exiting on CLI
+    /// errors.
     pub fn parse(args: impl IntoIterator<Item = String>) -> Self {
         Self::from_runner_args(RunnerArgs::parse(args))
     }
 
     /// Builds the configuration from already-parsed arguments.
-    ///
-    /// A `--sessions` choice is exported as the `TFMCC_SESSIONS`
-    /// environment variable (see [`export_sessions_env`]) and a `--queue`
-    /// choice as `TFMCC_QUEUE` (see [`export_queue_env`]); this runs before
-    /// the sweep executor spawns its worker threads, so every simulation of
-    /// the run sees it.
     pub fn from_runner_args(args: RunnerArgs) -> Self {
-        export_sessions_env(&args);
-        export_queue_env(&args);
         FigureCli {
-            scale: Scale::resolve(args.quick),
+            scale: if args.quick {
+                Scale::Quick
+            } else {
+                Scale::Paper
+            },
             runner: SweepRunner::new(args.effective_threads()),
             out: args.out,
             bench_out: args.bench_out,
         }
-    }
-}
-
-/// Exports a `--sessions` choice as the `TFMCC_SESSIONS` environment
-/// variable, which multi-session figures (fig23) read to pin their
-/// session-count sweep.  Call before spawning any worker thread; a no-op
-/// when the flag was not given (so a pre-set variable stays in effect).
-pub fn export_sessions_env(args: &RunnerArgs) {
-    if let Some(sessions) = args.sessions {
-        std::env::set_var("TFMCC_SESSIONS", sessions.to_string());
-    }
-}
-
-/// Exports a `--queue` choice as the `TFMCC_QUEUE` environment variable,
-/// which figures with a pluggable bottleneck (fig24) read to select their
-/// queue discipline.  Call before spawning any worker thread; a no-op when
-/// the flag was not given (so a pre-set variable stays in effect).
-pub fn export_queue_env(args: &RunnerArgs) {
-    if let Some(queue) = &args.queue {
-        std::env::set_var("TFMCC_QUEUE", queue);
     }
 }
 
@@ -130,10 +102,6 @@ mod tests {
 
     #[test]
     fn cli_resolves_scale_and_threads() {
-        // Serialize with other TFMCC_SCALE-touching tests and pin a clean
-        // environment so the flag must win.
-        let _guard = crate::scale::env_lock();
-        std::env::remove_var("TFMCC_SCALE");
         let args =
             RunnerArgs::try_parse(["--quick", "--threads", "3"].iter().map(|s| s.to_string()))
                 .unwrap();

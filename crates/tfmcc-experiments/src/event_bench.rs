@@ -9,6 +9,10 @@
 //! hold time ahead, and a quarter of the operations also schedule a
 //! far-future decoy timer that is cancelled a few operations later (the
 //! suppression-timer churn of TFMCC receivers).
+#![allow(
+    clippy::disallowed_methods,
+    reason = "timing layer: the wall clock times the workload, and no result depends on it"
+)]
 
 use std::time::Instant;
 

@@ -5,9 +5,9 @@
 //! scenario completes the competitive picture by running every pairing of
 //! **TFMCC, PGMCC, TFRC and TCP** — plus a four-way melee — through one
 //! shared bottleneck and reporting Jain's fairness index and per-flow rates
-//! for each matchup.  The bottleneck queue discipline is pluggable: gentle
-//! RED by default, with `TFMCC_QUEUE` (exported by the shared CLI's
-//! `--queue` flag) selecting `drop-tail`, `red`, `gentle-red` or `codel`.
+//! for each matchup.  The bottleneck runs gentle RED: the figure exists to
+//! exercise AQM (`scenario_search` sweeps drop-tail, gentle RED and CoDel
+//! bottlenecks).
 //!
 //! A second leg re-runs the paper's feedback-robustness shape (Figure 19:
 //! lossy return paths, here with an additional asymmetric leg) under the
@@ -74,25 +74,9 @@ pub fn pairings() -> Vec<Vec<Proto>> {
     list
 }
 
-/// The bottleneck queue discipline of the run, honouring the `TFMCC_QUEUE`
-/// override (exported by the shared CLI's `--queue` flag).  Defaults to
-/// gentle RED — the figure exists to exercise AQM, so drop-tail is the
-/// opt-in, not the default.
-pub fn bottleneck_queue(limit_packets: usize) -> (&'static str, QueueDiscipline) {
-    match std::env::var("TFMCC_QUEUE").as_deref() {
-        Ok("drop-tail") => ("drop-tail", QueueDiscipline::drop_tail(limit_packets)),
-        Ok("red") => ("red", QueueDiscipline::red(limit_packets)),
-        Ok("codel") => ("codel", QueueDiscipline::codel(limit_packets)),
-        Ok("gentle-red") | Err(_) => ("gentle-red", QueueDiscipline::red_gentle(limit_packets)),
-        Ok(other) => {
-            eprintln!(
-                "warning: ignoring invalid TFMCC_QUEUE value '{other}' \
-                 (use drop-tail, red, gentle-red or codel)"
-            );
-            ("gentle-red", QueueDiscipline::red_gentle(limit_packets))
-        }
-    }
-}
+/// Name of the AQM discipline every bottleneck of the figure runs
+/// ([`QueueDiscipline::red_gentle`]), as the title and notes print it.
+const QUEUE_NAME: &str = "gentle-red";
 
 /// Handle to one competing flow, uniform over the four protocols.
 enum FlowHandle {
@@ -153,14 +137,19 @@ struct MatrixOutcome {
 }
 
 /// Builds and runs one shared-bottleneck simulation with one flow per entry
-/// of `protos` — a dumbbell whose 8 Mbit/s core runs the selected AQM
-/// discipline while every flow keeps its own clean access links.
+/// of `protos` — a dumbbell whose 8 Mbit/s core runs gentle RED while every
+/// flow keeps its own clean access links.
 fn run_matrix_point(protos: &[Proto], seed: u64, duration: f64) -> MatrixOutcome {
-    let (_, queue) = bottleneck_queue(50);
     let mut sim = Simulator::new(seed);
     let left = sim.add_node("left");
     let right = sim.add_node("right");
-    sim.add_duplex_link(left, right, 1_000_000.0, 0.02, queue);
+    sim.add_duplex_link(
+        left,
+        right,
+        1_000_000.0,
+        0.02,
+        QueueDiscipline::red_gentle(50),
+    );
 
     let mut manager = SessionManager::new();
     let mut handles: Vec<FlowHandle> = Vec::new();
@@ -276,12 +265,11 @@ struct RobustnessOutcome {
 }
 
 /// The Figure 19 shape under AQM at population scale: a four-leg star whose
-/// legs run the selected discipline, with 0/10/20/30 % feedback loss on the
-/// return paths, one asymmetric (slow, long) feedback path, a competing TCP
-/// flow per leg and a hybrid fluid population carrying the receiver count
-/// to 10⁵.
+/// legs run gentle RED, with 0/10/20/30 % feedback loss on the return paths,
+/// one asymmetric (slow, long) feedback path, a competing TCP flow per leg
+/// and a hybrid fluid population carrying the receiver count to 10⁵.
 fn run_aqm_robustness(seed: u64, fluid_bulk: u64, duration: f64) -> RobustnessOutcome {
-    let (_, leg_queue) = bottleneck_queue(40);
+    let leg_queue = QueueDiscipline::red_gentle(40);
     let mut sim = Simulator::new(seed);
     let reverse_loss = [0.0, 0.1, 0.2, 0.3];
     let legs: Vec<StarLeg> = (0..4)
@@ -352,14 +340,13 @@ fn run_aqm_robustness(seed: u64, fluid_bulk: u64, duration: f64) -> RobustnessOu
 /// receivers.
 pub fn fig24_fairness_matrix(runner: &SweepRunner, scale: Scale) -> Figure {
     let duration = scale.pick(40.0, 120.0);
-    let (queue_name, _) = bottleneck_queue(50);
     let scenarios = pairings();
     let sweep = Sweep::new("fig24", 2424, scenarios);
     let outcomes = runner.run(&sweep, |pt| run_matrix_point(pt.value, pt.seed, duration));
 
     let mut fig = Figure::new(
         "fig24",
-        format!("Cross-protocol fairness matrix over an 8 Mbit/s {queue_name} bottleneck"),
+        format!("Cross-protocol fairness matrix over an 8 Mbit/s {QUEUE_NAME} bottleneck"),
         "pairing index",
         "Jain index / rate (kbit/s)",
     );
@@ -406,7 +393,7 @@ pub fn fig24_fairness_matrix(runner: &SweepRunner, scale: Scale) -> Figure {
             .collect::<Vec<_>>()
             .join("/");
         fig.note(format!(
-            "[{i}] {} over {queue_name}: Jain {:.3}, rates {rates} kbit/s",
+            "[{i}] {} over {QUEUE_NAME}: Jain {:.3}, rates {rates} kbit/s",
             o.label, o.jain
         ));
     }
@@ -426,7 +413,7 @@ pub fn fig24_fairness_matrix(runner: &SweepRunner, scale: Scale) -> Figure {
         robustness.trace.clone(),
     ));
     fig.note(format!(
-        "AQM robustness (fig19 shape, {queue_name} legs, lossy + asymmetric feedback paths): \
+        "AQM robustness (fig19 shape, {QUEUE_NAME} legs, lossy + asymmetric feedback paths): \
          TFMCC {:.0} kbit/s steady state with a session population of {} receivers",
         robustness.tfmcc_kbit, robustness.population
     ));
@@ -435,16 +422,18 @@ pub fn fig24_fairness_matrix(runner: &SweepRunner, scale: Scale) -> Figure {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::OnceLock;
+
     use super::*;
 
-    fn quick_fig() -> Figure {
-        fig24_fairness_matrix(&SweepRunner::new(2), Scale::Quick)
+    /// The quick figure on four threads, computed once for every test here.
+    fn quick_fig() -> &'static Figure {
+        static FIG: OnceLock<Figure> = OnceLock::new();
+        FIG.get_or_init(|| fig24_fairness_matrix(&SweepRunner::new(4), Scale::Quick))
     }
 
     #[test]
     fn fig24_covers_every_pairing_plus_the_melee() {
-        let _guard = crate::scale::env_lock();
-        std::env::remove_var("TFMCC_QUEUE");
         let fig = quick_fig();
         let jain = fig.series("Jain index").unwrap();
         assert_eq!(
@@ -477,8 +466,6 @@ mod tests {
 
     #[test]
     fn fig24_same_protocol_pairings_share_fairly() {
-        let _guard = crate::scale::env_lock();
-        std::env::remove_var("TFMCC_QUEUE");
         let fig = quick_fig();
         let jain = fig.series("Jain index").unwrap();
         // Scenario list order: index of the X+X pairing of protocol i is
@@ -496,8 +483,6 @@ mod tests {
 
     #[test]
     fn fig24_robustness_leg_reaches_population_scale() {
-        let _guard = crate::scale::env_lock();
-        std::env::remove_var("TFMCC_QUEUE");
         let fig = quick_fig();
         let note = fig
             .summary
@@ -520,23 +505,7 @@ mod tests {
 
     #[test]
     fn fig24_is_thread_count_invariant() {
-        let _guard = crate::scale::env_lock();
-        std::env::remove_var("TFMCC_QUEUE");
         let serial = fig24_fairness_matrix(&SweepRunner::new(1), Scale::Quick);
-        let parallel = fig24_fairness_matrix(&SweepRunner::new(4), Scale::Quick);
-        assert_eq!(serial.to_json().render(), parallel.to_json().render());
-    }
-
-    #[test]
-    fn queue_env_override_selects_the_discipline() {
-        let _guard = crate::scale::env_lock();
-        std::env::set_var("TFMCC_QUEUE", "drop-tail");
-        assert_eq!(bottleneck_queue(10).0, "drop-tail");
-        std::env::set_var("TFMCC_QUEUE", "codel");
-        assert_eq!(bottleneck_queue(10).0, "codel");
-        std::env::set_var("TFMCC_QUEUE", "wheel");
-        assert_eq!(bottleneck_queue(10).0, "gentle-red");
-        std::env::remove_var("TFMCC_QUEUE");
-        assert_eq!(bottleneck_queue(10).0, "gentle-red");
+        assert_eq!(serial.to_json().render(), quick_fig().to_json().render());
     }
 }

@@ -19,8 +19,8 @@
 //! fan-out in one run.
 //!
 //! The session-count sweep runs on the parallel sweep runner (one
-//! simulation per K).  `--sessions N` (or the `TFMCC_SESSIONS` environment
-//! variable) pins the sweep to a single session count.
+//! simulation per K): K = 2, 4 at quick scale and K = 2, 4, 8 at paper
+//! scale.
 
 use netsim::prelude::*;
 use tfmcc_agents::manager::{SessionManager, SessionSpec};
@@ -50,17 +50,8 @@ struct IntertfmccOutcome {
     traces: Vec<Vec<(f64, f64)>>,
 }
 
-/// The session counts a scale sweeps, honouring the `TFMCC_SESSIONS`
-/// override (exported by the shared CLI's `--sessions` flag).
-pub fn session_counts(scale: Scale) -> Vec<usize> {
-    if let Ok(value) = std::env::var("TFMCC_SESSIONS") {
-        match value.parse::<usize>() {
-            Ok(n) if n >= 1 => return vec![n],
-            _ => eprintln!(
-                "warning: ignoring invalid TFMCC_SESSIONS value '{value}' (need a count ≥ 1)"
-            ),
-        }
-    }
+/// The session counts a scale sweeps.
+fn session_counts(scale: Scale) -> Vec<usize> {
     scale.pick(vec![2, 4], vec![2, 4, 8])
 }
 
@@ -271,14 +262,20 @@ pub fn fig23_intertfmcc(runner: &SweepRunner, scale: Scale) -> Figure {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::OnceLock;
+
     use super::*;
     use tfmcc_runner::SweepRunner;
 
+    /// The quick figure on four threads, computed once for every test here.
+    fn quick_fig() -> &'static Figure {
+        static FIG: OnceLock<Figure> = OnceLock::new();
+        FIG.get_or_init(|| fig23_intertfmcc(&SweepRunner::new(4), Scale::Quick))
+    }
+
     #[test]
     fn fig23_sessions_share_fairly() {
-        let _guard = crate::scale::env_lock();
-        std::env::remove_var("TFMCC_SESSIONS");
-        let fig = fig23_intertfmcc(&SweepRunner::new(2), Scale::Quick);
+        let fig = quick_fig();
         let jain = fig.series("Jain index").unwrap();
         assert_eq!(jain.points.len(), 2, "quick scale sweeps K = 2 and 4");
         for &(k, j) in &jain.points {
@@ -304,9 +301,7 @@ mod tests {
 
     #[test]
     fn fig23_hybrid_sessions_share_a_million_receivers_fairly() {
-        let _guard = crate::scale::env_lock();
-        std::env::remove_var("TFMCC_SESSIONS");
-        let fig = fig23_intertfmcc(&SweepRunner::new(2), Scale::Quick);
+        let fig = quick_fig();
         let jain = fig.series("hybrid Jain index").unwrap();
         let &(k, j) = jain.points.last().unwrap();
         assert!(
@@ -322,22 +317,7 @@ mod tests {
 
     #[test]
     fn fig23_is_thread_count_invariant() {
-        let _guard = crate::scale::env_lock();
-        std::env::remove_var("TFMCC_SESSIONS");
         let serial = fig23_intertfmcc(&SweepRunner::new(1), Scale::Quick);
-        let parallel = fig23_intertfmcc(&SweepRunner::new(4), Scale::Quick);
-        assert_eq!(serial.to_json().render(), parallel.to_json().render());
-    }
-
-    #[test]
-    fn sessions_env_override_pins_the_sweep() {
-        let _guard = crate::scale::env_lock();
-        std::env::set_var("TFMCC_SESSIONS", "3");
-        assert_eq!(session_counts(Scale::Quick), vec![3]);
-        assert_eq!(session_counts(Scale::Paper), vec![3]);
-        std::env::set_var("TFMCC_SESSIONS", "0");
-        assert_eq!(session_counts(Scale::Quick), vec![2, 4]);
-        std::env::remove_var("TFMCC_SESSIONS");
-        assert_eq!(session_counts(Scale::Paper), vec![2, 4, 8]);
+        assert_eq!(serial.to_json().render(), quick_fig().to_json().render());
     }
 }

@@ -26,10 +26,6 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
-#![allow(
-    clippy::disallowed_methods,
-    reason = "timing layer: wall-clock reads time figures and benchmarks, and no result depends on them"
-)]
 
 pub mod churn_figs;
 pub mod cli;

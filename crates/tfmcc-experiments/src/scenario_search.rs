@@ -56,7 +56,7 @@ const CHURN: &[Option<(f64, f64)>] = &[None, Some((8.0, 4.0)), Some((4.0, 4.0)),
 /// Bottleneck queue-discipline grid: classic drop-tail plus the two AQM
 /// variants from `netsim::queue`, so the search can probe whether
 /// probabilistic early drops (gentle RED) or sojourn-based drops (CoDel)
-/// open new worst cases.  Names match the `TFMCC_QUEUE` vocabulary.
+/// open new worst cases.  Names match fig24's `gentle-red` label.
 const QUEUES: &[&str] = &["drop-tail", "gentle-red", "codel"];
 
 /// Materialises a grid queue name as a bottleneck discipline (all at the
@@ -109,7 +109,8 @@ impl Scenario {
     pub fn churn(&self) -> Option<(f64, f64)> {
         CHURN[self.churn_idx]
     }
-    /// Bottleneck queue-discipline name (`TFMCC_QUEUE` vocabulary).
+    /// Bottleneck queue-discipline name (`drop-tail`, `gentle-red` or
+    /// `codel`).
     pub fn queue_name(&self) -> &'static str {
         QUEUES[self.queue_idx]
     }
@@ -515,7 +516,12 @@ pub fn scenario_search(runner: &SweepRunner, scale: Scale) -> Figure {
             result.worst_outcome.clr_recovery,
             result.worst_outcome.clr_changes,
         ));
-        if let Ok(dir) = std::env::var("TFMCC_REPLAY_DIR") {
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "names an output directory only; the figure is the same with or without it"
+        )]
+        let replay_dir = std::env::var("TFMCC_REPLAY_DIR");
+        if let Ok(dir) = replay_dir {
             let replay = to_replay(objective, &result.worst, duration, &result.worst_outcome);
             let path = std::path::Path::new(&dir).join(format!("{}.replay", objective.name()));
             if let Err(err) = std::fs::write(&path, replay.render()) {

@@ -18,7 +18,6 @@ use tfmcc_experiments::{Scale, SweepRunner};
 const GOLDEN: &str = include_str!("golden/fig23_quick.json");
 
 fn render_fig23() -> String {
-    std::env::remove_var("TFMCC_SESSIONS");
     let fig = fig23_intertfmcc(&SweepRunner::new(2), Scale::Quick);
     let mut rendered = fig.to_json().render();
     rendered.push('\n');

@@ -4,8 +4,8 @@
 //! The pinned file was captured when the pluggable `QueueDiscipline` layer
 //! (gentle RED, CoDel) and the heterogeneous-protocol session wiring
 //! landed.  It covers every pairing of TFMCC, PGMCC, TFRC and TCP plus the
-//! four-way melee and the AQM robustness leg, all over the default
-//! gentle-RED bottleneck — so it pins the probabilistic-drop determinism
+//! four-way melee and the AQM robustness leg, all over the gentle-RED
+//! bottleneck — so it pins the probabilistic-drop determinism
 //! contract end to end.  Any future change to the simulator core, the
 //! queue disciplines, a competitor protocol, or the JSON rendering that
 //! alters this output must be deliberate: regenerate with
@@ -21,7 +21,6 @@ use tfmcc_experiments::{Scale, SweepRunner};
 const GOLDEN: &str = include_str!("golden/fig24_quick.json");
 
 fn render_fig24() -> String {
-    std::env::remove_var("TFMCC_QUEUE");
     let fig = fig24_fairness_matrix(&SweepRunner::new(2), Scale::Quick);
     let mut rendered = fig.to_json().render();
     rendered.push('\n');

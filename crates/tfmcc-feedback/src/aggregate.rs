@@ -131,17 +131,6 @@ pub fn aggregate_timers(
     timers
 }
 
-/// The lowest finite rate among the responses of an aggregate round, if any
-/// — what the sender's per-round minimum tracking will see from this
-/// population.
-pub fn round_min_rate(responses: &[AggregateResponse]) -> Option<f64> {
-    responses
-        .iter()
-        .map(|r| r.rate)
-        .filter(|r| r.is_finite())
-        .min_by(|a, b| a.total_cmp(b))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,7 +173,7 @@ mod tests {
         // report survives.
         assert_eq!(r[0].bin, 1);
         assert_eq!(r[0].weight, 1000);
-        assert_eq!(round_min_rate(&r), Some(400.0));
+        assert_eq!(r[0].rate, 400.0);
     }
 
     #[test]
@@ -221,7 +210,7 @@ mod tests {
         let bins = [bin(1000, f64::INFINITY)];
         let r = aggregate_round(&p, &bins, 1000.0, 3.0, 0.1);
         assert_eq!(r.len(), 1);
-        assert_eq!(round_min_rate(&r), None);
+        assert!(r[0].rate.is_infinite());
     }
 
     #[test]

@@ -26,8 +26,7 @@ pub mod cdf;
 pub mod round;
 
 pub use aggregate::{
-    aggregate_round, aggregate_timers, expected_min_uniform, round_min_rate, AggregateBin,
-    AggregateResponse,
+    aggregate_round, aggregate_timers, expected_min_uniform, AggregateBin, AggregateResponse,
 };
 pub use cdf::{timer_cdf, TimerCdfPoint};
 pub use round::{FeedbackRound, RoundOutcome, RoundReceiver};

@@ -21,7 +21,7 @@ use std::fmt;
 use std::hash::Hasher;
 use std::str::FromStr;
 
-use tfmcc_proto::aggregator::AggregatorKind;
+use tfmcc_proto::aggregator::ReferenceAggregator;
 use tfmcc_proto::config::TfmccConfig;
 use tfmcc_proto::packets::{DataPacket, FeedbackPacket, ReceiverId};
 use tfmcc_proto::receiver::TfmccReceiver;
@@ -253,7 +253,7 @@ pub struct McWorld {
     /// The sender under test, on the incremental aggregator.
     pub sender: TfmccSender,
     /// Lockstep shadow sender on the reference aggregator.
-    pub shadow: TfmccSender,
+    pub shadow: TfmccSender<ReferenceAggregator>,
     /// The receivers, index `r` carrying `ReceiverId(r + 1)`.
     pub receivers: Vec<TfmccReceiver>,
     /// Which receivers have left.
@@ -374,10 +374,9 @@ impl Model for McModel {
     type Action = Action;
 
     fn initial(&self) -> McWorld {
-        let sender =
-            TfmccSender::with_aggregator(self.config.protocol.clone(), AggregatorKind::Incremental);
+        let sender = TfmccSender::new(self.config.protocol.clone());
         let shadow =
-            TfmccSender::with_aggregator(self.config.protocol.clone(), AggregatorKind::Reference);
+            TfmccSender::with_aggregator(self.config.protocol.clone(), ReferenceAggregator::new());
         let receivers: Vec<TfmccReceiver> = (0..self.config.receivers)
             .map(|r| TfmccReceiver::new(ReceiverId(r as u64 + 1), self.config.protocol.clone()))
             .collect();

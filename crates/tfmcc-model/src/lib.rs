@@ -12,9 +12,8 @@
 //! * order statistics of exponential and gamma distributed loss intervals,
 //!   used to analyse the loss-path-multiplicity throughput degradation
 //!   (Section 3, Figure 7);
-//! * quantized aggregate-population models (rate distributions, CLR-candidacy
-//!   probabilities, expected suppressed responses) for the hybrid
-//!   packet/fluid simulation tier;
+//! * quantized aggregate-population models (marginal loss and RTT
+//!   distributions, rate bins) for the hybrid packet/fluid simulation tier;
 //! * small special-function helpers (log-gamma, regularized incomplete gamma)
 //!   required by the above.
 //!
@@ -36,10 +35,7 @@ pub use feedback_expectation::{expected_responses, expected_responses_grid, Feed
 pub use order_stats::{
     expected_min_exponential, expected_min_gamma, expected_min_uniform, scaling_degradation,
 };
-pub use population::{
-    clr_candidacy_probability, expected_population_responses, rate_cdf, Dist, PopulationProfile,
-    RateBin,
-};
+pub use population::{Dist, PopulationProfile, RateBin};
 pub use throughput::{
     loss_events_per_rtt, mathis_loss_rate, mathis_throughput, padhye_loss_rate, padhye_throughput,
     TcpModel,

@@ -10,23 +10,14 @@
 //! calculated rate that drives TFMCC) and computes its calculated rate from
 //! the TCP throughput equation ([`crate::padhye_throughput`], paper Eq. 1).
 //!
-//! From the quantized bins everything the sender-side feedback machinery
-//! needs is available in closed form:
-//!
-//! * the distribution of calculated rates across the population
-//!   ([`PopulationProfile::quantize`]),
-//! * the probability that the population contains a CLR candidate — a
-//!   receiver whose calculated rate undercuts a given threshold
-//!   ([`clr_candidacy_probability`]),
-//! * the expected number of un-suppressed feedback responses the population
-//!   would contribute to a feedback round
-//!   ([`expected_population_responses`], reusing the Figure-4 suppression
-//!   integral).
+//! [`PopulationProfile::quantize`] yields the distribution of calculated
+//! rates across the population as [`RateBin`]s, each carrying its receiver
+//! count, loss rate, RTT and calculated rate — what a fluid population agent
+//! reports to the sender in place of its members.
 //!
 //! All rates are bytes per second, times are seconds, loss-event rates are
 //! dimensionless fractions in `[0, 1)`.
 
-use crate::feedback_expectation::expected_responses;
 use crate::throughput::padhye_throughput;
 
 /// A one-dimensional marginal distribution, described by its quantile
@@ -197,38 +188,6 @@ impl PopulationProfile {
     }
 }
 
-/// Fraction of a quantized population whose calculated rate is strictly
-/// below `threshold` (the population's rate CDF evaluated at `threshold`).
-pub fn rate_cdf(bins: &[RateBin], threshold: f64) -> f64 {
-    let total: u64 = bins.iter().map(|b| b.count).sum();
-    if total == 0 {
-        return 0.0;
-    }
-    let below: u64 = bins
-        .iter()
-        .filter(|b| b.rate < threshold)
-        .map(|b| b.count)
-        .sum();
-    below as f64 / total as f64
-}
-
-/// Probability that at least one receiver of the population is a CLR
-/// candidate, i.e. has a calculated rate below `threshold`:
-/// `1 − (1 − F(threshold))^count`.
-pub fn clr_candidacy_probability(bins: &[RateBin], threshold: f64) -> f64 {
-    let total: u64 = bins.iter().map(|b| b.count).sum();
-    let f = rate_cdf(bins, threshold);
-    1.0 - (1.0 - f).powf(total as f64)
-}
-
-/// Expected number of un-suppressed feedback responses a population of `n`
-/// would contribute to one feedback round, using the Figure-4 suppression
-/// integral with window `t_max` and suppression propagation delay `delay`
-/// (both in the same unit).
-pub fn expected_population_responses(n: u64, n_estimate: f64, t_max: f64, delay: f64) -> f64 {
-    expected_responses(n, n_estimate, t_max, delay)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -294,32 +253,6 @@ mod tests {
     }
 
     #[test]
-    fn candidacy_probability_monotone_in_threshold_and_count() {
-        let q = profile(1000, 8).quantize(1000.0);
-        let slow = q.last().unwrap().rate;
-        let fast = q.first().unwrap().rate;
-        let p_low = clr_candidacy_probability(&q, slow * 1.01);
-        let p_high = clr_candidacy_probability(&q, fast * 1.01);
-        assert!(p_low <= p_high);
-        assert!((clr_candidacy_probability(&q, fast * 2.0) - 1.0).abs() < 1e-9);
-        assert_eq!(clr_candidacy_probability(&q, slow * 0.5), 0.0);
-
-        let big = profile(100_000, 8).quantize(1000.0);
-        let small = profile(10, 8).quantize(1000.0);
-        let t = q[4].rate;
-        assert!(clr_candidacy_probability(&big, t) >= clr_candidacy_probability(&small, t));
-    }
-
-    #[test]
-    fn rate_cdf_is_a_cdf() {
-        let q = profile(1000, 8).quantize(1000.0);
-        assert_eq!(rate_cdf(&q, 0.0), 0.0);
-        assert_eq!(rate_cdf(&q, f64::INFINITY), 1.0);
-        let mid = rate_cdf(&q, q[4].rate);
-        assert!((0.0..=1.0).contains(&mid));
-    }
-
-    #[test]
     #[should_panic(expected = "count > 0")]
     fn zero_count_panics() {
         profile(0, 8).validate();
@@ -353,13 +286,5 @@ mod tests {
             bins: 4,
         }
         .validate();
-    }
-
-    #[test]
-    fn population_responses_reuse_suppression_integral() {
-        let a = expected_population_responses(1000, 10_000.0, 4.0, 1.0);
-        let b = crate::expected_responses(1000, 10_000.0, 4.0, 1.0);
-        assert_eq!(a, b);
-        assert!((1.0..=20.0).contains(&a));
     }
 }

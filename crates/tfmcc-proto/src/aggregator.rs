@@ -26,9 +26,11 @@
 //!   O(log N) index maintenance instead of deferring O(N) scans to the
 //!   per-packet path.
 //!
-//! [`TfmccSender::new`] always runs on the incremental path;
-//! [`TfmccSender::with_aggregator`] exists so the equivalence proptest and
-//! the model checker's shadow sender can run the reference beside it.
+//! The sender is generic over its aggregator, `TfmccSender<A =
+//! IncrementalAggregator>`: [`TfmccSender::new`] runs on the incremental
+//! path, and the two oracles — the equivalence proptest and the model
+//! checker's shadow sender — build a `TfmccSender<ReferenceAggregator>` with
+//! [`TfmccSender::with_aggregator`] to run the reference beside it.
 //!
 //! The indexes key floats by their order-preserving bits, never by the
 //! float itself.  That is not a convention: `f64` has no total order, so a
@@ -48,17 +50,6 @@ use std::hash::Hasher;
 
 use crate::packets::{ReceiverId, SuppressionEcho};
 use crate::step::{hash_f64, hash_opt_f64, StateFingerprint};
-
-/// Which feedback-aggregation implementation a sender uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AggregatorKind {
-    /// The original scan-based bookkeeping (O(N) aggregate queries); kept as
-    /// the executable specification the incremental path is tested against.
-    Reference,
-    /// Ordered-index bookkeeping: O(1) aggregate queries, O(log N) updates.
-    #[default]
-    Incremental,
-}
 
 /// What the sender knows about one receiver.
 #[derive(Debug, Clone)]
@@ -121,8 +112,6 @@ pub trait FeedbackAggregator {
     fn round_min(&self) -> Option<SuppressionEcho>;
     /// Clears the per-round suppression state at a round boundary.
     fn reset_round(&mut self);
-    /// Which implementation this is.
-    fn kind(&self) -> AggregatorKind;
 }
 
 /// Shared per-round suppression logic: keep the strictly lowest finite rate,
@@ -220,10 +209,6 @@ impl FeedbackAggregator for ReferenceAggregator {
 
     fn reset_round(&mut self) {
         self.round_min = None;
-    }
-
-    fn kind(&self) -> AggregatorKind {
-        AggregatorKind::Reference
     }
 }
 
@@ -366,10 +351,6 @@ impl FeedbackAggregator for IncrementalAggregator {
     fn reset_round(&mut self) {
         self.round_min = None;
     }
-
-    fn kind(&self) -> AggregatorKind {
-        AggregatorKind::Incremental
-    }
 }
 
 impl StateFingerprint for ReceiverInfo {
@@ -420,88 +401,6 @@ impl StateFingerprint for IncrementalAggregator {
     }
 }
 
-impl StateFingerprint for Aggregator {
-    fn fingerprint<H: Hasher>(&self, h: &mut H) {
-        h.write_u8(match self.kind() {
-            AggregatorKind::Reference => 0,
-            AggregatorKind::Incremental => 1,
-        });
-        match self {
-            Aggregator::Reference(a) => a.fingerprint(h),
-            Aggregator::Incremental(a) => a.fingerprint(h),
-        }
-    }
-}
-
-/// The aggregator a [`TfmccSender`](crate::sender::TfmccSender) holds:
-/// a closed enum (rather than a boxed trait object) so the sender stays
-/// `Clone` and `Debug`; dispatch still goes through [`FeedbackAggregator`].
-#[derive(Debug, Clone)]
-pub enum Aggregator {
-    /// The scan-based reference path.
-    Reference(ReferenceAggregator),
-    /// The ordered-index incremental path.
-    Incremental(IncrementalAggregator),
-}
-
-impl Aggregator {
-    /// Creates an empty aggregator of the given kind.
-    pub fn new(kind: AggregatorKind) -> Self {
-        match kind {
-            AggregatorKind::Reference => Aggregator::Reference(ReferenceAggregator::new()),
-            AggregatorKind::Incremental => Aggregator::Incremental(IncrementalAggregator::new()),
-        }
-    }
-}
-
-macro_rules! dispatch {
-    ($self:ident, $inner:ident => $body:expr) => {
-        match $self {
-            Aggregator::Reference($inner) => $body,
-            Aggregator::Incremental($inner) => $body,
-        }
-    };
-}
-
-impl FeedbackAggregator for Aggregator {
-    fn upsert(&mut self, id: ReceiverId, info: ReceiverInfo) {
-        dispatch!(self, a => a.upsert(id, info))
-    }
-    fn remove(&mut self, id: ReceiverId) -> bool {
-        dispatch!(self, a => a.remove(id))
-    }
-    fn get(&self, id: ReceiverId) -> Option<&ReceiverInfo> {
-        dispatch!(self, a => a.get(id))
-    }
-    fn len(&self) -> usize {
-        dispatch!(self, a => a.len())
-    }
-    fn population(&self) -> u64 {
-        dispatch!(self, a => a.population())
-    }
-    fn receivers_with_rtt(&self) -> usize {
-        dispatch!(self, a => a.receivers_with_rtt())
-    }
-    fn max_rtt(&self, initial_rtt: f64) -> f64 {
-        dispatch!(self, a => a.max_rtt(initial_rtt))
-    }
-    fn clr_candidate(&self, initial_rtt: f64) -> Option<(ReceiverId, f64, f64)> {
-        dispatch!(self, a => a.clr_candidate(initial_rtt))
-    }
-    fn observe_round_rate(&mut self, id: ReceiverId, echo_rate: f64) {
-        dispatch!(self, a => a.observe_round_rate(id, echo_rate))
-    }
-    fn round_min(&self) -> Option<SuppressionEcho> {
-        dispatch!(self, a => a.round_min())
-    }
-    fn reset_round(&mut self) {
-        dispatch!(self, a => a.reset_round())
-    }
-    fn kind(&self) -> AggregatorKind {
-        dispatch!(self, a => a.kind())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -517,10 +416,10 @@ mod tests {
         }
     }
 
-    fn both() -> [Aggregator; 2] {
+    fn both() -> [Box<dyn FeedbackAggregator>; 2] {
         [
-            Aggregator::new(AggregatorKind::Reference),
-            Aggregator::new(AggregatorKind::Incremental),
+            Box::new(ReferenceAggregator::new()),
+            Box::new(IncrementalAggregator::new()),
         ]
     }
 
@@ -634,17 +533,5 @@ mod tests {
             assert!(a.remove(ReceiverId(1)));
             assert_eq!(a.population(), 0);
         }
-    }
-
-    #[test]
-    fn kind_round_trips() {
-        assert_eq!(
-            Aggregator::new(AggregatorKind::Reference).kind(),
-            AggregatorKind::Reference
-        );
-        assert_eq!(
-            Aggregator::new(AggregatorKind::Incremental).kind(),
-            AggregatorKind::Incremental
-        );
     }
 }

@@ -62,7 +62,7 @@ pub mod step;
 
 /// Commonly used types.
 pub mod prelude {
-    pub use crate::aggregator::{AggregatorKind, FeedbackAggregator};
+    pub use crate::aggregator::FeedbackAggregator;
     pub use crate::config::TfmccConfig;
     pub use crate::feedback::{BiasMethod, FeedbackPlanner};
     pub use crate::loss::LossHistory;

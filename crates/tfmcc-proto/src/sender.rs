@@ -15,16 +15,17 @@
 //! measurement (paper Sections 2.2, 2.4.2, 2.4.4, 2.5, 2.6, Appendix C).
 //!
 //! Per-receiver bookkeeping and the aggregates derived from it (maximum RTT,
-//! CLR candidate, per-round suppression minimum) live behind the pluggable
-//! [`FeedbackAggregator`] — see [`crate::aggregator`] for the scan-based
-//! reference implementation and the ordered-index incremental one that keeps
-//! the per-data-packet path O(1) at 10⁵ receivers.
+//! CLR candidate, per-round suppression minimum) live in the sender's
+//! [`FeedbackAggregator`] type parameter, by default the ordered-index
+//! [`IncrementalAggregator`] that keeps the per-data-packet path O(1) at 10⁵
+//! receivers; see [`crate::aggregator`] for the scan-based reference the
+//! oracles run beside it.
 
 use std::hash::Hasher;
 
 use tfmcc_model::throughput::padhye_throughput;
 
-use crate::aggregator::{Aggregator, AggregatorKind, FeedbackAggregator, ReceiverInfo};
+use crate::aggregator::{FeedbackAggregator, IncrementalAggregator, ReceiverInfo};
 use crate::config::TfmccConfig;
 use crate::packets::{DataPacket, FeedbackPacket, ReceiverId, RttEcho};
 use crate::step::{hash_f64, hash_opt_f64, StateFingerprint};
@@ -68,9 +69,9 @@ pub struct SenderStats {
     pub max_clr_recovery_secs: f64,
 }
 
-/// The TFMCC sender.
+/// The TFMCC sender, keeping its per-receiver bookkeeping in `A`.
 #[derive(Debug, Clone)]
-pub struct TfmccSender {
+pub struct TfmccSender<A = IncrementalAggregator> {
     config: TfmccConfig,
     current_rate: f64,
     slowstart: bool,
@@ -80,7 +81,7 @@ pub struct TfmccSender {
     /// Previous CLR remembered across a switch-over (Appendix C), with the
     /// time until which it is retained.
     previous_clr: Option<(ClrState, f64)>,
-    receivers: Aggregator,
+    receivers: A,
     feedback_round: u64,
     round_started_at: f64,
     echo_queue: Vec<PendingEcho>,
@@ -97,11 +98,14 @@ pub struct TfmccSender {
 impl TfmccSender {
     /// Creates a sender on the incremental feedback aggregator.
     pub fn new(config: TfmccConfig) -> Self {
-        Self::with_aggregator(config, AggregatorKind::Incremental)
+        Self::with_aggregator(config, IncrementalAggregator::new())
     }
+}
 
-    /// Creates a sender with an explicit feedback-aggregation implementation.
-    pub fn with_aggregator(config: TfmccConfig, aggregator: AggregatorKind) -> Self {
+impl<A: FeedbackAggregator> TfmccSender<A> {
+    /// Creates a sender that keeps its bookkeeping in `receivers`, an empty
+    /// aggregator.
+    pub fn with_aggregator(config: TfmccConfig, receivers: A) -> Self {
         config.validate().expect("invalid TFMCC configuration");
         let initial_rate = config.initial_rate();
         TfmccSender {
@@ -111,7 +115,7 @@ impl TfmccSender {
             slowstart_target: initial_rate,
             clr: None,
             previous_clr: None,
-            receivers: Aggregator::new(aggregator),
+            receivers,
             feedback_round: 1,
             round_started_at: 0.0,
             echo_queue: Vec::new(),
@@ -558,7 +562,7 @@ impl StateFingerprint for ClrState {
     }
 }
 
-impl StateFingerprint for TfmccSender {
+impl<A: StateFingerprint> StateFingerprint for TfmccSender<A> {
     /// Hashes every field that influences future behaviour.  The immutable
     /// configuration and the accumulated [`SenderStats`] (monotone counters
     /// that never feed back into protocol decisions) are excluded so that

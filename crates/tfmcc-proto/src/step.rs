@@ -29,6 +29,7 @@
 
 use std::hash::Hasher;
 
+use crate::aggregator::FeedbackAggregator;
 use crate::packets::{DataPacket, FeedbackPacket};
 use crate::receiver::TfmccReceiver;
 use crate::sender::TfmccSender;
@@ -46,7 +47,7 @@ pub trait SenderStep {
     fn packet_interval(&self) -> f64;
 }
 
-impl SenderStep for TfmccSender {
+impl<A: FeedbackAggregator> SenderStep for TfmccSender<A> {
     fn on_feedback(&mut self, now: f64, fb: &FeedbackPacket) {
         TfmccSender::on_feedback(self, now, fb);
     }

@@ -1,10 +1,11 @@
 //! Property test: the incremental feedback aggregator matches the scan-based
 //! reference implementation report-for-report.
 //!
-//! Two [`TfmccSender`]s — one per [`AggregatorKind`] — are driven through an
-//! identical randomized sequence of receiver reports (with losses, missing
-//! RTT measurements, leaves, and stretches of pure data transmission that
-//! advance feedback rounds and fire CLR timeouts).  After *every* step the
+//! A `TfmccSender<ReferenceAggregator>` and the default incremental
+//! [`TfmccSender`] are driven through an identical randomized sequence of
+//! receiver reports (with losses, missing RTT measurements, leaves, and
+//! stretches of pure data transmission that advance feedback rounds and
+//! fire CLR timeouts).  After *every* step the
 //! senders' complete observable state must agree bit for bit: sending rate,
 //! CLR, max RTT, feedback window, receiver counts, and the full header of
 //! the next data packet (which embeds the suppression echo and the RTT
@@ -13,7 +14,7 @@
 
 use proptest::prelude::*;
 
-use tfmcc_proto::aggregator::AggregatorKind;
+use tfmcc_proto::aggregator::ReferenceAggregator;
 use tfmcc_proto::config::TfmccConfig;
 use tfmcc_proto::packets::{FeedbackPacket, ReceiverId};
 use tfmcc_proto::sender::TfmccSender;
@@ -55,7 +56,11 @@ fn feedback(receiver: u64, now: f64, round: u64) -> FeedbackPacket {
 
 /// Asserts every observable aggregate of the two senders agrees, then emits
 /// one data packet from each and compares the full headers.
-fn assert_lockstep(now: f64, reference: &mut TfmccSender, incremental: &mut TfmccSender) {
+fn assert_lockstep(
+    now: f64,
+    reference: &mut TfmccSender<ReferenceAggregator>,
+    incremental: &mut TfmccSender,
+) {
     assert_eq!(reference.current_rate(), incremental.current_rate());
     assert_eq!(reference.clr(), incremental.clr());
     assert_eq!(reference.in_slowstart(), incremental.in_slowstart());
@@ -87,9 +92,8 @@ proptest! {
             state >> 11
         };
         let mut reference =
-            TfmccSender::with_aggregator(TfmccConfig::default(), AggregatorKind::Reference);
-        let mut incremental =
-            TfmccSender::with_aggregator(TfmccConfig::default(), AggregatorKind::Incremental);
+            TfmccSender::with_aggregator(TfmccConfig::default(), ReferenceAggregator::new());
+        let mut incremental = TfmccSender::new(TfmccConfig::default());
         let mut now = 0.0;
         for code in steps {
             let step = match code {

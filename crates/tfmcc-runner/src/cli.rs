@@ -9,21 +9,11 @@
 //!                     (default: all available cores)
 //! --out FILE          write the figure as deterministic JSON to FILE
 //! --bench-out FILE    write the run's per-point timing trajectory (JSON)
-//! --sessions N        number of concurrent TFMCC sessions for multi-session
-//!                     experiments (figures that sweep the session count pin
-//!                     it to N; single-session figures ignore the flag)
-//! --queue KIND        bottleneck queue discipline for figures with a
-//!                     pluggable bottleneck (fig24): `drop-tail`, `red`,
-//!                     `gentle-red` or `codel`
 //! ```
 //!
-//! `--threads=N`-style `=` forms are accepted too.  Scale resolution
-//! (including the `TFMCC_SCALE` environment override) is layered on top by
-//! the experiments crate, which owns the `Scale` type; likewise
-//! `--sessions` and `--queue` are applied by the experiments crate, which
-//! exports them to its figure functions through the `TFMCC_SESSIONS` and
-//! `TFMCC_QUEUE` environment variables (this crate does not depend on the
-//! simulator).
+//! `--threads=N`-style `=` forms are accepted too; any other flag is an
+//! error.  The experiments crate, which owns the `Scale` type, maps
+//! `--quick` to its scale (this crate does not depend on the simulator).
 
 use std::path::PathBuf;
 
@@ -40,16 +30,12 @@ pub struct RunnerArgs {
     pub out: Option<PathBuf>,
     /// `--bench-out FILE`, if given.
     pub bench_out: Option<PathBuf>,
-    /// `--sessions N`, if given.
-    pub sessions: Option<usize>,
-    /// `--queue KIND` (`drop-tail`, `red`, `gentle-red` or `codel`), if
-    /// given.
-    pub queue: Option<String>,
 }
 
 impl RunnerArgs {
     /// The command line these flags belong to.
-    pub const USAGE: &'static str = "usage: figs <name> [--quick | --paper] [--threads N] [--out FILE] [--bench-out FILE] [--sessions N] [--queue drop-tail|red|gentle-red|codel]";
+    pub const USAGE: &'static str =
+        "usage: figs <name> [--quick | --paper] [--threads N] [--out FILE] [--bench-out FILE]";
 
     /// Parses `args` (the flags after the figure name), printing usage and
     /// exiting with status 2 on errors.
@@ -103,25 +89,6 @@ impl RunnerArgs {
                 }
                 "--out" => parsed.out = Some(PathBuf::from(value(&mut it)?)),
                 "--bench-out" => parsed.bench_out = Some(PathBuf::from(value(&mut it)?)),
-                "--sessions" => {
-                    let v = value(&mut it)?;
-                    let n: usize = v
-                        .parse()
-                        .map_err(|_| format!("invalid --sessions value '{v}'"))?;
-                    if n == 0 {
-                        return Err("--sessions must be at least 1".into());
-                    }
-                    parsed.sessions = Some(n);
-                }
-                "--queue" => {
-                    let v = value(&mut it)?;
-                    if !matches!(v.as_str(), "drop-tail" | "red" | "gentle-red" | "codel") {
-                        return Err(format!(
-                            "invalid --queue value '{v}' (use 'drop-tail', 'red', 'gentle-red' or 'codel')"
-                        ));
-                    }
-                    parsed.queue = Some(v);
-                }
                 other => return Err(format!("unknown argument '{other}'")),
             }
         }
@@ -170,31 +137,12 @@ mod tests {
     }
 
     #[test]
-    fn parses_sessions() {
-        let args = parse(&["--sessions", "4"]).unwrap();
-        assert_eq!(args.sessions, Some(4));
-        let args = parse(&["--sessions=8"]).unwrap();
-        assert_eq!(args.sessions, Some(8));
-        assert!(parse(&["--sessions", "0"]).is_err());
-        assert!(parse(&["--sessions", "many"]).is_err());
-        assert!(parse(&["--sessions"]).is_err());
-    }
-
-    #[test]
-    fn parses_queue() {
-        let args = parse(&["--queue", "gentle-red"]).unwrap();
-        assert_eq!(args.queue.as_deref(), Some("gentle-red"));
-        let args = parse(&["--queue=codel"]).unwrap();
-        assert_eq!(args.queue.as_deref(), Some("codel"));
-        assert!(parse(&["--queue", "fifo"]).is_err());
-        assert!(parse(&["--queue"]).is_err());
-    }
-
-    #[test]
     fn rejects_bad_input() {
         assert!(parse(&["--threads", "zero"]).is_err());
-        // No longer a flag: it must fail loudly, not be accepted and ignored.
+        // No longer flags: they must fail loudly, not be accepted and ignored.
         assert!(parse(&["--scheduler", "heap"]).is_err());
+        assert!(parse(&["--sessions", "4"]).is_err());
+        assert!(parse(&["--queue", "codel"]).is_err());
         assert!(parse(&["--threads", "0"]).is_err());
         assert!(parse(&["--threads"]).is_err());
         assert!(parse(&["--frobnicate"]).is_err());

@@ -7,6 +7,10 @@
 //! [`crate::seed`]) and from collecting results into point order before
 //! returning, so the output of [`SweepRunner::run`] is identical for any
 //! thread count.
+#![allow(
+    clippy::disallowed_methods,
+    reason = "timing layer: wall-clock reads time the sweep and its points, and no result depends on them"
+)]
 
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};

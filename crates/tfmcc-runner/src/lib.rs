@@ -27,10 +27,6 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
-#![allow(
-    clippy::disallowed_methods,
-    reason = "timing layer: wall-clock reads time the sweep and its points, and no result depends on them"
-)]
 
 pub mod cli;
 pub mod exec;
