@@ -23,7 +23,7 @@
 //!
 //! The packet-level cohort — always including the current (or candidate)
 //! CLR — runs unchanged through netsim; see
-//! [`SessionManager::add_population_session`](crate::manager::SessionManager::add_population_session)
+//! [`TfmccSessionBuilder::build_population`](crate::session::TfmccSessionBuilder::build_population)
 //! for the wiring and the CLR-cohort promotion rule.
 
 use std::any::Any;
@@ -76,12 +76,6 @@ impl FluidSpec {
         }
     }
 
-    /// Overrides the number of quantile bins.
-    pub fn with_bins(mut self, bins: usize) -> Self {
-        self.bins = bins;
-        self
-    }
-
     /// The population's aggregate profile (validated on quantization).
     pub fn profile(&self) -> PopulationProfile {
         PopulationProfile {
@@ -111,11 +105,6 @@ impl PopulationSpec {
     /// A packet-level receiver that participates for the whole simulation.
     pub fn packet(node: NodeId) -> Self {
         PopulationSpec::Packet(crate::session::ReceiverSpec::always(node))
-    }
-
-    /// A fluid population of `count` receivers with default quantization.
-    pub fn fluid(node: NodeId, count: u64, loss: Dist, rtt: Dist) -> Self {
-        PopulationSpec::Fluid(FluidSpec::new(node, count, loss, rtt))
     }
 
     /// Wraps a slice of packet-level receiver specs.
@@ -209,16 +198,6 @@ impl FluidPopulationAgent {
     /// Population-weighted reports sent so far.
     pub fn reports_sent(&self) -> u64 {
         self.reports_sent
-    }
-
-    /// The lowest calculated rate any of the population's bins carries —
-    /// what the population would pull the session down to if it held the
-    /// CLR.  Infinite for an entirely lossless population.
-    pub fn min_rate(&self) -> f64 {
-        self.bins
-            .iter()
-            .map(|b| b.rate)
-            .fold(f64::INFINITY, f64::min)
     }
 
     fn send_report(&mut self, ctx: &mut Context<'_>, bin_index: usize, weight: u64) {
@@ -327,13 +306,13 @@ mod tests {
 
     #[test]
     fn fluid_spec_builders_compose() {
-        let spec = FluidSpec::new(
+        let mut spec = FluidSpec::new(
             NodeId(3),
             1_000_000,
             Dist::Point(0.01),
             Dist::Uniform { lo: 0.04, hi: 0.1 },
-        )
-        .with_bins(16);
+        );
+        spec.bins = 16;
         assert_eq!(spec.bins, 16);
         let profile = spec.profile();
         assert_eq!(profile.count, 1_000_000);
@@ -344,7 +323,12 @@ mod tests {
     fn population_spec_helpers_cover_both_tiers() {
         let p = PopulationSpec::packet(NodeId(1));
         assert!(matches!(p, PopulationSpec::Packet(_)));
-        let f = PopulationSpec::fluid(NodeId(2), 10, Dist::Point(0.01), Dist::Point(0.05));
+        let f = PopulationSpec::Fluid(FluidSpec::new(
+            NodeId(2),
+            10,
+            Dist::Point(0.01),
+            Dist::Point(0.05),
+        ));
         assert!(matches!(f, PopulationSpec::Fluid(_)));
         let wrapped = PopulationSpec::packets(&[
             crate::session::ReceiverSpec::always(NodeId(1)),

@@ -1,18 +1,21 @@
 //! One-call construction of a complete TFMCC session inside a simulation.
 //!
-//! [`TfmccSessionBuilder`] is the historical single-session entry point; it
-//! is a thin wrapper over the multi-session
-//! [`SessionManager`] (one manager, one
-//! session, the builder's explicit group/port/flow assignment), so both
-//! construction paths share wiring and input validation.
+//! [`TfmccSessionBuilder::build_population`] is the only code that wires a
+//! session: the sender, one agent per receiver entry, the shared
+//! configuration and the input validation.  The multi-session
+//! [`SessionManager`](crate::manager::SessionManager) builds every session
+//! through it, handing each one the next addressing block.  Unicast TFRC is
+//! a session with a single packet-level receiver, which is always its CLR.
+
+use std::sync::Arc;
 
 use netsim::packet::{AgentId, FlowId, GroupId, NodeId, Port};
 use netsim::sim::Simulator;
 
 use tfmcc_proto::config::TfmccConfig;
+use tfmcc_proto::packets::ReceiverId;
 
-use crate::manager::{SessionManager, SessionSpec};
-use crate::population::{FluidPopulationAgent, PopulationSpec};
+use crate::population::{FluidPopulationAgent, PopulationSpec, FLUID_ID_BASE, FLUID_ID_POP_SHIFT};
 use crate::receiver_agent::TfmccReceiverAgent;
 use crate::sender_agent::TfmccSenderAgent;
 
@@ -114,43 +117,176 @@ pub struct TfmccSession {
     pub fluid: Vec<AgentId>,
     /// The session's multicast group.
     pub group: GroupId,
+    /// The port data packets are addressed to.
+    pub data_port: Port,
+    /// The port the sender listens on for reports.
+    pub sender_port: Port,
+    /// The flow id tagging the session's data packets.
+    pub flow: FlowId,
 }
 
 impl TfmccSessionBuilder {
     /// Builds the session: attaches the sender to `sender_node`, one
     /// receiver agent per [`PopulationSpec::Packet`] entry and one fluid
     /// population agent per [`PopulationSpec::Fluid`] entry, all wired to
-    /// the same group and ports.
+    /// the builder's group and ports.
     ///
-    /// This is single-session sugar over
-    /// [`SessionManager::add_population_session`](crate::manager::SessionManager::add_population_session),
-    /// which also validates the inputs (at least one packet-level receiver,
-    /// valid fluid profiles, finite times, positive churn periods, distinct
-    /// data/report ports) and documents the CLR-cohort promotion rule.
+    /// Packet-level receivers take `ReceiverId`s 1, 2, … in the order of
+    /// their entries — identical to a pure packet-level session over the
+    /// same cohort, which is what the hybrid equivalence tests pin.  Fluid
+    /// populations report under synthetic ids starting at
+    /// [`FLUID_ID_BASE`].
+    ///
+    /// **CLR-cohort promotion rule:** the packet-level cohort must be able
+    /// to produce the CLR, so at least one packet-level receiver is
+    /// required, and the cohort should cover the lower tail of the rate
+    /// distribution (the lossiest / slowest receivers).  A fluid bin *can*
+    /// temporarily hold the CLR — its reports are complete feedback packets
+    /// — but a session whose steady-state CLR is a fluid bin is governed by
+    /// an analytic aggregate rather than a simulated receiver; treat that
+    /// as a sign the cohort needs re-provisioning.
+    ///
+    /// # Panics
+    ///
+    /// Panics with a descriptive message, before any agent is attached,
+    /// when the input is invalid: an empty population, a hybrid session
+    /// without a packet-level receiver, an invalid fluid profile (zero
+    /// count, bins outside 1..=64, loss outside `[0, 1)`, non-positive
+    /// RTT), non-finite or negative times, non-positive churn periods or
+    /// meter bins, or equal data and report ports.
     pub fn build_population(
         &self,
         sim: &mut Simulator,
         sender_node: NodeId,
         populations: &[PopulationSpec],
     ) -> TfmccSession {
-        let spec = SessionSpec {
-            config: self.config.clone(),
-            start_at: self.start_at,
-            record_rate_series: self.record_rate_series,
-            meter_bin: self.meter_bin,
-            group: Some(self.group),
-            data_port: Some(self.data_port),
-            sender_port: Some(self.sender_port),
-            flow: Some(self.flow),
-        };
-        let mut manager = SessionManager::new();
-        let id = manager.add_population_session(sim, &spec, sender_node, populations);
-        let handle = manager.session(id);
+        self.validate(populations);
+
+        let sender_addr = netsim::packet::Address::new(sender_node, self.sender_port);
+        let mut sender_agent = TfmccSenderAgent::new(
+            tfmcc_proto::sender::TfmccSender::new(self.config.clone()),
+            self.group,
+            self.data_port,
+            self.flow,
+        )
+        .starting_at(self.start_at);
+        if self.record_rate_series {
+            sender_agent = sender_agent.with_rate_series();
+        }
+        let sender = sim.add_agent(sender_node, self.sender_port, Box::new(sender_agent));
+
+        // One configuration for the session: every receiver shares it.
+        let receiver_config = Arc::new(self.config.clone());
+        let mut receiver_ids = Vec::new();
+        let mut fluid_ids = Vec::new();
+        for pspec in populations {
+            match pspec {
+                PopulationSpec::Packet(rspec) => {
+                    let mut agent = TfmccReceiverAgent::new(
+                        ReceiverId(receiver_ids.len() as u64 + 1),
+                        Arc::clone(&receiver_config),
+                        sender_addr,
+                        self.group,
+                        self.flow,
+                    )
+                    .with_meter_bin(self.meter_bin)
+                    .joining_at(rspec.join_at);
+                    if let Some(t) = rspec.leave_at {
+                        agent = agent.leaving_at(t);
+                    }
+                    if let Some((on_secs, off_secs)) = rspec.churn {
+                        agent = agent.churning(on_secs, off_secs);
+                    }
+                    let agent_id = sim.add_agent(rspec.node, self.data_port, Box::new(agent));
+                    receiver_ids.push(agent_id);
+                }
+                PopulationSpec::Fluid(fspec) => {
+                    let id_base = FLUID_ID_BASE + ((fluid_ids.len() as u64) << FLUID_ID_POP_SHIFT);
+                    let agent = FluidPopulationAgent::new(
+                        fspec,
+                        self.config.clone(),
+                        id_base,
+                        sender_addr,
+                        self.group,
+                        self.flow,
+                    );
+                    let agent_id = sim.add_agent(fspec.node, self.data_port, Box::new(agent));
+                    fluid_ids.push(agent_id);
+                }
+            }
+        }
         TfmccSession {
-            sender: handle.sender,
-            receivers: handle.receivers.clone(),
-            fluid: handle.fluid.clone(),
-            group: handle.group,
+            sender,
+            receivers: receiver_ids,
+            fluid: fluid_ids,
+            group: self.group,
+            data_port: self.data_port,
+            sender_port: self.sender_port,
+            flow: self.flow,
+        }
+    }
+
+    /// Input validation (the session-layer counterpart of netsim's
+    /// link-parameter validation).
+    fn validate(&self, populations: &[PopulationSpec]) {
+        assert!(
+            !populations.is_empty(),
+            "a TFMCC session needs at least one receiver"
+        );
+        assert!(
+            populations
+                .iter()
+                .any(|p| matches!(p, PopulationSpec::Packet(_))),
+            "a hybrid session needs at least one packet-level receiver (the CLR cohort)"
+        );
+        assert!(
+            self.start_at.is_finite() && self.start_at >= 0.0,
+            "session start_at must be finite and ≥ 0, got {}",
+            self.start_at
+        );
+        assert!(
+            self.meter_bin.is_finite() && self.meter_bin > 0.0,
+            "session meter_bin must be a positive number of seconds, got {}",
+            self.meter_bin
+        );
+        assert!(
+            self.data_port != self.sender_port,
+            "data port and sender report port must differ, got {} for both",
+            self.data_port.0
+        );
+        for (i, p) in populations.iter().enumerate() {
+            match p {
+                PopulationSpec::Packet(r) => {
+                    assert!(
+                        r.join_at.is_finite() && r.join_at >= 0.0,
+                        "receiver {i}: join_at must be finite and ≥ 0, got {}",
+                        r.join_at
+                    );
+                    if let Some(leave_at) = r.leave_at {
+                        assert!(
+                            leave_at.is_finite() && leave_at > r.join_at,
+                            "receiver {i}: leave_at ({leave_at}) must be finite and after join_at ({})",
+                            r.join_at
+                        );
+                        assert!(
+                            r.churn.is_none(),
+                            "receiver {i}: leave_at and churn are exclusive"
+                        );
+                    }
+                    if let Some((on_secs, off_secs)) = r.churn {
+                        assert!(
+                            on_secs.is_finite()
+                                && on_secs > 0.0
+                                && off_secs.is_finite()
+                                && off_secs > 0.0,
+                            "receiver {i}: churn periods must be positive and finite, got on={on_secs} off={off_secs}"
+                        );
+                    }
+                }
+                // Panics with the PopulationProfile messages (count > 0,
+                // bins in 1..=64, loss within [0, 1), positive finite RTT).
+                PopulationSpec::Fluid(f) => f.profile().validate(),
+            }
         }
     }
 }
@@ -179,6 +315,15 @@ impl TfmccSession {
         self.receiver_agent(sim, index)
             .meter()
             .average_between(from, to)
+    }
+
+    /// Mean throughput of the packet-level receivers over `[from, to]`, in
+    /// bytes per second.
+    pub fn mean_throughput(&self, sim: &Simulator, from: f64, to: f64) -> f64 {
+        let sum: f64 = (0..self.receivers.len())
+            .map(|i| self.receiver_throughput(sim, i, from, to))
+            .sum();
+        sum / self.receivers.len() as f64
     }
 }
 

@@ -1,10 +1,10 @@
 //! Exercises every documented validation panic of the Population API — the
 //! messages asserted here are part of the public surface of
-//! [`SessionManager::add_population_session`] and
-//! [`TfmccSessionBuilder::build_population`].
+//! [`TfmccSessionBuilder::build_population`], which
+//! [`SessionManager::add_population_session`] builds through.
 
 use netsim::prelude::*;
-use tfmcc_agents::manager::{SessionManager, SessionSpec};
+use tfmcc_agents::manager::SessionManager;
 use tfmcc_agents::population::{FluidSpec, PopulationSpec};
 use tfmcc_agents::session::TfmccSessionBuilder;
 use tfmcc_model::population::Dist;
@@ -34,7 +34,7 @@ fn fluid(node: NodeId, count: u64) -> FluidSpec {
 fn empty_population_is_rejected() {
     let mut sim = Simulator::new(7);
     let st = one_leg_star(&mut sim);
-    SessionManager::new().add_population_session(&mut sim, &SessionSpec::default(), st.sender, &[]);
+    SessionManager::new().add_population_session(&mut sim, 0.0, st.sender, &[]);
 }
 
 #[test]
@@ -44,7 +44,7 @@ fn all_fluid_sessions_are_rejected() {
     let st = one_leg_star(&mut sim);
     SessionManager::new().add_population_session(
         &mut sim,
-        &SessionSpec::default(),
+        0.0,
         st.sender,
         &[PopulationSpec::Fluid(fluid(st.receivers[0], 1000))],
     );
@@ -57,7 +57,7 @@ fn zero_count_fluid_is_rejected() {
     let st = one_leg_star(&mut sim);
     SessionManager::new().add_population_session(
         &mut sim,
-        &SessionSpec::default(),
+        0.0,
         st.sender,
         &[
             PopulationSpec::packet(st.receivers[0]),
@@ -71,13 +71,15 @@ fn zero_count_fluid_is_rejected() {
 fn out_of_range_bins_are_rejected() {
     let mut sim = Simulator::new(7);
     let st = one_leg_star(&mut sim);
+    let mut f = fluid(st.receivers[0], 100);
+    f.bins = 65;
     SessionManager::new().add_population_session(
         &mut sim,
-        &SessionSpec::default(),
+        0.0,
         st.sender,
         &[
             PopulationSpec::packet(st.receivers[0]),
-            PopulationSpec::Fluid(fluid(st.receivers[0], 100).with_bins(65)),
+            PopulationSpec::Fluid(f),
         ],
     );
 }
@@ -91,7 +93,7 @@ fn out_of_range_loss_is_rejected() {
     f.loss = Dist::Uniform { lo: 0.5, hi: 1.5 };
     SessionManager::new().add_population_session(
         &mut sim,
-        &SessionSpec::default(),
+        0.0,
         st.sender,
         &[
             PopulationSpec::packet(st.receivers[0]),
@@ -109,7 +111,7 @@ fn non_positive_rtt_is_rejected() {
     f.rtt = Dist::Point(0.0);
     SessionManager::new().add_population_session(
         &mut sim,
-        &SessionSpec::default(),
+        0.0,
         st.sender,
         &[
             PopulationSpec::packet(st.receivers[0]),

@@ -3,9 +3,11 @@
 //!
 //! * [`tcp`] — TCP Reno, the competing traffic every fairness figure
 //!   measures TFMCC against;
-//! * [`pgmcc`] — PGMCC, the window-based single-rate multicast comparator;
-//! * [`tfrc`] — unicast TFRC, TFMCC's parent protocol, as a one-receiver
-//!   TFMCC session.
+//! * [`pgmcc`] — PGMCC, the window-based single-rate multicast comparator.
+//!
+//! Unicast TFRC, TFMCC's parent protocol, needs no module of its own: it is
+//! a TFMCC session with one receiver, which is always the CLR (paper
+//! Section 1.1), built with `tfmcc_agents::session::TfmccSessionBuilder`.
 
 // Pure math/protocol logic: no unsafe code, and the compiler rejects any.
 #![forbid(unsafe_code)]
@@ -14,4 +16,3 @@
 
 pub mod pgmcc;
 pub mod tcp;
-pub mod tfrc;

@@ -3,9 +3,10 @@
 //! path loss the way Reno's control equation says (rate ∝ 1/√p; for PGMCC
 //! through dup-ACK halvings plus the timeout fallback), and two flows of
 //! either sharing one bottleneck must converge to a fair allocation.
-//! Mirrors the 5%-loss conformance test of the `tfrc` module, as a
-//! property over loss rates and seeds.  Last, TFMCC itself must get a
-//! share comparable to TCP's on a shared bottleneck.
+//! Mirrors the 5%-loss TFRC test at the end of this file, as a property
+//! over loss rates and seeds.  Last, TFMCC itself must get a share
+//! comparable to TCP's on a shared bottleneck, and unicast TFRC — a
+//! one-receiver TFMCC session — must behave as the paper describes it.
 
 use netsim::packet::AgentId;
 use netsim::prelude::*;
@@ -247,5 +248,75 @@ fn tfmcc_and_tcp_share_a_bottleneck() {
     assert!(
         (1.0 / 4.0..=4.0).contains(&ratio),
         "TFMCC/TCP share ratio out of range: {tfmcc_rate} vs {tcp_rate}"
+    );
+}
+
+// -------------------------------------------------------------- TFRC ----
+//
+// Unicast TFRC (Floyd, Handley, Padhye & Widmer, SIGCOMM 2000) is TFMCC's
+// parent protocol: TFMCC keeps its loss measurement and control equation
+// and moves the rate calculation to the receivers (paper Section 1.1).  A
+// TFRC flow is therefore a TFMCC session with exactly one receiver, whose
+// reports are never suppressed because it is always the CLR.
+
+#[test]
+fn tfrc_receiver_behaves_as_a_permanent_clr() {
+    // The claim above: a TFRC flow is a one-receiver TFMCC session
+    // whose receiver reports like a permanent CLR, never suppressed.
+    let mut sim = Simulator::new(304);
+    let a = sim.add_node("a");
+    let b = sim.add_node("b");
+    sim.add_duplex_link(a, b, 125_000.0, 0.02, QueueDiscipline::drop_tail(30));
+    let flow =
+        TfmccSessionBuilder::default().build_population(&mut sim, a, &[PopulationSpec::packet(b)]);
+    sim.run_until(SimTime::from_secs(60.0));
+    let receiver = flow.receiver_agent(&sim, 0).protocol();
+    assert!(
+        receiver.is_clr(),
+        "the only receiver must be the CLR of its session"
+    );
+    assert_eq!(
+        receiver.stats().feedback_suppressed,
+        0,
+        "a lone receiver must never suppress its feedback"
+    );
+    assert!(
+        receiver.stats().feedback_sent > 10,
+        "the CLR reports per RTT"
+    );
+    let sender = flow.sender_agent(&sim).protocol();
+    assert_eq!(sender.clr(), Some(tfmcc_proto::packets::ReceiverId(1)));
+}
+
+#[test]
+fn tfrc_rate_responds_to_path_loss() {
+    // Same topology twice: a clean path and a 5%-loss path.  The control
+    // equation must push the lossy flow's rate well below the clean one.
+    let run = |loss: f64, seed: u64| -> f64 {
+        let mut sim = Simulator::new(seed);
+        let a = sim.add_node("a");
+        let b = sim.add_node("b");
+        let (down, _) =
+            sim.add_duplex_link(a, b, 1_250_000.0, 0.02, QueueDiscipline::drop_tail(200));
+        if loss > 0.0 {
+            sim.set_link_loss(down, LossModel::Bernoulli { p: loss });
+        }
+        let flow = TfmccSessionBuilder::default().build_population(
+            &mut sim,
+            a,
+            &[PopulationSpec::packet(b)],
+        );
+        sim.run_until(SimTime::from_secs(90.0));
+        flow.receiver_throughput(&sim, 0, 40.0, 85.0)
+    };
+    let clean = run(0.0, 305);
+    let lossy = run(0.05, 305);
+    assert!(
+        lossy > 1_000.0,
+        "the lossy flow must still progress: {lossy}"
+    );
+    assert!(
+        lossy < clean * 0.5,
+        "5% loss must at least halve the rate: clean {clean}, lossy {lossy}"
     );
 }

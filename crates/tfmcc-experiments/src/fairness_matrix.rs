@@ -14,18 +14,18 @@
 //! same AQM discipline with a hybrid receiver population of 10⁵ receivers,
 //! anchoring the AQM code path at the population scale the roadmap names.
 //!
-//! TFMCC flows are wired by [`SessionManager`]; the competitor flows draw
-//! their group/port/flow assignments from
+//! TFMCC and TFRC flows are sessions of one [`SessionManager`] (a TFRC flow
+//! is a one-receiver TFMCC session, whose receiver is always the CLR); the
+//! PGMCC and TCP flows draw their group/port/flow assignments from
 //! [`SessionManager::reserve_addressing`], so a mixed-protocol simulation
 //! cannot alias multicast groups or ports.
 
 use netsim::prelude::*;
-use tfmcc_agents::manager::{jain_index, SessionId, SessionManager, SessionSpec};
+use tfmcc_agents::manager::{jain_index, SessionId, SessionManager};
 use tfmcc_agents::population::{FluidSpec, PopulationSpec};
 use tfmcc_agents::session::TfmccSessionBuilder;
 use tfmcc_baselines::pgmcc::{PgmccReceiverAgent, PgmccSenderAgent};
 use tfmcc_baselines::tcp::{TcpSender, TcpSenderConfig, TcpSink};
-use tfmcc_baselines::tfrc::{TfrcSession, TfrcSessionBuilder};
 use tfmcc_model::population::Dist;
 use tfmcc_runner::{Sweep, SweepRunner};
 
@@ -80,9 +80,9 @@ const QUEUE_NAME: &str = "gentle-red";
 
 /// Handle to one competing flow, uniform over the four protocols.
 enum FlowHandle {
-    Tfmcc(SessionId),
+    /// A TFMCC session or a TFRC flow (a one-receiver session).
+    Session(SessionId),
     Pgmcc(AgentId),
-    Tfrc(TfrcSession),
     Tcp(AgentId),
 }
 
@@ -90,13 +90,12 @@ impl FlowHandle {
     /// Average delivered throughput over `[from, to]`, bytes/second.
     fn rate(&self, sim: &Simulator, manager: &SessionManager, from: f64, to: f64) -> f64 {
         match self {
-            FlowHandle::Tfmcc(id) => manager.session_throughput(sim, *id, from, to),
+            FlowHandle::Session(id) => manager.session(*id).mean_throughput(sim, from, to),
             FlowHandle::Pgmcc(receiver) => sim
                 .agent::<PgmccReceiverAgent>(*receiver)
                 .expect("pgmcc receiver exists")
                 .meter()
                 .average_between(from, to),
-            FlowHandle::Tfrc(session) => session.throughput(sim, from, to),
             FlowHandle::Tcp(sink) => sim
                 .agent::<TcpSink>(*sink)
                 .expect("tcp sink exists")
@@ -108,15 +107,14 @@ impl FlowHandle {
     /// Delivered-rate trace as a `(time, kbit/s)` series.
     fn trace(&self, sim: &Simulator, manager: &SessionManager) -> Vec<(f64, f64)> {
         match self {
-            FlowHandle::Tfmcc(id) => meter_series(manager.receiver_agent(sim, *id, 0).meter()),
+            FlowHandle::Session(id) => {
+                meter_series(manager.session(*id).receiver_agent(sim, 0).meter())
+            }
             FlowHandle::Pgmcc(receiver) => meter_series(
                 sim.agent::<PgmccReceiverAgent>(*receiver)
                     .expect("pgmcc receiver exists")
                     .meter(),
             ),
-            FlowHandle::Tfrc(session) => {
-                meter_series(session.as_tfmcc().receiver_agent(sim, 0).meter())
-            }
             FlowHandle::Tcp(sink) => meter_series(
                 sim.agent::<TcpSink>(*sink)
                     .expect("tcp sink exists")
@@ -171,15 +169,12 @@ fn run_matrix_point(protos: &[Proto], seed: u64, duration: f64) -> MatrixOutcome
             QueueDiscipline::drop_tail(60),
         );
         let handle = match proto {
-            Proto::Tfmcc => {
-                let id = manager.add_population_session(
-                    &mut sim,
-                    &SessionSpec::default(),
-                    sender,
-                    &[PopulationSpec::packet(receiver)],
-                );
-                FlowHandle::Tfmcc(id)
-            }
+            Proto::Tfmcc | Proto::Tfrc => FlowHandle::Session(manager.add_population_session(
+                &mut sim,
+                0.0,
+                sender,
+                &[PopulationSpec::packet(receiver)],
+            )),
             Proto::Pgmcc => {
                 let addr = manager.reserve_addressing();
                 let sender_agent = sim.add_agent(
@@ -204,18 +199,6 @@ fn run_matrix_point(protos: &[Proto], seed: u64, duration: f64) -> MatrixOutcome
                     )),
                 );
                 FlowHandle::Pgmcc(receiver_agent)
-            }
-            Proto::Tfrc => {
-                let addr = manager.reserve_addressing();
-                let session = TfrcSessionBuilder {
-                    flow: addr.flow,
-                    data_port: addr.data_port,
-                    sender_port: addr.sender_port,
-                    group: addr.group,
-                    ..TfrcSessionBuilder::default()
-                }
-                .build(&mut sim, sender, receiver);
-                FlowHandle::Tfrc(session)
             }
             Proto::Tcp => {
                 let addr = manager.reserve_addressing();

@@ -23,7 +23,7 @@
 //! scale.
 
 use netsim::prelude::*;
-use tfmcc_agents::manager::{SessionManager, SessionSpec};
+use tfmcc_agents::manager::SessionManager;
 use tfmcc_agents::population::{FluidSpec, PopulationSpec};
 use tfmcc_agents::session::ReceiverSpec;
 use tfmcc_model::population::Dist;
@@ -130,7 +130,7 @@ fn run_intertfmcc_point(
         }
         manager.add_population_session(
             &mut sim,
-            &SessionSpec::default().starting_at(session as f64 * START_STAGGER),
+            session as f64 * START_STAGGER,
             sender,
             &populations,
         );

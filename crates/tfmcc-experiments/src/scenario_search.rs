@@ -24,7 +24,7 @@
 use netsim::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use tfmcc_agents::manager::{SessionManager, SessionSpec};
+use tfmcc_agents::manager::SessionManager;
 use tfmcc_agents::population::PopulationSpec;
 use tfmcc_agents::session::ReceiverSpec;
 use tfmcc_mc::replay::Replay;
@@ -196,7 +196,7 @@ pub fn evaluate_scenario(scenario: &Scenario, duration: f64) -> ScenarioOutcome 
             .collect();
         manager.add_population_session(
             &mut sim,
-            &SessionSpec::default().starting_at(session as f64 * 2.0),
+            session as f64 * 2.0,
             sender,
             &PopulationSpec::packets(&specs),
         );

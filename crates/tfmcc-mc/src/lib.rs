@@ -1,13 +1,13 @@
 //! Bounded model checking for the TFMCC protocol core.
 //!
-//! This crate drives the *real* `tfmcc-proto` sender and receiver state
-//! machines — via the [`SenderStep`]/[`ReceiverStep`] seam — through every
-//! interleaving of an adversarial network that may drop, duplicate and
-//! reorder control packets, fire feedback timers in any legal order, and
-//! make receivers leave at any moment.  Exploration is explicit-state with
-//! fingerprint deduplication; nondeterminism is budgeted (so the state
-//! space is finite) and every invariant violation comes with the exact
-//! action schedule that reproduces it.
+//! This crate calls the step methods of the *real* `tfmcc-proto` sender
+//! and receiver state machines directly, through every interleaving of an
+//! adversarial network that may drop, duplicate and reorder control
+//! packets, fire feedback timers in any legal order, and make receivers
+//! leave at any moment.  Exploration is explicit-state with deduplication
+//! by [`StateFingerprint`]; nondeterminism is budgeted (so the state space
+//! is finite) and every invariant violation comes with the exact action
+//! schedule that reproduces it.
 //!
 //! The pieces:
 //!
@@ -31,8 +31,7 @@
 //! assert!(out.states_explored > 100);
 //! ```
 //!
-//! [`SenderStep`]: tfmcc_proto::step::SenderStep
-//! [`ReceiverStep`]: tfmcc_proto::step::ReceiverStep
+//! [`StateFingerprint`]: tfmcc_proto::step::StateFingerprint
 
 // Pure math/protocol logic: no unsafe code, and the compiler rejects any.
 #![forbid(unsafe_code)]

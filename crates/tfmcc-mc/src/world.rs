@@ -26,7 +26,7 @@ use tfmcc_proto::config::TfmccConfig;
 use tfmcc_proto::packets::{DataPacket, FeedbackPacket, ReceiverId};
 use tfmcc_proto::receiver::TfmccReceiver;
 use tfmcc_proto::sender::TfmccSender;
-use tfmcc_proto::step::{ReceiverStep, SenderStep, StateFingerprint};
+use tfmcc_proto::step::StateFingerprint;
 
 use crate::explore::Model;
 use crate::hasher::Fnv1a;
@@ -429,7 +429,7 @@ impl Model for McModel {
             if w.departed[r] {
                 continue;
             }
-            if let Some(fire_at) = ReceiverStep::next_timer(receiver) {
+            if let Some(fire_at) = receiver.next_timer() {
                 if fire_at <= w.now + TIMER_EPS {
                     actions.push(Action::FireTimer(r));
                 }
@@ -451,14 +451,14 @@ impl Model for McModel {
         match *action {
             Action::Tick => {
                 w.now += self.config.tick;
-                SenderStep::on_tick(&mut w.sender, w.now);
-                SenderStep::on_tick(&mut w.shadow, w.now);
+                w.sender.on_tick(w.now);
+                w.shadow.on_tick(w.now);
                 w.sender_touched = true;
             }
             Action::SendData => {
                 w.data_left -= 1;
-                let packet = SenderStep::next_data(&mut w.sender, w.now);
-                let shadow_packet = SenderStep::next_data(&mut w.shadow, w.now);
+                let packet = w.sender.next_data(w.now);
+                let shadow_packet = w.shadow.next_data(w.now);
                 if packet != shadow_packet && w.shadow_mismatch.is_none() {
                     w.shadow_mismatch = Some(format!(
                         "data packets diverged at t={}: incremental {packet:?} vs reference {shadow_packet:?}",
@@ -478,16 +478,14 @@ impl Model for McModel {
             Action::Deliver(i) => match w.network.remove(i) {
                 NetMsg::Data { to, packet } => {
                     if !w.departed[to] {
-                        if let Some(fb) =
-                            ReceiverStep::on_data(&mut w.receivers[to], w.now, &packet)
-                        {
+                        if let Some(fb) = w.receivers[to].on_data(w.now, &packet) {
                             w.network.push(NetMsg::Feedback { packet: fb });
                         }
                     }
                 }
                 NetMsg::Feedback { packet } => {
-                    SenderStep::on_feedback(&mut w.sender, w.now, &packet);
-                    SenderStep::on_feedback(&mut w.shadow, w.now, &packet);
+                    w.sender.on_feedback(w.now, &packet);
+                    w.shadow.on_feedback(w.now, &packet);
                     w.sender_touched = true;
                 }
             },
@@ -501,12 +499,12 @@ impl Model for McModel {
                 w.dups_left -= 1;
             }
             Action::FireTimer(r) => {
-                if let Some(fb) = ReceiverStep::on_timer(&mut w.receivers[r], w.now) {
+                if let Some(fb) = w.receivers[r].on_timer(w.now) {
                     w.network.push(NetMsg::Feedback { packet: fb });
                 }
             }
             Action::Leave(r) => {
-                let fb = ReceiverStep::leave(&mut w.receivers[r], w.now);
+                let fb = w.receivers[r].leave(w.now);
                 w.departed[r] = true;
                 w.leaves_left -= 1;
                 // Data already in flight to the departed receiver evaporates.

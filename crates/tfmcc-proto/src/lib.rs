@@ -71,5 +71,5 @@ pub mod prelude {
     pub use crate::receiver::{ReceiverStats, TfmccReceiver};
     pub use crate::rtt::RttEstimator;
     pub use crate::sender::{SenderStats, TfmccSender};
-    pub use crate::step::{ReceiverStep, SenderStep, StateFingerprint};
+    pub use crate::step::StateFingerprint;
 }

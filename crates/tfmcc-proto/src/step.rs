@@ -1,16 +1,11 @@
-//! Step-function traits and state fingerprinting for model checking.
+//! State fingerprinting for model checking.
 //!
-//! [`TfmccSender`] and [`TfmccReceiver`] are sans-I/O state machines, but
-//! until this module their step functions were inherent methods only — any
-//! harness that wanted to drive them generically (the bounded model checker
-//! in `tfmcc-mc`, a future fuzz driver) had to name the concrete types.
-//! This module makes the seam explicit:
+//! [`TfmccSender`] and [`TfmccReceiver`] are sans-I/O state machines: a
+//! harness drives them through their inherent step methods (`on_data`,
+//! `on_timer`, `on_feedback`, `on_tick`, `next_data`, `leave`) without
+//! `netsim`.  An explicit-state model checker (`tfmcc-mc`) must also tell
+//! when two explored states are the same, which is what this module adds:
 //!
-//! * [`SenderStep`] / [`ReceiverStep`] — the complete "one input, one
-//!   output" contract an adapter needs to drive either endpoint without
-//!   `netsim`: feed a packet or a clock reading, get back packets and timer
-//!   deadlines.  Any harness written against these traits runs the real
-//!   protocol code.
 //! * [`StateFingerprint`] — a deterministic structural hash over the
 //!   *semantic* state of an endpoint (every field that influences future
 //!   behaviour; accumulated statistics are excluded).  Explicit-state model
@@ -19,9 +14,8 @@
 //!   identically.  Floating-point fields hash their exact bit patterns —
 //!   two states are "the same" only when they are bit-for-bit the same.
 //!
-//! The trait implementations delegate to the inherent methods; the
-//! fingerprint implementations live next to each type's private fields (see
-//! `sender.rs`, `receiver.rs`, `loss.rs`, `rtt.rs`, `rate_meter.rs`,
+//! The fingerprint implementations live next to each type's private fields
+//! (see `sender.rs`, `receiver.rs`, `loss.rs`, `rtt.rs`, `rate_meter.rs`,
 //! `aggregator.rs`, `feedback.rs`).
 //!
 //! [`TfmccSender`]: crate::sender::TfmccSender
@@ -29,68 +23,7 @@
 
 use std::hash::Hasher;
 
-use crate::aggregator::FeedbackAggregator;
 use crate::packets::{DataPacket, FeedbackPacket};
-use crate::receiver::TfmccReceiver;
-use crate::sender::TfmccSender;
-
-/// The sender's step functions: everything an adapter (simulator binding,
-/// UDP transport, model checker) needs to drive a TFMCC sender.
-pub trait SenderStep {
-    /// Processes a receiver report arriving at local time `now`.
-    fn on_feedback(&mut self, now: f64, fb: &FeedbackPacket);
-    /// Advances timers and rounds to local time `now` without sending.
-    fn on_tick(&mut self, now: f64);
-    /// Builds the header of the next data packet to transmit at `now`.
-    fn next_data(&mut self, now: f64) -> DataPacket;
-    /// Interval between data packets at the current rate, in seconds.
-    fn packet_interval(&self) -> f64;
-}
-
-impl<A: FeedbackAggregator> SenderStep for TfmccSender<A> {
-    fn on_feedback(&mut self, now: f64, fb: &FeedbackPacket) {
-        TfmccSender::on_feedback(self, now, fb);
-    }
-    fn on_tick(&mut self, now: f64) {
-        TfmccSender::on_tick(self, now);
-    }
-    fn next_data(&mut self, now: f64) -> DataPacket {
-        TfmccSender::next_data(self, now)
-    }
-    fn packet_interval(&self) -> f64 {
-        TfmccSender::packet_interval(self)
-    }
-}
-
-/// The receiver's step functions: the complete driving contract for a TFMCC
-/// receiver (data in, feedback and timer deadlines out).
-pub trait ReceiverStep {
-    /// Processes an arriving data packet; may return feedback to send
-    /// immediately (the CLR reports without suppression).
-    fn on_data(&mut self, now: f64, data: &DataPacket) -> Option<FeedbackPacket>;
-    /// Fires the pending feedback timer; returns the report if it was still
-    /// armed for the current round.
-    fn on_timer(&mut self, now: f64) -> Option<FeedbackPacket>;
-    /// The deadline of the pending feedback timer, if any.
-    fn next_timer(&self) -> Option<f64>;
-    /// Builds the explicit leave report.
-    fn leave(&mut self, now: f64) -> FeedbackPacket;
-}
-
-impl ReceiverStep for TfmccReceiver {
-    fn on_data(&mut self, now: f64, data: &DataPacket) -> Option<FeedbackPacket> {
-        TfmccReceiver::on_data(self, now, data)
-    }
-    fn on_timer(&mut self, now: f64) -> Option<FeedbackPacket> {
-        TfmccReceiver::on_timer(self, now)
-    }
-    fn next_timer(&self) -> Option<f64> {
-        TfmccReceiver::next_timer(self)
-    }
-    fn leave(&mut self, now: f64) -> FeedbackPacket {
-        TfmccReceiver::leave(self, now)
-    }
-}
 
 /// Deterministic structural hashing of protocol state.
 ///
@@ -179,27 +112,13 @@ mod tests {
     use super::*;
     use crate::config::TfmccConfig;
     use crate::packets::ReceiverId;
+    use crate::receiver::TfmccReceiver;
+    use crate::sender::TfmccSender;
 
     fn fp<T: StateFingerprint>(value: &T) -> u64 {
         let mut h = std::collections::hash_map::DefaultHasher::new();
         value.fingerprint(&mut h);
         h.finish()
-    }
-
-    #[test]
-    fn traits_drive_the_state_machines() {
-        let config = TfmccConfig::default();
-        let mut sender: Box<dyn SenderStep> = Box::new(TfmccSender::new(config.clone()));
-        let mut receiver = TfmccReceiver::new(ReceiverId(1), config);
-        let data = sender.next_data(0.0);
-        let dyn_receiver: &mut dyn ReceiverStep = &mut receiver;
-        let fb = dyn_receiver.on_data(0.05, &data);
-        assert!(fb.is_some() || dyn_receiver.next_timer().is_some());
-        assert!(sender.packet_interval() > 0.0);
-        let leave = dyn_receiver.leave(0.1);
-        assert!(leave.leaving);
-        sender.on_feedback(0.1, &leave);
-        sender.on_tick(0.2);
     }
 
     #[test]

@@ -42,7 +42,7 @@ use std::sync::atomic::{AtomicI64, Ordering::Relaxed};
 use std::time::Instant;
 
 use netsim::prelude::*;
-use tfmcc_agents::manager::{SessionManager, SessionSpec};
+use tfmcc_agents::manager::SessionManager;
 use tfmcc_agents::population::{FluidSpec, PopulationSpec};
 use tfmcc_agents::session::TfmccSessionBuilder;
 use tfmcc_model::population::Dist;
@@ -251,12 +251,7 @@ fn probe_sessions(n: usize, k: usize) {
                 PopulationSpec::packet(node)
             })
             .collect();
-        manager.add_population_session(
-            &mut sim,
-            &SessionSpec::default().starting_at(session as f64 * 2.0),
-            sender,
-            &specs,
-        );
+        manager.add_population_session(&mut sim, session as f64 * 2.0, sender, &specs);
     }
     let built = t0.elapsed();
     let built_bytes = live_bytes() - heap0;

@@ -10,10 +10,10 @@
 //! * [`feedback`] — standalone feedback-suppression analysis;
 //! * [`mc`] — the bounded model checker for the protocol core;
 //! * [`sim`] — the discrete-event packet simulator substrate;
-//! * [`agents`] — simulator bindings and the session builder;
-//! * [`tcp`], [`tfrc`], [`pgmcc`] — the baselines (`tfmcc-baselines`): the
-//!   TCP Reno competing-traffic agent, the unicast TFRC baseline and the
-//!   PGMCC comparator;
+//! * [`agents`] — simulator bindings and the session builder (unicast TFRC
+//!   is a session with one receiver);
+//! * [`tcp`], [`pgmcc`] — the baselines (`tfmcc-baselines`): the TCP Reno
+//!   competing-traffic agent and the PGMCC comparator;
 //! * [`transport`] — the real-network UDP transport;
 //! * [`experiments`] — the figure-by-figure experiment harness;
 //! * [`runner`] — the parallel sweep runner the harness executes on.
@@ -26,7 +26,7 @@
 
 pub use netsim as sim;
 pub use tfmcc_agents as agents;
-pub use tfmcc_baselines::{pgmcc, tcp, tfrc};
+pub use tfmcc_baselines::{pgmcc, tcp};
 pub use tfmcc_experiments as experiments;
 pub use tfmcc_feedback as feedback;
 pub use tfmcc_mc as mc;

@@ -7,7 +7,8 @@ use proptest::prelude::*;
 
 use netsim::packet::{FlowId, GroupId, Port};
 use netsim::sim::Simulator;
-use tfmcc::agents::{PopulationSpec, ReceiverSpec, SessionManager, SessionSpec};
+use tfmcc::agents::manager::SessionAddressing;
+use tfmcc::agents::{PopulationSpec, ReceiverSpec, SessionManager, TfmccSessionBuilder};
 use tfmcc::model::throughput::{mathis_loss_rate, mathis_throughput, padhye_throughput};
 use tfmcc::proto::config::TfmccConfig;
 use tfmcc::proto::feedback::FeedbackPlanner;
@@ -85,41 +86,37 @@ proptest! {
         prop_assert!(history.packets_received() > 0);
     }
 
-    /// SessionManager allocations are collision-free for any mix of
-    /// explicitly addressed and auto-allocated sessions, in any order: all
-    /// groups and flows are distinct and no port is bound twice — even when
-    /// the explicit sessions squat on values inside the auto-allocation
-    /// range, which the allocator must skip over.
+    /// SessionManager allocations are collision-free for any interleaving
+    /// of sessions and competitor reservations: all groups and flows are
+    /// distinct and no port is bound twice, across both.
     #[test]
     fn session_allocations_never_collide(
-        explicit in proptest::collection::vec(any::<bool>(), 1..8),
+        reserve in proptest::collection::vec(any::<bool>(), 1..8),
     ) {
         let mut sim = Simulator::new(1);
         let a = sim.add_node("sender");
         let b = sim.add_node("receiver");
         let mut mgr = SessionManager::new();
-        for (i, &is_explicit) in explicit.iter().enumerate() {
-            let spec = if is_explicit {
-                // Deliberately inside the auto-allocation ranges (groups
-                // from 1, ports from 5000, flows from 100) so later
-                // defaulted sessions must skip forward past these.
-                SessionSpec::default().with_addressing(
-                    GroupId(1 + 2 * i as u32),
-                    Port(5000 + 4 * i as u16),
-                    Port(5001 + 4 * i as u16),
-                    FlowId(100 + 2 * i as u64),
-                )
+        let mut blocks = Vec::new();
+        for &is_reservation in &reserve {
+            if is_reservation {
+                blocks.push(mgr.reserve_addressing());
             } else {
-                SessionSpec::default()
-            };
-            mgr.add_population_session(&mut sim, &spec, a, &[PopulationSpec::packet(b)]);
+                let id = mgr.add_population_session(&mut sim, 0.0, a, &[PopulationSpec::packet(b)]);
+                let s = mgr.session(id);
+                blocks.push(SessionAddressing {
+                    group: s.group,
+                    data_port: s.data_port,
+                    sender_port: s.sender_port,
+                    flow: s.flow,
+                });
+            }
         }
-        prop_assert_eq!(mgr.len(), explicit.len());
+        prop_assert_eq!(mgr.len(), reserve.iter().filter(|&&r| !r).count());
         let mut groups = BTreeSet::new();
         let mut flows = BTreeSet::new();
         let mut ports = BTreeSet::new();
-        for s in mgr.sessions() {
-            prop_assert_eq!(mgr.session(s.id).group, s.group, "handle lookup is stable");
+        for s in &blocks {
             prop_assert!(groups.insert(s.group.0), "group {} allocated twice", s.group.0);
             prop_assert!(flows.insert(s.flow.0), "flow {} allocated twice", s.flow.0);
             prop_assert!(s.data_port != s.sender_port);
@@ -128,9 +125,9 @@ proptest! {
         }
     }
 
-    /// All-defaulted sessions get the documented deterministic allocation
-    /// (session i: group 1+i, ports 5000+2i/5001+2i, flow 100+i) regardless
-    /// of how many sessions there are or what their specs say otherwise.
+    /// Sessions get the documented deterministic allocation (session i:
+    /// group 1+i, ports 5000+2i/5001+2i, flow 100+i) regardless of how many
+    /// sessions there are or when they start.
     #[test]
     fn auto_allocation_matches_its_documentation(
         n in 1usize..10,
@@ -141,14 +138,12 @@ proptest! {
         let b = sim.add_node("receiver");
         let mut mgr = SessionManager::new();
         for (i, &start_at) in start_ats.iter().enumerate().take(n) {
-            let spec = SessionSpec::default().starting_at(start_at);
-            let id = mgr.add_population_session(&mut sim, &spec, a, &[PopulationSpec::packet(b)]);
+            let id = mgr.add_population_session(&mut sim, start_at, a, &[PopulationSpec::packet(b)]);
             let s = mgr.session(id);
             prop_assert_eq!(s.group, GroupId(1 + i as u32));
             prop_assert_eq!(s.data_port, Port(5000 + 2 * i as u16));
             prop_assert_eq!(s.sender_port, Port(5001 + 2 * i as u16));
             prop_assert_eq!(s.flow, FlowId(100 + i as u64));
-            prop_assert_eq!(s.start_at, start_at);
             prop_assert_eq!(s.receivers.len(), 1);
         }
     }
@@ -170,26 +165,33 @@ proptest! {
     }
 }
 
-/// Every documented `add_population_session` panic fires with its documented message on
-/// the corresponding bad input, and a rejected spec leaves the manager
-/// untouched (validation runs before any agent is attached).
+/// Every documented session-building panic fires with its documented
+/// message on the corresponding bad input, and a session the manager
+/// rejects leaves it untouched (validation runs before any agent is
+/// attached, and the rejected session takes no addressing block).
 #[test]
 fn session_manager_validation_panics_are_exhaustive() {
     let mut sim = Simulator::new(3);
     let a = sim.add_node("sender");
     let b = sim.add_node("receiver");
     let mut mgr = SessionManager::new();
-    mgr.add_population_session(
-        &mut sim,
-        &SessionSpec::default(),
-        a,
-        &[PopulationSpec::packet(b)],
-    );
+    mgr.add_population_session(&mut sim, 0.0, a, &[PopulationSpec::packet(b)]);
 
-    let mut expect_panic = |spec: SessionSpec, receivers: Vec<ReceiverSpec>, needle: &str| {
+    // `builder: None` adds the session through the manager, starting at
+    // `start_at`; `Some` builds it directly (the builder's start is used).
+    let mut expect_panic = |builder: Option<TfmccSessionBuilder>,
+                            start_at: f64,
+                            receivers: Vec<ReceiverSpec>,
+                            needle: &str| {
         let before = mgr.len();
-        let err = catch_unwind(AssertUnwindSafe(|| {
-            mgr.add_population_session(&mut sim, &spec, a, &PopulationSpec::packets(&receivers));
+        let populations = PopulationSpec::packets(&receivers);
+        let err = catch_unwind(AssertUnwindSafe(|| match &builder {
+            Some(builder) => {
+                builder.build_population(&mut sim, a, &populations);
+            }
+            None => {
+                mgr.add_population_session(&mut sim, start_at, a, &populations);
+            }
         }))
         .expect_err(&format!("bad input must panic (wanted: {needle})"));
         let msg = err
@@ -204,62 +206,59 @@ fn session_manager_validation_panics_are_exhaustive() {
         assert_eq!(mgr.len(), before, "a rejected spec must not half-register");
     };
 
-    expect_panic(SessionSpec::default(), vec![], "at least one receiver");
+    expect_panic(None, 0.0, vec![], "at least one receiver");
     expect_panic(
-        SessionSpec::default().starting_at(f64::NAN),
+        None,
+        f64::NAN,
         vec![ReceiverSpec::always(b)],
         "start_at must be finite",
     );
     expect_panic(
-        SessionSpec::default().with_meter_bin(0.0),
+        Some(TfmccSessionBuilder {
+            meter_bin: 0.0,
+            ..TfmccSessionBuilder::default()
+        }),
+        0.0,
         vec![ReceiverSpec::always(b)],
         "meter_bin must be a positive",
     );
     expect_panic(
-        SessionSpec::default().with_addressing(GroupId(9), Port(7000), Port(7000), FlowId(9)),
+        Some(TfmccSessionBuilder {
+            data_port: Port(7000),
+            sender_port: Port(7000),
+            ..TfmccSessionBuilder::default()
+        }),
+        0.0,
         vec![ReceiverSpec::always(b)],
         "must differ",
     );
     expect_panic(
-        SessionSpec::default(),
+        None,
+        0.0,
         vec![ReceiverSpec::joining_at(b, -1.0)],
         "join_at must be finite",
     );
     expect_panic(
-        SessionSpec::default(),
+        None,
+        0.0,
         vec![ReceiverSpec::joining_at(b, 5.0).leaving_at(4.0)],
         "must be finite and after join_at",
     );
     expect_panic(
-        SessionSpec::default(),
+        None,
+        0.0,
         vec![ReceiverSpec::always(b).leaving_at(10.0).churning(2.0, 2.0)],
         "leave_at and churn are exclusive",
     );
     expect_panic(
-        SessionSpec::default(),
+        None,
+        0.0,
         vec![ReceiverSpec::always(b).churning(0.0, 2.0)],
         "churn periods must be positive",
     );
-    // Collisions with the session added above (group 1, ports 5000/5001,
-    // flow 100).
-    expect_panic(
-        SessionSpec::default().with_addressing(GroupId(1), Port(7000), Port(7001), FlowId(9)),
-        vec![ReceiverSpec::always(b)],
-        "already uses multicast group",
-    );
-    expect_panic(
-        SessionSpec::default().with_addressing(GroupId(9), Port(7000), Port(7001), FlowId(100)),
-        vec![ReceiverSpec::always(b)],
-        "already uses flow id",
-    );
-    expect_panic(
-        SessionSpec::default().with_addressing(GroupId(9), Port(5000), Port(7001), FlowId(9)),
-        vec![ReceiverSpec::always(b)],
-        "overlapping ports would",
-    );
-    expect_panic(
-        SessionSpec::default().with_addressing(GroupId(9), Port(7000), Port(5001), FlowId(9)),
-        vec![ReceiverSpec::always(b)],
-        "reports would",
-    );
+
+    // None of the rejected sessions took a block: the next one gets the
+    // second.
+    let id = mgr.add_population_session(&mut sim, 0.0, a, &[PopulationSpec::packet(b)]);
+    assert_eq!(mgr.session(id).group, GroupId(2));
 }
