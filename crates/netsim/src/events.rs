@@ -18,10 +18,12 @@
 //! [`CalendarQueue::pop_instant`] takes the same entries in the same order,
 //! a whole instant at a time: every entry at the head time moves out in one
 //! call, with one round of bookkeeping.  This is how the simulator
-//! dispatches — on a multicast star one call hands over all the same-instant
-//! arrivals of a packet.  An entry scheduled at that instant while the run is
-//! being dispatched has a larger `seq` than every entry of the run, so it
-//! would have popped after them anyway; the next call returns it.
+//! dispatches — on a multicast star one call hands over every entry of an
+//! instant, where the replicas of a packet that a fan-out lands there under
+//! consecutive `seq`s are already a single entry (see the `sim` module's
+//! "Same-instant fan-out").  An entry scheduled at that instant while the
+//! run is being dispatched has a larger `seq` than every entry of the run,
+//! so it would have popped after them anyway; the next call returns it.
 //!
 //! The unit tests below hold the queue to this order against a binary-heap
 //! oracle, operation by operation; the simulator asserts it again for every

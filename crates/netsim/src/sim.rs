@@ -34,6 +34,21 @@
 //!   [`Simulator::events_processed`];
 //! * debug builds assert, for every run, that it starts at or after the
 //!   clock and strictly after the last key taken, in `(time, seq)` order.
+//!
+//! # Same-instant fan-out
+//!
+//! A multicast packet offered to drop-tail out-links that land it at one
+//! instant is queued as **one** entry, not one per replica.  Each replica still takes its own `seq` at its
+//! offer, and a replica joins the open batch only if its arrival is
+//! bit-equal to the batch's and no other event took a `seq` since the
+//! batch's last member.  So a batch holds the consecutive keys
+//! `(t, b) … (t, b+n−1)`; no other key lies between them, and in the
+//! `(time, seq)` order they are adjacent.  The batch is queued under
+//! `(t, b)`, exactly where its first member sits, and dispatches its nodes
+//! in offer order, one delivery each.  Anything scheduled meanwhile takes a
+//! `seq` above `b+n−1` and comes after the whole batch, as it would after
+//! its last member.  The dispatch order, and so every delivery, is the same
+//! as with one entry per replica.
 
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -56,8 +71,9 @@ use crate::time::SimTime;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FanoutMode {
     /// Zero-copy fan-out: every replica shares one `PacketData` allocation,
-    /// local subscribers come from a node's sorted `(group, agent)` list and
-    /// a tree's out-links are iterated in place.
+    /// local subscribers come from a node's sorted `(group, agent)` list, a
+    /// tree's out-links are iterated in place, and replicas that arrive at
+    /// one instant under consecutive `seq`s share one queue entry.
     #[default]
     Shared,
 }
@@ -112,9 +128,85 @@ enum EventKind {
         node: NodeId,
         packet: Packet,
     },
+    /// The replicas of one packet that a fan-out lands at one instant under
+    /// consecutive `seq`s: a [`Batch`] slot of [`World::batches`].
+    NodeArrivals {
+        batch: usize,
+    },
     LinkTxComplete {
         link: LinkId,
     },
+}
+
+// A batch is one slot index, so the queue's entries do not grow.
+const _: () = assert!(std::mem::size_of::<EventKind>() == 32);
+
+/// The replicas of one multicast packet queued as one
+/// [`EventKind::NodeArrivals`] entry (see [`World::route_packet`]).
+#[derive(Debug, Default)]
+struct Batch {
+    /// The packet every replica shares; `None` while the slot is free.
+    packet: Option<Packet>,
+    /// The nodes it arrives at, in offer order.
+    nodes: Vec<NodeId>,
+}
+
+/// The batch a fan-out is gathering: its instant, the `seq` of its first
+/// member (its queue key) and the packet.  Its nodes are
+/// [`Batches::gathering`].
+struct OpenBatch {
+    at: SimTime,
+    first: u64,
+    packet: Packet,
+}
+
+/// Slab of [`Batch`] slots with a free list.  Node vectors move between the
+/// slots and the gathering buffer, so a steady run allocates nothing.
+#[derive(Debug, Default)]
+struct Batches {
+    slots: Vec<Batch>,
+    free: Vec<usize>,
+    /// Nodes of the [`OpenBatch`] being gathered, in offer order.
+    gathering: Vec<NodeId>,
+}
+
+impl Batches {
+    /// Queues the gathered batch under its first member's key: one replica
+    /// as a [`EventKind::NodeArrival`], more as one
+    /// [`EventKind::NodeArrivals`].
+    fn flush(&mut self, queue: &mut CalendarQueue<EventKind>, open: OpenBatch) {
+        let kind = if let [node] = self.gathering[..] {
+            self.gathering.clear();
+            EventKind::NodeArrival {
+                node,
+                packet: open.packet,
+            }
+        } else {
+            let batch = self.free.pop().unwrap_or_else(|| {
+                self.slots.push(Batch::default());
+                self.slots.len() - 1
+            });
+            let slot = &mut self.slots[batch];
+            slot.packet = Some(open.packet);
+            std::mem::swap(&mut slot.nodes, &mut self.gathering);
+            EventKind::NodeArrivals { batch }
+        };
+        queue.schedule(open.at, open.first, kind);
+    }
+
+    /// Takes a queued batch's packet and nodes out of its slot for dispatch.
+    fn take(&mut self, batch: usize) -> (Packet, Vec<NodeId>) {
+        let slot = &mut self.slots[batch];
+        let packet = slot.packet.take().expect("a queued batch holds its packet");
+        (packet, std::mem::take(&mut slot.nodes))
+    }
+
+    /// Frees a dispatched batch's slot, keeping its node vector's capacity.
+    fn release(&mut self, batch: usize, mut nodes: Vec<NodeId>) {
+        nodes.clear();
+        self.slots[batch].nodes = nodes;
+        self.free.push(batch);
+    }
 }
 
 /// A node's local tables: flat sorted arrays, because a node holds a handful
@@ -164,6 +256,8 @@ pub struct World {
     /// Reused buffer for the packet a RED/CoDel link hands back per
     /// `LinkTxComplete` (packet, completion time).
     tx_scratch: Vec<(Packet, SimTime)>,
+    /// Same-instant fan-outs queued as one entry each.
+    batches: Batches,
 }
 
 impl World {
@@ -189,6 +283,7 @@ impl World {
             rng: SmallRng::seed_from_u64(seed),
             events_processed: 0,
             tx_scratch: Vec::new(),
+            batches: Batches::default(),
         }
     }
 
@@ -208,6 +303,10 @@ impl World {
 
     /// Routes a packet that is present at `node` (either just sent by a local
     /// agent or arriving from a link), replicating it onto links as needed.
+    /// Drop-tail replicas that arrive at one instant under consecutive
+    /// `seq`s are queued as one [`EventKind::NodeArrivals`] entry (see the
+    /// [module documentation](self)); a batch of one is a plain
+    /// [`EventKind::NodeArrival`].
     ///
     /// A packet can match **at most one** local agent — unicast names a
     /// single port, and multicast subscribers on one node are distinguished
@@ -232,15 +331,19 @@ impl World {
                     }
                 } else {
                     match self.routes.next_hop(node, addr.node) {
-                        Some(link) => offer_to_link(
-                            &mut self.links,
-                            &mut self.queue,
-                            &mut self.seq,
-                            &mut self.stats,
-                            now,
-                            link,
-                            packet,
-                        ),
+                        Some(link) => {
+                            if let Some((to, packet, at)) = offer_to_link(
+                                &mut self.links,
+                                &mut self.queue,
+                                &mut self.seq,
+                                &mut self.stats,
+                                now,
+                                link,
+                                packet,
+                            ) {
+                                self.push_event(at, EventKind::NodeArrival { node: to, packet });
+                            }
+                        }
                         None => self.stats.add("drops.no_route", 1.0),
                     }
                 }
@@ -249,10 +352,15 @@ impl World {
             Dest::Multicast { group, port } => {
                 // Replicate along the distribution tree rooted at the
                 // source, iterating its out-link list in place; every
-                // replica shares the one `PacketData`.
+                // replica shares the one `PacketData`.  Drop-tail replicas
+                // that land at one instant under consecutive `seq`s share
+                // one queue entry: each still takes its own `seq` here, in
+                // offer order, and joins the open batch only if nothing
+                // else took one since the batch's last member.
                 let tree = self.multicast.tree(group, packet.src.node, &self.routes);
+                let mut open: Option<OpenBatch> = None;
                 for &link in tree.out_links(node) {
-                    offer_to_link(
+                    let Some((to, replica, at)) = offer_to_link(
                         &mut self.links,
                         &mut self.queue,
                         &mut self.seq,
@@ -260,7 +368,28 @@ impl World {
                         now,
                         link,
                         packet.clone(),
-                    );
+                    ) else {
+                        continue;
+                    };
+                    let joins = open.as_ref().is_some_and(|b| {
+                        b.at.as_secs().to_bits() == at.as_secs().to_bits()
+                            && self.seq == b.first + self.batches.gathering.len() as u64
+                    });
+                    if !joins {
+                        if let Some(done) = open.take() {
+                            self.batches.flush(&mut self.queue, done);
+                        }
+                        open = Some(OpenBatch {
+                            at,
+                            first: self.seq,
+                            packet: replica,
+                        });
+                    }
+                    self.batches.gathering.push(to);
+                    self.seq += 1;
+                }
+                if let Some(done) = open {
+                    self.batches.flush(&mut self.queue, done);
                 }
                 // Local delivery: scan the node's subscribers to `group` for
                 // the (unique) agent bound to the destination port — no
@@ -376,10 +505,14 @@ fn enqueue(
     this
 }
 
-/// Offers `packet` to a link at `now` and schedules what the link answers;
-/// the one offer path.  It takes the world's fields one by one so that
-/// [`World::route_packet`] can call it while it iterates a tree's out-links
-/// in place.
+/// Offers `packet` to a link at `now`; the one offer path.  A RED/CoDel
+/// link's transmission end is scheduled and a drop is counted here; a
+/// drop-tail link's arrival is already fixed and comes back as
+/// `(node, packet, arrives_at)` for the caller to schedule at once, so the
+/// one event of the hop takes its tie-break `seq` in offer order.  It takes
+/// the world's fields one by one so that [`World::route_packet`] can call it
+/// while it iterates a tree's out-links in place.
+#[must_use]
 fn offer_to_link(
     links: &mut [Link],
     queue: &mut CalendarQueue<EventKind>,
@@ -388,19 +521,11 @@ fn offer_to_link(
     now: SimTime,
     link_id: LinkId,
     packet: Packet,
-) {
+) -> Option<(NodeId, Packet, SimTime)> {
     let link = &mut links[link_id.0];
     // Loss/RED randomness comes from the link's own stream.
     match link.offer(packet, now) {
-        // Drop-tail link: the arrival is already fixed, so the one event of
-        // this hop takes its tie-break `seq` here, in offer order.
-        LinkAccept::Arrives { packet, arrives_at } => {
-            let arrival = EventKind::NodeArrival {
-                node: link.to,
-                packet,
-            };
-            enqueue(queue, seq, now, arrives_at, arrival);
-        }
+        LinkAccept::Arrives { packet, arrives_at } => return Some((link.to, packet, arrives_at)),
         LinkAccept::Accepted { tx_complete_at } => {
             if let Some(t) = tx_complete_at {
                 let done = EventKind::LinkTxComplete { link: link_id };
@@ -409,6 +534,7 @@ fn offer_to_link(
         }
         LinkAccept::Dropped => stats.add("drops.link", 1.0),
     }
+    None
 }
 
 /// The handle agents use to interact with the simulation from inside their
@@ -530,7 +656,9 @@ pub struct Simulator {
 /// diagnostics (see [`Simulator::scheduler_diagnostics`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchedulerDiagnostics {
-    /// Live (scheduled, not yet dispatched or cancelled) events.
+    /// Live (scheduled, not yet dispatched or cancelled) queue entries.  A
+    /// same-instant fan-out batch is one entry, however many nodes it
+    /// reaches (see the [module documentation](self)).
     pub queued_events: usize,
     /// Entry slots the queue has allocated ([`CalendarQueue::capacity`]):
     /// retained memory, which must follow `queued_events` and not the
@@ -573,7 +701,9 @@ impl Simulator {
     }
 
     /// Number of events processed so far.  Cancelled timers are removed
-    /// from the event queue and never dispatched, so they do not count.
+    /// from the event queue and never dispatched, so they do not count.  A
+    /// same-instant fan-out batch counts once per node it delivers to, as
+    /// one entry per replica would.
     pub fn events_processed(&self) -> u64 {
         self.world.events_processed
     }
@@ -820,16 +950,28 @@ impl Simulator {
             EventKind::Deliver { agent, packet } => {
                 self.with_agent(agent, |a, ctx| a.on_packet(ctx, packet));
             }
-            EventKind::NodeArrival { node, packet } => {
-                // Inline local delivery: a routed packet matches at most one
-                // agent, so no queue round-trip is needed.
-                if let Some((agent, packet)) = self.world.route_packet(node, packet) {
-                    self.with_agent(agent, |a, ctx| a.on_packet(ctx, packet));
+            EventKind::NodeArrival { node, packet } => self.arrive(node, packet),
+            EventKind::NodeArrivals { batch } => {
+                let (packet, nodes) = self.world.batches.take(batch);
+                // `run_until` counted the entry once: one event per node.
+                self.world.events_processed += nodes.len() as u64 - 1;
+                for &node in &nodes {
+                    self.arrive(node, packet.clone());
                 }
+                self.world.batches.release(batch, nodes);
             }
             EventKind::LinkTxComplete { link } => {
                 self.world.handle_link_tx_complete(link);
             }
+        }
+    }
+
+    /// A packet arriving at `node`: routed on, and delivered inline to the
+    /// local agent it matches, if any — a routed packet matches at most one
+    /// agent, so no queue round-trip is needed.
+    fn arrive(&mut self, node: NodeId, packet: Packet) {
+        if let Some((agent, packet)) = self.world.route_packet(node, packet) {
+            self.with_agent(agent, |a, ctx| a.on_packet(ctx, packet));
         }
     }
 
@@ -855,6 +997,9 @@ impl Simulator {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
     use super::*;
     use crate::packet::{FlowId, Payload};
 
@@ -1706,6 +1851,244 @@ mod tests {
             acks,
             vec![(1, node_of(members[0])), (2, node_of(members[1]))]
         );
+    }
+
+    /// What a [`Logged`] agent saw, in dispatch order.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Seen {
+        Packet(Address),
+        Timer(u64),
+    }
+
+    type SharedLog = Rc<RefCell<Vec<(SimTime, Seen)>>>;
+
+    /// Appends every delivery and timer it gets to a log shared with other
+    /// agents; forwards each delivery to `forward` on its own node, if set,
+    /// arms each `(delay, token)` of `timers` at start and, when timer 0
+    /// fires, arms timer 2 after `rearm` seconds, if set.
+    struct Logged {
+        log: SharedLog,
+        forward: Option<Port>,
+        timers: Vec<(f64, u64)>,
+        rearm: Option<f64>,
+    }
+
+    impl Logged {
+        fn new(log: &SharedLog) -> Self {
+            Logged {
+                log: Rc::clone(log),
+                forward: None,
+                timers: Vec::new(),
+                rearm: None,
+            }
+        }
+    }
+
+    impl Agent for Logged {
+        fn start(&mut self, ctx: &mut Context<'_>) {
+            for &(delay, token) in &self.timers {
+                ctx.schedule(delay, token);
+            }
+        }
+        fn on_timer(&mut self, ctx: &mut Context<'_>, token: u64) {
+            self.log.borrow_mut().push((ctx.now(), Seen::Timer(token)));
+            if let (0, Some(delay)) = (token, self.rearm) {
+                ctx.schedule(delay, 2);
+            }
+        }
+        fn on_packet(&mut self, ctx: &mut Context<'_>, _packet: Packet) {
+            self.log
+                .borrow_mut()
+                .push((ctx.now(), Seen::Packet(ctx.addr())));
+            if let Some(port) = self.forward {
+                let to = Dest::Unicast(Address::new(ctx.addr().node, port));
+                ctx.send(Packet::new(ctx.addr(), to, 40, FlowId(2), Payload::empty()));
+            }
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// Bandwidth of every [`logged_star`] leg and the size of its packet:
+    /// 10 ms of serialization.
+    const LEG_BANDWIDTH: f64 = 100_000.0;
+    const LEG_PACKET: u32 = 1000;
+
+    /// A hub with one leg per entry of `delays` (drop-tail at
+    /// [`LEG_BANDWIDTH`], except that `red` names a leg and its bandwidth
+    /// for a RED queue), each to a node whose [`Logged`] member on port 1
+    /// joins the group (the member on leg `forward` forwards to port 2); a
+    /// [`Scripted`] source on the hub sends one [`LEG_PACKET`] to the group
+    /// at t = 0.  Agents added by the caller start after the source.
+    /// Returns the simulation, the hub, the leaf nodes and the shared log.
+    fn logged_star(
+        delays: &[f64],
+        red: Option<(usize, f64)>,
+        forward: Option<usize>,
+    ) -> (Simulator, NodeId, Vec<NodeId>, SharedLog) {
+        let mut sim = Simulator::new(1);
+        let hub = sim.add_node("hub");
+        let group = GroupId(1);
+        let log = SharedLog::default();
+        let leaves = delays
+            .iter()
+            .enumerate()
+            .map(|(i, &delay)| {
+                let leaf = sim.add_node("leaf");
+                match red {
+                    Some((leg, bandwidth)) if leg == i => {
+                        sim.add_link(hub, leaf, bandwidth, delay, QueueDiscipline::red(10))
+                    }
+                    _ => sim.add_link(
+                        hub,
+                        leaf,
+                        LEG_BANDWIDTH,
+                        delay,
+                        QueueDiscipline::drop_tail(10),
+                    ),
+                };
+                let mut member = Logged::new(&log);
+                if forward == Some(i) {
+                    member.forward = Some(Port(2));
+                }
+                let member = sim.add_agent(leaf, Port(1), Box::new(member));
+                sim.join_group(member, group);
+                leaf
+            })
+            .collect();
+        let to_group = Dest::Multicast {
+            group,
+            port: Port(1),
+        };
+        let source = Scripted::new(to_group, LEG_PACKET, &[0.0]);
+        sim.add_agent(hub, Port(1), Box::new(source));
+        (sim, hub, leaves, log)
+    }
+
+    /// The instant a [`logged_star`] packet reaches the end of a leg.
+    fn leg_arrival(delay: f64) -> SimTime {
+        SimTime::ZERO + f64::from(LEG_PACKET) / LEG_BANDWIDTH + delay
+    }
+
+    const A: f64 = 0.005;
+    const B: f64 = 0.007;
+
+    /// The batch rule: replicas that arrive at one instant under
+    /// consecutive `seq`s share one queue entry, a different instant starts
+    /// a new one, and every delivery still counts as one event.
+    #[test]
+    fn same_instant_replicas_share_one_queue_entry() {
+        let (mut sim, _, leaves, log) = logged_star(&[A, A, B, A, A, A], None, None);
+        sim.run_until(SimTime::ZERO);
+        // {0, 1}, {2}, {3, 4, 5}.
+        assert_eq!(sim.scheduler_diagnostics().queued_events, 3);
+        let before = sim.events_processed();
+        sim.run_until(SimTime::from_secs(1.0));
+        assert_eq!(sim.events_processed() - before, 6);
+        let at = |leaf: usize, delay| {
+            (
+                leg_arrival(delay),
+                Seen::Packet(Address::new(leaves[leaf], Port(1))),
+            )
+        };
+        assert_eq!(
+            *log.borrow(),
+            vec![at(0, A), at(1, A), at(3, A), at(4, A), at(5, A), at(2, B)]
+        );
+    }
+
+    /// A RED leg's transmission end takes a `seq` in the middle of the
+    /// offer, so the replicas on either side of it cannot share an entry;
+    /// its own arrival is scheduled later and follows the batch that
+    /// shares its instant.
+    #[test]
+    fn a_red_leg_splits_the_batch_and_arrives_after_it() {
+        let (mut sim, _, leaves, log) =
+            logged_star(&[A, A, B, A, A, A], Some((1, LEG_BANDWIDTH)), None);
+        sim.run_until(SimTime::ZERO);
+        // {0}, leg 1's transmission end, {2}, {3, 4, 5}.
+        assert_eq!(sim.scheduler_diagnostics().queued_events, 4);
+        let before = sim.events_processed();
+        sim.run_until(SimTime::from_secs(1.0));
+        assert_eq!(sim.events_processed() - before, 7);
+        let at = |leaf: usize, delay| {
+            (
+                leg_arrival(delay),
+                Seen::Packet(Address::new(leaves[leaf], Port(1))),
+            )
+        };
+        assert_eq!(
+            *log.borrow(),
+            vec![at(0, A), at(3, A), at(4, A), at(5, A), at(1, A), at(2, B)]
+        );
+    }
+
+    /// A RED leg at half the bandwidth ends its transmission exactly when
+    /// the drop-tail replicas arrive (10 ms + 10 ms of delay against 20 ms
+    /// of serialization), under a `seq` between legs 0 and 2: the event
+    /// sits inside the instant, so the replicas around it cannot share an
+    /// entry, however equal their arrival.
+    #[test]
+    fn a_transmission_end_at_the_batch_instant_splits_it() {
+        let d = f64::from(LEG_PACKET) / LEG_BANDWIDTH;
+        let (mut sim, _, leaves, log) = logged_star(&[d; 6], Some((1, LEG_BANDWIDTH / 2.0)), None);
+        sim.run_until(SimTime::ZERO);
+        // {0}, leg 1's transmission end, {2, 3, 4, 5}.
+        assert_eq!(sim.scheduler_diagnostics().queued_events, 3);
+        let t = leg_arrival(d);
+        assert_eq!(
+            SimTime::ZERO + 2.0 * d,
+            t,
+            "the scenario must produce a tie"
+        );
+        let before = sim.events_processed();
+        sim.run_until(SimTime::from_secs(1.0));
+        assert_eq!(sim.events_processed() - before, 7);
+        let at = |leaf: usize, t| (t, Seen::Packet(Address::new(leaves[leaf], Port(1))));
+        let mut want: Vec<_> = [0, 2, 3, 4, 5]
+            .into_iter()
+            .map(|leaf| at(leaf, t))
+            .collect();
+        want.push(at(1, t + d));
+        assert_eq!(*log.borrow(), want);
+    }
+
+    /// A member that sends to a local agent from inside its delivery
+    /// enqueues a `Deliver` at the same instant, behind every remaining
+    /// member of its batch.
+    #[test]
+    fn a_send_from_inside_a_batch_follows_the_whole_batch() {
+        let (mut sim, _, leaves, log) = logged_star(&[A; 6], None, Some(1));
+        sim.add_agent(leaves[1], Port(2), Box::new(Logged::new(&log)));
+        sim.run_until(SimTime::from_secs(1.0));
+        let t = leg_arrival(A);
+        let member = |leaf: usize| (t, Seen::Packet(Address::new(leaves[leaf], Port(1))));
+        let mut want: Vec<_> = (0..6).map(member).collect();
+        want.push((t, Seen::Packet(Address::new(leaves[1], Port(2)))));
+        assert_eq!(*log.borrow(), want);
+    }
+
+    /// A timer due at a batch's instant fires before the batch when it was
+    /// armed before the offer, and after it when armed after the offer.
+    #[test]
+    fn timers_at_a_batch_instant_keep_their_arming_order() {
+        let (mut sim, hub, leaves, log) = logged_star(&[A; 6], None, None);
+        let t = leg_arrival(A);
+        let mut timers = Logged::new(&log);
+        // Token 1 is armed at start, before the source's send at t = 0;
+        // token 0 fires at t = 0 after the send and arms token 2.
+        timers.timers = vec![(t.as_secs(), 1), (0.0, 0)];
+        timers.rearm = Some(t.as_secs());
+        sim.add_agent(hub, Port(9), Box::new(timers));
+        sim.run_until(SimTime::from_secs(1.0));
+        let mut want = vec![(SimTime::ZERO, Seen::Timer(0)), (t, Seen::Timer(1))];
+        want.extend((0..6).map(|leaf| (t, Seen::Packet(Address::new(leaves[leaf], Port(1))))));
+        want.push((t, Seen::Timer(2)));
+        assert_eq!(*log.borrow(), want);
     }
 
     /// The slot-edge rule: a packet stops occupying its queue slot at the

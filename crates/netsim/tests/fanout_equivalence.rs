@@ -35,6 +35,18 @@
 //! The first two columns were split out of the old single digest and
 //! recorded at `835b917`, in the same run in which the 36 old digests still
 //! passed, before the link model was touched.
+//!
+//! In [`SCENARIOS`] consecutive legs differ in delay, so a packet's replicas
+//! rarely share an instant.  [`UNIFORM_SCENARIOS`] are six rows whose legs
+//! are all alike, so every replica of a packet lands at one instant: the
+//! shape under which the engine dispatches a same-instant fan-out as one
+//! queue entry.  They cross 8 and 40 legs with a RED leg every fifth
+//! position (its transmission-end event takes a tie-break `seq` in the
+//! middle of the hub's offer loop), and with 10 % loss on even legs plus
+//! churn (dropped replicas take no `seq`; a member may leave between the
+//! offer and the arrival).  All three columns were recorded at `fc9f8b0`,
+//! in the same run in which the 36 old rows passed, before the engine
+//! batched anything.
 
 use std::any::Any;
 
@@ -165,19 +177,34 @@ impl Agent for MarkedSource {
     }
 }
 
-/// One frozen scenario: a star of `legs` receivers (leg `i` has bandwidth
-/// `50 + 10·(i mod 4)` kB/s, delay `5 + 2·(i mod 3)` ms and a 6-packet
-/// drop-tail queue, so legs `i` and `i + 12` deliver at the same instants),
+/// One frozen scenario: a star of `legs` receivers shaped by `shape`,
 /// `loss_percent` Bernoulli loss on every even leg, and — when
 /// `churn_every_ms > 0` — every second member leaving/rejoining with period
 /// `50 + churn_every_ms + 13·i` ms.  The source sends 150 packets, 10 ms
 /// apart; the run lasts 3 s.
 struct Scenario {
+    shape: Shape,
     legs: usize,
     loss_percent: u64,
     churn_every_ms: u64,
     seed: u64,
     frozen: Digests,
+}
+
+/// How the legs of a scenario's star differ.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Shape {
+    /// Leg `i` has bandwidth `50 + 10·(i mod 4)` kB/s, delay
+    /// `5 + 2·(i mod 3)` ms and a 6-packet drop-tail queue, so legs `i` and
+    /// `i + 12` deliver at the same instants.
+    Mixed,
+    /// Every leg has 80 kB/s, 7 ms and a 6-packet drop-tail queue, so all
+    /// replicas of a packet arrive at one instant.
+    Uniform,
+    /// [`Shape::Uniform`], except that every fifth leg (`i mod 5 = 4`) has a
+    /// 6-packet RED queue: its transmission end is an event of its own, and
+    /// its arrival ties with the drop-tail legs' at the same instant.
+    UniformRed,
 }
 
 /// The three digests of one run (see the file header).
@@ -198,6 +225,7 @@ const fn sc(
     source_order: u64,
 ) -> Scenario {
     Scenario {
+        shape: Shape::Mixed,
         legs,
         loss_percent,
         churn_every_ms,
@@ -207,6 +235,13 @@ const fn sc(
             source_shape,
             source_order,
         },
+    }
+}
+
+impl Scenario {
+    /// The same row with its legs shaped by `shape`.
+    const fn shaped(self, shape: Shape) -> Scenario {
+        Scenario { shape, ..self }
     }
 }
 
@@ -251,6 +286,19 @@ const SCENARIOS: [Scenario; 36] = [
     sc(48, 27, 220, 654_321, 0xf404_e0ba_153e_e1eb, 0xc07b_047d_7c95_fd1f, 0x36ba_2c95_4fb9_d8f2),
 ];
 
+/// Rows whose replicas share instants: every leg alike, crossed with a RED
+/// leg every fifth position and with loss plus churn.
+#[rustfmt::skip]
+const UNIFORM_SCENARIOS: [Scenario; 6] = [
+    // legs, loss %, churn ms, seed, members, source shape, source order
+    sc(8, 0, 0, 41, 0x456e_7256_6aba_f0b1, 0x3f6b_40ca_e42b_ee6b, 0x1694_8106_460e_e49b).shaped(Shape::Uniform),
+    sc(8, 0, 0, 42, 0x456e_7256_6aba_f0b1, 0x3f6b_40ca_e42b_ee6b, 0x86d1_5cbf_a914_8693).shaped(Shape::UniformRed),
+    sc(8, 10, 60, 43, 0xe7c7_55ff_3a6b_0e3b, 0x022f_fb5a_9db3_524a, 0x0225_ba5a_0548_d7fa).shaped(Shape::Uniform),
+    sc(40, 0, 0, 44, 0x118c_c355_26ce_8800, 0x039a_5e48_5ab5_43b6, 0xc5d3_ffcd_0593_0cad).shaped(Shape::Uniform),
+    sc(40, 0, 0, 45, 0x118c_c355_26ce_8800, 0x039a_5e48_5ab5_43b6, 0x98e8_3938_d5b1_155d).shaped(Shape::UniformRed),
+    sc(40, 10, 60, 46, 0xb365_5d1e_4be8_d987, 0x9056_8a32_a881_da58, 0x7929_2406_f22a_9e5c).shaped(Shape::Uniform),
+];
+
 /// FNV-1a 64 over a stream of little-endian `u64` words.
 struct Fnv(u64);
 
@@ -281,11 +329,18 @@ fn run_scenario(s: &Scenario) -> Digests {
     let mut sim = Simulator::new(s.seed);
     let legs: Vec<StarLeg> = (0..s.legs)
         .map(|i| {
-            let mut leg = StarLeg::clean(
-                50_000.0 + 10_000.0 * (i % 4) as f64,
-                0.005 + 0.002 * (i % 3) as f64,
-            )
-            .with_queue(QueueDiscipline::drop_tail(6));
+            let (bandwidth, delay, queue) = match s.shape {
+                Shape::Mixed => (
+                    50_000.0 + 10_000.0 * (i % 4) as f64,
+                    0.005 + 0.002 * (i % 3) as f64,
+                    QueueDiscipline::drop_tail(6),
+                ),
+                Shape::UniformRed if i % 5 == 4 => (80_000.0, 0.007, QueueDiscipline::red(6)),
+                Shape::Uniform | Shape::UniformRed => {
+                    (80_000.0, 0.007, QueueDiscipline::drop_tail(6))
+                }
+            };
+            let mut leg = StarLeg::clean(bandwidth, delay).with_queue(queue);
             if i % 2 == 0 && s.loss_percent > 0 {
                 leg = leg.with_downstream_loss(s.loss_percent as f64 / 100.0);
             }
@@ -365,23 +420,37 @@ fn run_scenario(s: &Scenario) -> Digests {
     }
 }
 
-#[test]
-fn fanout_reproduces_the_frozen_reference_digests() {
-    let got: Vec<Digests> = SCENARIOS.iter().map(run_scenario).collect();
-    let mismatches: Vec<String> = SCENARIOS
+/// The rows of `table` whose run no longer digests to what they froze.
+fn mismatches(table: &[Scenario]) -> Vec<String> {
+    table
         .iter()
-        .zip(&got)
-        .filter(|(s, d)| s.frozen != **d)
+        .map(|s| (s, run_scenario(s)))
+        .filter(|(s, d)| s.frozen != *d)
         .map(|(s, d)| {
             format!(
-                "sc({}, {}, {}, {}) froze {:x?}, now digests to {d:x?}",
-                s.legs, s.loss_percent, s.churn_every_ms, s.seed, s.frozen
+                "{:?} sc({}, {}, {}, {}) froze {:x?}, now digests to {d:x?}",
+                s.shape, s.legs, s.loss_percent, s.churn_every_ms, s.seed, s.frozen
             )
         })
-        .collect();
+        .collect()
+}
+
+#[test]
+fn fanout_reproduces_the_frozen_reference_digests() {
+    let mismatches = mismatches(&SCENARIOS);
     assert!(
         mismatches.is_empty(),
         "multicast delivery diverged from the frozen clone-reference logs:\n{}",
+        mismatches.join("\n")
+    );
+}
+
+#[test]
+fn same_instant_replicas_reproduce_the_recorded_digests() {
+    let mismatches = mismatches(&UNIFORM_SCENARIOS);
+    assert!(
+        mismatches.is_empty(),
+        "same-instant multicast delivery diverged from the recorded logs:\n{}",
         mismatches.join("\n")
     );
 }

@@ -3,13 +3,14 @@
 # and fail unless it prints a digest — at the default N = 20 000, exactly
 # the recorded one, so an engine change that moves a single delivery fails
 # here —, its peak and after-run heap per receiver stay within fixed bounds
-# (2 045 / 1 967 B at 20 000 receivers when the bounds were set, 10 %
+# (1 892 / 1 892 B at 20 000 receivers when the bounds were set, 10 %
 # headroom), and it dispatched at most 1.05 events per delivered packet.  The
-# last bound guards the eventless drop-tail link: every hop of the CBR star
-# costs one `NodeArrival` and nothing else (1.002 today; 2.004 while a
-# `LinkTxComplete` preceded each arrival), so a change that brings a
-# per-packet link event back fails here.  Exact counts, not timings, so the
-# gate cannot flake.
+# last bound guards the eventless drop-tail link: the engine counts one
+# delivery per hop of the CBR star and nothing else — same-instant replicas
+# of a packet share one queue entry but still count once per node — (1.002
+# today; 2.004 while a `LinkTxComplete` preceded each arrival), so a change
+# that brings a per-packet link event back fails here.  Exact counts, not
+# timings, so the gate cannot flake.
 #
 # Usage: scripts/scale_probe_gate.sh [RECEIVERS] [OUT_DIR]   (default: 20000 out/figs)
 set -euo pipefail
@@ -17,8 +18,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 n="${1:-20000}"
 out_dir="${2:-out/figs}"
-max_peak=2250
-max_after=2164
+max_peak=2081
+max_after=2081
 max_events_per_delivery=1.05
 # The digest `scale_probe 20000` prints; other sizes have none on record.
 expected_digest_20000=fbf914ddd693c1fd
