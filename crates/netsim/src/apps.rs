@@ -5,8 +5,6 @@
 //! background/filler traffic for tests and examples, and the measuring sink
 //! used throughout the experiment harness.
 
-use std::any::Any;
-
 use crate::packet::{Address, Dest, FlowId, GroupId, Packet, Payload};
 use crate::sim::{Agent, Context};
 use crate::stats::ThroughputMeter;
@@ -83,13 +81,6 @@ impl Agent for CbrSource {
         self.sent_packets += 1;
         ctx.schedule(self.interval(), 0);
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// Counts and bins everything it receives.
@@ -128,12 +119,6 @@ impl Agent for Sink {
     fn on_packet(&mut self, ctx: &mut Context<'_>, packet: Packet) {
         self.meter.record(ctx.now(), u64::from(packet.size));
         self.packets += 1;
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -206,12 +191,6 @@ impl Agent for GroupSink {
     }
     fn on_packet(&mut self, ctx: &mut Context<'_>, packet: Packet) {
         self.sink.on_packet(ctx, packet);
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

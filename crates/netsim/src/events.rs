@@ -6,28 +6,22 @@
 //! caller-owned sequence number, unique among live entries (the simulator
 //! assigns one per scheduled event).  [`CalendarQueue::pop`] returns entries
 //! in ascending `(time, seq)` order — time first, `seq` within a time.
+//! [`CalendarQueue::pop_until`] takes the same entries in the same order,
+//! one per call, but only while the head's time is `<= until`; this is how
+//! the simulator dispatches and how it stops at a slice boundary.
+//!
 //! Entries may be scheduled at times *behind* the last popped entry's time: a
-//! [`CalendarQueue::pop_instant`] that finds its head beyond `until` leaves
-//! the calendar's cursor parked on that head, ahead of the caller's clock, so
-//! inserts behind the cursor have to work anyway, and the contract makes that
-//! unconditional (the simulator itself never schedules into the past, see
+//! `pop_until` that finds its head beyond `until` leaves the calendar's
+//! cursor parked on that head, ahead of the caller's clock, so inserts behind
+//! the cursor have to work anyway, and the contract makes that unconditional
+//! (the simulator itself never schedules into the past, see
 //! `World::push_event`).  A late insert simply pops next (in `(time, seq)`
 //! order among the remaining entries); it cannot, of course, retroactively
 //! order before entries that were already popped.
 //!
-//! [`CalendarQueue::pop_instant`] takes the same entries in the same order,
-//! a whole instant at a time: every entry at the head time moves out in one
-//! call, with one round of bookkeeping.  This is how the simulator
-//! dispatches — on a multicast star one call hands over every entry of an
-//! instant, where the replicas of a packet that a fan-out lands there under
-//! consecutive `seq`s are already a single entry (see the `sim` module's
-//! "Same-instant fan-out").  An entry scheduled at that instant while the
-//! run is being dispatched has a larger `seq` than every entry of the run,
-//! so it would have popped after them anyway; the next call returns it.
-//!
 //! The unit tests below hold the queue to this order against a binary-heap
 //! oracle, operation by operation; the simulator asserts it again for every
-//! run of every debug-profile simulation (see `Simulator::run_until`).
+//! entry of every debug-profile simulation (see `Simulator::run_until`).
 //!
 //! # Cancellation
 //!
@@ -38,10 +32,8 @@
 //! a bucket whose year has not come up by `seq` (buckets are unsorted; the
 //! scan is O(1) at the maintained load factor and O(burst) only for a timer
 //! parked inside a same-instant burst).  A cancelled entry is never returned
-//! from `pop` or `pop_instant`, is not counted by [`CalendarQueue::len`] and
-//! leaves nothing behind.  An entry already taken out by `pop_instant` is no
-//! longer queued and cannot be cancelled here; the simulator's timer table
-//! skips it instead.
+//! from `pop` or `pop_until`, is not counted by [`CalendarQueue::len`] and
+//! leaves nothing behind.
 
 use std::collections::VecDeque;
 
@@ -170,7 +162,7 @@ pub struct CalendarQueue<T> {
     /// Live entry count across `current` and all buckets.
     count: usize,
     /// The last year (`floor(time / width)`) moved into `current`;
-    /// `cur_abs % nbuckets` is the wheel position.  A `pop_instant` that
+    /// `cur_abs % nbuckets` is the wheel position.  A `pop_until` that
     /// stops at `until` can park it ahead of the caller's clock; inserts
     /// behind it go to `current`.
     cur_abs: u64,
@@ -463,56 +455,36 @@ impl<T> CalendarQueue<T> {
 
     /// Removes and returns the entry with the smallest `(time, seq)`.
     pub fn pop(&mut self) -> Option<(SimTime, u64, T)> {
+        self.pop_until(SimTime::from_secs(f64::MAX))
+    }
+
+    /// Removes and returns the entry with the smallest `(time, seq)` if its
+    /// time is `<= until`; `None` when the queue is empty or its head lies
+    /// beyond `until`.  Such a look removes nothing and leaves the cursor
+    /// parked on the head (see the [module documentation](self)).
+    pub fn pop_until(&mut self, until: SimTime) -> Option<(SimTime, u64, T)> {
         self.fill_current()?;
+        if self.current.front().expect("filled run").time > until {
+            return None;
+        }
         let entry = self.current.pop_front().expect("filled run");
-        self.note_pops(entry.time, 1);
+        self.note_pop(entry.time);
         Some((entry.time, entry.seq, entry.item))
     }
 
-    /// Removes every entry at the head instant, if that instant is
-    /// `<= until`, appends them to `out` as `(seq, item)` in `seq` order and
-    /// returns the instant; `None`, with `out` untouched, when the queue is
-    /// empty or its head lies beyond `until`.
-    ///
-    /// The entries leave in the order that many [`Self::pop`] calls would
-    /// take them.  An entry scheduled at the same instant afterwards has a
-    /// larger `seq`, so it sorts behind the run just taken and the next call
-    /// returns it.
-    pub fn pop_instant(&mut self, until: SimTime, out: &mut Vec<(u64, T)>) -> Option<SimTime> {
-        self.fill_current()?;
-        let time = self.current.front().expect("filled run").time;
-        if time > until {
-            return None;
-        }
-        // `current` is sorted by `(time, seq)`: the head instant is a prefix.
-        // Most instants hold one entry; a longer run is counted before it
-        // moves, so `out` is sized to the exact run length, not doubled.
-        let head = self.current.pop_front().expect("filled run");
-        out.push((head.seq, head.item));
-        let mut n = 1;
-        if self.current.front().is_some_and(|e| e.time == time) {
-            let rest = self.current.iter().take_while(|e| e.time == time).count();
-            out.extend(self.current.drain(..rest).map(|e| (e.seq, e.item)));
-            n += rest;
-        }
-        self.note_pops(time, n);
-        Some(time)
-    }
-
-    /// The bookkeeping of `n` pops at `time`, done once: hands back a
-    /// drained run, feeds the gap estimator (the gaps inside a same-instant
-    /// run are zero) and the cost window, and shrinks or re-tunes the wheel.
-    fn note_pops(&mut self, time: SimTime, n: usize) {
+    /// The bookkeeping of a pop at `time`: hands back a drained run, feeds
+    /// the gap estimator and the cost window, and shrinks or re-tunes the
+    /// wheel.
+    fn note_pop(&mut self, time: SimTime) {
         self.release_current();
-        self.count -= n;
+        self.count -= 1;
         if let Some(prev) = self.last_pop_time {
             self.pop_gap_sum += (time - prev).max(0.0);
         }
         self.last_pop_time = Some(time);
-        let n = n as u64;
-        self.gap_pops += n;
-        self.win_pops += n;
-        self.pops_since_rebucket += n;
+        self.gap_pops += 1;
+        self.win_pops += 1;
+        self.pops_since_rebucket += 1;
         self.maybe_shrink();
         // Cost-triggered re-tuning: at each window boundary, rebucket (with
         // a freshly estimated width) only when the wheel is measurably
@@ -652,27 +624,22 @@ mod tests {
             got.map(|(at, seq, _)| (at, seq))
         }
 
-        /// `pop_instant` on the calendar; the oracle pops every key at its
-        /// head time if that is `<= until`.  Returns the run's `seq`s.  A
-        /// head beyond `until` makes it a look: nothing leaves, and the
-        /// calendar's cursor is parked on the head.
-        fn pop_instant(&mut self, until: SimTime) -> Option<(SimTime, Vec<u64>)> {
-            let mut got = Vec::new();
-            let time = self.calendar.pop_instant(until, &mut got);
-            let head = self.oracle.peek().map(|&Reverse((at, _))| at);
-            let want_time = head.filter(|&at| at <= until);
-            let mut want = Vec::new();
-            while let Some(&Reverse((at, seq))) = self.oracle.peek() {
-                if Some(at) != want_time {
-                    break;
-                }
-                self.oracle.pop();
-                want.push((seq, seq));
-            }
-            assert_eq!(time, want_time, "pop_instant took a different instant");
-            assert_eq!(got, want, "pop_instant diverged from the heap order");
+        /// `pop_until` on the calendar; the oracle pops its head key if
+        /// that is `<= until`.  A head beyond `until` makes it a look:
+        /// nothing leaves, and the calendar's cursor is parked on the head.
+        fn pop_until(&mut self, until: SimTime) -> Option<(SimTime, u64)> {
+            let got = self.calendar.pop_until(until);
+            let due = self
+                .oracle
+                .peek()
+                .is_some_and(|&Reverse((at, _))| at <= until);
+            let want = due
+                .then(|| self.oracle.pop())
+                .flatten()
+                .map(|Reverse((at, seq))| (at, seq, seq));
+            assert_eq!(got, want, "pop_until diverged from the heap order");
             assert_eq!(self.calendar.len(), self.oracle.len());
-            time.map(|at| (at, want.into_iter().map(|(seq, _)| seq).collect()))
+            got.map(|(at, seq, _)| (at, seq))
         }
 
         fn cancel(&mut self, at: SimTime, seq: u64) {
@@ -696,7 +663,7 @@ mod tests {
         q.schedule(t(0.5), 100);
         q.schedule(t(0.25), 101);
         q.schedule(t(5.0), 50);
-        assert_eq!(q.pop_instant(t(0.2)), None);
+        assert_eq!(q.pop_until(t(0.2)), None);
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
         assert_eq!(
             order,
@@ -722,16 +689,16 @@ mod tests {
             seq += 1;
         }
         for i in 0..ops {
-            // Every third step takes a whole instant, with `until` sometimes
-            // short of the head.
+            // Every third step takes one entry up to a bound, with `until`
+            // sometimes short of the head (a look).
             let step = if i % 3 == 0 {
-                q.pop_instant(t(now + rng.unit() * 0.5))
+                q.pop_until(t(now + rng.unit() * 0.5))
             } else {
-                q.pop().map(|(time, s)| (time, vec![s]))
+                q.pop()
             };
-            if let Some((time, seqs)) = step {
+            if let Some((time, s)) = step {
                 now = time.as_secs();
-                popped.extend(seqs);
+                popped.push(s);
             } else if q.calendar.is_empty() {
                 break;
             }
@@ -856,14 +823,17 @@ mod tests {
             };
             collisions += u32::from(s.geometry() == (width, rotation));
             // A same-instant burst right at the clock, ahead of both; after
-            // one entry, the rest leaves as one run.
+            // one entry, the rest is drained at the clock, entry by entry.
             let at_clock = s.burst(s.now, 1 + k / 8);
             s.pop_from(&at_clock, 1);
-            let (_, run) =
-                s.q.pop_instant(t(s.now))
-                    .expect("the burst is at the clock");
+            let drained: Vec<u64> = std::iter::from_fn(|| s.q.pop_until(t(s.now)))
+                .map(|(_, seq)| seq)
+                .collect();
             let rest: Vec<u64> = (at_clock.start + 1..at_clock.end).collect();
-            assert!(run.ends_with(&rest), "the at-clock burst left out of order");
+            assert!(
+                drained.ends_with(&rest),
+                "the at-clock burst left out of order"
+            );
             // Cancel inside a bucket that is not due yet, then — with the
             // early burst half drained — inside the run being served.
             s.q.cancel(t(late_at), late.start + k / 3);
@@ -887,7 +857,7 @@ mod tests {
             // the cursor on it), then insert behind it.
             if let Some(&Reverse((head, _))) = s.q.oracle.peek() {
                 if head > t(s.now) {
-                    s.q.pop_instant(t(s.now));
+                    s.q.pop_until(t(s.now));
                 }
                 for _ in 0..3 {
                     s.schedule(s.now + rng.unit() * (head.as_secs() - s.now));
@@ -895,7 +865,7 @@ mod tests {
             }
             s.pop_from(&late, k / 4);
         }
-        while s.q.pop_instant(t(f64::MAX)).is_some() {}
+        while s.q.pop_until(t(f64::MAX)).is_some() {}
         assert_eq!(s.q.calendar.len(), 0);
         collisions
     }
@@ -1009,7 +979,7 @@ mod tests {
         q.schedule(t(5_000.0), 0, 0);
         q.schedule(t(90_000.0), 1, 1);
         q.schedule(t(5_500.0), 2, 2);
-        assert_eq!(q.pop_instant(t(4_999.0), &mut Vec::new()), None);
+        assert_eq!(q.pop_until(t(4_999.0)), None);
         assert_eq!(
             drain(&mut q),
             vec![(t(5_000.0), 0), (t(5_500.0), 2), (t(90_000.0), 1)]
@@ -1017,7 +987,7 @@ mod tests {
     }
 
     /// A look at the queue can park the rotation cursor at a far-future
-    /// bucket (that is how `run_until` stops: a `pop_instant` whose head lies
+    /// bucket (that is how `run_until` stops: a `pop_until` whose head lies
     /// beyond `until`); a later insert *between* the last pop and that
     /// parked position must still pop first.
     #[test]
@@ -1027,7 +997,7 @@ mod tests {
         q.schedule(t(2.0), 1, 1);
         assert_eq!(q.pop().map(|(_, s, _)| s), Some(0));
         // Parks the cursor at 2.0's bucket.
-        assert_eq!(q.pop_instant(t(1.0), &mut Vec::new()), None);
+        assert_eq!(q.pop_until(t(1.0)), None);
         // Legal insert (>= last popped time) behind the parked cursor.
         q.schedule(t(1.5), 2, 2);
         assert_eq!(q.pop().map(|(ti, s, _)| (ti, s)), Some((t(1.5), 2)));

@@ -20,20 +20,15 @@
 //!
 //! # Dispatch
 //!
-//! [`Simulator::run_until`] takes the queue one instant at a time
-//! ([`CalendarQueue::pop_instant`]): every event at the head time moves into
-//! a buffer the simulator keeps, the clock is set once, and the run is
-//! dispatched in a tight loop.  The order is the queue's `(time, seq)` order
-//! either way — an event scheduled at the same instant during the run has a
-//! larger `seq`, so it comes with the next run.  Two rules keep the counts
-//! exact:
-//!
-//! * a timer cancelled by an earlier event of its own run has already left
-//!   the queue; [`Context::cancel`] only drops its timer-table entry, and the
-//!   loop skips it — not dispatched, not counted in
-//!   [`Simulator::events_processed`];
-//! * debug builds assert, for every run, that it starts at or after the
-//!   clock and strictly after the last key taken, in `(time, seq)` order.
+//! [`Simulator::run_until`] takes the queue one entry at a time
+//! ([`CalendarQueue::pop_until`]), in `(time, seq)` order: it sets the
+//! clock, retires a timer's table entry, counts the event in
+//! [`Simulator::events_processed`] and dispatches it.  An event scheduled at
+//! the current instant has a larger `seq` than everything taken so far, so
+//! it comes after them.  Every pending timer is still queued, so
+//! [`Context::cancel`] removes its entry and a cancelled timer is neither
+//! dispatched nor counted.  Debug builds assert, for every entry, that it
+//! lies at or after the clock and strictly after the last key taken.
 //!
 //! # Same-instant fan-out
 //!
@@ -84,15 +79,16 @@ pub struct TimerId(u64);
 
 /// A protocol endpoint attached to a node.
 ///
-/// Implementations also provide `as_any`/`as_any_mut` so experiments can
-/// downcast a finished simulation's agents back to their concrete type to
-/// read out measurements.
+/// `as_any`/`as_any_mut` let experiments downcast a finished simulation's
+/// agents back to their concrete type to read out measurements; every agent
+/// gets them for free, and a wrapper overrides them to forward to the agent
+/// it wraps.
 ///
 /// Agents need not be `Send`: a simulation is built, run and read out on
 /// one thread (the parallel sweep runner builds each point's simulation on
 /// the worker that runs it and sends back only the results), so agents and
 /// the packets they exchange share state through `Rc`, not atomics.
-pub trait Agent: Any {
+pub trait Agent: upcast::Upcast {
     /// Called once when the simulation starts (or when the agent is added to
     /// an already-running simulation).
     fn start(&mut self, _ctx: &mut Context<'_>) {}
@@ -104,10 +100,35 @@ pub trait Agent: Any {
     fn on_timer(&mut self, _ctx: &mut Context<'_>, _token: u64) {}
 
     /// Upcast for downcasting to the concrete agent type.
-    fn as_any(&self) -> &dyn Any;
+    fn as_any(&self) -> &dyn Any {
+        self.upcast()
+    }
 
     /// Mutable upcast for downcasting to the concrete agent type.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self.upcast_mut()
+    }
+}
+
+mod upcast {
+    use std::any::Any;
+
+    /// `&Self` to `&dyn Any` for every sized `'static` type: the provided
+    /// [`super::Agent::as_any`] cannot coerce `self` itself, since `Self`
+    /// may be `dyn Agent`.
+    pub trait Upcast: Any {
+        fn upcast(&self) -> &dyn Any;
+        fn upcast_mut(&mut self) -> &mut dyn Any;
+    }
+
+    impl<T: Any> Upcast for T {
+        fn upcast(&self) -> &dyn Any {
+            self
+        }
+        fn upcast_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -225,11 +246,6 @@ pub struct World {
     now: SimTime,
     queue: CalendarQueue<EventKind>,
     seq: u64,
-    /// `(time, seq)` of the last event taken out of the queue — the last of
-    /// the run being dispatched.  The next run must start strictly after it
-    /// (see [`Simulator::run_until`]), and a pending timer at or before it
-    /// is in that run (see [`Context::cancel`]).
-    last_popped: Option<(SimTime, u64)>,
     nodes: Vec<Node>,
     links: Vec<Link>,
     edges: Vec<Edge>,
@@ -266,7 +282,6 @@ impl World {
             now: SimTime::ZERO,
             queue: CalendarQueue::new(),
             seq: 0,
-            last_popped: None,
             nodes: Vec::new(),
             links: Vec::new(),
             edges: Vec::new(),
@@ -600,14 +615,7 @@ impl Context<'_> {
     /// so cancellation state stays bounded by the number of outstanding
     /// timers, even across unbounded churn.
     pub fn cancel(&mut self, timer: TimerId) {
-        let Some((time, seq)) = self.world.pending_timers.remove(&timer.0) else {
-            return;
-        };
-        // A key at or before the last one taken out of the queue (so at
-        // `now`, not later in the run than its last event) belongs to the
-        // run being dispatched: it is no longer queued, and the dispatch
-        // loop skips it once its table entry is gone.
-        if Some((time, seq)) > self.world.last_popped {
+        if let Some((time, seq)) = self.world.pending_timers.remove(&timer.0) {
             self.world.queue.cancel(time, seq);
         }
     }
@@ -647,9 +655,9 @@ impl Context<'_> {
 pub struct Simulator {
     world: World,
     agents: Vec<Option<Box<dyn Agent>>>,
-    /// The same-instant run being dispatched, `(seq, event)` in `seq` order;
-    /// kept between runs so dispatch allocates nothing.
-    run: Vec<(u64, EventKind)>,
+    /// `(time, seq)` of the last event taken out of the queue: the next one
+    /// must lie strictly after it (see [`Simulator::run_until`]).
+    last_popped: Option<(SimTime, u64)>,
 }
 
 /// A snapshot of the event-core bookkeeping, exposed for tests and
@@ -664,7 +672,8 @@ pub struct SchedulerDiagnostics {
     /// retained memory, which must follow `queued_events` and not the
     /// largest burst the run ever saw.
     pub queue_capacity: usize,
-    /// Timers scheduled and not yet fired or cancelled.
+    /// Timers scheduled and not yet fired or cancelled; each is one of the
+    /// `queued_events`.
     pub pending_timers: usize,
 }
 
@@ -674,7 +683,7 @@ impl Simulator {
         Simulator {
             world: World::new(seed),
             agents: Vec::new(),
-            run: Vec::new(),
+            last_popped: None,
         }
     }
 
@@ -700,8 +709,8 @@ impl Simulator {
         self.world.now
     }
 
-    /// Number of events processed so far.  Cancelled timers are removed
-    /// from the event queue and never dispatched, so they do not count.  A
+    /// Number of events dispatched so far.  A cancelled timer leaves the
+    /// event queue at once and is never dispatched, so it does not count.  A
     /// same-instant fan-out batch counts once per node it delivers to, as
     /// one entry per replica would.
     pub fn events_processed(&self) -> u64 {
@@ -894,39 +903,29 @@ impl Simulator {
     /// Runs the simulation until the event queue is empty or `until` is
     /// reached (whichever comes first).  Time is advanced to `until`.
     ///
-    /// Events leave the queue one instant at a time and are dispatched from
-    /// a reused buffer (see the [module documentation](self)).  Nothing is
-    /// ever scheduled before `now` and `seq` only grows, so every run must
-    /// start strictly after the last key taken, in `(time, seq)` order, and
-    /// ascend in `seq` — which is heap order for everything dispatched.
-    /// Debug builds assert it.
+    /// Events leave the queue one entry at a time (see the [module
+    /// documentation](self)).  Nothing is ever scheduled before `now` and
+    /// `seq` only grows, so every entry must lie strictly after the last key
+    /// taken, in `(time, seq)` order — which is heap order for everything
+    /// dispatched.  Debug builds assert it.
     pub fn run_until(&mut self, until: SimTime) {
-        let mut run = std::mem::take(&mut self.run);
-        while let Some(time) = self.world.queue.pop_instant(until, &mut run) {
-            let (first, last) = (run[0].0, run[run.len() - 1].0);
+        while let Some((time, seq, kind)) = self.world.queue.pop_until(until) {
             debug_assert!(
-                time >= self.world.now
-                    && Some((time, first)) > self.world.last_popped
-                    && run.is_sorted_by(|a, b| a.0 < b.0),
+                time >= self.world.now && Some((time, seq)) > self.last_popped,
                 "event queue popped out of order: {:?} after {:?} at {}",
-                (time, first),
-                self.world.last_popped,
+                (time, seq),
+                self.last_popped,
                 self.world.now
             );
             self.world.now = time;
-            self.world.last_popped = Some((time, last));
-            for (_, kind) in run.drain(..) {
-                if let EventKind::Timer { timer, .. } = kind {
-                    // Cancelled by an earlier event of this run.
-                    if self.world.pending_timers.remove(&timer.0).is_none() {
-                        continue;
-                    }
-                }
-                self.world.events_processed += 1;
-                self.dispatch(kind);
+            self.last_popped = Some((time, seq));
+            if let EventKind::Timer { timer, .. } = kind {
+                let pending = self.world.pending_timers.remove(&timer.0);
+                debug_assert!(pending.is_some(), "a queued timer is pending");
             }
+            self.world.events_processed += 1;
+            self.dispatch(kind);
         }
-        self.run = run;
         if self.world.now < until {
             self.world.now = until;
         }
@@ -1044,12 +1043,6 @@ mod tests {
         fn on_packet(&mut self, ctx: &mut Context<'_>, packet: Packet) {
             self.received.push((ctx.now().as_secs(), packet.size));
         }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
     }
 
     /// Agent that joins a multicast group and counts received packets.
@@ -1064,12 +1057,6 @@ mod tests {
         }
         fn on_packet(&mut self, _ctx: &mut Context<'_>, _packet: Packet) {
             self.received += 1;
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 
@@ -1115,12 +1102,6 @@ mod tests {
             if self.echo {
                 self.send(ctx);
             }
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 
@@ -1323,11 +1304,11 @@ mod tests {
         );
     }
 
-    /// Timers fire in `(time, seq)` order and cancels take, including the
-    /// two same-instant run rules: a timer cancelled by an earlier event of
-    /// its own run is skipped (not dispatched, not counted, not left in the
-    /// table), and a zero-delay timer scheduled from inside a run fires
-    /// after the whole run.
+    /// Timers fire in `(time, seq)` order and cancels take, also within one
+    /// instant: a timer cancelled by an earlier event at its own instant is
+    /// not dispatched, not counted and not left in the table, and a
+    /// zero-delay timer scheduled at an instant fires after every event
+    /// already queued there.
     #[test]
     fn timers_fire_in_order_and_cancel_works() {
         struct TimerAgent {
@@ -1361,12 +1342,6 @@ mod tests {
                     }
                     _ => {}
                 }
-            }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
             }
         }
         let mut sim = Simulator::new(5);
@@ -1675,12 +1650,6 @@ mod tests {
             fn on_packet(&mut self, _ctx: &mut Context<'_>, packet: Packet) {
                 self.got.push(packet);
             }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
-            }
         }
         let mut sim = Simulator::new(9);
         let s = sim.add_node("s");
@@ -1759,12 +1728,6 @@ mod tests {
                 if self.cycles < 10_000 {
                     ctx.schedule(0.001, 1);
                 }
-            }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
             }
         }
         let mut sim = Simulator::new(11);
@@ -1904,12 +1867,6 @@ mod tests {
                 let to = Dest::Unicast(Address::new(ctx.addr().node, port));
                 ctx.send(Packet::new(ctx.addr(), to, 40, FlowId(2), Payload::empty()));
             }
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 

@@ -48,8 +48,6 @@
 //! in the same run in which the 36 old rows passed, before the engine
 //! batched anything.
 
-use std::any::Any;
-
 use netsim::prelude::*;
 use netsim::sim::Agent;
 
@@ -128,12 +126,6 @@ impl Agent for RecordingMember {
         );
         ctx.send(ack);
     }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// Multicast source sending `count` marked packets at a fixed interval
@@ -168,12 +160,6 @@ impl Agent for MarkedSource {
     }
     fn on_packet(&mut self, ctx: &mut Context<'_>, packet: Packet) {
         self.log.push(record(ctx.now(), &packet).0);
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

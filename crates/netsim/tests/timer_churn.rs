@@ -9,8 +9,6 @@
 //! log, link counter and the event count — in debug builds with
 //! `Simulator::run_until` asserting `(time, seq)` pop order at every event.
 
-use std::any::Any;
-
 use netsim::prelude::*;
 use netsim::sim::Agent;
 use proptest::prelude::*;
@@ -73,12 +71,6 @@ impl Agent for ChurningMember {
             .unwrap_or(u64::MAX);
         self.log.push((ctx.now(), packet.id, seq, packet.size));
     }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// Multicast source sending `count` marked packets at a fixed interval.
@@ -108,12 +100,6 @@ impl Agent for MarkedSource {
         if self.sent < self.count {
             ctx.schedule(self.interval, 0);
         }
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

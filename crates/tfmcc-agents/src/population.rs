@@ -26,8 +26,6 @@
 //! [`TfmccSessionBuilder::build_population`](crate::session::TfmccSessionBuilder::build_population)
 //! for the wiring and the CLR-cohort promotion rule.
 
-use std::any::Any;
-
 use netsim::packet::{Address, Dest, FlowId, GroupId, NodeId, Packet, Payload};
 use netsim::sim::{Agent, Context};
 
@@ -290,13 +288,6 @@ impl Agent for FluidPopulationAgent {
             self.scheduled.push((r.bin, r.weight));
             ctx.schedule(r.fire_at, self.generation * TOKEN_STRIDE + slot as u64);
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

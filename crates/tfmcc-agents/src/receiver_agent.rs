@@ -1,6 +1,5 @@
 //! The TFMCC receiver bound to the simulator.
 
-use std::any::Any;
 use std::sync::Arc;
 
 use netsim::packet::{Address, Dest, FlowId, GroupId, Packet, Payload};
@@ -11,13 +10,14 @@ use tfmcc_proto::config::TfmccConfig;
 use tfmcc_proto::packets::{DataPacket, FeedbackPacket, ReceiverId};
 use tfmcc_proto::receiver::TfmccReceiver;
 
-/// Timer token for the (single) protocol feedback timer; the generation is
-/// added so stale timers are recognised.
-const FEEDBACK_TOKEN_BASE: u64 = 1 << 32;
 /// Timer token for the deferred group join.
 const JOIN_TOKEN: u64 = 1;
 /// Timer token for the scheduled leave.
 const LEAVE_TOKEN: u64 = 2;
+/// Timer token for the (single) protocol feedback timer.  The agent cancels
+/// the armed one before it re-arms and when it leaves, and the simulator
+/// never fires a cancelled timer, so whichever fires is the armed one.
+const FEEDBACK_TOKEN: u64 = 3;
 
 /// Runs a [`TfmccReceiver`] inside the simulator: it joins the multicast
 /// group (optionally at a later time), feeds arriving data packets into the
@@ -49,7 +49,6 @@ pub struct TfmccReceiverAgent {
     left: bool,
     meter: ThroughputMeter,
     armed: Option<(TimerId, f64)>,
-    generation: u64,
 }
 
 const _: () = assert!(std::mem::size_of::<TfmccReceiverAgent>() <= 656);
@@ -84,7 +83,6 @@ impl TfmccReceiverAgent {
             left: false,
             meter: ThroughputMeter::new(1.0),
             armed: None,
-            generation: 0,
         }
     }
 
@@ -166,9 +164,8 @@ impl TfmccReceiverAgent {
                 if let Some((id, _)) = maybe_armed {
                     ctx.cancel(id);
                 }
-                self.generation += 1;
                 let delay = (at - ctx.now().as_secs()).max(0.0);
-                let id = ctx.schedule(delay, FEEDBACK_TOKEN_BASE + self.generation);
+                let id = ctx.schedule(delay, FEEDBACK_TOKEN);
                 self.armed = Some((id, at));
             }
             (None, Some((id, _))) => {
@@ -230,9 +227,10 @@ impl Agent for TfmccReceiverAgent {
             }
             return;
         }
-        if token != FEEDBACK_TOKEN_BASE + self.generation || self.left {
-            return; // stale feedback timer
-        }
+        debug_assert!(
+            token == FEEDBACK_TOKEN && self.armed.is_some() && !self.left,
+            "feedback timer {token} fired while disarmed"
+        );
         self.armed = None;
         if let Some(fb) = self.receiver.on_timer(ctx.now().as_secs()) {
             self.send_feedback(ctx, fb);
@@ -257,13 +255,6 @@ impl Agent for TfmccReceiverAgent {
             ctx.stats().add(&self.flow_counter, 1.0);
         }
         self.sync_timer(ctx);
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -1,7 +1,5 @@
 //! The TFMCC sender bound to the simulator.
 
-use std::any::Any;
-
 use netsim::packet::{Dest, FlowId, GroupId, Packet, Payload, Port};
 use netsim::sim::{Agent, Context};
 
@@ -98,12 +96,5 @@ impl Agent for TfmccSenderAgent {
             self.sender
                 .on_population_feedback(ctx.now().as_secs(), &rep.feedback, rep.weight);
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }

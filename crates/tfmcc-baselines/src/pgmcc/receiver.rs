@@ -1,8 +1,6 @@
 //! PGMCC receiver: acks every packet when elected acker, otherwise sends
 //! occasional reports with its loss rate.
 
-use std::any::Any;
-
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -144,13 +142,6 @@ impl Agent for PgmccReceiverAgent {
             };
             self.send(ctx, msg);
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

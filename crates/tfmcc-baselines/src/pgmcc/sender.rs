@@ -1,8 +1,6 @@
 //! PGMCC sender: multicast data paced by a TCP-like window driven by the
 //! acker's ACK stream.
 
-use std::any::Any;
-
 use netsim::packet::{Dest, FlowId, GroupId, Packet, Payload, Port};
 use netsim::sim::{Agent, Context};
 
@@ -261,13 +259,6 @@ impl Agent for PgmccSenderAgent {
             }
             PgmccMessage::Data { .. } => {}
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -1,6 +1,5 @@
 //! Greedy TCP Reno sender.
 
-use std::any::Any;
 use std::collections::BTreeMap;
 
 use netsim::packet::{Address, Dest, FlowId, Packet, Payload};
@@ -298,13 +297,6 @@ impl Agent for TcpSender {
         {
             self.on_ack(ctx, ack, echo_timestamp);
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -1,6 +1,5 @@
 //! Cumulative-ACK TCP sink.
 
-use std::any::Any;
 use std::collections::BTreeSet;
 
 use netsim::packet::{Dest, Packet, Payload};
@@ -77,13 +76,6 @@ impl Agent for TcpSink {
             Payload::new(ack),
         );
         ctx.send(reply);
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

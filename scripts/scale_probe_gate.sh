@@ -3,7 +3,7 @@
 # and fail unless it prints a digest — at the default N = 20 000, exactly
 # the recorded one, so an engine change that moves a single delivery fails
 # here —, its peak and after-run heap per receiver stay within fixed bounds
-# (1 892 / 1 892 B at 20 000 receivers when the bounds were set, 10 %
+# (1 852 / 1 852 B at 20 000 receivers when the bounds were set, 10 %
 # headroom), and it dispatched at most 1.05 events per delivered packet.  The
 # last bound guards the eventless drop-tail link: the engine counts one
 # delivery per hop of the CBR star and nothing else — same-instant replicas
@@ -18,8 +18,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 n="${1:-20000}"
 out_dir="${2:-out/figs}"
-max_peak=2081
-max_after=2081
+max_peak=2037
+max_after=2037
 max_events_per_delivery=1.05
 # The digest `scale_probe 20000` prints; other sizes have none on record.
 expected_digest_20000=fbf914ddd693c1fd
