@@ -8,12 +8,10 @@
 //!
 //! The implementation is **sans-I/O**: [`sender::TfmccSender`] and
 //! [`receiver::TfmccReceiver`] are pure state machines that consume packets
-//! and clock readings and produce packets and timer deadlines.  Adapters bind
-//! them to an environment:
-//!
-//! * `tfmcc-agents` runs them inside the `netsim` discrete-event simulator
-//!   (the configuration used for all paper experiments);
-//! * `tfmcc-transport` runs them over real UDP sockets.
+//! and clock readings and produce packets and timer deadlines.
+//! `tfmcc-agents` binds them to the `netsim` discrete-event simulator, the
+//! configuration used for all paper experiments, and `tfmcc-mc` drives them
+//! directly to model-check them.
 //!
 //! # Protocol overview
 //!

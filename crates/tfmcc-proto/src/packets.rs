@@ -1,8 +1,8 @@
 //! Protocol message types exchanged between the TFMCC sender and receivers.
 //!
 //! These are plain data structures — the sans-I/O core produces and consumes
-//! them; adapters (the netsim agents in `tfmcc-agents`, the UDP transport in
-//! `tfmcc-transport`) decide how they travel.
+//! them; the binding (the netsim agents in `tfmcc-agents`) decides how they
+//! travel.
 
 /// Identifier of a receiver within one TFMCC session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]

@@ -14,7 +14,6 @@
 //!   is a session with one receiver);
 //! * [`tcp`], [`pgmcc`] — the baselines (`tfmcc-baselines`): the TCP Reno
 //!   competing-traffic agent and the PGMCC comparator;
-//! * [`transport`] — the real-network UDP transport;
 //! * [`experiments`] — the figure-by-figure experiment harness;
 //! * [`runner`] — the parallel sweep runner the harness executes on.
 //!
@@ -33,7 +32,6 @@ pub use tfmcc_mc as mc;
 pub use tfmcc_model as model;
 pub use tfmcc_proto as proto;
 pub use tfmcc_runner as runner;
-pub use tfmcc_transport as transport;
 
 /// Commonly used types across the workspace.
 pub mod prelude {
