@@ -73,6 +73,7 @@ pub mod routing;
 pub mod sim;
 pub mod stats;
 pub mod time;
+mod timers;
 pub mod topology;
 
 /// Convenient glob import of the most commonly used types.

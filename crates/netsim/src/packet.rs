@@ -17,8 +17,9 @@
 //! packet is immutable all the way to every receiver.
 //!
 //! Packets are simulation-local: a simulation is built, run and read out on
-//! one thread, so the count need not be atomic and a [`Packet`] is not
-//! `Send`:
+//! one thread, so the counts need not be atomic and a [`Packet`] is not
+//! `Send` (nor is its [`Payload`], one more non-atomic handle shared by
+//! every replica):
 //!
 //! ```compile_fail
 //! fn assert_send<T: Send>() {}
@@ -29,7 +30,6 @@ use std::any::Any;
 use std::fmt;
 use std::ops::Deref;
 use std::rc::Rc;
-use std::sync::Arc;
 
 use crate::time::SimTime;
 
@@ -94,45 +94,41 @@ pub enum Dest {
     },
 }
 
-/// Opaque protocol payload: an `Arc` to any `Send + Sync` value.
+/// Opaque protocol payload: a shared, non-atomic handle to any `'static`
+/// value, or nothing at all.
 ///
-/// Cloning is cheap (reference count bump) which matters because multicast
-/// forwarding clones packets at every branching point of the distribution
-/// tree.
+/// Cloning is a plain reference-count bump, so every replica of a multicast
+/// packet shares one value.  [`Payload::empty`] is `None`: filler traffic
+/// (CBR sources, benchmark packets) allocates nothing.  Like [`Packet`], a
+/// payload is simulation-local and not `Send`:
+///
+/// ```compile_fail
+/// fn assert_send<T: Send>() {}
+/// assert_send::<netsim::packet::Payload>();
+/// ```
 #[derive(Clone)]
-pub struct Payload(Arc<dyn Any + Send + Sync>);
+pub struct Payload(Option<Rc<dyn Any>>);
 
 impl Payload {
     /// Wraps a protocol header/body value.
-    pub fn new<T: Any + Send + Sync>(value: T) -> Self {
-        Payload(Arc::new(value))
+    pub fn new<T: Any>(value: T) -> Self {
+        Payload(Some(Rc::new(value)))
     }
 
-    /// An empty payload for pure filler traffic.
+    /// An empty payload for pure filler traffic; allocates nothing.
     pub fn empty() -> Self {
-        Payload(Arc::new(()))
+        Payload(None)
     }
 
-    /// Attempts to view the payload as a `T`.
-    pub fn downcast_ref<T: Any + Send + Sync>(&self) -> Option<&T> {
-        self.0.downcast_ref::<T>()
-    }
-
-    /// True if the payload is of type `T`.
-    pub fn is<T: Any + Send + Sync>(&self) -> bool {
-        self.0.is::<T>()
+    /// Attempts to view the payload as a `T`; `None` for an empty payload.
+    pub fn downcast_ref<T: Any>(&self) -> Option<&T> {
+        self.0.as_deref()?.downcast_ref::<T>()
     }
 }
 
 impl fmt::Debug for Payload {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Payload(..)")
-    }
-}
-
-impl Default for Payload {
-    fn default() -> Self {
-        Payload::empty()
     }
 }
 
@@ -219,9 +215,15 @@ mod tests {
             seq: u32,
         }
         let p = Payload::new(Header { seq: 7 });
-        assert!(p.is::<Header>());
         assert_eq!(p.downcast_ref::<Header>().unwrap().seq, 7);
         assert!(p.downcast_ref::<u32>().is_none());
+    }
+
+    #[test]
+    fn empty_payload_downcasts_to_nothing() {
+        let p = Payload::empty();
+        assert!(p.downcast_ref::<()>().is_none());
+        assert!(p.clone().downcast_ref::<u32>().is_none());
     }
 
     #[test]

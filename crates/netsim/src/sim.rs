@@ -2,7 +2,7 @@
 //! protocol endpoints implement, and the [`Context`] handed to agents for
 //! interacting with the simulated network.  The event queue itself is
 //! [`crate::events::CalendarQueue`]; this module drives it and owns the timer
-//! table that makes cancellation O(1) and bounded.
+//! table (`crate::timers`) that makes cancellation O(1) and bounded.
 //!
 //! # Structure
 //!
@@ -59,6 +59,8 @@ use crate::rng::stream_seed;
 use crate::routing::{Edge, MulticastState, RoutingTable};
 use crate::stats::StatsRegistry;
 use crate::time::SimTime;
+pub use crate::timers::TimerId;
+use crate::timers::TimerTable;
 
 /// How multicast packets are replicated to their receivers.  There is one
 /// way; the type survives only as the argument of
@@ -72,10 +74,6 @@ pub enum FanoutMode {
     #[default]
     Shared,
 }
-
-/// Handle for a scheduled timer, usable to cancel it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct TimerId(u64);
 
 /// A protocol endpoint attached to a node.
 ///
@@ -258,12 +256,11 @@ pub struct World {
     /// key string on every transition.
     group_stat_keys: BTreeMap<GroupId, (String, String)>,
     agent_addrs: Vec<Address>,
-    /// Timer id → `(fire time, event seq)` of every scheduled, not yet fired
-    /// or cancelled timer.  Cancellation resolves through this table, so a
+    /// `(fire time, event seq)` of every scheduled, not yet fired or
+    /// cancelled timer.  Cancellation resolves through this table, so a
     /// stale [`Context::cancel`] (the timer already fired) is a no-op and
     /// leaves nothing behind.
-    pending_timers: BTreeMap<u64, (SimTime, u64)>,
-    next_timer: u64,
+    timers: TimerTable,
     next_packet: u64,
     /// The simulation's root seed; per-link RNG streams are derived from it.
     seed: u64,
@@ -291,8 +288,7 @@ impl World {
             stats: StatsRegistry::new(),
             group_stat_keys: BTreeMap::new(),
             agent_addrs: Vec::new(),
-            pending_timers: BTreeMap::new(),
-            next_timer: 0,
+            timers: TimerTable::default(),
             next_packet: 0,
             seed,
             rng: SmallRng::seed_from_u64(seed),
@@ -595,10 +591,10 @@ impl Context<'_> {
     /// [`Agent::on_timer`].
     pub fn schedule(&mut self, delay: f64, token: u64) -> TimerId {
         assert!(delay >= 0.0, "timer delay must be non-negative");
-        let timer = TimerId(self.world.next_timer);
-        self.world.next_timer += 1;
         let at = self.world.now + delay;
-        let seq = self.world.push_event(
+        let seq = self.world.seq;
+        let timer = self.world.timers.insert(at, seq);
+        let queued = self.world.push_event(
             at,
             EventKind::Timer {
                 agent: self.agent,
@@ -606,7 +602,7 @@ impl Context<'_> {
                 timer,
             },
         );
-        self.world.pending_timers.insert(timer.0, (at, seq));
+        debug_assert_eq!(queued, seq, "the timer is queued under the next seq");
         timer
     }
 
@@ -615,7 +611,7 @@ impl Context<'_> {
     /// so cancellation state stays bounded by the number of outstanding
     /// timers, even across unbounded churn.
     pub fn cancel(&mut self, timer: TimerId) {
-        if let Some((time, seq)) = self.world.pending_timers.remove(&timer.0) {
+        if let Some((time, seq)) = self.world.timers.remove(timer) {
             self.world.queue.cancel(time, seq);
         }
     }
@@ -700,7 +696,7 @@ impl Simulator {
         SchedulerDiagnostics {
             queued_events: self.world.queue.len(),
             queue_capacity: self.world.queue.capacity(),
-            pending_timers: self.world.pending_timers.len(),
+            pending_timers: self.world.timers.len(),
         }
     }
 
@@ -920,7 +916,7 @@ impl Simulator {
             self.world.now = time;
             self.last_popped = Some((time, seq));
             if let EventKind::Timer { timer, .. } = kind {
-                let pending = self.world.pending_timers.remove(&timer.0);
+                let pending = self.world.timers.remove(timer);
                 debug_assert!(pending.is_some(), "a queued timer is pending");
             }
             self.world.events_processed += 1;

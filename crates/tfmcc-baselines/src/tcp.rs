@@ -13,6 +13,7 @@
 //! bytes themselves are not reassembled.
 
 pub mod segment;
+mod send_times;
 pub mod sender;
 pub mod sink;
 

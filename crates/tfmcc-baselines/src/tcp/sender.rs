@@ -1,16 +1,15 @@
 //! Greedy TCP Reno sender.
 
-use std::collections::BTreeMap;
-
 use netsim::packet::{Address, Dest, FlowId, Packet, Payload};
-use netsim::sim::{Agent, Context};
+use netsim::sim::{Agent, Context, TimerId};
 use netsim::stats::ThroughputMeter;
 
 use super::segment::TcpSegment;
+use super::send_times::SendTimes;
 
-/// Timer token used for the retransmission timer; the value encodes an epoch
-/// so that stale timers can be recognised.
-const RTO_TOKEN_BASE: u64 = 1 << 32;
+/// Timer token of the retransmission timer.  At most one is armed: re-arming
+/// cancels the previous one, as ns-2's `TcpAgent` reschedules its one timer.
+const RTO_TOKEN: u64 = 2;
 /// Timer token used to delay the start of the flow.
 const START_TOKEN: u64 = 1;
 
@@ -82,11 +81,12 @@ pub struct TcpSender {
     in_fast_recovery: bool,
     /// Send time of in-flight segments without a retransmission (for RTT
     /// sampling, Karn's rule).
-    send_times: BTreeMap<u64, f64>,
+    send_times: SendTimes,
     srtt: Option<f64>,
     rttvar: f64,
     rto: f64,
-    rto_epoch: u64,
+    /// The armed retransmission timer, if any.
+    rto_timer: Option<TimerId>,
     started: bool,
     /// Bytes acknowledged, binned over time (goodput seen by the sender).
     acked_meter: ThroughputMeter,
@@ -103,11 +103,11 @@ impl TcpSender {
             snd_nxt: 0,
             dup_acks: 0,
             in_fast_recovery: false,
-            send_times: BTreeMap::new(),
+            send_times: SendTimes::default(),
             srtt: None,
             rttvar: 0.0,
             rto: 1.0,
-            rto_epoch: 0,
+            rto_timer: None,
             started: false,
             acked_meter: ThroughputMeter::new(1.0),
             stats: TcpSenderStats::default(),
@@ -157,7 +157,7 @@ impl TcpSender {
         if is_retransmission {
             self.stats.retransmissions += 1;
             // Karn's rule: never sample RTT from a retransmitted segment.
-            self.send_times.remove(&seq);
+            self.send_times.remove(seq);
         } else {
             self.send_times.insert(seq, now);
         }
@@ -173,9 +173,14 @@ impl TcpSender {
         }
     }
 
+    /// (Re)arms the retransmission timer `rto` from now.  Cancelling the
+    /// superseded timer hands out the same event `seq` as leaving it queued
+    /// would: the cancelled timer could only have fired and been ignored.
     fn arm_rto(&mut self, ctx: &mut Context<'_>) {
-        self.rto_epoch += 1;
-        ctx.schedule(self.rto, RTO_TOKEN_BASE + self.rto_epoch);
+        if let Some(armed) = self.rto_timer.take() {
+            ctx.cancel(armed);
+        }
+        self.rto_timer = Some(ctx.schedule(self.rto, RTO_TOKEN));
     }
 
     fn update_rtt(&mut self, sample: f64) {
@@ -203,12 +208,11 @@ impl TcpSender {
             // RTT sample from the echoed timestamp (valid because the sink
             // echoes the timestamp of the segment that triggered the ACK and
             // retransmitted segments never carry a sampled timestamp).
-            if self.send_times.contains_key(&(ack - 1)) || echo_timestamp > 0.0 {
+            if self.send_times.contains(ack - 1) || echo_timestamp > 0.0 {
                 self.update_rtt(now - echo_timestamp);
             }
             // Drop the send-time records below the new snd_una.
-            let keep = self.send_times.split_off(&ack);
-            self.send_times = keep;
+            self.send_times.drop_below(ack);
             self.snd_una = ack;
             // After a timeout rolled snd_nxt back, late ACKs for old in-flight
             // data can overtake it; keep the invariant snd_nxt >= snd_una.
@@ -280,10 +284,14 @@ impl Agent for TcpSender {
                 self.fill_window(ctx);
                 self.arm_rto(ctx);
             }
-        } else if token == RTO_TOKEN_BASE + self.rto_epoch {
+        } else {
+            debug_assert!(
+                token == RTO_TOKEN && self.rto_timer.is_some(),
+                "retransmission timer {token} fired while disarmed"
+            );
+            self.rto_timer = None;
             self.on_rto(ctx);
         }
-        // Stale RTO timers (superseded epochs) are ignored.
     }
 
     fn on_packet(&mut self, ctx: &mut Context<'_>, packet: Packet) {
@@ -307,15 +315,17 @@ mod tests {
     use netsim::prelude::*;
     use tfmcc_model::throughput::padhye_throughput;
 
-    /// One TCP flow across a configurable bottleneck; returns (sink agent id,
-    /// sender agent id, simulator).
-    fn run_single_flow(
+    /// One TCP flow across a configurable bottleneck, its sink and sender
+    /// wrapped by `wrap_sink` and `wrap_sender`; returns (simulator, sink
+    /// agent id, sender agent id).
+    fn single_flow<S: Agent, T: Agent>(
         bottleneck_bytes_per_sec: f64,
         delay: f64,
         queue: usize,
         loss: Option<f64>,
-        duration: f64,
         seed: u64,
+        wrap_sink: fn(TcpSink) -> S,
+        wrap_sender: fn(TcpSender) -> T,
     ) -> (Simulator, netsim::packet::AgentId, netsim::packet::AgentId) {
         let mut sim = Simulator::new(seed);
         let a = sim.add_node("sender");
@@ -330,14 +340,36 @@ mod tests {
         if let Some(p) = loss {
             sim.set_link_loss(forward, LossModel::Bernoulli { p });
         }
-        let sink = sim.add_agent(b, Port(1), Box::new(TcpSink::new(1.0)));
+        let sink = sim.add_agent(b, Port(1), Box::new(wrap_sink(TcpSink::new(1.0))));
         let sender = sim.add_agent(
             a,
             Port(1),
-            Box::new(TcpSender::new(TcpSenderConfig::new(
+            Box::new(wrap_sender(TcpSender::new(TcpSenderConfig::new(
                 Address::new(b, Port(1)),
                 FlowId(1),
-            ))),
+            )))),
+        );
+        (sim, sink, sender)
+    }
+
+    /// One TCP flow across a configurable bottleneck, run for `duration`
+    /// seconds; returns (simulator, sink agent id, sender agent id).
+    fn run_single_flow(
+        bottleneck_bytes_per_sec: f64,
+        delay: f64,
+        queue: usize,
+        loss: Option<f64>,
+        duration: f64,
+        seed: u64,
+    ) -> (Simulator, netsim::packet::AgentId, netsim::packet::AgentId) {
+        let (mut sim, sink, sender) = single_flow(
+            bottleneck_bytes_per_sec,
+            delay,
+            queue,
+            loss,
+            seed,
+            |a| a,
+            |a| a,
         );
         sim.run_until(SimTime::from_secs(duration));
         (sim, sink, sender)
@@ -468,5 +500,142 @@ mod tests {
         let s: &TcpSink = sim.agent(sink).unwrap();
         assert_eq!(s.meter().average_between(0.0, 4.0), 0.0);
         assert!(s.meter().average_between(6.0, 9.0) > 50_000.0);
+    }
+
+    /// ns-2's `TcpAgent` keeps one retransmission timer: re-arming on an
+    /// ACK cancels the superseded one instead of leaving it queued to fire
+    /// and be ignored (which peaked at 250 pending timers on this path).
+    /// ns-2's `TcpAgent` keeps one retransmission timer: re-arming on an
+    /// ACK cancels the superseded one instead of leaving it queued to fire
+    /// and be ignored (which peaked at 250 pending timers on this path).
+    #[test]
+    fn explore_tmp() {
+        for d in [0.01, 0.05, 0.2] {
+            for l in [None, Some(0.05), Some(0.1), Some(0.2)] {
+                let (_, st) = trajectory_digest(12_500.0, d, 1, l, 60, 5);
+                println!("d={d} l={l:?} {st:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn tcp_sender_keeps_one_rto_armed() {
+        let (mut sim, _, sender) =
+            single_flow(1_250_000.0, 0.02, 200, Some(0.001), 3, |a| a, |a| a);
+        let mut peak = 0;
+        for step in 1..=300 {
+            sim.run_until(SimTime::from_secs(f64::from(step) * 0.1));
+            peak = peak.max(sim.scheduler_diagnostics().pending_timers);
+        }
+        assert!(peak <= 1, "{peak} timers pending at once");
+        let tx: &TcpSender = sim.agent(sender).unwrap();
+        assert!(tx.stats().fast_retransmits > 0, "{:?}", tx.stats());
+    }
+
+    /// Forwards to the wrapped agent and logs every TCP segment handed to
+    /// it: `(arrival time bits, data seq or cumulative ack)`.
+    struct Tap<A> {
+        inner: A,
+        log: Vec<(u64, u64)>,
+    }
+
+    impl<A: Agent> Tap<A> {
+        fn new(inner: A) -> Self {
+            Tap {
+                inner,
+                log: Vec::new(),
+            }
+        }
+    }
+
+    impl<A: Agent> Agent for Tap<A> {
+        fn start(&mut self, ctx: &mut Context<'_>) {
+            self.inner.start(ctx);
+        }
+
+        fn on_timer(&mut self, ctx: &mut Context<'_>, token: u64) {
+            self.inner.on_timer(ctx, token);
+        }
+
+        fn on_packet(&mut self, ctx: &mut Context<'_>, packet: Packet) {
+            let n = match packet.payload.downcast_ref::<TcpSegment>() {
+                Some(&TcpSegment::Data { seq, .. }) => seq,
+                Some(&TcpSegment::Ack { ack, .. }) => ack,
+                None => u64::MAX,
+            };
+            self.log.push((ctx.now().as_secs().to_bits(), n));
+            self.inner.on_packet(ctx, packet);
+        }
+    }
+
+    /// FNV-1a 64 over `words`.
+    fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+        words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, w| {
+            w.to_le_bytes()
+                .iter()
+                .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+        })
+    }
+
+    /// Digest of one single-flow run: the sink's deliveries (time bits and
+    /// data seq), the ACKs the sender takes in (time bits and ack), `cwnd`
+    /// bits sampled every second, and the final [`TcpSenderStats`].
+    fn trajectory_digest(
+        bottleneck_bytes_per_sec: f64,
+        delay: f64,
+        queue: usize,
+        loss: Option<f64>,
+        seconds: u32,
+        seed: u64,
+    ) -> (u64, TcpSenderStats) {
+        let (mut sim, sink, sender) = single_flow(
+            bottleneck_bytes_per_sec,
+            delay,
+            queue,
+            loss,
+            seed,
+            Tap::new,
+            Tap::new,
+        );
+        let mut words = Vec::new();
+        for t in 1..=seconds {
+            sim.run_until(SimTime::from_secs(f64::from(t)));
+            let tx: &Tap<TcpSender> = sim.agent(sender).unwrap();
+            words.push(tx.inner.cwnd().to_bits());
+        }
+        let rx: &Tap<TcpSink> = sim.agent(sink).unwrap();
+        let tx: &Tap<TcpSender> = sim.agent(sender).unwrap();
+        let stats = tx.inner.stats();
+        for log in [&rx.log, &tx.log] {
+            words.push(log.len() as u64);
+            words.extend(log.iter().flat_map(|&(t, n)| [t, n]));
+        }
+        words.extend([
+            stats.segments_sent,
+            stats.retransmissions,
+            stats.fast_retransmits,
+            stats.timeouts,
+        ]);
+        (fnv(words), stats)
+    }
+
+    /// Three single-flow trajectories, digested event by event and recorded
+    /// at `e9b7406`, before the sender kept one armed RTO and its send
+    /// times in a ring: neither may move a delivery, an ACK or a window.
+    #[test]
+    fn tcp_trajectories_match_the_recorded_digests() {
+        let clean = trajectory_digest(125_000.0, 0.02, 30, None, 20, 1);
+        let lossy = trajectory_digest(1_250_000.0, 0.02, 200, Some(0.03), 20, 3);
+        let backoff = trajectory_digest(12_500.0, 0.01, 1, None, 60, 5);
+        assert!(lossy.1.fast_retransmits > 0, "{:?}", lossy.1);
+        assert!(backoff.1.timeouts > 10, "{:?}", backoff.1);
+        assert_eq!(
+            [clean.0, lossy.0, backoff.0],
+            [
+                0x9ab3_0b42_08f1_5051,
+                0x34a2_68ec_1b9e_99f6,
+                0x8ad8_cd91_eaa5_c235
+            ]
+        );
     }
 }

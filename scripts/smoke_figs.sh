@@ -1,8 +1,12 @@
 #!/usr/bin/env bash
 # Quick-scale smoke of every figure: run each fig* name of `figs list` on
 # the parallel sweep runner (--quick --threads 2), write its CSV and JSON
-# into OUT_DIR, and fail loudly if any run exits non-zero or if any
-# expected output file is missing or empty.
+# into OUT_DIR, and fail loudly if any run exits non-zero, if any expected
+# output file is missing or empty, or if any figure's JSON differs from the
+# SHA-256 pinned for it in scripts/figs_quick.sha256.  Figures are
+# deterministic, so a changed hash means some figure moved; if that is on
+# purpose, re-record the pins with
+#     (cd OUT_DIR && sha256sum fig*.json) > scripts/figs_quick.sha256
 #
 # Usage: scripts/smoke_figs.sh [OUT_DIR]   (default: out/figs)
 set -euo pipefail
@@ -58,4 +62,13 @@ for name in "${names[@]}"; do
     fi
     echo "ok   $name"
 done
+
+pins="$PWD/scripts/figs_quick.sha256"
+if ! drift=$(cd "$out_dir" && sha256sum "${names[@]/%/.json}" | diff "$pins" -); then
+    echo "FAIL figure JSON differs from $pins:" >&2
+    echo "$drift" >&2
+    status=1
+else
+    echo "ok   ${#names[@]} figure JSONs match $pins"
+fi
 exit "$status"
