@@ -8,15 +8,20 @@
 //!
 //! # Scaling
 //!
-//! Nothing here is all-pairs.  Unicast next hops are computed **lazily per
-//! destination** (one reverse Dijkstra the first time any node needs a route
-//! toward that destination), and a multicast tree is **one forward Dijkstra**
-//! from the source plus an incrementally maintained, reference-counted
-//! member overlay ([`SourceTree`]): joining or leaving a group touches only
-//! the member's path to the source, not the whole tree.  This is what lets a
-//! single simulation hold 10⁵ receivers — the seed implementation ran one
-//! Dijkstra per *node* up front and rebuilt every tree on every membership
-//! change.
+//! Nothing here is all-pairs, and the adjacency is flat.  [`RoutingTable`]
+//! keeps the forward hops in compressed sparse row form — one offset array
+//! and one hop array, each node's hops in edge order — so a topology costs
+//! one hop per link and one offset per node, with no per-node allocation.
+//! Unicast next hops are computed **lazily per destination** (one reverse
+//! Dijkstra the first time any node needs a route toward that destination);
+//! the reverse adjacency they run over is built from the forward one on the
+//! first such query, so a multicast-only run never holds it.  A multicast
+//! tree is **one forward Dijkstra** from the source plus an incrementally
+//! maintained, reference-counted member overlay ([`SourceTree`]): joining or
+//! leaving a group touches only the member's path to the source, not the
+//! whole tree.  This is what lets a single simulation hold 10⁶ receivers —
+//! the seed implementation ran one Dijkstra per *node* up front and rebuilt
+//! every tree on every membership change.
 
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 
@@ -41,6 +46,61 @@ pub struct Edge {
 
 /// One directed hop in an adjacency list: (neighbour, link, cost).
 type Hop = (NodeId, LinkId, f64);
+
+/// Directed hops in compressed sparse row form: the hops out of node `v`
+/// are `hops[start[v]..start[v + 1]]`.
+#[derive(Debug, Default)]
+struct Adjacency {
+    start: Vec<usize>,
+    hops: Vec<Hop>,
+}
+
+impl Adjacency {
+    /// Groups `(node, hop)` pairs by node with a counting sort, which keeps
+    /// each node's hops in iteration order: Dijkstra relaxes them in that
+    /// order, and the first of two equal-cost hops wins a tie.
+    fn build(node_count: usize, pairs: impl Iterator<Item = (NodeId, Hop)> + Clone) -> Self {
+        let mut start = vec![0; node_count + 1];
+        for (node, _) in pairs.clone() {
+            start[node.0 + 1] += 1;
+        }
+        for v in 0..node_count {
+            start[v + 1] += start[v];
+        }
+        let mut hops = vec![(NodeId(0), LinkId(0), 0.0); start[node_count]];
+        // `start[v]` serves as node v's fill cursor and ends at node v + 1's
+        // offset, so shifting the array one slot up restores the offsets.
+        for (node, hop) in pairs {
+            hops[start[node.0]] = hop;
+            start[node.0] += 1;
+        }
+        start.copy_within(..node_count, 1);
+        start[0] = 0;
+        Adjacency { start, hops }
+    }
+
+    fn node_count(&self) -> usize {
+        self.start.len().saturating_sub(1)
+    }
+
+    fn hops(&self, node: usize) -> &[Hop] {
+        &self.hops[self.start[node]..self.start[node + 1]]
+    }
+
+    /// The same hops with every direction flipped.  Hops that share both
+    /// ends (parallel links) keep their relative order, which is the only
+    /// order a Dijkstra tie depends on: hops to distinct neighbours never
+    /// compete, and the heap pops by (distance, node) whatever the push
+    /// order.
+    fn reversed(&self) -> Self {
+        let flipped = (0..self.node_count()).flat_map(|v| {
+            self.hops(v)
+                .iter()
+                .map(move |&(to, link, cost)| (to, (NodeId(v), link, cost)))
+        });
+        Self::build(self.node_count(), flipped)
+    }
+}
 
 /// Min-heap entry for Dijkstra; ordered by (distance, node) so the pop order
 /// — and therefore tie-breaking between equal-cost paths — is deterministic.
@@ -90,18 +150,15 @@ impl PathParents {
 
 /// Unicast routing state over a fixed topology.
 ///
-/// Construction ([`RoutingTable::compute`]) only builds adjacency lists; the
-/// per-destination next-hop tables are filled in on first use.
+/// Construction only builds the forward adjacency; the reverse adjacency
+/// and the per-destination next-hop tables are filled in on first use.
 #[derive(Debug, Default)]
 pub struct RoutingTable {
-    node_count: usize,
     /// Outgoing hops per node.
-    fwd: Vec<Vec<Hop>>,
-    /// Incoming hops per node (the forward edges reversed), for the
-    /// per-destination reverse Dijkstra.
-    rev: Vec<Vec<Hop>>,
-    /// `to` node of every link, indexed by `LinkId`.
-    link_to: BTreeMap<LinkId, NodeId>,
+    fwd: Adjacency,
+    /// Incoming hops per node, for the per-destination reverse Dijkstra;
+    /// built by the first [`RoutingTable::next_hop`] that needs it.
+    rev: Option<Adjacency>,
     /// Lazily computed: for destination `d`, `toward[&d][src]` is the next
     /// outgoing link at `src` on the shortest path to `d`.
     toward: BTreeMap<NodeId, Vec<Option<LinkId>>>,
@@ -111,20 +168,16 @@ impl RoutingTable {
     /// Builds the adjacency for `node_count` nodes over the given directed
     /// edges.  Cheap: next hops are computed lazily per destination.
     pub fn compute(node_count: usize, edges: &[Edge]) -> Self {
-        let mut fwd: Vec<Vec<Hop>> = vec![Vec::new(); node_count];
-        let mut rev: Vec<Vec<Hop>> = vec![Vec::new(); node_count];
-        let mut link_to = BTreeMap::new();
-        for e in edges {
-            let cost = e.delay + HOP_EPSILON;
-            fwd[e.from.0].push((e.to, e.link, cost));
-            rev[e.to.0].push((e.from, e.link, cost));
-            link_to.insert(e.link, e.to);
-        }
+        Self::from_edges(node_count, edges.iter().copied())
+    }
+
+    /// [`RoutingTable::compute`] over any re-iterable edge source, so the
+    /// simulator can route straight off its link table.
+    pub(crate) fn from_edges(node_count: usize, edges: impl Iterator<Item = Edge> + Clone) -> Self {
+        let hops = edges.map(|e| (e.from, (e.to, e.link, e.delay + HOP_EPSILON)));
         RoutingTable {
-            node_count,
-            fwd,
-            rev,
-            link_to,
+            fwd: Adjacency::build(node_count, hops),
+            rev: None,
             toward: BTreeMap::new(),
         }
     }
@@ -134,32 +187,38 @@ impl RoutingTable {
     /// The first query for a destination runs one reverse Dijkstra rooted at
     /// it; later queries for the same destination are an array lookup.
     pub fn next_hop(&mut self, from: NodeId, to: NodeId) -> Option<LinkId> {
-        if from.0 >= self.node_count || to.0 >= self.node_count || from == to {
+        let node_count = self.fwd.node_count();
+        if from.0 >= node_count || to.0 >= node_count || from == to {
             return None;
         }
-        if !self.toward.contains_key(&to) {
-            let table = self.compute_toward(to);
-            self.toward.insert(to, table);
-        }
-        self.toward[&to][from.0]
+        let RoutingTable { fwd, rev, toward } = self;
+        toward.entry(to).or_insert_with(|| {
+            // A relaxed reverse hop (from, link) means the forward edge
+            // `from -link-> node`: `from` reaches `to` by entering `link`
+            // first.
+            let rev = rev.get_or_insert_with(|| fwd.reversed());
+            dijkstra_hops(rev, to.0)
+                .into_iter()
+                .map(|hop| hop.map(|(_, link)| link))
+                .collect()
+        })[from.0]
     }
 
     /// The full path of links from `from` to `to`, if a route exists.
     pub fn path(&mut self, from: NodeId, to: NodeId) -> Option<Vec<LinkId>> {
-        if from.0 >= self.node_count || to.0 >= self.node_count {
+        let node_count = self.fwd.node_count();
+        if from.0 >= node_count || to.0 >= node_count {
             return None;
         }
         let mut path = Vec::new();
         let mut cur = from;
-        let mut guard = 0usize;
         while cur != to {
-            let link = self.next_hop(cur, to)?;
-            path.push(link);
-            cur = *self.link_to.get(&link)?;
-            guard += 1;
-            if guard > self.node_count + 1 {
+            if path.len() > node_count {
                 return None; // routing loop, should not happen
             }
+            let link = self.next_hop(cur, to)?;
+            path.push(link);
+            cur = self.fwd.hops(cur.0).iter().find(|hop| hop.1 == link)?.0;
         }
         Some(path)
     }
@@ -172,18 +231,6 @@ impl RoutingTable {
             parent: dijkstra_hops(&self.fwd, source.0),
         }
     }
-
-    /// Reverse Dijkstra rooted at destination `to`: for every node, the
-    /// first link on its shortest path toward `to`.
-    ///
-    /// A relaxed reverse hop (from, link) means the forward edge
-    /// `from -link-> node`: `from` reaches `to` by entering `link` first.
-    fn compute_toward(&self, to: NodeId) -> Vec<Option<LinkId>> {
-        dijkstra_hops(&self.rev, to.0)
-            .into_iter()
-            .map(|hop| hop.map(|(_, link)| link))
-            .collect()
-    }
 }
 
 /// Dijkstra from `root` over an adjacency, recording for every node the hop
@@ -193,8 +240,8 @@ impl RoutingTable {
 /// root.  One body means cost metric and tie-breaking (deterministic via
 /// [`HeapEntry`]'s (dist, node) order) can never diverge between unicast
 /// routes and multicast trees.
-fn dijkstra_hops(adjacency: &[Vec<Hop>], root: usize) -> Vec<Option<(NodeId, LinkId)>> {
-    let node_count = adjacency.len();
+fn dijkstra_hops(adjacency: &Adjacency, root: usize) -> Vec<Option<(NodeId, LinkId)>> {
+    let node_count = adjacency.node_count();
     let mut dist = vec![f64::INFINITY; node_count];
     let mut hop: Vec<Option<(NodeId, LinkId)>> = vec![None; node_count];
     let mut done = vec![false; node_count];
@@ -209,7 +256,7 @@ fn dijkstra_hops(adjacency: &[Vec<Hop>], root: usize) -> Vec<Option<(NodeId, Lin
             continue;
         }
         done[node] = true;
-        for &(next, link, cost) in &adjacency[node] {
+        for &(next, link, cost) in adjacency.hops(node) {
             let nd = d + cost;
             if nd < dist[next.0] {
                 dist[next.0] = nd;
@@ -372,6 +419,126 @@ impl MulticastState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Oracle for [`RoutingTable`]: one `Vec` of hops per node, the reverse
+    /// lists built eagerly in edge order, and its own Dijkstra over them.
+    struct NestedRoutes {
+        fwd: Vec<Vec<Hop>>,
+        rev: Vec<Vec<Hop>>,
+        link_to: BTreeMap<LinkId, NodeId>,
+    }
+
+    impl NestedRoutes {
+        fn compute(node_count: usize, edges: &[Edge]) -> Self {
+            let mut fwd: Vec<Vec<Hop>> = vec![Vec::new(); node_count];
+            let mut rev: Vec<Vec<Hop>> = vec![Vec::new(); node_count];
+            let mut link_to = BTreeMap::new();
+            for e in edges {
+                let cost = e.delay + HOP_EPSILON;
+                fwd[e.from.0].push((e.to, e.link, cost));
+                rev[e.to.0].push((e.from, e.link, cost));
+                link_to.insert(e.link, e.to);
+            }
+            NestedRoutes { fwd, rev, link_to }
+        }
+
+        fn next_hop(&self, from: NodeId, to: NodeId) -> Option<LinkId> {
+            if from == to {
+                return None;
+            }
+            nested_dijkstra(&self.rev, to.0)[from.0].map(|(_, link)| link)
+        }
+
+        fn path(&self, from: NodeId, to: NodeId) -> Option<Vec<LinkId>> {
+            let mut path = Vec::new();
+            let mut cur = from;
+            while cur != to {
+                let link = self.next_hop(cur, to)?;
+                path.push(link);
+                cur = self.link_to[&link];
+            }
+            Some(path)
+        }
+
+        fn parents_from(&self, source: NodeId) -> Vec<Option<(NodeId, LinkId)>> {
+            nested_dijkstra(&self.fwd, source.0)
+        }
+    }
+
+    fn nested_dijkstra(adjacency: &[Vec<Hop>], root: usize) -> Vec<Option<(NodeId, LinkId)>> {
+        let node_count = adjacency.len();
+        let mut dist = vec![f64::INFINITY; node_count];
+        let mut hop: Vec<Option<(NodeId, LinkId)>> = vec![None; node_count];
+        let mut done = vec![false; node_count];
+        let mut heap = BinaryHeap::new();
+        dist[root] = 0.0;
+        heap.push(HeapEntry {
+            dist: 0.0,
+            node: root,
+        });
+        while let Some(HeapEntry { dist: d, node }) = heap.pop() {
+            if done[node] {
+                continue;
+            }
+            done[node] = true;
+            for &(next, link, cost) in &adjacency[node] {
+                let nd = d + cost;
+                if nd < dist[next.0] {
+                    dist[next.0] = nd;
+                    hop[next.0] = Some((NodeId(node), link));
+                    heap.push(HeapEntry {
+                        dist: nd,
+                        node: next.0,
+                    });
+                }
+            }
+        }
+        hop
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The compressed rows route exactly like the nested lists,
+        /// equal-cost ties included.  Few nodes, many links and three delay
+        /// values make parallel links and equal-delay paths common; link ids
+        /// are shuffled against edge order, so neither side can lean on
+        /// them.
+        #[test]
+        fn csr_routes_match_the_nested_oracle(
+            node_count in 1usize..8,
+            ends in proptest::collection::vec(0usize..64, 0..40),
+            delays in proptest::collection::vec(1u8..4, 40..41),
+            rotate in 0usize..40,
+        ) {
+            let edges: Vec<Edge> = ends
+                .iter()
+                .zip(&delays)
+                .enumerate()
+                .map(|(i, (&end, &delay))| Edge {
+                    link: LinkId((i + rotate) % ends.len()),
+                    from: NodeId(end / 8 % node_count),
+                    to: NodeId(end % 8 % node_count),
+                    delay: f64::from(delay) * 0.01,
+                })
+                .collect();
+            let oracle = NestedRoutes::compute(node_count, &edges);
+            let mut routes = RoutingTable::compute(node_count, &edges);
+            for source in (0..node_count).map(NodeId) {
+                prop_assert_eq!(
+                    routes.parents_from(source).parent,
+                    oracle.parents_from(source)
+                );
+            }
+            for from in (0..node_count).map(NodeId) {
+                for to in (0..node_count).map(NodeId) {
+                    prop_assert_eq!(routes.next_hop(from, to), oracle.next_hop(from, to));
+                    prop_assert_eq!(routes.path(from, to), oracle.path(from, to));
+                }
+            }
+        }
+    }
 
     /// From-scratch oracle for [`SourceTree`]: the union of the shortest
     /// paths to every member, rebuilt in full for each member set (what the
@@ -451,6 +618,20 @@ mod tests {
         // Full path reconstruction.
         let path = rt.path(NodeId(0), NodeId(3)).unwrap();
         assert_eq!(path, vec![LinkId(0), LinkId(4)]);
+    }
+
+    /// Trees run over the forward rows alone; the reverse rows appear with
+    /// the first unicast query.
+    #[test]
+    fn reverse_adjacency_waits_for_the_first_unicast_query() {
+        let (n, edges) = line_graph();
+        let mut rt = RoutingTable::compute(n, &edges);
+        let mut mc = MulticastState::default();
+        mc.join(GroupId(1), NodeId(2));
+        assert_eq!(mc.tree(GroupId(1), NodeId(0), &rt).edge_count(), 2);
+        assert!(rt.rev.is_none());
+        assert_eq!(rt.next_hop(NodeId(2), NodeId(0)), Some(LinkId(3)));
+        assert!(rt.rev.is_some());
     }
 
     #[test]

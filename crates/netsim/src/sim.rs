@@ -229,7 +229,9 @@ impl Batches {
 }
 
 /// A node's local tables: flat sorted arrays, because a node holds a handful
-/// of entries and every delivery walks one of them.
+/// of entries and every delivery walks one of them.  Most nodes hold one
+/// entry per table, so the first insert sizes a table exactly (see
+/// [`insert_sized`]).
 #[derive(Debug, Default)]
 struct Node {
     /// Bound ports, sorted by port.
@@ -239,6 +241,15 @@ struct Node {
     subscriptions: Vec<(GroupId, AgentId)>,
 }
 
+/// Inserts `entry` at `pos`.  An empty table gets room for exactly one
+/// entry, where `Vec` would reserve four; later inserts grow it amortised.
+fn insert_sized<T>(table: &mut Vec<T>, pos: usize, entry: T) {
+    if table.capacity() == 0 {
+        table.reserve_exact(1);
+    }
+    table.insert(pos, entry);
+}
+
 /// Everything in the simulation except the agents themselves.
 pub struct World {
     now: SimTime,
@@ -246,7 +257,6 @@ pub struct World {
     seq: u64,
     nodes: Vec<Node>,
     links: Vec<Link>,
-    edges: Vec<Edge>,
     routes: RoutingTable,
     routes_dirty: bool,
     multicast: MulticastState,
@@ -281,7 +291,6 @@ impl World {
             seq: 0,
             nodes: Vec::new(),
             links: Vec::new(),
-            edges: Vec::new(),
             routes: RoutingTable::default(),
             routes_dirty: true,
             multicast: MulticastState::default(),
@@ -304,10 +313,22 @@ impl World {
         enqueue(&mut self.queue, &mut self.seq, self.now, time, kind)
     }
 
+    /// Rebuilds the routes after a topology change, straight from the link
+    /// table, and trims the node and link tables to their length: the
+    /// topology rarely grows after its first route, and when it does, the
+    /// rebuild already costs a pass over every link.
     fn ensure_routes(&mut self) {
         if self.routes_dirty {
-            self.routes = RoutingTable::compute(self.nodes.len(), &self.edges);
             self.multicast.invalidate();
+            self.nodes.shrink_to_fit();
+            self.links.shrink_to_fit();
+            let edges = self.links.iter().map(|link| Edge {
+                link: link.id,
+                from: link.from,
+                to: link.to,
+                delay: link.delay,
+            });
+            self.routes = RoutingTable::from_edges(self.nodes.len(), edges);
             self.routes_dirty = false;
         }
     }
@@ -434,7 +455,7 @@ impl World {
         let Err(pos) = subs.binary_search(&(group, agent)) else {
             return; // already subscribed
         };
-        subs.insert(pos, (group, agent));
+        insert_sized(subs, pos, (group, agent));
         self.multicast.join(group, node);
         self.stats.add("multicast.agent_joins", 1.0);
         // Per-group (per-session) counter, so multi-session workloads can
@@ -744,12 +765,6 @@ impl Simulator {
         self.world.links.push(Link::new(
             id, from, to, bandwidth, delay, discipline, link_seed,
         ));
-        self.world.edges.push(Edge {
-            link: id,
-            from,
-            to,
-            delay,
-        });
         self.world.routes_dirty = true;
         id
     }
@@ -789,11 +804,6 @@ impl Simulator {
             "link delay must be a positive, finite number of seconds, got {delay}"
         );
         self.world.links[link.0].delay = delay;
-        // `add_link` pushes one edge per link in the same order, so the edge
-        // list is indexed by LinkId — no scan needed.
-        let edge = &mut self.world.edges[link.0];
-        debug_assert_eq!(edge.link, link, "edge list out of sync with links");
-        edge.delay = delay;
         self.world.routes_dirty = true;
     }
 
@@ -821,7 +831,7 @@ impl Simulator {
         let Err(pos) = agents.binary_search_by_key(&port, |&(bound, _)| bound) else {
             panic!("port {port:?} on node {node:?} is already bound");
         };
-        agents.insert(pos, (port, id));
+        insert_sized(agents, pos, (port, id));
         self.agents.push(Some(agent));
         self.world.agent_addrs.push(Address::new(node, port));
         self.world
@@ -2109,6 +2119,77 @@ mod tests {
                 (SimTime::from_secs(1.0) + 0.1) + 0.2
             ]
         );
+    }
+
+    /// The delay reaches routing only through the link table: once
+    /// `set_link_delay` makes the other of two paths shorter, both the next
+    /// unicast packet and the next multicast replica take it.
+    #[test]
+    fn set_link_delay_reroutes_unicast_and_multicast() {
+        let mut sim = Simulator::new(3);
+        let [s, a, b, d] = ["s", "a", "b", "d"].map(|name| sim.add_node(name));
+        let mut link =
+            |from, to, delay| sim.add_link(from, to, 1e6, delay, QueueDiscipline::drop_tail(10));
+        let via_a = [link(s, a, 0.01), link(a, d, 0.01)];
+        let via_b = [link(s, b, 0.02), link(b, d, 0.02)];
+        let group = GroupId(4);
+        let unicast = Dest::Unicast(Address::new(d, Port(1)));
+        let multicast = Dest::Multicast {
+            group,
+            port: Port(2),
+        };
+        let sink = sim.add_agent(d, Port(1), Box::new(Scripted::new(unicast, 0, &[])));
+        let listener = GroupListener { group, received: 0 };
+        let member = sim.add_agent(d, Port(2), Box::new(listener));
+        sim.add_agent(
+            s,
+            Port(1),
+            Box::new(Scripted::new(unicast, 100, &[0.5, 1.5])),
+        );
+        sim.add_agent(
+            s,
+            Port(2),
+            Box::new(Scripted::new(multicast, 100, &[0.5, 1.5])),
+        );
+        let carried =
+            |sim: &Simulator, path: [LinkId; 2]| path.map(|l| sim.link_stats(l).delivered);
+
+        sim.run_until(SimTime::from_secs(1.0));
+        assert_eq!(
+            (carried(&sim, via_a), carried(&sim, via_b)),
+            ([2, 2], [0, 0])
+        );
+        sim.set_link_delay(via_a[0], 0.5);
+        sim.run_until(SimTime::from_secs(3.0));
+        assert_eq!(
+            (carried(&sim, via_a), carried(&sim, via_b)),
+            ([2, 2], [2, 2])
+        );
+        assert_eq!(sim.agent::<Scripted>(sink).unwrap().got.len(), 2);
+        assert_eq!(sim.agent::<GroupListener>(member).unwrap().received, 2);
+    }
+
+    /// A node's first port and first subscription take one slot each; more
+    /// entries grow the tables geometrically, not one slot per insert.
+    #[test]
+    fn node_tables_start_at_one_entry() {
+        let mut sim = Simulator::new(5);
+        let n = sim.add_node("n");
+        let slots = |sim: &mut Simulator, ports: std::ops::Range<u16>| {
+            for port in ports {
+                let listener = GroupListener {
+                    group: GroupId(u32::from(port)),
+                    received: 0,
+                };
+                sim.add_agent(n, Port(port), Box::new(listener));
+            }
+            sim.run_until(SimTime::ZERO);
+            let node = &sim.world.nodes[n.0];
+            (node.agents.capacity(), node.subscriptions.capacity())
+        };
+        assert_eq!(slots(&mut sim, 0..1), (1, 1));
+        let (agents, subscriptions) = slots(&mut sim, 1..9);
+        assert!(agents > 9 && subscriptions > 9, "{agents}, {subscriptions}");
     }
 
     /// A rejected duplicate binding leaves the node as it was: the next

@@ -5,8 +5,9 @@
 //! the event/delivery counts **and the live heap footprint** (measured by a
 //! counting global allocator: net bytes after build, at the peak and after
 //! the run, per receiver) next to what the event queue holds and what it
-//! holds on to.  Optionally a tenth of the receivers churn (leave and rejoin
-//! the group on sub-second cycles).
+//! holds on to, and a ledger of live bytes per receiver after each phase
+//! (topology, agents, start, run).  Optionally a tenth of the receivers
+//! churn (leave and rejoin the group on sub-second cycles).
 //!
 //! With `sessions=K` the probe becomes the **multi-session** workload from
 //! the roadmap: instead of CBR sinks it wires K full TFMCC sessions (each
@@ -156,6 +157,7 @@ fn probe_cbr(n: usize, churn: bool) {
     let mut sim = Simulator::new(1);
     let legs: Vec<StarLeg> = (0..n).map(|_| StarLeg::clean(125_000.0, 0.02)).collect();
     let st = star(&mut sim, &StarConfig::default(), &legs);
+    let topology_bytes = live_bytes() - heap0;
     let group = GroupId(1);
     let mut sinks = Vec::with_capacity(n);
     for (i, &r) in st.receivers.iter().enumerate() {
@@ -183,6 +185,10 @@ fn probe_cbr(n: usize, churn: bool) {
     let built_bytes = live_bytes() - heap0;
 
     let t1 = Instant::now();
+    // Time zero: every agent starts, the sinks join (which settles the
+    // routes) and the first packet builds the tree.
+    sim.run_until(SimTime::ZERO);
+    let started_bytes = live_bytes() - heap0;
     sim.run_until(SimTime::from_secs(10.0));
     let ran = t1.elapsed();
     let run_bytes = live_bytes() - heap0;
@@ -203,6 +209,13 @@ fn probe_cbr(n: usize, churn: bool) {
         peak as f64 / (1 << 20) as f64,
         peak / n as i64,
         run_bytes as f64 / (1 << 20) as f64,
+        run_bytes / n as i64,
+    );
+    println!(
+        "ledger: B/receiver live after topology {}, agents {}, start {}, run {}",
+        topology_bytes / n as i64,
+        built_bytes / n as i64,
+        started_bytes / n as i64,
         run_bytes / n as i64,
     );
     let diag = sim.scheduler_diagnostics();
