@@ -180,8 +180,6 @@ impl StarLeg {
 pub struct Star {
     /// The sender host.
     pub sender: NodeId,
-    /// The hub router all legs attach to.
-    pub hub: NodeId,
     /// One receiver host per leg.
     pub receivers: Vec<NodeId>,
     /// Downstream link (hub → receiver) per leg.
@@ -246,7 +244,6 @@ pub fn star(sim: &mut Simulator, cfg: &StarConfig, legs: &[StarLeg]) -> Star {
     }
     Star {
         sender,
-        hub,
         receivers,
         downstream_links,
         upstream_links,

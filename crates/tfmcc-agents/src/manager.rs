@@ -153,8 +153,9 @@ pub struct SessionAddressing {
 }
 
 impl SessionAddressing {
-    /// Block `index` of the manager's sequence.
-    fn block(index: usize) -> Self {
+    /// Block `index` of the manager's sequence: what its `index`-th
+    /// session or reservation takes.
+    pub fn block(index: usize) -> Self {
         let base = u16::try_from(5000 + 2 * index).expect("port space");
         SessionAddressing {
             group: GroupId(1 + index as u32),

@@ -163,7 +163,7 @@ mod tests {
         let sender = sim.add_agent(
             sender_node,
             sender_port,
-            Box::new(PgmccSenderAgent::new(group, data_port, FlowId(7), 1000)),
+            Box::new(PgmccSenderAgent::new(group, data_port, FlowId(7))),
         );
         let receivers = receiver_nodes
             .iter()

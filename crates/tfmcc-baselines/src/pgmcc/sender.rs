@@ -9,6 +9,8 @@ use super::PgmccMessage;
 
 const SEND_TOKEN: u64 = 1;
 const HOUSEKEEPING_TOKEN: u64 = 2;
+/// Data packet size in bytes.
+const PACKET_SIZE: u32 = 1000;
 
 /// Counters exposed by the sender.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -26,7 +28,6 @@ pub struct PgmccSenderAgent {
     group: GroupId,
     data_port: Port,
     flow: FlowId,
-    packet_size: u32,
     /// Congestion window in packets, maintained against the acker.
     window: f64,
     ssthresh: f64,
@@ -52,13 +53,13 @@ pub struct PgmccSenderAgent {
 }
 
 impl PgmccSenderAgent {
-    /// Creates the sender, multicasting to `group` on `data_port`.
-    pub fn new(group: GroupId, data_port: Port, flow: FlowId, packet_size: u32) -> Self {
+    /// Creates the sender, multicasting 1000-byte packets to `group` on
+    /// `data_port`.
+    pub fn new(group: GroupId, data_port: Port, flow: FlowId) -> Self {
         PgmccSenderAgent {
             group,
             data_port,
             flow,
-            packet_size,
             window: 2.0,
             ssthresh: 64.0,
             next_seq: 0,
@@ -66,7 +67,7 @@ impl PgmccSenderAgent {
             dup_acks: 0,
             last_lost_total: u64::MAX,
             recovery_point: 0,
-            tracker: AckerTracker::new(f64::from(packet_size), 0.85),
+            tracker: AckerTracker::new(f64::from(PACKET_SIZE), 0.85),
             srtt: 0.2,
             stats: PgmccSenderStats::default(),
             last_ack_at: 0.0,
@@ -108,7 +109,7 @@ impl PgmccSenderAgent {
                 group: self.group,
                 port: self.data_port,
             },
-            self.packet_size,
+            PACKET_SIZE,
             self.flow,
             Payload::new(msg),
         );
@@ -277,7 +278,7 @@ mod tests {
         let sender = sim.add_agent(
             a,
             sender_port,
-            Box::new(PgmccSenderAgent::new(group, data_port, FlowId(8), 1000)),
+            Box::new(PgmccSenderAgent::new(group, data_port, FlowId(8))),
         );
         let receiver = sim.add_agent(
             b,

@@ -12,38 +12,36 @@ use super::send_times::SendTimes;
 const RTO_TOKEN: u64 = 2;
 /// Timer token used to delay the start of the flow.
 const START_TOKEN: u64 = 1;
+/// Segment size in bytes.
+const PACKET_SIZE: u32 = 1000;
+/// Initial slow-start threshold in packets.
+const INITIAL_SSTHRESH: f64 = 64.0;
+/// Maximum congestion window in packets (receiver window): essentially
+/// unlimited.
+const MAX_CWND: f64 = 10_000.0;
+/// Minimum retransmission timeout in seconds.
+const MIN_RTO: f64 = 0.2;
 
-/// Configuration of a [`TcpSender`].
+/// Configuration of a [`TcpSender`]: 1000-byte segments, an initial
+/// slow-start threshold of 64 packets, an essentially unlimited window and a
+/// 200 ms minimum RTO are fixed.
 #[derive(Debug, Clone)]
 pub struct TcpSenderConfig {
     /// Destination sink address.
     pub dst: Address,
     /// Flow id for statistics.
     pub flow: FlowId,
-    /// Segment size in bytes.
-    pub packet_size: u32,
     /// Time at which the flow starts sending.
     pub start_at: f64,
-    /// Initial slow-start threshold in packets.
-    pub initial_ssthresh: f64,
-    /// Maximum congestion window in packets (receiver window).
-    pub max_cwnd: f64,
-    /// Minimum retransmission timeout in seconds.
-    pub min_rto: f64,
 }
 
 impl TcpSenderConfig {
-    /// A sender with common defaults: 1000-byte segments, essentially
-    /// unlimited window, 200 ms minimum RTO.
+    /// A sender starting at time 0.
     pub fn new(dst: Address, flow: FlowId) -> Self {
         TcpSenderConfig {
             dst,
             flow,
-            packet_size: 1000,
             start_at: 0.0,
-            initial_ssthresh: 64.0,
-            max_cwnd: 10_000.0,
-            min_rto: 0.2,
         }
     }
 
@@ -98,7 +96,7 @@ impl TcpSender {
     pub fn new(cfg: TcpSenderConfig) -> Self {
         TcpSender {
             cwnd: 2.0,
-            ssthresh: cfg.initial_ssthresh,
+            ssthresh: INITIAL_SSTHRESH,
             snd_una: 0,
             snd_nxt: 0,
             dup_acks: 0,
@@ -148,7 +146,7 @@ impl TcpSender {
         let pkt = Packet::new(
             ctx.addr(),
             Dest::Unicast(self.cfg.dst),
-            self.cfg.packet_size,
+            PACKET_SIZE,
             self.cfg.flow,
             Payload::new(seg),
         );
@@ -165,7 +163,7 @@ impl TcpSender {
 
     /// Sends as many new segments as the window allows.
     fn fill_window(&mut self, ctx: &mut Context<'_>) {
-        let window = self.cwnd.min(self.cfg.max_cwnd).floor().max(1.0) as u64;
+        let window = self.cwnd.min(MAX_CWND).floor().max(1.0) as u64;
         while self.flight_size() < window {
             let seq = self.snd_nxt;
             self.snd_nxt += 1;
@@ -195,7 +193,7 @@ impl TcpSender {
                 self.srtt = Some(0.875 * srtt + 0.125 * sample);
             }
         }
-        self.rto = (self.srtt.unwrap_or(sample) + 4.0 * self.rttvar).clamp(self.cfg.min_rto, 60.0);
+        self.rto = (self.srtt.unwrap_or(sample) + 4.0 * self.rttvar).clamp(MIN_RTO, 60.0);
     }
 
     fn on_ack(&mut self, ctx: &mut Context<'_>, ack: u64, echo_timestamp: f64) {
@@ -204,7 +202,7 @@ impl TcpSender {
             // New data acknowledged.
             let newly_acked = ack - self.snd_una;
             self.acked_meter
-                .record(ctx.now(), newly_acked * u64::from(self.cfg.packet_size));
+                .record(ctx.now(), newly_acked * u64::from(PACKET_SIZE));
             // RTT sample from the echoed timestamp (valid because the sink
             // echoes the timestamp of the segment that triggered the ACK and
             // retransmitted segments never carry a sampled timestamp).
@@ -225,10 +223,10 @@ impl TcpSender {
                 self.cwnd = self.ssthresh;
             } else if self.cwnd < self.ssthresh {
                 // Slow start.
-                self.cwnd = (self.cwnd + newly_acked as f64).min(self.cfg.max_cwnd);
+                self.cwnd = (self.cwnd + newly_acked as f64).min(MAX_CWND);
             } else {
                 // Congestion avoidance: one packet per window per RTT.
-                self.cwnd = (self.cwnd + newly_acked as f64 / self.cwnd).min(self.cfg.max_cwnd);
+                self.cwnd = (self.cwnd + newly_acked as f64 / self.cwnd).min(MAX_CWND);
             }
             self.arm_rto(ctx);
             self.fill_window(ctx);
@@ -311,6 +309,7 @@ impl Agent for TcpSender {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tcp::add_flow;
     use crate::tcp::sink::TcpSink;
     use netsim::prelude::*;
     use tfmcc_model::throughput::padhye_throughput;
@@ -436,16 +435,10 @@ mod tests {
         let d = netsim::topology::dumbbell(&mut sim, &cfg);
         let mut sinks = Vec::new();
         for i in 0..2 {
-            let sink = sim.add_agent(d.receivers[i], Port(1), Box::new(TcpSink::new(1.0)));
-            sim.add_agent(
-                d.senders[i],
-                Port(1),
-                Box::new(TcpSender::new(TcpSenderConfig::new(
-                    Address::new(d.receivers[i], Port(1)),
-                    FlowId(i as u64),
-                ))),
-            );
-            sinks.push(sink);
+            let dst = Address::new(d.receivers[i], Port(1));
+            let src = Address::new(d.senders[i], Port(1));
+            let sender = TcpSenderConfig::new(dst, FlowId(i as u64));
+            sinks.push(add_flow(&mut sim, src, sender, 1.0));
         }
         sim.run_until(SimTime::from_secs(120.0));
         let r0 = sim
@@ -488,14 +481,8 @@ mod tests {
         let a = sim.add_node("a");
         let b = sim.add_node("b");
         sim.add_duplex_link(a, b, 125_000.0, 0.01, QueueDiscipline::drop_tail(50));
-        let sink = sim.add_agent(b, Port(1), Box::new(TcpSink::new(1.0)));
-        sim.add_agent(
-            a,
-            Port(1),
-            Box::new(TcpSender::new(
-                TcpSenderConfig::new(Address::new(b, Port(1)), FlowId(1)).starting_at(5.0),
-            )),
-        );
+        let sender = TcpSenderConfig::new(Address::new(b, Port(1)), FlowId(1)).starting_at(5.0);
+        let sink = add_flow(&mut sim, Address::new(a, Port(1)), sender, 1.0);
         sim.run_until(SimTime::from_secs(10.0));
         let s: &TcpSink = sim.agent(sink).unwrap();
         assert_eq!(s.meter().average_between(0.0, 4.0), 0.0);

@@ -14,7 +14,7 @@ use proptest::prelude::*;
 use tfmcc_agents::population::PopulationSpec;
 use tfmcc_agents::session::TfmccSessionBuilder;
 use tfmcc_baselines::pgmcc::{PgmccReceiverAgent, PgmccSenderAgent};
-use tfmcc_baselines::tcp::{TcpSender, TcpSenderConfig, TcpSink};
+use tfmcc_baselines::tcp::{self, TcpSenderConfig, TcpSink};
 
 /// Jain's fairness index `(Σx)² / (n·Σx²)`.
 fn jain(rates: &[f64]) -> f64 {
@@ -35,15 +35,8 @@ fn run_tcp_path(loss: f64, seed: u64) -> f64 {
     if loss > 0.0 {
         sim.set_link_loss(down, LossModel::Bernoulli { p: loss });
     }
-    let sink = sim.add_agent(b, Port(1), Box::new(TcpSink::new(1.0)));
-    sim.add_agent(
-        a,
-        Port(2),
-        Box::new(TcpSender::new(TcpSenderConfig::new(
-            Address::new(b, Port(1)),
-            FlowId(77),
-        ))),
-    );
+    let sender = TcpSenderConfig::new(Address::new(b, Port(1)), FlowId(77));
+    let sink = tcp::add_flow(&mut sim, Address::new(a, Port(2)), sender, 1.0);
     sim.run_until(SimTime::from_secs(90.0));
     sim.agent::<TcpSink>(sink)
         .unwrap()
@@ -87,16 +80,8 @@ proptest! {
                 0.005 + 0.002 * f64::from(i),
                 QueueDiscipline::drop_tail(60),
             );
-            let sink = sim.add_agent(r, Port(1), Box::new(TcpSink::new(1.0)));
-            sim.add_agent(
-                s,
-                Port(2),
-                Box::new(TcpSender::new(TcpSenderConfig::new(
-                    Address::new(r, Port(1)),
-                    FlowId(100 + u64::from(i)),
-                ))),
-            );
-            sinks.push(sink);
+            let sender = TcpSenderConfig::new(Address::new(r, Port(1)), FlowId(100 + u64::from(i)));
+            sinks.push(tcp::add_flow(&mut sim, Address::new(s, Port(2)), sender, 1.0));
         }
         sim.run_until(SimTime::from_secs(80.0));
         let rates: Vec<f64> = sinks
@@ -121,7 +106,7 @@ fn add_pgmcc_flow(sim: &mut Simulator, s: NodeId, r: NodeId, index: u16) -> Agen
     let sender = sim.add_agent(
         s,
         sender_port,
-        Box::new(PgmccSenderAgent::new(group, data_port, flow, 1000)),
+        Box::new(PgmccSenderAgent::new(group, data_port, flow)),
     );
     let sender_addr = sim.agent_addr(sender);
     sim.add_agent(
@@ -226,15 +211,8 @@ fn tfmcc_and_tcp_share_a_bottleneck() {
         &[PopulationSpec::packet(d.receivers[0])],
     );
     // TCP on pair 1.
-    let tcp_sink = sim.add_agent(d.receivers[1], Port(1), Box::new(TcpSink::new(1.0)));
-    sim.add_agent(
-        d.senders[1],
-        Port(1),
-        Box::new(TcpSender::new(TcpSenderConfig::new(
-            Address::new(d.receivers[1], Port(1)),
-            FlowId(2),
-        ))),
-    );
+    let sender = TcpSenderConfig::new(Address::new(d.receivers[1], Port(1)), FlowId(2));
+    let tcp_sink = tcp::add_flow(&mut sim, Address::new(d.senders[1], Port(1)), sender, 1.0);
     sim.run_until(SimTime::from_secs(200.0));
     let tfmcc_rate = session.receiver_throughput(&sim, 0, 80.0, 195.0);
     let tcp_rate = sim

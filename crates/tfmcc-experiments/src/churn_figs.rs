@@ -18,12 +18,13 @@ use rand::{Rng, SeedableRng};
 
 use netsim::prelude::*;
 use tfmcc_agents::population::{FluidSpec, PopulationSpec};
-use tfmcc_agents::session::{ReceiverSpec, TfmccSessionBuilder};
+use tfmcc_agents::session::ReceiverSpec;
 use tfmcc_model::population::Dist;
 use tfmcc_runner::{ParamGrid, Sweep, SweepRunner};
 
 use crate::output::{Figure, Series};
 use crate::scale::Scale;
+use crate::testbed::{kbit, Flow, Testbed, Topology};
 
 /// Fraction of receivers that churn: every 5th (i % 5 == 1).
 const CHURN_MODULUS: usize = 5;
@@ -37,97 +38,46 @@ struct ChurnOutcome {
     events_per_kb: f64,
 }
 
-/// Runs one simulation: `n` receivers behind a 1 Mbit/s source bottleneck,
-/// a fifth of them churning with randomized (seed-derived) periods.
-fn run_churn_point(n: usize, seed: u64, duration: f64) -> ChurnOutcome {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut sim = Simulator::new(seed);
-    let legs: Vec<StarLeg> = (0..n)
-        .map(|_| {
-            StarLeg::clean(125_000.0, rng.gen_range(0.01..0.05))
-                .with_queue(QueueDiscipline::drop_tail(30))
-        })
-        .collect();
-    let cfg = StarConfig {
-        sender_bandwidth: 125_000.0, // the 1 Mbit/s source bottleneck
-        sender_delay: 0.002,
-        sender_queue: QueueDiscipline::drop_tail(100),
-    };
-    let star = star(&mut sim, &cfg, &legs);
-    let specs: Vec<ReceiverSpec> = star
-        .receivers
-        .iter()
-        .enumerate()
-        .map(|(i, &node)| {
-            if i == 0 {
-                // The persistent probe receiver.
-                return ReceiverSpec::always(node);
-            }
-            let join_at = rng.gen_range(0.0..2.0);
-            if i % CHURN_MODULUS == 1 {
-                let on_secs = rng.gen_range(0.25..0.55) * duration.min(20.0);
-                let off_secs = rng.gen_range(0.08..0.20) * duration.min(20.0);
-                ReceiverSpec::joining_at(node, join_at).churning(on_secs, off_secs)
-            } else {
-                ReceiverSpec::joining_at(node, join_at)
-            }
-        })
-        .collect();
-    let session = TfmccSessionBuilder::default().build_population(
-        &mut sim,
-        star.sender,
-        &PopulationSpec::packets(&specs),
-    );
-    sim.run_until(SimTime::from_secs(duration));
-
-    let probe_rate = session.receiver_throughput(&sim, 0, duration * 0.4, duration - 1.0);
-    let total_bytes: f64 = (0..n)
-        .map(|i| session.receiver_agent(&sim, i).meter().total_bytes() as f64)
-        .sum();
-    let membership_changes = sim.stats().counter("multicast.agent_joins")
-        + sim.stats().counter("multicast.agent_leaves");
-    let events_per_kb = sim.events_processed() as f64 / (total_bytes / 1000.0).max(1.0);
-    ChurnOutcome {
-        receivers: n,
-        probe_kbit: probe_rate * 8.0 / 1000.0,
-        mean_kbit: total_bytes / duration / n as f64 * 8.0 / 1000.0,
-        membership_changes,
-        events_per_kb,
-    }
-}
-
 /// Size of the packet-level cohort in a hybrid churn point: the probe plus
 /// enough churners to keep the join/leave workload realistic.
 const HYBRID_COHORT: usize = 50;
 
-/// One hybrid churn point: the probe and a churning 50-receiver cohort run
-/// at packet level while the remaining `n − 50` receivers are one fluid
-/// population, so the axis extends to 10⁶ receivers with the same churn
-/// workload on the simulated cohort.
-fn run_hybrid_churn_point(n: usize, seed: u64, duration: f64) -> ChurnOutcome {
-    let cohort = HYBRID_COHORT.min(n.saturating_sub(1)).max(1);
-    let fluid_count = (n - cohort).max(1) as u64;
+/// Runs one simulation: `n` receivers behind a 1 Mbit/s source bottleneck,
+/// a fifth of them churning with randomized (seed-derived) periods.  A
+/// `hybrid` point runs the probe and a churning 50-receiver cohort at packet
+/// level while the remaining `n − 50` receivers are one fluid population,
+/// so the axis extends to 10⁶ receivers with the same churn workload on the
+/// simulated cohort.
+fn run_churn_point(n: usize, hybrid: bool, seed: u64, duration: f64) -> ChurnOutcome {
+    let cohort = if hybrid {
+        HYBRID_COHORT.min(n.saturating_sub(1)).max(1)
+    } else {
+        n
+    };
     let mut rng = SmallRng::seed_from_u64(seed);
-    let mut sim = Simulator::new(seed);
     let mut legs: Vec<StarLeg> = (0..cohort)
         .map(|_| {
             StarLeg::clean(125_000.0, rng.gen_range(0.01..0.05))
                 .with_queue(QueueDiscipline::drop_tail(30))
         })
         .collect();
-    // The attachment leg of the fluid population.
-    legs.push(StarLeg::clean(1_250_000.0, 0.01));
+    if hybrid {
+        // The attachment leg of the fluid population.
+        legs.push(StarLeg::clean(1_250_000.0, 0.01));
+    }
     let cfg = StarConfig {
-        sender_bandwidth: 125_000.0,
+        sender_bandwidth: 125_000.0, // the 1 Mbit/s source bottleneck
         sender_delay: 0.002,
         sender_queue: QueueDiscipline::drop_tail(100),
     };
-    let star = star(&mut sim, &cfg, &legs);
-    let mut specs: Vec<PopulationSpec> = star.receivers[..cohort]
+    let mut bed = Testbed::new(seed, &Topology::Star(cfg, legs));
+    let nodes = &bed.layout.receivers;
+    let mut populations: Vec<PopulationSpec> = nodes[..cohort]
         .iter()
         .enumerate()
         .map(|(i, &node)| {
             if i == 0 {
+                // The persistent probe receiver.
                 return PopulationSpec::packet(node);
             }
             let join_at = rng.gen_range(0.0..2.0);
@@ -141,31 +91,34 @@ fn run_hybrid_churn_point(n: usize, seed: u64, duration: f64) -> ChurnOutcome {
             PopulationSpec::Packet(spec)
         })
         .collect();
-    specs.push(PopulationSpec::Fluid(FluidSpec::new(
-        star.receivers[cohort],
-        fluid_count,
-        Dist::Uniform {
-            lo: 0.001,
-            hi: 0.01,
-        },
-        Dist::Uniform { lo: 0.02, hi: 0.06 },
-    )));
-    let session = TfmccSessionBuilder::default().build_population(&mut sim, star.sender, &specs);
-    sim.run_until(SimTime::from_secs(duration));
+    if hybrid {
+        populations.push(PopulationSpec::Fluid(FluidSpec::new(
+            nodes[cohort],
+            (n - cohort).max(1) as u64,
+            Dist::Uniform {
+                lo: 0.001,
+                hi: 0.01,
+            },
+            Dist::Uniform { lo: 0.02, hi: 0.06 },
+        )));
+    }
+    bed.wire([Flow::session(bed.layout.senders[0], populations)]);
+    bed.run_until(duration);
+    let (sim, session) = (&bed.sim, bed.session(0));
 
-    let probe_rate = session.receiver_throughput(&sim, 0, duration * 0.4, duration - 1.0);
+    let probe_rate = session.receiver_throughput(sim, 0, duration * 0.4, duration - 1.0);
     let total_bytes: f64 = (0..cohort)
-        .map(|i| session.receiver_agent(&sim, i).meter().total_bytes() as f64)
+        .map(|i| session.receiver_agent(sim, i).meter().total_bytes() as f64)
         .sum();
     let membership_changes = sim.stats().counter("multicast.agent_joins")
         + sim.stats().counter("multicast.agent_leaves");
     let events_per_kb = sim.events_processed() as f64 / (total_bytes / 1000.0).max(1.0);
     ChurnOutcome {
         receivers: n,
-        probe_kbit: probe_rate * 8.0 / 1000.0,
+        probe_kbit: kbit(probe_rate),
         // The fluid tier has no per-receiver meters; the mean is over the
         // packet-level cohort.
-        mean_kbit: total_bytes / duration / cohort as f64 * 8.0 / 1000.0,
+        mean_kbit: kbit(total_bytes / duration / cohort as f64),
         membership_changes,
         events_per_kb,
     }
@@ -178,7 +131,7 @@ pub fn fig22_churn(runner: &SweepRunner, scale: Scale) -> Figure {
     let duration = scale.pick(12.0, 60.0);
     let sweep = ParamGrid::new().receivers(ns.clone()).build("fig22", 2222);
     let outcomes = runner.run(&sweep, |pt| {
-        run_churn_point(pt.value.receivers, pt.seed, duration)
+        run_churn_point(pt.value.receivers, false, pt.seed, duration)
     });
 
     let mut fig = Figure::new(
@@ -222,7 +175,7 @@ pub fn fig22_churn(runner: &SweepRunner, scale: Scale) -> Figure {
     let hybrid_ns: Vec<usize> = scale.pick(vec![100_000], vec![1_000_000]);
     let hybrid_sweep = Sweep::new("fig22/hybrid", 22_222, hybrid_ns);
     let hybrid = runner.run(&hybrid_sweep, |pt| {
-        run_hybrid_churn_point(*pt.value, pt.seed, duration)
+        run_churn_point(*pt.value, true, pt.seed, duration)
     });
     fig.push_series(Series::new(
         "hybrid probe goodput (kbit/s)",

@@ -8,26 +8,12 @@
 
 use netsim::prelude::*;
 use tfmcc_agents::population::PopulationSpec;
-use tfmcc_agents::session::{ReceiverSpec, TfmccSessionBuilder};
-use tfmcc_baselines::tcp::{TcpSender, TcpSenderConfig, TcpSink};
 use tfmcc_runner::SweepRunner;
 
 use crate::output::{Figure, Series};
 use crate::scale::Scale;
 use crate::sweeps::run_single_sim;
-
-/// Converts a throughput meter into a kbit/s-vs-time series.
-pub(crate) fn meter_series(meter: &ThroughputMeter) -> Vec<(f64, f64)> {
-    meter
-        .series()
-        .into_iter()
-        .map(|(t, bytes_per_sec)| (t, bytes_per_sec * 8.0 / 1000.0))
-        .collect()
-}
-
-fn kbit(bytes_per_sec: f64) -> f64 {
-    bytes_per_sec * 8.0 / 1000.0
-}
+use crate::testbed::{kbit, tcp_per_receiver, Flow, Testbed, Topology};
 
 /// Figure 9: one TFMCC flow and `tcp_flows` TCP flows over a single 8 Mbit/s
 /// bottleneck.
@@ -35,34 +21,28 @@ pub fn fig09_single_bottleneck(runner: &SweepRunner, scale: Scale) -> Figure {
     run_single_sim(runner, "fig09", || {
         let tcp_flows = 15;
         let duration = scale.pick(120.0, 200.0);
-        let mut sim = Simulator::new(909);
-        let cfg = DumbbellConfig {
-            pairs: tcp_flows + 1,
-            bottleneck_bandwidth: 1_000_000.0, // 8 Mbit/s
-            bottleneck_delay: 0.02,
-            bottleneck_queue: QueueDiscipline::drop_tail(125),
-            ..DumbbellConfig::default()
-        };
-        let d = netsim::topology::dumbbell(&mut sim, &cfg);
-        let session = TfmccSessionBuilder::default().build_population(
-            &mut sim,
-            d.senders[0],
-            &[PopulationSpec::packet(d.receivers[0])],
+        let mut bed = Testbed::new(
+            909,
+            &Topology::Dumbbell(DumbbellConfig {
+                pairs: tcp_flows + 1,
+                bottleneck_bandwidth: 1_000_000.0, // 8 Mbit/s
+                bottleneck_delay: 0.02,
+                bottleneck_queue: QueueDiscipline::drop_tail(125),
+                ..DumbbellConfig::default()
+            }),
         );
-        let mut tcp_sinks = Vec::new();
+        let (senders, receivers) = (&bed.layout.senders, &bed.layout.receivers);
+        let mut flows = vec![Flow::session(
+            senders[0],
+            vec![PopulationSpec::packet(receivers[0])],
+        )];
         for i in 1..=tcp_flows {
-            let sink = sim.add_agent(d.receivers[i], Port(1), Box::new(TcpSink::new(1.0)));
-            sim.add_agent(
-                d.senders[i],
-                Port(1),
-                Box::new(TcpSender::new(TcpSenderConfig::new(
-                    Address::new(d.receivers[i], Port(1)),
-                    FlowId(1000 + i as u64),
-                ))),
-            );
-            tcp_sinks.push(sink);
+            let src = Address::new(senders[i], Port(1));
+            let dst = Address::new(receivers[i], Port(1));
+            flows.push(Flow::tcp(src, dst, FlowId(1000 + i as u64), 1.0));
         }
-        sim.run_until(SimTime::from_secs(duration));
+        bed.wire(flows);
+        bed.run_until(duration);
 
         let mut fig = Figure::new(
             "fig09",
@@ -70,30 +50,18 @@ pub fn fig09_single_bottleneck(runner: &SweepRunner, scale: Scale) -> Figure {
             "time (s)",
             "throughput (kbit/s)",
         );
-        let tfmcc_meter = session.receiver_agent(&sim, 0).meter();
-        fig.push_series(Series::new("TFMCC", meter_series(tfmcc_meter)));
-        for (i, &sink) in tcp_sinks.iter().take(2).enumerate() {
-            let meter = sim.agent::<TcpSink>(sink).unwrap().meter();
-            fig.push_series(Series::new(format!("TCP {}", i + 1), meter_series(meter)));
+        fig.push_series(Series::new("TFMCC", bed.series(0)));
+        for i in 1..=2 {
+            fig.push_series(Series::new(format!("TCP {i}"), bed.series(i)));
         }
         let warm = duration * 0.3;
-        let tfmcc_avg = tfmcc_meter.average_between(warm, duration - 5.0);
-        let tcp_avg: f64 = tcp_sinks
-            .iter()
-            .map(|&s| {
-                sim.agent::<TcpSink>(s)
-                    .unwrap()
-                    .meter()
-                    .average_between(warm, duration - 5.0)
-            })
+        let tfmcc_avg = bed.meter(0).average_between(warm, duration - 5.0);
+        let tcp_avg: f64 = (1..=tcp_flows)
+            .map(|i| bed.meter(i).average_between(warm, duration - 5.0))
             .sum::<f64>()
             / tcp_flows as f64;
-        let tfmcc_cov = tfmcc_meter.coefficient_of_variation(warm, duration - 5.0);
-        let tcp_cov = sim
-            .agent::<TcpSink>(tcp_sinks[0])
-            .unwrap()
-            .meter()
-            .coefficient_of_variation(warm, duration - 5.0);
+        let tfmcc_cov = bed.meter(0).coefficient_of_variation(warm, duration - 5.0);
+        let tcp_cov = bed.meter(1).coefficient_of_variation(warm, duration - 5.0);
         fig.note(format!(
             "steady state: TFMCC {:.0} kbit/s vs mean TCP {:.0} kbit/s (ratio {:.2}); smoothness CoV TFMCC {:.2} vs TCP {:.2} (paper: comparable averages, smoother TFMCC)",
             kbit(tfmcc_avg),
@@ -106,42 +74,33 @@ pub fn fig09_single_bottleneck(runner: &SweepRunner, scale: Scale) -> Figure {
     })
 }
 
+/// The session over every receiver of a star plus one forward TCP flow per
+/// leg ([`tcp_per_receiver`]), as Figures 10, 18 and 19 run them.
+fn session_and_forward_tcp(bed: &Testbed, flow_base: u64) -> Vec<Flow> {
+    let (sender, receivers) = (bed.layout.senders[0], &bed.layout.receivers);
+    let populations = receivers
+        .iter()
+        .map(|&n| PopulationSpec::packet(n))
+        .collect();
+    let mut flows = vec![Flow::session(sender, populations)];
+    flows.extend(tcp_per_receiver(sender, receivers, flow_base, 1.0));
+    flows
+}
+
 /// Figure 10: one TFMCC group and 16 TCP flows on sixteen individual
 /// 1 Mbit/s tail circuits.
 pub fn fig10_tail_circuits(runner: &SweepRunner, scale: Scale) -> Figure {
     run_single_sim(runner, "fig10", || {
         let tails = scale.pick(6, 16);
         let duration = scale.pick(120.0, 200.0);
-        let mut sim = Simulator::new(910);
         // Star of 1 Mbit/s legs; a TCP flow competes with TFMCC on every leg.
         let legs: Vec<StarLeg> = (0..tails)
             .map(|_| StarLeg::clean(125_000.0, 0.02).with_queue(QueueDiscipline::drop_tail(30)))
             .collect();
-        let star = star(&mut sim, &StarConfig::default(), &legs);
-        let specs: Vec<ReceiverSpec> = star
-            .receivers
-            .iter()
-            .map(|&n| ReceiverSpec::always(n))
-            .collect();
-        let session = TfmccSessionBuilder::default().build_population(
-            &mut sim,
-            star.sender,
-            &PopulationSpec::packets(&specs),
-        );
-        let mut tcp_sinks = Vec::new();
-        for (i, &r) in star.receivers.iter().enumerate() {
-            let sink = sim.add_agent(r, Port(1), Box::new(TcpSink::new(1.0)));
-            sim.add_agent(
-                star.sender,
-                Port(100 + i as u16),
-                Box::new(TcpSender::new(TcpSenderConfig::new(
-                    Address::new(r, Port(1)),
-                    FlowId(2000 + i as u64),
-                ))),
-            );
-            tcp_sinks.push(sink);
-        }
-        sim.run_until(SimTime::from_secs(duration));
+        let mut bed = Testbed::new(910, &Topology::Star(StarConfig::default(), legs));
+        let flows = session_and_forward_tcp(&bed, 2000);
+        bed.wire(flows);
+        bed.run_until(duration);
 
         let mut fig = Figure::new(
             "fig10",
@@ -149,22 +108,14 @@ pub fn fig10_tail_circuits(runner: &SweepRunner, scale: Scale) -> Figure {
             "time (s)",
             "throughput (kbit/s)",
         );
-        let tfmcc_meter = session.receiver_agent(&sim, 0).meter();
-        fig.push_series(Series::new("TFMCC", meter_series(tfmcc_meter)));
-        for (i, &sink) in tcp_sinks.iter().take(2).enumerate() {
-            let meter = sim.agent::<TcpSink>(sink).unwrap().meter();
-            fig.push_series(Series::new(format!("TCP {}", i + 1), meter_series(meter)));
+        fig.push_series(Series::new("TFMCC", bed.series(0)));
+        for i in 1..=2 {
+            fig.push_series(Series::new(format!("TCP {i}"), bed.series(i)));
         }
         let warm = duration * 0.3;
-        let tfmcc_avg = tfmcc_meter.average_between(warm, duration - 5.0);
-        let tcp_avg: f64 = tcp_sinks
-            .iter()
-            .map(|&s| {
-                sim.agent::<TcpSink>(s)
-                    .unwrap()
-                    .meter()
-                    .average_between(warm, duration - 5.0)
-            })
+        let tfmcc_avg = bed.meter(0).average_between(warm, duration - 5.0);
+        let tcp_avg: f64 = (1..=tails)
+            .map(|i| bed.meter(i).average_between(warm, duration - 5.0))
             .sum::<f64>()
             / tails as f64;
         fig.note(format!(
@@ -187,7 +138,6 @@ fn return_path_scenario(
     scale: Scale,
 ) -> Figure {
     let duration = scale.pick(80.0, 120.0);
-    let mut sim = Simulator::new(918);
     let legs: Vec<StarLeg> = (0..4)
         .map(|i| {
             let mut leg =
@@ -200,64 +150,29 @@ fn return_path_scenario(
             leg
         })
         .collect();
-    let star = star(&mut sim, &StarConfig::default(), &legs);
-    let specs: Vec<ReceiverSpec> = star
-        .receivers
-        .iter()
-        .map(|&n| ReceiverSpec::always(n))
-        .collect();
-    let session = TfmccSessionBuilder::default().build_population(
-        &mut sim,
-        star.sender,
-        &PopulationSpec::packets(&specs),
-    );
+    let mut bed = Testbed::new(918, &Topology::Star(StarConfig::default(), legs));
     // A forward TCP flow to each receiver provides the competing traffic.
-    let mut tcp_sinks = Vec::new();
-    for (i, &r) in star.receivers.iter().enumerate() {
-        let sink = sim.add_agent(r, Port(1), Box::new(TcpSink::new(1.0)));
-        sim.add_agent(
-            star.sender,
-            Port(100 + i as u16),
-            Box::new(TcpSender::new(TcpSenderConfig::new(
-                Address::new(r, Port(1)),
-                FlowId(3000 + i as u64),
-            ))),
-        );
-        tcp_sinks.push(sink);
-    }
+    let mut flows = session_and_forward_tcp(&bed, 3000);
     // Reverse-path TCP flows (receiver -> sender) loading the feedback path.
     for (i, &count) in reverse_tcp_flows.iter().enumerate() {
         for k in 0..count {
-            let sink = sim.add_agent(
-                star.sender,
-                Port(200 + (i * 8 + k) as u16),
-                Box::new(TcpSink::new(1.0)),
-            );
-            let sink_addr = sim.agent_addr(sink);
-            sim.add_agent(
-                star.receivers[i],
-                Port(200 + k as u16),
-                Box::new(TcpSender::new(TcpSenderConfig::new(
-                    sink_addr,
-                    FlowId(4000 + (i * 8 + k) as u64),
-                ))),
-            );
+            let src = Address::new(bed.layout.receivers[i], Port(200 + k as u16));
+            let dst = Address::new(bed.layout.senders[0], Port(200 + (i * 8 + k) as u16));
+            flows.push(Flow::tcp(src, dst, FlowId(4000 + (i * 8 + k) as u64), 1.0));
         }
     }
-    sim.run_until(SimTime::from_secs(duration));
+    bed.wire(flows);
+    bed.run_until(duration);
 
     let mut fig = Figure::new(id, title, "time (s)", "throughput (kbit/s)");
-    let tfmcc_meter = session.receiver_agent(&sim, 0).meter();
-    fig.push_series(Series::new("TFMCC", meter_series(tfmcc_meter)));
-    for (i, &sink) in tcp_sinks.iter().enumerate() {
-        let meter = sim.agent::<TcpSink>(sink).unwrap().meter();
-        fig.push_series(Series::new(format!("TCP ({i})"), meter_series(meter)));
+    fig.push_series(Series::new("TFMCC", bed.series(0)));
+    for i in 0..bed.layout.receivers.len() {
+        fig.push_series(Series::new(format!("TCP ({i})"), bed.series(1 + i)));
     }
     let warm = duration * 0.4;
-    let tfmcc_avg = tfmcc_meter.average_between(warm, duration - 5.0);
     fig.note(format!(
         "TFMCC steady-state rate {:.0} kbit/s (paper: unaffected by return-path interference because single reports, unlike TCP ACK streams, are expendable)",
-        kbit(tfmcc_avg)
+        bed.mean_kbit(0, warm, duration - 5.0)
     ));
     fig
 }

@@ -14,24 +14,21 @@
 //! same AQM discipline with a hybrid receiver population of 10⁵ receivers,
 //! anchoring the AQM code path at the population scale the roadmap names.
 //!
-//! TFMCC and TFRC flows are sessions of one [`SessionManager`] (a TFRC flow
-//! is a one-receiver TFMCC session, whose receiver is always the CLR); the
-//! PGMCC and TCP flows draw their group/port/flow assignments from
-//! [`SessionManager::reserve_addressing`], so a mixed-protocol simulation
-//! cannot alias multicast groups or ports.
+//! Every flow runs on the [`testbed`](crate::testbed): TFMCC and TFRC flows
+//! are sessions (a TFRC flow is a one-receiver TFMCC session, whose receiver
+//! is always the CLR), and flow `i` of a pairing — whatever its protocol —
+//! owns addressing block `i` of the testbed's session manager, so a
+//! mixed-protocol simulation cannot alias multicast groups or ports.
 
 use netsim::prelude::*;
-use tfmcc_agents::manager::{jain_index, SessionId, SessionManager};
+use tfmcc_agents::manager::{jain_index, SessionAddressing};
 use tfmcc_agents::population::{FluidSpec, PopulationSpec};
-use tfmcc_agents::session::TfmccSessionBuilder;
-use tfmcc_baselines::pgmcc::{PgmccReceiverAgent, PgmccSenderAgent};
-use tfmcc_baselines::tcp::{TcpSender, TcpSenderConfig, TcpSink};
 use tfmcc_model::population::Dist;
 use tfmcc_runner::{Sweep, SweepRunner};
 
-use crate::fairness_figs::meter_series;
 use crate::output::{Figure, Series};
 use crate::scale::Scale;
+use crate::testbed::{kbit, stagger, tcp_per_receiver, Core, Flow, Testbed, Topology};
 
 /// The protocols competing in the matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,52 +75,6 @@ pub fn pairings() -> Vec<Vec<Proto>> {
 /// ([`QueueDiscipline::red_gentle`]), as the title and notes print it.
 const QUEUE_NAME: &str = "gentle-red";
 
-/// Handle to one competing flow, uniform over the four protocols.
-enum FlowHandle {
-    /// A TFMCC session or a TFRC flow (a one-receiver session).
-    Session(SessionId),
-    Pgmcc(AgentId),
-    Tcp(AgentId),
-}
-
-impl FlowHandle {
-    /// Average delivered throughput over `[from, to]`, bytes/second.
-    fn rate(&self, sim: &Simulator, manager: &SessionManager, from: f64, to: f64) -> f64 {
-        match self {
-            FlowHandle::Session(id) => manager.session(*id).mean_throughput(sim, from, to),
-            FlowHandle::Pgmcc(receiver) => sim
-                .agent::<PgmccReceiverAgent>(*receiver)
-                .expect("pgmcc receiver exists")
-                .meter()
-                .average_between(from, to),
-            FlowHandle::Tcp(sink) => sim
-                .agent::<TcpSink>(*sink)
-                .expect("tcp sink exists")
-                .meter()
-                .average_between(from, to),
-        }
-    }
-
-    /// Delivered-rate trace as a `(time, kbit/s)` series.
-    fn trace(&self, sim: &Simulator, manager: &SessionManager) -> Vec<(f64, f64)> {
-        match self {
-            FlowHandle::Session(id) => {
-                meter_series(manager.session(*id).receiver_agent(sim, 0).meter())
-            }
-            FlowHandle::Pgmcc(receiver) => meter_series(
-                sim.agent::<PgmccReceiverAgent>(*receiver)
-                    .expect("pgmcc receiver exists")
-                    .meter(),
-            ),
-            FlowHandle::Tcp(sink) => meter_series(
-                sim.agent::<TcpSink>(*sink)
-                    .expect("tcp sink exists")
-                    .meter(),
-            ),
-        }
-    }
-}
-
 /// Deterministic result of one matrix point.
 struct MatrixOutcome {
     label: String,
@@ -138,91 +89,40 @@ struct MatrixOutcome {
 /// of `protos` — a dumbbell whose 8 Mbit/s core runs gentle RED while every
 /// flow keeps its own clean access links.
 fn run_matrix_point(protos: &[Proto], seed: u64, duration: f64) -> MatrixOutcome {
-    let mut sim = Simulator::new(seed);
-    let left = sim.add_node("left");
-    let right = sim.add_node("right");
-    sim.add_duplex_link(
-        left,
-        right,
-        1_000_000.0,
-        0.02,
-        QueueDiscipline::red_gentle(50),
-    );
-
-    let mut manager = SessionManager::new();
-    let mut handles: Vec<FlowHandle> = Vec::new();
-    for (i, &proto) in protos.iter().enumerate() {
-        let sender = sim.add_node(&format!("s{i}"));
-        let receiver = sim.add_node(&format!("r{i}"));
-        sim.add_duplex_link(
-            sender,
-            left,
-            1_250_000.0,
-            0.005,
-            QueueDiscipline::drop_tail(60),
-        );
-        sim.add_duplex_link(
-            right,
-            receiver,
-            1_250_000.0,
-            0.005 + 0.002 * (i % 4) as f64,
-            QueueDiscipline::drop_tail(60),
-        );
-        let handle = match proto {
-            Proto::Tfmcc | Proto::Tfrc => FlowHandle::Session(manager.add_population_session(
-                &mut sim,
-                0.0,
-                sender,
-                &[PopulationSpec::packet(receiver)],
-            )),
-            Proto::Pgmcc => {
-                let addr = manager.reserve_addressing();
-                let sender_agent = sim.add_agent(
-                    sender,
-                    addr.sender_port,
-                    Box::new(PgmccSenderAgent::new(
-                        addr.group,
-                        addr.data_port,
-                        addr.flow,
-                        1000,
-                    )),
-                );
-                let sender_addr = sim.agent_addr(sender_agent);
-                let receiver_agent = sim.add_agent(
-                    receiver,
-                    addr.data_port,
-                    Box::new(PgmccReceiverAgent::new(
-                        1,
-                        sender_addr,
-                        addr.group,
-                        addr.flow,
-                    )),
-                );
-                FlowHandle::Pgmcc(receiver_agent)
+    let core = Core {
+        delay: 0.02,
+        queue: QueueDiscipline::red_gentle(50),
+        loss: None,
+        hosts: (0..protos.len()).map(|i| vec![stagger(i, 4)]).collect(),
+        fluid_legs: false,
+    };
+    let mut bed = Testbed::new(seed, &Topology::Core(core));
+    let layout = &bed.layout;
+    let flows: Vec<Flow> = protos
+        .iter()
+        .enumerate()
+        .map(|(i, &proto)| {
+            let (sender, receiver) = (layout.senders[i], layout.receivers[i]);
+            match proto {
+                Proto::Tfmcc | Proto::Tfrc => {
+                    Flow::session(sender, vec![PopulationSpec::packet(receiver)])
+                }
+                Proto::Pgmcc => Flow::Pgmcc(sender, receiver),
+                Proto::Tcp => {
+                    let addr = SessionAddressing::block(i);
+                    let src = Address::new(sender, addr.sender_port);
+                    Flow::tcp(src, Address::new(receiver, addr.data_port), addr.flow, 1.0)
+                }
             }
-            Proto::Tcp => {
-                let addr = manager.reserve_addressing();
-                let sink = sim.add_agent(receiver, addr.data_port, Box::new(TcpSink::new(1.0)));
-                sim.add_agent(
-                    sender,
-                    addr.sender_port,
-                    Box::new(TcpSender::new(TcpSenderConfig::new(
-                        Address::new(receiver, addr.data_port),
-                        addr.flow,
-                    ))),
-                );
-                FlowHandle::Tcp(sink)
-            }
-        };
-        handles.push(handle);
-    }
-    sim.run_until(SimTime::from_secs(duration));
+        })
+        .collect();
+    bed.wire(flows);
+    bed.run_until(duration);
 
     let from = duration * 0.3;
     let to = duration - 2.0;
-    let rates: Vec<f64> = handles
-        .iter()
-        .map(|h| h.rate(&sim, &manager, from, to))
+    let rates: Vec<f64> = (0..protos.len())
+        .map(|i| bed.meter(i).average_between(from, to))
         .collect();
     MatrixOutcome {
         label: protos
@@ -231,11 +131,11 @@ fn run_matrix_point(protos: &[Proto], seed: u64, duration: f64) -> MatrixOutcome
             .collect::<Vec<_>>()
             .join("+"),
         jain: jain_index(rates.iter().copied()),
-        rates_kbit: rates.iter().map(|&r| r * 8.0 / 1000.0).collect(),
+        rates_kbit: rates.iter().map(|&r| kbit(r)).collect(),
         traces: protos
             .iter()
-            .zip(&handles)
-            .map(|(p, h)| (p.name().to_string(), h.trace(&sim, &manager)))
+            .enumerate()
+            .map(|(i, p)| (p.name().to_string(), bed.series(i)))
             .collect(),
     }
 }
@@ -253,9 +153,8 @@ struct RobustnessOutcome {
 /// and a hybrid fluid population carrying the receiver count to 10⁵.
 fn run_aqm_robustness(seed: u64, fluid_bulk: u64, duration: f64) -> RobustnessOutcome {
     let leg_queue = QueueDiscipline::red_gentle(40);
-    let mut sim = Simulator::new(seed);
     let reverse_loss = [0.0, 0.1, 0.2, 0.3];
-    let legs: Vec<StarLeg> = (0..4)
+    let mut legs: Vec<StarLeg> = (0..4)
         .map(|i| {
             let mut leg = StarLeg::clean(250_000.0, 0.02).with_queue(leg_queue.clone());
             if reverse_loss[i] > 0.0 {
@@ -269,22 +168,16 @@ fn run_aqm_robustness(seed: u64, fluid_bulk: u64, duration: f64) -> RobustnessOu
             leg
         })
         .collect();
-    let star = star(&mut sim, &StarConfig::default(), &legs);
-    let mut populations: Vec<PopulationSpec> = star
-        .receivers
+    // The fluid population's attachment leg.
+    legs.push(StarLeg::clean(12_500_000.0, 0.005).with_queue(QueueDiscipline::drop_tail(60)));
+    let mut bed = Testbed::new(seed, &Topology::Star(StarConfig::default(), legs));
+    let (sender, receivers) = (bed.layout.senders[0], &bed.layout.receivers[..4]);
+    let mut populations: Vec<PopulationSpec> = receivers
         .iter()
         .map(|&n| PopulationSpec::packet(n))
         .collect();
-    let fluid_node = sim.add_node("fluid");
-    sim.add_duplex_link(
-        star.hub,
-        fluid_node,
-        12_500_000.0,
-        0.005,
-        QueueDiscipline::drop_tail(60),
-    );
     populations.push(PopulationSpec::Fluid(FluidSpec::new(
-        fluid_node,
+        bed.layout.receivers[4],
         fluid_bulk,
         Dist::Uniform {
             lo: 0.001,
@@ -292,29 +185,22 @@ fn run_aqm_robustness(seed: u64, fluid_bulk: u64, duration: f64) -> RobustnessOu
         },
         Dist::Uniform { lo: 0.02, hi: 0.06 },
     )));
-    let session =
-        TfmccSessionBuilder::default().build_population(&mut sim, star.sender, &populations);
     // A forward TCP flow per leg provides the competing traffic, as in
     // Figure 19.
-    for (i, &r) in star.receivers.iter().enumerate() {
-        sim.add_agent(r, Port(1), Box::new(TcpSink::new(1.0)));
-        sim.add_agent(
-            star.sender,
-            Port(100 + i as u16),
-            Box::new(TcpSender::new(TcpSenderConfig::new(
-                Address::new(r, Port(1)),
-                FlowId(3000 + i as u64),
-            ))),
-        );
-    }
-    sim.run_until(SimTime::from_secs(duration));
+    let mut flows = vec![Flow::session(sender, populations)];
+    flows.extend(tcp_per_receiver(sender, receivers, 3000, 1.0));
+    bed.wire(flows);
+    bed.run_until(duration);
 
     let warm = duration * 0.4;
-    let meter = session.receiver_agent(&sim, 0).meter();
     RobustnessOutcome {
-        tfmcc_kbit: meter.average_between(warm, duration - 2.0) * 8.0 / 1000.0,
-        population: session.sender_agent(&sim).protocol().session_population(),
-        trace: meter_series(meter),
+        tfmcc_kbit: bed.mean_kbit(0, warm, duration - 2.0),
+        population: bed
+            .session(0)
+            .sender_agent(&bed.sim)
+            .protocol()
+            .session_population(),
+        trace: bed.series(0),
     }
 }
 

@@ -23,14 +23,13 @@
 //! scale.
 
 use netsim::prelude::*;
-use tfmcc_agents::manager::SessionManager;
 use tfmcc_agents::population::{FluidSpec, PopulationSpec};
-use tfmcc_agents::session::ReceiverSpec;
 use tfmcc_model::population::Dist;
 use tfmcc_runner::{Sweep, SweepRunner};
 
 use crate::output::{Figure, Series};
 use crate::scale::Scale;
+use crate::testbed::{kbit, stagger, Core, Flow, Testbed, Topology};
 
 /// Seconds between consecutive session starts (sessions join a running
 /// system, they do not line up on t = 0).
@@ -72,76 +71,50 @@ fn run_intertfmcc_point(
     seed: u64,
     duration: f64,
 ) -> IntertfmccOutcome {
-    let mut sim = Simulator::new(seed);
-    // Dumbbell core: every sender feeds the left router, every receiver
-    // hangs off the right router, and all data crosses the shared
-    // 8 Mbit/s bottleneck.
-    let left = sim.add_node("left");
-    let right = sim.add_node("right");
-    sim.add_duplex_link(
-        left,
-        right,
-        1_000_000.0, // 8 Mbit/s shared bottleneck
-        0.02,
-        QueueDiscipline::drop_tail(100),
-    );
-    let mut manager = SessionManager::new();
-    for session in 0..k {
-        let sender = sim.add_node(&format!("s{session}"));
-        sim.add_duplex_link(
-            sender,
-            left,
-            1_250_000.0,
-            0.005,
-            QueueDiscipline::drop_tail(60),
-        );
-        let specs: Vec<ReceiverSpec> = (0..receivers_per_session)
-            .map(|i| {
-                let node = sim.add_node(&format!("r{session}_{i}"));
-                sim.add_duplex_link(
-                    right,
-                    node,
-                    1_250_000.0,
-                    0.005 + 0.002 * (i % 5) as f64,
-                    QueueDiscipline::drop_tail(60),
-                );
-                ReceiverSpec::always(node)
-            })
-            .collect();
-        let mut populations = PopulationSpec::packets(&specs);
-        if fluid_bulk > 0 {
-            let node = sim.add_node(&format!("fluid{session}"));
-            sim.add_duplex_link(
-                right,
-                node,
-                12_500_000.0,
-                0.005,
-                QueueDiscipline::drop_tail(60),
-            );
-            populations.push(PopulationSpec::Fluid(FluidSpec::new(
-                node,
-                fluid_bulk,
-                Dist::Uniform {
-                    lo: 0.001,
-                    hi: 0.01,
-                },
-                Dist::Uniform { lo: 0.02, hi: 0.06 },
-            )));
-        }
-        manager.add_population_session(
-            &mut sim,
-            session as f64 * START_STAGGER,
-            sender,
-            &populations,
-        );
-    }
-    sim.run_until(SimTime::from_secs(duration));
+    // Every sender feeds the left router, every receiver hangs off the
+    // right router, and all data crosses the shared 8 Mbit/s bottleneck.
+    let core = Core {
+        delay: 0.02,
+        queue: QueueDiscipline::drop_tail(100),
+        loss: None,
+        hosts: vec![(0..receivers_per_session).map(|i| stagger(i, 5)).collect(); k],
+        fluid_legs: fluid_bulk > 0,
+    };
+    let mut bed = Testbed::new(seed, &Topology::Core(core));
+    let layout = &bed.layout;
+    let flows: Vec<Flow> = (0..k)
+        .map(|session| {
+            let cohort =
+                &layout.receivers[session * receivers_per_session..][..receivers_per_session];
+            let mut populations: Vec<PopulationSpec> = cohort
+                .iter()
+                .map(|&node| PopulationSpec::packet(node))
+                .collect();
+            if fluid_bulk > 0 {
+                populations.push(PopulationSpec::Fluid(FluidSpec::new(
+                    layout.fluid[session],
+                    fluid_bulk,
+                    Dist::Uniform {
+                        lo: 0.001,
+                        hi: 0.01,
+                    },
+                    Dist::Uniform { lo: 0.02, hi: 0.06 },
+                )));
+            }
+            Flow::Tfmcc {
+                sender: layout.senders[session],
+                start_at: session as f64 * START_STAGGER,
+                populations,
+            }
+        })
+        .collect();
+    bed.wire(flows);
+    bed.run_until(duration);
 
     // Fairness window: after the last session had time to converge.
     let from = (k as f64 * START_STAGGER + duration * 0.4).min(duration * 0.7);
     let to = duration - 2.0;
-    let report = manager.report(&sim, from, to);
-    let kbit = |bytes_per_sec: f64| bytes_per_sec * 8.0 / 1000.0;
+    let report = bed.manager.report(&bed.sim, from, to);
     IntertfmccOutcome {
         sessions: k,
         receivers_per_session,

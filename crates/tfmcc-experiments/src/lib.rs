@@ -23,6 +23,7 @@
 //! | 23 (inter-TFMCC fairness, beyond the paper) | [`intersession_figs`] |
 //! | 24 (cross-protocol fairness matrix over AQM, beyond the paper) | [`fairness_matrix`] |
 //! | worst-case annealing search (beyond the paper) | [`scenario_search`] |
+//! | the topology + flows every simulated figure point is wired from | [`testbed`] |
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -41,6 +42,7 @@ pub mod scaling_figs;
 pub mod scenario_search;
 pub mod startup_figs;
 pub mod sweeps;
+pub mod testbed;
 
 pub use output::{Figure, Series};
 pub use scale::Scale;

@@ -6,16 +6,18 @@
 //! Figures 11, 20 and 21 are single join/leave scenarios and run as
 //! one-point sweeps with their historical seeds.
 
+use std::ops::ControlFlow;
+
 use netsim::prelude::*;
 use tfmcc_agents::population::PopulationSpec;
-use tfmcc_agents::session::{ReceiverSpec, TfmccSessionBuilder};
-use tfmcc_baselines::tcp::{TcpSender, TcpSenderConfig, TcpSink};
+use tfmcc_agents::session::ReceiverSpec;
+use tfmcc_baselines::tcp::TcpSenderConfig;
 use tfmcc_runner::{Sweep, SweepRunner};
 
-use crate::fairness_figs::meter_series;
 use crate::output::{Figure, Series};
 use crate::scale::Scale;
 use crate::sweeps::run_single_sim;
+use crate::testbed::{tcp_per_receiver, Flow, Testbed, Topology};
 
 /// Shared star scenario of Figures 11 and 20: four receivers joining in
 /// order of their path quality and leaving in reverse order, with one TCP
@@ -32,7 +34,6 @@ fn join_leave_star(
     let interval = scale.pick(30.0, 50.0);
     let first_join = scale.pick(60.0, 100.0);
     let duration = first_join + 2.0 * n as f64 * interval + interval;
-    let mut sim = Simulator::new(911);
     let legs: Vec<StarLeg> = loss_rates
         .iter()
         .zip(delays)
@@ -45,12 +46,12 @@ fn join_leave_star(
             leg
         })
         .collect();
-    let star = star(&mut sim, &StarConfig::default(), &legs);
+    let mut bed = Testbed::new(911, &Topology::Star(StarConfig::default(), legs));
+    let (sender, receivers) = (bed.layout.senders[0], &bed.layout.receivers);
     // Receiver i joins at first_join + i*interval and leaves at
     // duration - (i+1)*interval (reverse order), except receiver 0 which is
     // present from the start.
-    let specs: Vec<ReceiverSpec> = star
-        .receivers
+    let specs: Vec<ReceiverSpec> = receivers
         .iter()
         .enumerate()
         .map(|(i, &node)| {
@@ -62,55 +63,34 @@ fn join_leave_star(
             }
         })
         .collect();
-    let session = TfmccSessionBuilder::default().build_population(
-        &mut sim,
-        star.sender,
-        &PopulationSpec::packets(&specs),
-    );
     // One TCP flow per leg for the whole experiment.
-    let mut tcp_sinks = Vec::new();
-    for (i, &r) in star.receivers.iter().enumerate() {
-        let sink = sim.add_agent(r, Port(1), Box::new(TcpSink::new(2.0)));
-        sim.add_agent(
-            star.sender,
-            Port(100 + i as u16),
-            Box::new(TcpSender::new(TcpSenderConfig::new(
-                Address::new(r, Port(1)),
-                FlowId(5000 + i as u64),
-            ))),
-        );
-        tcp_sinks.push(sink);
-    }
-    sim.run_until(SimTime::from_secs(duration));
+    let mut flows = vec![Flow::session(sender, PopulationSpec::packets(&specs))];
+    flows.extend(tcp_per_receiver(sender, receivers, 5000, 2.0));
+    bed.wire(flows);
+    bed.run_until(duration);
 
     let mut fig = Figure::new(id, title, "time (s)", "throughput (kbit/s)");
     // The sending rate is what the paper plots for TFMCC; receiver 0 is
     // subscribed throughout so its receive rate tracks it.
-    fig.push_series(Series::new(
-        "TFMCC",
-        meter_series(session.receiver_agent(&sim, 0).meter()),
-    ));
-    for (i, &sink) in tcp_sinks.iter().enumerate() {
-        fig.push_series(Series::new(
-            format!("TCP {}", i + 1),
-            meter_series(sim.agent::<TcpSink>(sink).unwrap().meter()),
-        ));
+    fig.push_series(Series::new("TFMCC", bed.series(0)));
+    for i in 1..=n {
+        fig.push_series(Series::new(format!("TCP {i}"), bed.series(i)));
     }
     // Shape check: the TFMCC rate while the worst receiver is subscribed must
     // be well below the rate before any join.
-    let tfmcc = session.receiver_agent(&sim, 0).meter();
-    let before = tfmcc.average_between(first_join * 0.5, first_join - 2.0);
+    let before = bed.mean_kbit(0, first_join * 0.5, first_join - 2.0);
     let worst_window_start = first_join + (n - 2) as f64 * interval;
-    let during_worst =
-        tfmcc.average_between(worst_window_start, worst_window_start + interval - 2.0);
-    let after = tfmcc.average_between(duration - interval + 2.0, duration - 2.0);
+    let during_worst = bed.mean_kbit(0, worst_window_start, worst_window_start + interval - 2.0);
+    let after = bed.mean_kbit(0, duration - interval + 2.0, duration - 2.0);
     fig.note(format!(
-        "rate before joins {:.0} kbit/s, while the worst path is subscribed {:.0} kbit/s, after all leave {:.0} kbit/s (paper: rate tracks the currently worst receiver within seconds)",
-        before * 8.0 / 1000.0,
-        during_worst * 8.0 / 1000.0,
-        after * 8.0 / 1000.0
+        "rate before joins {before:.0} kbit/s, while the worst path is subscribed {during_worst:.0} kbit/s, after all leave {after:.0} kbit/s (paper: rate tracks the currently worst receiver within seconds)"
     ));
-    let clr_changes = session.sender_agent(&sim).protocol().stats().clr_changes;
+    let clr_changes = bed
+        .session(0)
+        .sender_agent(&bed.sim)
+        .protocol()
+        .stats()
+        .clr_changes;
     fig.note(format!("CLR changes over the run: {clr_changes}"));
     fig
 }
@@ -188,7 +168,6 @@ pub fn fig13_rtt_responsiveness(runner: &SweepRunner, scale: Scale) -> Figure {
 /// does).
 fn rtt_change_reaction_delay(n: usize, change_at: f64, scale: Scale, seed: u64) -> f64 {
     let duration = change_at + scale.pick(60.0, 150.0);
-    let mut sim = Simulator::new(seed);
     let legs: Vec<StarLeg> = (0..n)
         .map(|_| {
             StarLeg::clean(1_250_000.0, 0.03)
@@ -196,34 +175,30 @@ fn rtt_change_reaction_delay(n: usize, change_at: f64, scale: Scale, seed: u64) 
                 .with_queue(QueueDiscipline::drop_tail(60))
         })
         .collect();
-    let star = star(&mut sim, &StarConfig::default(), &legs);
-    let specs: Vec<ReceiverSpec> = star
+    let mut bed = Testbed::new(seed, &Topology::Star(StarConfig::default(), legs));
+    let populations = bed
+        .layout
         .receivers
         .iter()
-        .map(|&r| ReceiverSpec::always(r))
+        .map(|&r| PopulationSpec::packet(r))
         .collect();
-    let session = TfmccSessionBuilder::default().build_population(
-        &mut sim,
-        star.sender,
-        &PopulationSpec::packets(&specs),
-    );
-    sim.run_until(SimTime::from_secs(change_at));
+    bed.wire([Flow::session(bed.layout.senders[0], populations)]);
+    bed.run_until(change_at);
     // Increase receiver 0's path RTT sharply (both directions) so that its
     // calculated rate drops below the others'; the reaction delay is the time
     // until the sender selects it as the CLR.
-    sim.set_link_delay(star.downstream_links[0], 0.25);
-    sim.set_link_delay(star.upstream_links[0], 0.25);
+    let (down, up) = bed.layout.legs[0];
+    bed.sim.set_link_delay(down, 0.25);
+    bed.sim.set_link_delay(up, 0.25);
     let target = tfmcc_proto::packets::ReceiverId(1);
-    let step = 0.5;
-    let mut t = change_at;
-    while t < duration {
-        sim.run_until(SimTime::from_secs(t + step));
-        t += step;
-        if session.sender_agent(&sim).protocol().clr() == Some(target) {
-            return t - change_at;
+    bed.sample(change_at, 0.5, duration, |bed, t| {
+        if bed.session(0).sender_agent(&bed.sim).protocol().clr() == Some(target) {
+            ControlFlow::Break(t - change_at)
+        } else {
+            ControlFlow::Continue(())
         }
-    }
-    duration - change_at
+    })
+    .unwrap_or(duration - change_at)
 }
 
 /// Figure 21: responsiveness to an increasing number of competing TCP flows
@@ -233,42 +208,40 @@ pub fn fig21_flow_doubling(runner: &SweepRunner, scale: Scale) -> Figure {
         let interval = scale.pick(40.0, 50.0);
         let waves: &[usize] = &[1, 2, 4, 8];
         let duration = interval * (waves.len() as f64 + 1.0);
-        let mut sim = Simulator::new(921);
-        let cfg = DumbbellConfig {
-            pairs: 1 + waves.iter().sum::<usize>(),
-            bottleneck_bandwidth: 2_000_000.0, // 16 Mbit/s
-            bottleneck_delay: 0.03,
-            bottleneck_queue: QueueDiscipline::drop_tail(100),
-            ..DumbbellConfig::default()
-        };
-        let d = netsim::topology::dumbbell(&mut sim, &cfg);
-        let session = TfmccSessionBuilder::default().build_population(
-            &mut sim,
-            d.senders[0],
-            &[PopulationSpec::packet(d.receivers[0])],
+        let mut bed = Testbed::new(
+            921,
+            &Topology::Dumbbell(DumbbellConfig {
+                pairs: 1 + waves.iter().sum::<usize>(),
+                bottleneck_bandwidth: 2_000_000.0, // 16 Mbit/s
+                bottleneck_delay: 0.03,
+                bottleneck_queue: QueueDiscipline::drop_tail(100),
+                ..DumbbellConfig::default()
+            }),
         );
-        let mut tcp_sinks: Vec<(usize, netsim::packet::AgentId)> = Vec::new();
-        let mut pair = 1;
+        let (senders, receivers) = (&bed.layout.senders, &bed.layout.receivers);
+        let mut flows = vec![Flow::session(
+            senders[0],
+            vec![PopulationSpec::packet(receivers[0])],
+        )];
+        // The wave of each TCP flow, flow order; flow `pair` runs on pair
+        // `pair` of the dumbbell.
+        let mut wave_of = Vec::new();
         for (wave, &count) in waves.iter().enumerate() {
             let start = interval * (wave as f64 + 1.0);
             for _ in 0..count {
-                let sink = sim.add_agent(d.receivers[pair], Port(1), Box::new(TcpSink::new(2.0)));
-                sim.add_agent(
-                    d.senders[pair],
-                    Port(1),
-                    Box::new(TcpSender::new(
-                        TcpSenderConfig::new(
-                            Address::new(d.receivers[pair], Port(1)),
-                            FlowId(6000 + pair as u64),
-                        )
-                        .starting_at(start),
-                    )),
-                );
-                tcp_sinks.push((wave, sink));
-                pair += 1;
+                let pair = flows.len();
+                let dst = Address::new(receivers[pair], Port(1));
+                let sender = TcpSenderConfig::new(dst, FlowId(6000 + pair as u64));
+                flows.push(Flow::Tcp {
+                    src: Address::new(senders[pair], Port(1)),
+                    sender: sender.starting_at(start),
+                    sink_bin: 2.0,
+                });
+                wave_of.push(wave);
             }
         }
-        sim.run_until(SimTime::from_secs(duration));
+        bed.wire(flows);
+        bed.run_until(duration);
 
         let mut fig = Figure::new(
             "fig21",
@@ -276,25 +249,14 @@ pub fn fig21_flow_doubling(runner: &SweepRunner, scale: Scale) -> Figure {
             "time (s)",
             "throughput (kbit/s)",
         );
-        let tfmcc_meter = session.receiver_agent(&sim, 0).meter();
-        fig.push_series(Series::new("TFMCC", meter_series(tfmcc_meter)));
+        fig.push_series(Series::new("TFMCC", bed.series(0)));
         // Aggregate TCP throughput per start wave, as in the paper.
         for wave in 0..waves.len() {
-            let mut agg: Vec<(f64, f64)> = Vec::new();
-            for &(w, sink) in &tcp_sinks {
-                if w != wave {
-                    continue;
-                }
-                let series = meter_series(sim.agent::<TcpSink>(sink).unwrap().meter());
-                for (i, &(t, y)) in series.iter().enumerate() {
-                    if let Some(slot) = agg.get_mut(i) {
-                        slot.1 += y;
-                    } else {
-                        agg.push((t, y));
-                    }
-                }
-            }
-            fig.push_series(Series::new(format!("TCP wave {}", wave + 1), agg));
+            let members = (0..wave_of.len()).filter(|&k| wave_of[k] == wave);
+            fig.push_series(Series::new(
+                format!("TCP wave {}", wave + 1),
+                bed.aggregate(members.map(|k| 1 + k)),
+            ));
         }
         // Shape: the TFMCC rate should decrease from interval to interval as
         // the number of flows doubles.
@@ -304,7 +266,7 @@ pub fn fig21_flow_doubling(runner: &SweepRunner, scale: Scale) -> Figure {
         for wave in 0..=waves.len() {
             let from = interval * wave as f64 + interval * 0.4;
             let to = interval * (wave as f64 + 1.0) - 2.0;
-            let r = tfmcc_meter.average_between(from, to) * 8.0 / 1000.0;
+            let r = bed.mean_kbit(0, from, to);
             if r > last * 1.15 {
                 monotone = false;
             }

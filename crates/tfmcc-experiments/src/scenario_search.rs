@@ -24,7 +24,6 @@
 use netsim::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use tfmcc_agents::manager::SessionManager;
 use tfmcc_agents::population::PopulationSpec;
 use tfmcc_agents::session::ReceiverSpec;
 use tfmcc_mc::replay::Replay;
@@ -32,6 +31,7 @@ use tfmcc_runner::{Sweep, SweepRunner};
 
 use crate::output::{Figure, Series};
 use crate::scale::Scale;
+use crate::testbed::{stagger, Core, Flow, Testbed, Topology};
 
 /// Neighbour candidates proposed (and evaluated in parallel) per annealing
 /// iteration.  A constant — not the thread count — so results do not depend
@@ -150,62 +150,40 @@ pub struct ScenarioOutcome {
 pub fn evaluate_scenario(scenario: &Scenario, duration: f64) -> ScenarioOutcome {
     let k = scenario.sessions();
     let receivers = scenario.receivers();
-    let mut sim = Simulator::new(scenario.seed);
-    let left = sim.add_node("left");
-    let right = sim.add_node("right");
-    let (lr, rl) = sim.add_duplex_link(
-        left,
-        right,
-        1_000_000.0, // 8 Mbit/s shared bottleneck
-        scenario.delay(),
-        queue_discipline(scenario.queue_name()),
-    );
-    if scenario.loss() > 0.0 {
-        // Lossy in both directions: data packets on the way out, receiver
-        // reports and leave announcements on the way back.
-        sim.set_link_loss(lr, LossModel::Bernoulli { p: scenario.loss() });
-        sim.set_link_loss(rl, LossModel::Bernoulli { p: scenario.loss() });
-    }
-    let mut manager = SessionManager::new();
-    for session in 0..k {
-        let sender = sim.add_node(&format!("s{session}"));
-        sim.add_duplex_link(
-            sender,
-            left,
-            1_250_000.0,
-            0.005,
-            QueueDiscipline::drop_tail(60),
-        );
-        let specs: Vec<ReceiverSpec> = (0..receivers)
-            .map(|i| {
-                let node = sim.add_node(&format!("r{session}_{i}"));
-                sim.add_duplex_link(
-                    right,
-                    node,
-                    1_250_000.0,
-                    0.005 + 0.002 * (i % 5) as f64,
-                    QueueDiscipline::drop_tail(60),
-                );
+    let core = Core {
+        delay: scenario.delay(),
+        queue: queue_discipline(scenario.queue_name()),
+        loss: (scenario.loss() > 0.0).then_some(scenario.loss()),
+        hosts: vec![(0..receivers).map(|i| stagger(i, 5)).collect(); k],
+        fluid_legs: false,
+    };
+    let mut bed = Testbed::new(scenario.seed, &Topology::Core(core));
+    let flows: Vec<Flow> = (0..k)
+        .map(|session| {
+            let cohort = &bed.layout.receivers[session * receivers..][..receivers];
+            let specs: Vec<ReceiverSpec> = cohort
+                .iter()
+                .enumerate()
                 // Odd receivers churn (when the scenario churns at all);
                 // receiver 0 always stays so every session keeps a member.
-                match scenario.churn() {
+                .map(|(i, &node)| match scenario.churn() {
                     Some((on, off)) if i % 2 == 1 => ReceiverSpec::always(node).churning(on, off),
                     _ => ReceiverSpec::always(node),
-                }
-            })
-            .collect();
-        manager.add_population_session(
-            &mut sim,
-            session as f64 * 2.0,
-            sender,
-            &PopulationSpec::packets(&specs),
-        );
-    }
-    sim.run_until(SimTime::from_secs(duration));
+                })
+                .collect();
+            Flow::Tfmcc {
+                sender: bed.layout.senders[session],
+                start_at: session as f64 * 2.0,
+                populations: PopulationSpec::packets(&specs),
+            }
+        })
+        .collect();
+    bed.wire(flows);
+    bed.run_until(duration);
 
     let from = (duration * 0.3).max(k as f64 * 2.0 + 2.0);
     let to = duration - 1.0;
-    let report = manager.report(&sim, from, to.max(from + 1.0));
+    let report = bed.manager.report(&bed.sim, from, to.max(from + 1.0));
     ScenarioOutcome {
         jain: report.jain_index(),
         clr_recovery: report

@@ -6,16 +6,27 @@
 //! are single simulations run as one-point sweeps with their historical
 //! seeds.
 
+use std::ops::ControlFlow;
+
 use netsim::prelude::*;
 use tfmcc_agents::population::PopulationSpec;
-use tfmcc_agents::session::{ReceiverSpec, TfmccSessionBuilder};
-use tfmcc_baselines::tcp::{TcpSender, TcpSenderConfig, TcpSink};
+use tfmcc_agents::session::ReceiverSpec;
 use tfmcc_runner::{Sweep, SweepRunner};
 
-use crate::fairness_figs::meter_series;
 use crate::output::{Figure, Series};
 use crate::scale::Scale;
 use crate::sweeps::run_single_sim;
+use crate::testbed::{kbit, tcp_per_receiver, Flow, Testbed, Topology};
+
+/// The sender side of the startup stars: a `bandwidth` (bytes/s), 20 ms
+/// bottleneck with a `queue`-packet drop-tail queue into the hub.
+fn bottleneck(bandwidth: f64, queue: usize) -> StarConfig {
+    StarConfig {
+        sender_bandwidth: bandwidth,
+        sender_delay: 0.02,
+        sender_queue: QueueDiscipline::drop_tail(queue),
+    }
+}
 
 /// Figure 12: number of receivers with a valid RTT estimate over time, for a
 /// large receiver set behind one bottleneck (correlated loss, worst case).
@@ -23,42 +34,40 @@ pub fn fig12_rtt_measurements(runner: &SweepRunner, scale: Scale) -> Figure {
     run_single_sim(runner, "fig12", || {
         let n = scale.pick(40, 400);
         let duration = scale.pick(80.0, 200.0);
-        let mut sim = Simulator::new(912);
         // One shared 8 Mbit/s bottleneck into a hub, then clean per-receiver
         // legs with RTTs between 60 and 140 ms.
-        let src = sim.add_node("src");
-        let hub = sim.add_node("hub");
-        sim.add_duplex_link(src, hub, 1_000_000.0, 0.02, QueueDiscipline::drop_tail(125));
-        let mut receivers = Vec::new();
-        for i in 0..n {
-            let r = sim.add_node(&format!("r{i}"));
-            let delay = 0.01 + 0.04 * (i as f64 / n as f64);
-            sim.add_duplex_link(hub, r, 12_500_000.0, delay, QueueDiscipline::drop_tail(200));
-            receivers.push(r);
-        }
-        let specs: Vec<ReceiverSpec> = receivers.iter().map(|&r| ReceiverSpec::always(r)).collect();
-        let session = TfmccSessionBuilder::default().build_population(
-            &mut sim,
-            src,
-            &PopulationSpec::packets(&specs),
-        );
+        let legs: Vec<StarLeg> = (0..n)
+            .map(|i| {
+                let delay = 0.01 + 0.04 * (i as f64 / n as f64);
+                StarLeg::clean(12_500_000.0, delay).with_queue(QueueDiscipline::drop_tail(200))
+            })
+            .collect();
+        let mut bed = Testbed::new(912, &Topology::Star(bottleneck(1_000_000.0, 125), legs));
+        let populations = bed
+            .layout
+            .receivers
+            .iter()
+            .map(|&r| PopulationSpec::packet(r))
+            .collect();
+        bed.wire([Flow::session(bed.layout.senders[0], populations)]);
 
-        let mut points = Vec::new();
-        let step = duration / 40.0;
-        let mut t = 0.0;
-        while t <= duration {
-            sim.run_until(SimTime::from_secs(t));
-            let with_rtt = (0..n)
+        let with_rtt = |bed: &Testbed| {
+            let session = bed.session(0);
+            (0..n)
                 .filter(|&i| {
                     session
-                        .receiver_agent(&sim, i)
+                        .receiver_agent(&bed.sim, i)
                         .protocol()
                         .has_rtt_measurement()
                 })
-                .count();
-            points.push((t, with_rtt as f64));
-            t += step;
-        }
+                .count() as f64
+        };
+        bed.run_until(0.0);
+        let mut points = vec![(0.0, with_rtt(&bed))];
+        bed.sample(0.0, duration / 40.0, duration, |bed, t| {
+            points.push((t, with_rtt(bed)));
+            ControlFlow::<()>::Continue(())
+        });
         let mut fig = Figure::new(
             "fig12",
             "Rate of initial RTT measurements",
@@ -122,52 +131,34 @@ pub fn fig14_slowstart(runner: &SweepRunner, scale: Scale) -> Figure {
 /// observed while the sender is still in slowstart.
 fn max_slowstart_rate(receivers: usize, tcp_flows: usize, scale: Scale) -> f64 {
     let duration = scale.pick(60.0, 90.0);
-    let mut sim = Simulator::new(914 + receivers as u64 + tcp_flows as u64 * 17);
     // 1 Mbit/s fair share: bottleneck of 1 Mbit/s * (1 + tcp_flows).
-    let bottleneck = 125_000.0 * (1 + tcp_flows) as f64;
-    let src = sim.add_node("src");
-    let hub = sim.add_node("hub");
-    sim.add_duplex_link(src, hub, bottleneck, 0.02, QueueDiscipline::drop_tail(50));
-    let mut nodes = Vec::new();
-    for i in 0..receivers.max(tcp_flows) {
-        let r = sim.add_node(&format!("r{i}"));
-        sim.add_duplex_link(hub, r, 12_500_000.0, 0.005, QueueDiscipline::drop_tail(200));
-        nodes.push(r);
-    }
-    let specs: Vec<ReceiverSpec> = (0..receivers)
-        .map(|i| ReceiverSpec::always(nodes[i % nodes.len()]))
+    let legs: Vec<StarLeg> = (0..receivers.max(tcp_flows))
+        .map(|_| StarLeg::clean(12_500_000.0, 0.005).with_queue(QueueDiscipline::drop_tail(200)))
         .collect();
-    let session = TfmccSessionBuilder::default().build_population(
-        &mut sim,
-        src,
-        &PopulationSpec::packets(&specs),
+    let mut bed = Testbed::new(
+        914 + receivers as u64 + tcp_flows as u64 * 17,
+        &Topology::Star(bottleneck(125_000.0 * (1 + tcp_flows) as f64, 50), legs),
     );
-    for i in 0..tcp_flows {
-        let r = nodes[i % nodes.len()];
-        sim.add_agent(r, Port(1), Box::new(TcpSink::new(1.0)));
-        sim.add_agent(
-            src,
-            Port(100 + i as u16),
-            Box::new(TcpSender::new(TcpSenderConfig::new(
-                Address::new(r, Port(1)),
-                FlowId(7000 + i as u64),
-            ))),
-        );
-    }
+    let (src, nodes) = (bed.layout.senders[0], &bed.layout.receivers);
+    let populations = (0..receivers)
+        .map(|i| PopulationSpec::packet(nodes[i % nodes.len()]))
+        .collect();
+    // The star has a leg per TCP flow, so TCP flow i ends at receiver i.
+    let mut flows = vec![Flow::session(src, populations)];
+    flows.extend(tcp_per_receiver(src, &nodes[..tcp_flows], 7000, 1.0));
+    bed.wire(flows);
     // Sample the sending rate while in slowstart.
     let mut peak: f64 = 0.0;
-    let mut t = 0.0;
-    while t < duration {
-        t += 0.5;
-        sim.run_until(SimTime::from_secs(t));
-        let sender = session.sender_agent(&sim).protocol();
+    bed.sample(0.0, 0.5, duration, |bed, _| {
+        let sender = bed.session(0).sender_agent(&bed.sim).protocol();
         if sender.in_slowstart() {
             peak = peak.max(sender.current_rate());
+            ControlFlow::Continue(())
         } else {
-            break;
+            ControlFlow::Break(())
         }
-    }
-    peak * 8.0 / 1000.0
+    });
+    kbit(peak)
 }
 
 /// Figures 15/16: late join of a receiver behind a 200 kbit/s tail circuit
@@ -178,85 +169,50 @@ fn late_join(id: &str, title: &str, tcp_on_slow_link: bool, scale: Scale) -> Fig
     let leave_at = scale.pick(80.0, 100.0);
     let duration = scale.pick(110.0, 140.0);
     let tcp_flows = 7;
-    let mut sim = Simulator::new(915);
-    let src = sim.add_node("src");
-    let hub = sim.add_node("hub");
-    sim.add_duplex_link(src, hub, 1_000_000.0, 0.02, QueueDiscipline::drop_tail(125));
-    // Fast receivers behind the shared bottleneck.
-    let mut fast_nodes = Vec::new();
-    for i in 0..(tcp_flows + 1) {
-        let r = sim.add_node(&format!("fast{i}"));
-        sim.add_duplex_link(hub, r, 12_500_000.0, 0.005, QueueDiscipline::drop_tail(200));
-        fast_nodes.push(r);
-    }
-    // The slow receiver behind a 200 kbit/s tail.
-    let slow = sim.add_node("slow");
-    sim.add_duplex_link(hub, slow, 25_000.0, 0.01, QueueDiscipline::drop_tail(12));
+    // Fast receivers behind the shared bottleneck, then the slow receiver
+    // behind a 200 kbit/s tail.
+    let mut legs: Vec<StarLeg> = (0..=tcp_flows)
+        .map(|_| StarLeg::clean(12_500_000.0, 0.005).with_queue(QueueDiscipline::drop_tail(200)))
+        .collect();
+    legs.push(StarLeg::clean(25_000.0, 0.01).with_queue(QueueDiscipline::drop_tail(12)));
+    let mut bed = Testbed::new(915, &Topology::Star(bottleneck(1_000_000.0, 125), legs));
+    let (src, nodes) = (bed.layout.senders[0], &bed.layout.receivers);
+    let (fast_nodes, slow) = (&nodes[..=tcp_flows], nodes[tcp_flows + 1]);
     let specs = vec![
         ReceiverSpec::always(fast_nodes[0]),
         ReceiverSpec::joining_at(slow, join_at).leaving_at(leave_at),
     ];
-    let session = TfmccSessionBuilder::default().build_population(
-        &mut sim,
-        src,
-        &PopulationSpec::packets(&specs),
-    );
-    let mut tcp_sinks = Vec::new();
-    for i in 0..tcp_flows {
-        let r = fast_nodes[i + 1];
-        let sink = sim.add_agent(r, Port(1), Box::new(TcpSink::new(2.0)));
-        sim.add_agent(
-            src,
-            Port(100 + i as u16),
-            Box::new(TcpSender::new(TcpSenderConfig::new(
-                Address::new(r, Port(1)),
-                FlowId(8000 + i as u64),
-            ))),
-        );
-        tcp_sinks.push(sink);
+    let mut flows = vec![Flow::session(src, PopulationSpec::packets(&specs))];
+    flows.extend(tcp_per_receiver(src, &fast_nodes[1..], 8000, 2.0));
+    if tcp_on_slow_link {
+        let (from, to) = (Address::new(src, Port(150)), Address::new(slow, Port(2)));
+        flows.push(Flow::tcp(from, to, FlowId(8100), 2.0));
     }
-    let slow_tcp_sink = if tcp_on_slow_link {
-        let sink = sim.add_agent(slow, Port(2), Box::new(TcpSink::new(2.0)));
-        sim.add_agent(
-            src,
-            Port(150),
-            Box::new(TcpSender::new(TcpSenderConfig::new(
-                Address::new(slow, Port(2)),
-                FlowId(8100),
-            ))),
-        );
-        Some(sink)
-    } else {
-        None
-    };
-    sim.run_until(SimTime::from_secs(duration));
+    bed.wire(flows);
+    bed.run_until(duration);
 
     let mut fig = Figure::new(id, title, "time (s)", "throughput (kbit/s)");
-    let tfmcc_meter = session.receiver_agent(&sim, 0).meter();
-    fig.push_series(Series::new("TFMCC flow", meter_series(tfmcc_meter)));
+    fig.push_series(Series::new("TFMCC flow", bed.series(0)));
     // Aggregate TCP throughput on the shared bottleneck.
-    let mut agg: Vec<(f64, f64)> = Vec::new();
-    for &sink in &tcp_sinks {
-        let series = meter_series(sim.agent::<TcpSink>(sink).unwrap().meter());
-        for (i, &(t, y)) in series.iter().enumerate() {
-            if let Some(slot) = agg.get_mut(i) {
-                slot.1 += y;
-            } else {
-                agg.push((t, y));
-            }
-        }
-    }
-    fig.push_series(Series::new("aggregated TCP flows", agg));
-    if let Some(sink) = slow_tcp_sink {
+    fig.push_series(Series::new(
+        "aggregated TCP flows",
+        bed.aggregate(1..=tcp_flows),
+    ));
+    if tcp_on_slow_link {
         fig.push_series(Series::new(
             "TCP on 200 kbit/s link",
-            meter_series(sim.agent::<TcpSink>(sink).unwrap().meter()),
+            bed.series(tcp_flows + 1),
         ));
     }
-    let before = tfmcc_meter.average_between(join_at * 0.5, join_at - 2.0) * 8.0 / 1000.0;
-    let during = tfmcc_meter.average_between(join_at + 10.0, leave_at - 2.0) * 8.0 / 1000.0;
-    let after = tfmcc_meter.average_between(leave_at + 15.0, duration - 2.0) * 8.0 / 1000.0;
-    let clr_changes = session.sender_agent(&sim).protocol().stats().clr_changes;
+    let before = bed.mean_kbit(0, join_at * 0.5, join_at - 2.0);
+    let during = bed.mean_kbit(0, join_at + 10.0, leave_at - 2.0);
+    let after = bed.mean_kbit(0, leave_at + 15.0, duration - 2.0);
+    let clr_changes = bed
+        .session(0)
+        .sender_agent(&bed.sim)
+        .protocol()
+        .stats()
+        .clr_changes;
     fig.note(format!(
         "TFMCC rate before join {before:.0} kbit/s, while the 200 kbit/s receiver is subscribed {during:.0} kbit/s, after it leaves {after:.0} kbit/s; CLR changes: {clr_changes} (paper: rate drops to the tail bandwidth within a few seconds and recovers afterwards)"
     ));

@@ -11,7 +11,7 @@
 //! Run with `cargo run --release --example video_streaming`.
 
 use tfmcc::prelude::*;
-use tfmcc::tcp::{TcpSender, TcpSenderConfig, TcpSink};
+use tfmcc::tcp::{self, TcpSenderConfig, TcpSink};
 
 fn main() {
     let mut sim = Simulator::new(99);
@@ -40,16 +40,9 @@ fn main() {
     // Two TCP downloads share the backbone for the whole session.
     let mut tcp_sinks = Vec::new();
     for (i, &viewer) in viewers.iter().enumerate().take(2) {
-        let sink = sim.add_agent(viewer, Port(1), Box::new(TcpSink::new(5.0)));
-        sim.add_agent(
-            src,
-            Port(100 + i as u16),
-            Box::new(TcpSender::new(TcpSenderConfig::new(
-                Address::new(viewer, Port(1)),
-                FlowId(900 + i as u64),
-            ))),
-        );
-        tcp_sinks.push(sink);
+        let sender = TcpSenderConfig::new(Address::new(viewer, Port(1)), FlowId(900 + i as u64));
+        let from = Address::new(src, Port(100 + i as u16));
+        tcp_sinks.push(tcp::add_flow(&mut sim, from, sender, 5.0));
     }
 
     println!("interval_s,tfmcc_kbit,clr");

@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
-# Quick-scale smoke of every figure: run each fig* name of `figs list` on
-# the parallel sweep runner (--quick --threads 2), write its CSV and JSON
-# into OUT_DIR, and fail loudly if any run exits non-zero, if any expected
-# output file is missing or empty, or if any figure's JSON differs from the
-# SHA-256 pinned for it in scripts/figs_quick.sha256.  Figures are
-# deterministic, so a changed hash means some figure moved; if that is on
-# purpose, re-record the pins with
-#     (cd OUT_DIR && sha256sum fig*.json) > scripts/figs_quick.sha256
+# Quick-scale smoke of every figure: run each fig* name of `figs list`, and
+# the scenario_search annealing run, on the parallel sweep runner (--quick
+# --threads 2), write its CSV and JSON into OUT_DIR, and fail loudly if any
+# run exits non-zero, if any expected output file is missing or empty, or if
+# any JSON differs from the SHA-256 pinned for it in
+# scripts/figs_quick.sha256.  Figures are deterministic, so a changed hash
+# means some figure moved; if that is on purpose, re-record the pins with
+#     (cd OUT_DIR && sha256sum fig*.json scenario_search.json) > scripts/figs_quick.sha256
 #
 # Usage: scripts/smoke_figs.sh [OUT_DIR]   (default: out/figs)
 set -euo pipefail
@@ -21,15 +21,16 @@ figs() {
     cargo run --release --quiet -p tfmcc-experiments --bin figs -- "$@"
 }
 
-mapfile -t names < <(figs list | grep '^fig')
+mapfile -t names < <(figs list | grep -x 'fig.*\|scenario_search')
 if [ "${#names[@]}" -eq 0 ]; then
     echo "error: figs list names no figure" >&2
     exit 1
 fi
 # Guard against the registry silently losing key scenarios: the large-scale
-# churn workload, the multi-session fairness workload and the
-# cross-protocol fairness matrix must always be part of the smoke.
-for required in fig22_churn fig23_intertfmcc fig24_fairness_matrix; do
+# churn workload, the multi-session fairness workload, the cross-protocol
+# fairness matrix and the worst-case search must always be part of the
+# smoke.
+for required in fig22_churn fig23_intertfmcc fig24_fairness_matrix scenario_search; do
     if ! printf '%s\n' "${names[@]}" | grep -qx "$required"; then
         echo "error: $required missing from figs list" >&2
         exit 1
@@ -69,6 +70,6 @@ if ! drift=$(cd "$out_dir" && sha256sum "${names[@]/%/.json}" | diff "$pins" -);
     echo "$drift" >&2
     status=1
 else
-    echo "ok   ${#names[@]} figure JSONs match $pins"
+    echo "ok   ${#names[@]} JSONs match $pins"
 fi
 exit "$status"

@@ -3,7 +3,7 @@
 //! harness together at reduced scale.
 
 use tfmcc::prelude::*;
-use tfmcc::tcp::{TcpSender, TcpSenderConfig, TcpSink};
+use tfmcc::tcp::{self, TcpSenderConfig, TcpSink};
 
 /// A three-receiver session behind heterogeneous links: the slowest receiver
 /// must become the CLR, all receivers must see (roughly) the same rate, and
@@ -78,15 +78,8 @@ fn tfmcc_coexists_with_tcp_and_is_smoother() {
         d.senders[0],
         &[PopulationSpec::packet(d.receivers[0])],
     );
-    let tcp_sink = sim.add_agent(d.receivers[1], Port(1), Box::new(TcpSink::new(1.0)));
-    sim.add_agent(
-        d.senders[1],
-        Port(1),
-        Box::new(TcpSender::new(TcpSenderConfig::new(
-            Address::new(d.receivers[1], Port(1)),
-            FlowId(42),
-        ))),
-    );
+    let sender = TcpSenderConfig::new(Address::new(d.receivers[1], Port(1)), FlowId(42));
+    let tcp_sink = tcp::add_flow(&mut sim, Address::new(d.senders[1], Port(1)), sender, 1.0);
     sim.run_until(SimTime::from_secs(180.0));
 
     let tfmcc_meter = session.receiver_agent(&sim, 0).meter();
