@@ -81,9 +81,9 @@ pub fn dumbbell(sim: &mut Simulator, cfg: &DumbbellConfig) -> Dumbbell {
     );
     let mut senders = Vec::with_capacity(cfg.pairs);
     let mut receivers = Vec::with_capacity(cfg.pairs);
-    for i in 0..cfg.pairs {
-        let s = sim.add_node(&format!("sender-{i}"));
-        let r = sim.add_node(&format!("receiver-{i}"));
+    for _ in 0..cfg.pairs {
+        let s = sim.add_node("sender");
+        let r = sim.add_node("receiver");
         sim.add_duplex_link(
             s,
             left_router,
@@ -226,8 +226,8 @@ pub fn star(sim: &mut Simulator, cfg: &StarConfig, legs: &[StarLeg]) -> Star {
     let mut receivers = Vec::with_capacity(legs.len());
     let mut downstream_links = Vec::with_capacity(legs.len());
     let mut upstream_links = Vec::with_capacity(legs.len());
-    for (i, leg) in legs.iter().enumerate() {
-        let r = sim.add_node(&format!("receiver-{i}"));
+    for leg in legs {
+        let r = sim.add_node("receiver");
         let down = sim.add_link(hub, r, leg.bandwidth, leg.delay, leg.queue.clone());
         let up = sim.add_link(
             r,

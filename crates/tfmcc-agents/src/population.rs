@@ -7,7 +7,7 @@
 //! whose behaviour is computed analytically from `tfmcc-model`:
 //!
 //! * the population's `(count, loss distribution, RTT distribution)` is
-//!   quantized into at most 64 rate bins
+//!   quantized into [`FLUID_BINS`] rate bins
 //!   ([`PopulationProfile::quantize`]), each bin carrying the calculated
 //!   rate of its quantile receiver;
 //! * per feedback round, every bin places one **deterministic**
@@ -43,6 +43,8 @@ pub const FLUID_ID_BASE: u64 = 1 << 48;
 /// Bit shift separating the population index from the bin index within the
 /// synthetic id space (bins are capped at 64 ≪ 2¹⁶).
 pub const FLUID_ID_POP_SHIFT: u32 = 16;
+/// Number of quantile bins a fluid population is quantized into.
+pub const FLUID_BINS: usize = 8;
 
 /// A fluid population attached to one node: `count` receivers whose loss and
 /// RTT marginals are given as distributions, represented by a single agent.
@@ -57,20 +59,17 @@ pub struct FluidSpec {
     pub loss: Dist,
     /// Marginal distribution of per-receiver RTTs, in seconds.
     pub rtt: Dist,
-    /// Number of quantile bins (1..=64) the population is quantized into.
-    pub bins: usize,
 }
 
 impl FluidSpec {
-    /// A population of `count` receivers with the default 8-bin
-    /// quantization.
+    /// A population of `count` receivers, quantized into [`FLUID_BINS`]
+    /// bins.
     pub fn new(node: NodeId, count: u64, loss: Dist, rtt: Dist) -> Self {
         FluidSpec {
             node,
             count,
             loss,
             rtt,
-            bins: 8,
         }
     }
 
@@ -80,7 +79,7 @@ impl FluidSpec {
             count: self.count,
             loss: self.loss,
             rtt: self.rtt,
-            bins: self.bins,
+            bins: FLUID_BINS,
         }
     }
 }
@@ -126,7 +125,6 @@ const TOKEN_STRIDE: u64 = 64;
 pub struct FluidPopulationAgent {
     profile: PopulationProfile,
     config: TfmccConfig,
-    planner: FeedbackPlanner,
     bins: Vec<RateBin>,
     id_base: u64,
     sender_addr: Address,
@@ -160,12 +158,10 @@ impl FluidPopulationAgent {
         let profile = spec.profile();
         profile.validate();
         let bins = profile.quantize(f64::from(config.packet_size));
-        let planner = FeedbackPlanner::from_config(&config);
         let last_sender_rate = config.initial_rate();
         FluidPopulationAgent {
             profile,
             config,
-            planner,
             bins,
             id_base,
             sender_addr,
@@ -273,15 +269,16 @@ impl Agent for FluidPopulationAgent {
                 rtt: b.rtt,
             })
             .collect();
+        let planner = FeedbackPlanner::default();
         let responses = if self.census_done {
             // Steady state: closed-form suppression; the echo of the first
             // response propagates back within roughly the maximum RTT.
-            aggregate_round(&self.planner, &agg, sending_rate, window, data.max_rtt)
+            aggregate_round(&planner, &agg, sending_rate, window, data.max_rtt)
         } else {
             // First round: census — every bin reports so the sender learns
             // the full distribution and head-count.
             self.census_done = true;
-            aggregate_timers(&self.planner, &agg, sending_rate, window)
+            aggregate_timers(&planner, &agg, sending_rate, window)
         };
         self.scheduled.clear();
         for (slot, r) in responses.iter().enumerate() {
@@ -297,17 +294,15 @@ mod tests {
 
     #[test]
     fn fluid_spec_builders_compose() {
-        let mut spec = FluidSpec::new(
+        let spec = FluidSpec::new(
             NodeId(3),
             1_000_000,
             Dist::Point(0.01),
             Dist::Uniform { lo: 0.04, hi: 0.1 },
         );
-        spec.bins = 16;
-        assert_eq!(spec.bins, 16);
         let profile = spec.profile();
         assert_eq!(profile.count, 1_000_000);
-        assert_eq!(profile.quantize(1000.0).len(), 16);
+        assert_eq!(profile.quantize(1000.0).len(), FLUID_BINS);
     }
 
     #[test]

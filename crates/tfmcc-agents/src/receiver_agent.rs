@@ -51,7 +51,7 @@ pub struct TfmccReceiverAgent {
     armed: Option<(TimerId, f64)>,
 }
 
-const _: () = assert!(std::mem::size_of::<TfmccReceiverAgent>() <= 656);
+const _: () = assert!(std::mem::size_of::<TfmccReceiverAgent>() <= 616);
 
 impl TfmccReceiverAgent {
     /// Creates the agent; the protocol receiver is built from `id` and

@@ -151,8 +151,7 @@ impl TfmccSessionBuilder {
     /// Panics with a descriptive message, before any agent is attached,
     /// when the input is invalid: an empty population, a hybrid session
     /// without a packet-level receiver, an invalid fluid profile (zero
-    /// count, bins outside 1..=64, loss outside `[0, 1)`, non-positive
-    /// RTT), non-finite or negative times, non-positive churn periods or
+    /// count, loss outside `[0, 1)`, non-positive RTT), non-finite or negative times, non-positive churn periods or
     /// meter bins, or equal data and report ports.
     pub fn build_population(
         &self,
@@ -284,7 +283,7 @@ impl TfmccSessionBuilder {
                     }
                 }
                 // Panics with the PopulationProfile messages (count > 0,
-                // bins in 1..=64, loss within [0, 1), positive finite RTT).
+                // loss within [0, 1), positive finite RTT).
                 PopulationSpec::Fluid(f) => f.profile().validate(),
             }
         }

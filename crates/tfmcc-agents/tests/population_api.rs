@@ -67,24 +67,6 @@ fn zero_count_fluid_is_rejected() {
 }
 
 #[test]
-#[should_panic(expected = "fluid population bins must be in 1..=64")]
-fn out_of_range_bins_are_rejected() {
-    let mut sim = Simulator::new(7);
-    let st = one_leg_star(&mut sim);
-    let mut f = fluid(st.receivers[0], 100);
-    f.bins = 65;
-    SessionManager::new().add_population_session(
-        &mut sim,
-        0.0,
-        st.sender,
-        &[
-            PopulationSpec::packet(st.receivers[0]),
-            PopulationSpec::Fluid(f),
-        ],
-    );
-}
-
-#[test]
 #[should_panic(expected = "fluid loss distribution must stay within [0, 1)")]
 fn out_of_range_loss_is_rejected() {
     let mut sim = Simulator::new(7);

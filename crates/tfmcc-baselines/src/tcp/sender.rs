@@ -492,19 +492,6 @@ mod tests {
     /// ns-2's `TcpAgent` keeps one retransmission timer: re-arming on an
     /// ACK cancels the superseded one instead of leaving it queued to fire
     /// and be ignored (which peaked at 250 pending timers on this path).
-    /// ns-2's `TcpAgent` keeps one retransmission timer: re-arming on an
-    /// ACK cancels the superseded one instead of leaving it queued to fire
-    /// and be ignored (which peaked at 250 pending timers on this path).
-    #[test]
-    fn explore_tmp() {
-        for d in [0.01, 0.05, 0.2] {
-            for l in [None, Some(0.05), Some(0.1), Some(0.2)] {
-                let (_, st) = trajectory_digest(12_500.0, d, 1, l, 60, 5);
-                println!("d={d} l={l:?} {st:?}");
-            }
-        }
-    }
-
     #[test]
     fn tcp_sender_keeps_one_rto_armed() {
         let (mut sim, _, sender) =

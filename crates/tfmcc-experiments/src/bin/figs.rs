@@ -4,12 +4,11 @@
 //! An unknown name exits with status 2.
 //!
 //! Flags: `--quick` / `--paper` select the scale, `--threads N` sizes the
-//! sweep executor (results are byte-identical for any N), `--out FILE`
-//! writes the figure as deterministic JSON and `--bench-out FILE` writes the
-//! run's timing trajectory.  No figure reads the environment; the one
-//! variable consulted, `TFMCC_REPLAY_DIR`, only names the directory into
-//! which `scenario_search` writes its worst cases as `tfmcc-replay-v1`
-//! files.
+//! sweep executor (results are byte-identical for any N) and `--out FILE`
+//! writes the figure as deterministic JSON.  No figure reads the
+//! environment; the one variable consulted, `TFMCC_REPLAY_DIR`, only names
+//! the directory into which `scenario_search` writes its worst cases as
+//! `tfmcc-replay-v1` files.
 
 use tfmcc_experiments::{cli, FIGURES};
 use tfmcc_runner::RunnerArgs;

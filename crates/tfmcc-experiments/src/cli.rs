@@ -4,16 +4,14 @@
 //! flags (parsed by [`tfmcc_runner::RunnerArgs`]):
 //!
 //! ```text
-//! figs fig07_scaling [--quick | --paper] [--threads N] [--out FILE] [--bench-out FILE]
+//! figs fig07_scaling [--quick | --paper] [--threads N] [--out FILE]
 //! ```
 //!
 //! * `--quick` / `--paper` select the experiment [`Scale`] (default paper);
 //! * `--threads N` sizes the sweep executor (default: all cores).  Results
 //!   are byte-identical for any `N`;
 //! * `--out FILE` writes the figure as deterministic JSON in addition to the
-//!   CSV on stdout;
-//! * `--bench-out FILE` writes the run's per-point timing trajectory as
-//!   JSON.
+//!   CSV on stdout.
 //!
 //! The flags are the whole configuration: a figure reads no environment
 //! variable, so the same flags always produce the same output.
@@ -37,8 +35,6 @@ pub struct FigureCli {
     pub runner: SweepRunner,
     /// Where to write the figure JSON, if requested.
     pub out: Option<std::path::PathBuf>,
-    /// Where to write the timing trajectory, if requested.
-    pub bench_out: Option<std::path::PathBuf>,
 }
 
 impl FigureCli {
@@ -58,14 +54,13 @@ impl FigureCli {
             },
             runner: SweepRunner::new(args.effective_threads()),
             out: args.out,
-            bench_out: args.bench_out,
         }
     }
 }
 
 /// Runs one figure of `figs`: parse the flags in `args`, run the figure on
-/// the sweep executor, print CSV to stdout, honour `--out`/`--bench-out`,
-/// and log a one-line timing summary to stderr.
+/// the sweep executor, print CSV to stdout, honour `--out`, and log a
+/// one-line timing summary to stderr.
 pub fn figure_main(run: FigureFn, args: impl IntoIterator<Item = String>) {
     let cli = FigureCli::parse(args);
     let started = Instant::now();
@@ -75,12 +70,6 @@ pub fn figure_main(run: FigureFn, args: impl IntoIterator<Item = String>) {
         let mut json = figure.to_json().render();
         json.push('\n');
         if let Err(err) = std::fs::write(path, json) {
-            eprintln!("error: cannot write {}: {err}", path.display());
-            std::process::exit(1);
-        }
-    }
-    if let Some(path) = &cli.bench_out {
-        if let Err(err) = cli.runner.write_bench_json(&figure.id, path) {
             eprintln!("error: cannot write {}: {err}", path.display());
             std::process::exit(1);
         }
@@ -108,6 +97,6 @@ mod tests {
         let cli = FigureCli::from_runner_args(args);
         assert_eq!(cli.scale, Scale::Quick);
         assert_eq!(cli.runner.threads(), 3);
-        assert!(cli.out.is_none() && cli.bench_out.is_none());
+        assert!(cli.out.is_none());
     }
 }

@@ -10,17 +10,16 @@ use tfmcc_feedback::round::{
 };
 use tfmcc_feedback::{timer_cdf, BiasMethod, FeedbackPlanner};
 use tfmcc_model::feedback_expectation::expected_responses;
-use tfmcc_proto::config::TfmccConfig;
 use tfmcc_runner::{Sweep, SweepRunner};
 
 use crate::output::{Figure, Series};
 use crate::scale::Scale;
 
 fn planner(method: BiasMethod, alpha: f64) -> FeedbackPlanner {
-    let mut p = FeedbackPlanner::from_config(&TfmccConfig::default());
-    p.method = method;
-    p.cancel_alpha = alpha;
-    p
+    FeedbackPlanner {
+        cancel_alpha: alpha,
+        method,
+    }
 }
 
 /// TFMCC's window (in network-delay units): T = 6 delays, suppression

@@ -125,12 +125,11 @@ pub fn fig07_scaling(runner: &SweepRunner, scale: Scale) -> Figure {
 
     let constant_sweep = ParamGrid::new()
         .receivers(ns.clone())
-        .loss_rates(vec![LOSS_RATE])
         .replicas(replicas)
         .build("fig07/constant", 7);
     let constant = runner.run(&constant_sweep, |pt| {
         let mut rng = SmallRng::seed_from_u64(pt.seed);
-        let rates = vec![pt.value.loss_rate; pt.value.receivers];
+        let rates = vec![LOSS_RATE; pt.value.receivers];
         tracked_minimum_throughput(&rates, trials_per_replica, &mut rng)
     });
     fig.push_series(Series::new(

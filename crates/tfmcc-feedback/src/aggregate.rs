@@ -134,10 +134,9 @@ pub fn aggregate_timers(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tfmcc_proto::config::TfmccConfig;
 
     fn planner() -> FeedbackPlanner {
-        FeedbackPlanner::from_config(&TfmccConfig::default())
+        FeedbackPlanner::default()
     }
 
     fn bin(count: u64, rate: f64) -> AggregateBin {

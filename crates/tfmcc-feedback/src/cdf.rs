@@ -1,5 +1,6 @@
 //! Cumulative distribution of the biased feedback timers (paper Figure 1).
 
+use tfmcc_proto::config::{FEEDBACK_OFFSET_FRACTION, RECEIVER_SET_ESTIMATE};
 use tfmcc_proto::feedback::{BiasMethod, FeedbackPlanner};
 
 /// One point of a timer CDF.
@@ -24,23 +25,23 @@ pub fn timer_cdf(
     points: usize,
 ) -> Vec<TimerCdfPoint> {
     assert!(points >= 2);
-    let delta = planner.offset_fraction;
+    let delta = FEEDBACK_OFFSET_FRACTION;
     let (offset, t_random, n) = match planner.method {
-        BiasMethod::Unbiased => (0.0, window, planner.n_estimate),
+        BiasMethod::Unbiased => (0.0, window, RECEIVER_SET_ESTIMATE),
         BiasMethod::BasicOffset => (
             delta * rate_ratio.clamp(0.0, 1.0) * window,
             (1.0 - delta) * window,
-            planner.n_estimate,
+            RECEIVER_SET_ESTIMATE,
         ),
         BiasMethod::ModifiedOffset => (
             delta * planner.normalized_ratio(rate_ratio) * window,
             (1.0 - delta) * window,
-            planner.n_estimate,
+            RECEIVER_SET_ESTIMATE,
         ),
         BiasMethod::ModifiedN => (
             0.0,
             window,
-            (planner.n_estimate * rate_ratio.clamp(0.0, 1.0)).max(2.0),
+            (RECEIVER_SET_ESTIMATE * rate_ratio.clamp(0.0, 1.0)).max(2.0),
         ),
     };
     (0..points)
@@ -62,12 +63,12 @@ pub fn timer_cdf(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tfmcc_proto::prelude::TfmccConfig;
 
     fn planner(method: BiasMethod) -> FeedbackPlanner {
-        let mut p = FeedbackPlanner::from_config(&TfmccConfig::default());
-        p.method = method;
-        p
+        FeedbackPlanner {
+            method,
+            ..FeedbackPlanner::default()
+        }
     }
 
     #[test]

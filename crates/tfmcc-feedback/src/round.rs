@@ -229,13 +229,12 @@ pub fn mean_quality_absolute(outcomes: &[RoundOutcome]) -> f64 {
 mod tests {
     use super::*;
     use tfmcc_proto::feedback::BiasMethod;
-    use tfmcc_proto::prelude::TfmccConfig;
 
     fn planner(method: BiasMethod, alpha: f64) -> FeedbackPlanner {
-        let mut p = FeedbackPlanner::from_config(&TfmccConfig::default());
-        p.method = method;
-        p.cancel_alpha = alpha;
-        p
+        FeedbackPlanner {
+            cancel_alpha: alpha,
+            method,
+        }
     }
 
     fn round(method: BiasMethod, alpha: f64) -> FeedbackRound {

@@ -23,15 +23,14 @@ use proptest::prelude::*;
 use tfmcc_feedback::round::{mean_responses, FeedbackRound};
 use tfmcc_model::feedback_expectation::expected_responses;
 use tfmcc_proto::feedback::{BiasMethod, FeedbackPlanner};
-use tfmcc_proto::prelude::TfmccConfig;
 
 /// Planner with the given bias method and cancellation threshold, otherwise
 /// TFMCC defaults (`N` estimate 10⁴).
 fn planner(method: BiasMethod, alpha: f64) -> FeedbackPlanner {
-    let mut p = FeedbackPlanner::from_config(&TfmccConfig::default());
-    p.method = method;
-    p.cancel_alpha = alpha;
-    p
+    FeedbackPlanner {
+        cancel_alpha: alpha,
+        method,
+    }
 }
 
 /// Window of 4 network-delay units: the paper's suppression interval

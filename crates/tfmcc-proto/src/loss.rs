@@ -15,7 +15,7 @@ use std::hash::Hasher;
 
 use tfmcc_model::throughput::mathis_loss_rate;
 
-use crate::config::TfmccConfig;
+use crate::config::{TfmccConfig, LOSS_HISTORY_LEN, LOSS_INTERVAL_WEIGHTS};
 use crate::step::{hash_f64, hash_opt_f64, StateFingerprint};
 
 /// Result of processing one arriving data packet.
@@ -32,14 +32,12 @@ pub struct LossUpdate {
 
 /// Per-receiver loss-event history.
 ///
-/// The weights are a pure function of `history_len`
-/// ([`TfmccConfig::loss_interval_weight`]), so a receiver stores none.  The
-/// weighted average over the closed intervals changes only when the ring
-/// does, so it is cached there; only the average with the open interval is
-/// computed per packet.
+/// The weights are the paper's constant table ([`LOSS_INTERVAL_WEIGHTS`]),
+/// so a receiver stores none.  The weighted average over the closed
+/// intervals changes only when the ring does, so it is cached there; only
+/// the average with the open interval is computed per packet.
 #[derive(Debug, Clone)]
 pub struct LossHistory {
-    history_len: usize,
     packet_size: u32,
     /// Closed loss intervals, most recent first, in packets.
     intervals: VecDeque<f64>,
@@ -65,16 +63,14 @@ pub struct LossHistory {
 }
 
 impl LossHistory {
-    /// Creates an empty history using the history length and packet size
-    /// from `config`.
+    /// Creates an empty history using the packet size from `config`.
     pub fn new(config: &TfmccConfig) -> Self {
         LossHistory {
-            history_len: config.loss_history_len,
             packet_size: config.packet_size,
-            // The ring never holds more than `history_len` intervals
+            // The ring never holds more than `LOSS_HISTORY_LEN` intervals
             // (`push_interval` evicts), so this one allocation at
             // construction is the last one the loss path ever makes.
-            intervals: VecDeque::with_capacity(config.loss_history_len + 1),
+            intervals: VecDeque::with_capacity(LOSS_HISTORY_LEN + 1),
             closed_average: 0.0,
             open_interval: 0.0,
             last_loss_event_at: None,
@@ -169,12 +165,12 @@ impl LossHistory {
 
     fn push_interval(&mut self, interval: f64) {
         self.intervals.push_front(interval.max(1.0));
-        if self.intervals.len() > self.history_len {
+        if self.intervals.len() > LOSS_HISTORY_LEN {
             self.intervals.pop_back();
         }
         if let Some(age) = self.synthetic_age.as_mut() {
             *age += 1;
-            if *age >= self.history_len {
+            if *age >= LOSS_HISTORY_LEN {
                 self.synthetic_age = None;
             }
         }
@@ -244,19 +240,17 @@ impl LossHistory {
     ///
     /// The open-interval variant runs on the receiver's per-packet path
     /// whenever the loss event rate is evaluated, so it iterates the ring in
-    /// place — no scratch `Vec`, no weight table — accumulating in the same
-    /// order the historical collect-then-sum implementation did, which keeps
-    /// the floating-point results bit-identical.
+    /// place — no scratch `Vec` — accumulating in the same order the
+    /// historical collect-then-sum implementation did, which keeps the
+    /// floating-point results bit-identical.
     fn weighted_average(&self, open: Option<f64>) -> f64 {
         let mut num = 0.0;
         let mut den = 0.0;
-        for (i, v) in open
+        for (v, w) in open
             .into_iter()
             .chain(self.intervals.iter().copied())
-            .take(self.history_len)
-            .enumerate()
+            .zip(LOSS_INTERVAL_WEIGHTS)
         {
-            let w = TfmccConfig::loss_interval_weight(self.history_len, i);
             num += v * w;
             den += w;
         }
@@ -294,7 +288,6 @@ impl StateFingerprint for LossHistory {
     /// ([`raw_loss_fraction`](Self::raw_loss_fraction) only), so both are
     /// excluded.
     fn fingerprint<H: Hasher>(&self, h: &mut H) {
-        h.write_usize(self.history_len);
         h.write_u32(self.packet_size);
         h.write_usize(self.intervals.len());
         for v in &self.intervals {
@@ -528,14 +521,13 @@ mod tests {
         if h.intervals.is_empty() {
             return None;
         }
-        let weights = TfmccConfig::loss_interval_weights(h.history_len);
         let average = |open: Option<f64>| {
             let (mut num, mut den) = (0.0, 0.0);
             for (v, w) in open
                 .into_iter()
                 .chain(h.intervals.iter().copied())
-                .take(h.history_len)
-                .zip(&weights)
+                .take(LOSS_HISTORY_LEN)
+                .zip(&LOSS_INTERVAL_WEIGHTS)
             {
                 num += v * w;
                 den += w;
@@ -557,17 +549,13 @@ mod tests {
         /// RTT remodels, the average is bit-equal to the from-scratch one.
         #[test]
         fn cached_average_is_bit_equal_to_a_from_scratch_average(
-            len in 1usize..=32,
             ops in proptest::collection::vec(0u8..16, 200..201),
             gaps in proptest::collection::vec(0u64..4, 200..201),
             dts in proptest::collection::vec(0.0001f64..0.05, 200..201),
             rates in proptest::collection::vec(1_000.0f64..2e6, 200..201),
             rtts in proptest::collection::vec(0.005f64..0.6, 200..201),
         ) {
-            let config = TfmccConfig {
-                loss_history_len: len,
-                ..TfmccConfig::default()
-            };
+            let config = TfmccConfig::default();
             let mut h = LossHistory::new(&config);
             let (mut seq, mut t) = (0u64, 0.0);
             for step in 0..ops.len() {

@@ -27,7 +27,7 @@
 //!
 //! A receiver stores only its own state: the configuration is one
 //! `Arc<TfmccConfig>` shared by every receiver of a session, and the
-//! [`FeedbackPlanner`] is built from it where it is used.  The size
+//! [`FeedbackPlanner`] is the default one, built where it is used.  The size
 //! assertion below keeps the struct from silently growing back.
 
 use std::hash::Hasher;
@@ -97,7 +97,7 @@ pub struct TfmccReceiver {
     stats: ReceiverStats,
 }
 
-const _: () = assert!(std::mem::size_of::<TfmccReceiver>() <= 416);
+const _: () = assert!(std::mem::size_of::<TfmccReceiver>() <= 384);
 
 impl TfmccReceiver {
     /// Creates a receiver with the given session-unique id.  Pass the
@@ -278,7 +278,7 @@ impl TfmccReceiver {
         if let (Some(supp), Some(pending)) = (&data.suppression, self.timer) {
             if pending.round == self.current_round && supp.receiver != self.id {
                 let own = self.reportable_rate(now);
-                let planner = FeedbackPlanner::from_config(&self.config);
+                let planner = FeedbackPlanner::default();
                 let cancel = if self.slowstart && self.loss.has_loss() {
                     // A receiver that has experienced loss during slowstart is
                     // only suppressed by reports that also indicate loss,
@@ -363,7 +363,7 @@ impl TfmccReceiver {
         // every receiver (and the sender's feedback rounds) agree on `T`.
         let window = self.config.feedback_window(self.max_rtt, self.sender_rate);
         let uniform: f64 = self.rng.gen_range(1e-12..=1.0);
-        let delay = FeedbackPlanner::from_config(&self.config).timer(ratio, window, uniform);
+        let delay = FeedbackPlanner::default().timer(ratio, window, uniform);
         self.timer = Some(PendingFeedback {
             fire_at: now + delay,
             round: self.current_round,
@@ -397,7 +397,6 @@ impl StateFingerprint for TfmccReceiver {
     /// different future timers fingerprint differently.
     fn fingerprint<H: Hasher>(&self, h: &mut H) {
         h.write_u64(self.id.0);
-        FeedbackPlanner::from_config(&self.config).fingerprint(h);
         self.loss.fingerprint(h);
         self.rtt.fingerprint(h);
         self.recv_meter.fingerprint(h);

@@ -9,7 +9,7 @@
 
 use std::hash::Hasher;
 
-use crate::config::TfmccConfig;
+use crate::config::{TfmccConfig, RTT_BETA_CLR, RTT_BETA_NON_CLR, RTT_BETA_ONE_WAY};
 use crate::step::{hash_f64, hash_opt_f64, StateFingerprint};
 
 /// Smallest RTT the estimator will report, guarding divisions elsewhere.
@@ -20,9 +20,6 @@ pub const MIN_RTT: f64 = 1e-4;
 pub struct RttEstimator {
     estimate: f64,
     has_measurement: bool,
-    beta_clr: f64,
-    beta_non_clr: f64,
-    beta_one_way: f64,
     /// One-way delay from receiver to sender inferred at the last real
     /// measurement (includes clock skew, which cancels in later adjustments).
     owd_receiver_to_sender: Option<f64>,
@@ -37,9 +34,6 @@ impl RttEstimator {
         RttEstimator {
             estimate: config.initial_rtt,
             has_measurement: false,
-            beta_clr: config.rtt_beta_clr,
-            beta_non_clr: config.rtt_beta_non_clr,
-            beta_one_way: config.rtt_beta_one_way,
             owd_receiver_to_sender: None,
             estimate_at_last_measurement: config.initial_rtt,
         }
@@ -72,7 +66,7 @@ impl RttEstimator {
     ///
     /// * `sample` — instantaneous RTT from the echoed report,
     /// * `is_clr` — whether this receiver currently is the CLR (selects the
-    ///   EWMA weight: 0.05 for the CLR, 0.5 otherwise),
+    ///   EWMA weight: [`RTT_BETA_CLR`] or [`RTT_BETA_NON_CLR`]),
     /// * `one_way_sender_to_receiver` — the forward one-way delay observed on
     ///   the data packet carrying the echo (includes clock skew), used to
     ///   derive the reverse one-way delay for later adjustments.
@@ -83,9 +77,9 @@ impl RttEstimator {
             self.has_measurement = true;
         } else {
             let beta = if is_clr {
-                self.beta_clr
+                RTT_BETA_CLR
             } else {
-                self.beta_non_clr
+                RTT_BETA_NON_CLR
             };
             self.estimate = beta * sample + (1.0 - beta) * self.estimate;
         }
@@ -101,7 +95,7 @@ impl RttEstimator {
     pub fn on_one_way_sample(&mut self, one_way_sender_to_receiver: f64) -> Option<f64> {
         let owd_back = self.owd_receiver_to_sender?;
         let sample = (owd_back + one_way_sender_to_receiver).max(MIN_RTT);
-        self.estimate = self.beta_one_way * sample + (1.0 - self.beta_one_way) * self.estimate;
+        self.estimate = RTT_BETA_ONE_WAY * sample + (1.0 - RTT_BETA_ONE_WAY) * self.estimate;
         Some(self.current())
     }
 
@@ -121,9 +115,6 @@ impl StateFingerprint for RttEstimator {
     fn fingerprint<H: Hasher>(&self, h: &mut H) {
         hash_f64(h, self.estimate);
         h.write_u8(self.has_measurement as u8);
-        hash_f64(h, self.beta_clr);
-        hash_f64(h, self.beta_non_clr);
-        hash_f64(h, self.beta_one_way);
         hash_opt_f64(h, self.owd_receiver_to_sender);
         hash_f64(h, self.estimate_at_last_measurement);
     }

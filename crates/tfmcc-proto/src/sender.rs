@@ -26,7 +26,7 @@ use std::hash::Hasher;
 use tfmcc_model::throughput::padhye_throughput;
 
 use crate::aggregator::{FeedbackAggregator, IncrementalAggregator, ReceiverInfo};
-use crate::config::TfmccConfig;
+use crate::config::{TfmccConfig, PREVIOUS_CLR_HOLD_RTTS, SLOWSTART_MULTIPLE};
 use crate::packets::{DataPacket, FeedbackPacket, ReceiverId, RttEcho};
 use crate::step::{hash_f64, hash_opt_f64, StateFingerprint};
 
@@ -402,10 +402,8 @@ impl<A: FeedbackAggregator> TfmccSender<A> {
         };
         if let Some(old) = self.clr.take() {
             if old.id != id {
-                let hold = self.config.previous_clr_hold_rtts * old.rtt.max(1e-3);
-                if hold > 0.0 {
-                    self.previous_clr = Some((old, now + hold));
-                }
+                let hold = PREVIOUS_CLR_HOLD_RTTS * old.rtt.max(1e-3);
+                self.previous_clr = Some((old, now + hold));
                 self.stats.clr_changes += 1;
             }
         } else {
@@ -417,7 +415,7 @@ impl<A: FeedbackAggregator> TfmccSender<A> {
 
     fn switch_clr(&mut self, now: f64, to: ClrState) {
         if let Some(old) = self.clr.take() {
-            let hold = self.config.previous_clr_hold_rtts * old.rtt.max(1e-3);
+            let hold = PREVIOUS_CLR_HOLD_RTTS * old.rtt.max(1e-3);
             self.previous_clr = Some((old, now + hold));
         }
         self.stats.clr_changes += 1;
@@ -466,7 +464,7 @@ impl<A: FeedbackAggregator> TfmccSender<A> {
             if self.slowstart {
                 if let Some(min_recv) = self.slowstart_min_recv.take() {
                     self.slowstart_target =
-                        (self.config.slowstart_multiple * min_recv).max(self.config.initial_rate());
+                        (SLOWSTART_MULTIPLE * min_recv).max(self.config.initial_rate());
                 }
             }
         }

@@ -26,7 +26,7 @@ use tfmcc_proto::packets::{DataPacket, ReceiverId, RttEcho};
 use tfmcc_proto::receiver::TfmccReceiver;
 
 /// Pinned upper bound on the settled heap bytes one receiver retains
-/// (measured 2120 bytes, plus 416 inline, with the default 8-interval loss
+/// (measured 2120 bytes, plus 384 inline, with the 8-interval loss
 /// history and a configuration shared by the batch — rate meter and
 /// interval rings dominate; the 15 % headroom covers allocator layout drift
 /// across toolchains, not new state: 10⁵ receivers stay under 250 MB of

@@ -8,7 +8,6 @@
 //! --threads N         worker threads for the sweep executor
 //!                     (default: all available cores)
 //! --out FILE          write the figure as deterministic JSON to FILE
-//! --bench-out FILE    write the run's per-point timing trajectory (JSON)
 //! ```
 //!
 //! `--threads=N`-style `=` forms are accepted too; any other flag is an
@@ -28,14 +27,12 @@ pub struct RunnerArgs {
     pub threads: Option<usize>,
     /// `--out FILE`, if given.
     pub out: Option<PathBuf>,
-    /// `--bench-out FILE`, if given.
-    pub bench_out: Option<PathBuf>,
 }
 
 impl RunnerArgs {
     /// The command line these flags belong to.
     pub const USAGE: &'static str =
-        "usage: figs <name> [--quick | --paper] [--threads N] [--out FILE] [--bench-out FILE]";
+        "usage: figs <name> [--quick | --paper] [--threads N] [--out FILE]";
 
     /// Parses `args` (the flags after the figure name), printing usage and
     /// exiting with status 2 on errors.
@@ -88,7 +85,6 @@ impl RunnerArgs {
                     parsed.threads = Some(n);
                 }
                 "--out" => parsed.out = Some(PathBuf::from(value(&mut it)?)),
-                "--bench-out" => parsed.bench_out = Some(PathBuf::from(value(&mut it)?)),
                 other => return Err(format!("unknown argument '{other}'")),
             }
         }
@@ -131,9 +127,9 @@ mod tests {
 
     #[test]
     fn parses_equals_forms() {
-        let args = parse(&["--threads=8", "--bench-out=timing.json"]).unwrap();
+        let args = parse(&["--threads=8", "--out=fig.json"]).unwrap();
         assert_eq!(args.threads, Some(8));
-        assert_eq!(args.bench_out, Some(PathBuf::from("timing.json")));
+        assert_eq!(args.out, Some(PathBuf::from("fig.json")));
     }
 
     #[test]
@@ -143,6 +139,7 @@ mod tests {
         assert!(parse(&["--scheduler", "heap"]).is_err());
         assert!(parse(&["--sessions", "4"]).is_err());
         assert!(parse(&["--queue", "codel"]).is_err());
+        assert!(parse(&["--bench-out", "timing.json"]).is_err());
         assert!(parse(&["--threads", "0"]).is_err());
         assert!(parse(&["--threads"]).is_err());
         assert!(parse(&["--frobnicate"]).is_err());

@@ -12,7 +12,6 @@
     reason = "timing layer: wall-clock reads time the sweep and its points, and no result depends on them"
 )]
 
-use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -42,7 +41,6 @@ pub struct Point<'a, P> {
 /// order.
 pub struct SweepRunner {
     threads: usize,
-    created: Instant,
     records: Mutex<Vec<PointRecord>>,
 }
 
@@ -51,7 +49,6 @@ impl SweepRunner {
     pub fn new(threads: usize) -> Self {
         SweepRunner {
             threads: threads.max(1),
-            created: Instant::now(),
             records: Mutex::new(Vec::new()),
         }
     }
@@ -90,11 +87,8 @@ impl SweepRunner {
                 let start = Instant::now();
                 let out = f(Point { value, index, seed });
                 records.push(PointRecord {
-                    sweep: sweep.name().to_string(),
                     index,
-                    seed,
                     secs: start.elapsed().as_secs_f64(),
-                    worker: 0,
                 });
                 results[index] = Some(out);
             }
@@ -102,7 +96,7 @@ impl SweepRunner {
             let cursor = AtomicUsize::new(0);
             let (tx, rx) = std::sync::mpsc::sync_channel(n);
             std::thread::scope(|scope| {
-                for worker in 0..workers {
+                for _ in 0..workers {
                     let tx = tx.clone();
                     let cursor = &cursor;
                     let f = &f;
@@ -118,19 +112,13 @@ impl SweepRunner {
                         let secs = start.elapsed().as_secs_f64();
                         // The receiver only disappears if the collecting side
                         // panicked; the scope will propagate that panic.
-                        let _ = tx.send((index, seed, out, secs, worker));
+                        let _ = tx.send((index, out, secs));
                     });
                 }
                 drop(tx);
-                while let Ok((index, seed, out, secs, worker)) = rx.recv() {
+                while let Ok((index, out, secs)) = rx.recv() {
                     results[index] = Some(out);
-                    records.push(PointRecord {
-                        sweep: sweep.name().to_string(),
-                        index,
-                        seed,
-                        secs,
-                        worker,
-                    });
+                    records.push(PointRecord { index, secs });
                 }
             });
             // Completion order is nondeterministic; the report is kept in
@@ -148,24 +136,16 @@ impl SweepRunner {
             .collect()
     }
 
-    /// Snapshot of everything run so far: per-point timings plus the wall
-    /// clock elapsed since the runner was created.
+    /// Snapshot of everything run so far: the per-point timings.
     pub fn report(&self) -> RunReport {
         RunReport {
             threads: self.threads,
-            wall_secs: self.created.elapsed().as_secs_f64(),
             records: self
                 .records
                 .lock()
                 .expect("runner record lock poisoned")
                 .clone(),
         }
-    }
-
-    /// Writes the current [`RunReport`] as a `BENCH_*.json`-style trajectory
-    /// to `path`.
-    pub fn write_bench_json(&self, name: &str, path: &Path) -> std::io::Result<()> {
-        std::fs::write(path, self.report().to_bench_json(name))
     }
 }
 
@@ -210,8 +190,6 @@ mod tests {
         assert_eq!(report.records.len(), 40);
         for (i, rec) in report.records.iter().enumerate() {
             assert_eq!(rec.index, i);
-            assert_eq!(rec.sweep, "timed");
-            assert_eq!(rec.seed, sweep.seed_for(i));
             assert!(rec.secs >= 0.0);
         }
     }

@@ -6,17 +6,17 @@
 //! wall-clock speed without giving up reproducibility:
 //!
 //! * [`Sweep`] describes a named set of points (use [`ParamGrid`] for the
-//!   common receiver-count × loss-rate × RTT × seed-replica grid);
+//!   common receiver-count × seed-replica grid);
 //! * [`seed::derive_seed`] gives every point a deterministic seed derived
 //!   from the sweep's base seed and the point index — the same point always
 //!   gets the same seed, no matter how many worker threads run the sweep;
 //! * [`SweepRunner`] executes the points on a self-scheduling (work-stealing
 //!   from a shared queue) pool of `std::thread` workers and returns results
 //!   in point order, so output is byte-identical for any `--threads N`;
-//! * [`RunReport`] records per-point timing so `BENCH_*.json` trajectories
-//!   can be produced from real sweeps;
+//! * [`RunReport`] records per-point timing for the run summary and the
+//!   benchmark's busy-time share;
 //! * [`cli::RunnerArgs`] parses the shared experiment CLI
-//!   (`--quick`/`--paper`/`--threads N`/`--out FILE`/`--bench-out FILE`);
+//!   (`--quick`/`--paper`/`--threads N`/`--out FILE`);
 //! * [`json::Json`] renders deterministic JSON for result files.
 //!
 //! The crate is deliberately simulator-agnostic: a point is whatever the

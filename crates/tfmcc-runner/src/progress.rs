@@ -1,79 +1,30 @@
-//! Run-level progress and timing: the material `BENCH_*.json` trajectories
-//! are produced from.
-
-use crate::json::Json;
+//! Run-level timing: what the `figs` summary line and the benchmark's
+//! busy-time share are computed from.
 
 /// Timing record of one executed sweep point.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PointRecord {
-    /// Name of the sweep the point belongs to.
-    pub sweep: String,
     /// Point index within the sweep.
     pub index: usize,
-    /// The derived seed the point ran with.
-    pub seed: u64,
     /// Wall-clock seconds the point took.
     pub secs: f64,
-    /// Worker thread (0-based) that executed the point.
-    pub worker: usize,
 }
 
-/// Everything a [`crate::SweepRunner`] executed: thread count, total wall
-/// clock and the per-point records in point order.
+/// Everything a [`crate::SweepRunner`] executed: thread count and the
+/// per-point records in point order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
     /// Configured worker-thread count.
     pub threads: usize,
-    /// Wall-clock seconds since the runner was created.
-    pub wall_secs: f64,
     /// Per-point timing records.
     pub records: Vec<PointRecord>,
 }
 
 impl RunReport {
-    /// Total compute time summed over points (≈ `wall_secs · threads` when
+    /// Total compute time summed over points (≈ wall time · threads when
     /// the sweep parallelises well).
     pub fn busy_secs(&self) -> f64 {
         self.records.iter().map(|r| r.secs).sum()
-    }
-
-    /// Renders the report as a JSON document.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("threads".into(), Json::num(self.threads as f64)),
-            ("wall_secs".into(), Json::num(self.wall_secs)),
-            ("busy_secs".into(), Json::num(self.busy_secs())),
-            ("points".into(), Json::num(self.records.len() as f64)),
-            (
-                "records".into(),
-                Json::Arr(
-                    self.records
-                        .iter()
-                        .map(|r| {
-                            Json::Obj(vec![
-                                ("sweep".into(), Json::str(&r.sweep)),
-                                ("index".into(), Json::num(r.index as f64)),
-                                ("seed".into(), Json::str(format!("{:#018x}", r.seed))),
-                                ("secs".into(), Json::num(r.secs)),
-                                ("worker".into(), Json::num(r.worker as f64)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    /// Renders a `BENCH_*.json` trajectory document: the named benchmark plus
-    /// this report, ready to upload as a CI artifact.
-    pub fn to_bench_json(&self, name: &str) -> String {
-        let doc = Json::Obj(vec![
-            ("name".into(), Json::str(name)),
-            ("report".into(), self.to_json()),
-        ]);
-        let mut s = doc.render();
-        s.push('\n');
-        s
     }
 }
 
@@ -81,40 +32,21 @@ impl RunReport {
 mod tests {
     use super::*;
 
-    fn report() -> RunReport {
-        RunReport {
-            threads: 2,
-            wall_secs: 1.5,
-            records: vec![
-                PointRecord {
-                    sweep: "s".into(),
-                    index: 0,
-                    seed: 0xABCD,
-                    secs: 0.5,
-                    worker: 0,
-                },
-                PointRecord {
-                    sweep: "s".into(),
-                    index: 1,
-                    seed: 0x1234,
-                    secs: 1.0,
-                    worker: 1,
-                },
-            ],
-        }
-    }
-
     #[test]
     fn busy_time_sums_points() {
-        assert!((report().busy_secs() - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn bench_json_contains_name_and_records() {
-        let s = report().to_bench_json("sweep_fig07");
-        assert!(s.starts_with('{') && s.ends_with("}\n"));
-        assert!(s.contains(r#""name":"sweep_fig07""#));
-        assert!(s.contains(r#""threads":2"#));
-        assert!(s.contains(r#""seed":"0x000000000000abcd""#));
+        let report = RunReport {
+            threads: 2,
+            records: vec![
+                PointRecord {
+                    index: 0,
+                    secs: 0.5,
+                },
+                PointRecord {
+                    index: 1,
+                    secs: 1.0,
+                },
+            ],
+        };
+        assert!((report.busy_secs() - 1.5).abs() < 1e-12);
     }
 }

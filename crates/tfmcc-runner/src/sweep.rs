@@ -1,5 +1,5 @@
-//! Sweep descriptions: a named list of points plus the common parameter
-//! grid over receiver count, loss rate, RTT and seed replicas.
+//! Sweep descriptions: a named list of points plus the common grid over
+//! receiver count and seed replicas.
 
 use crate::seed::derive_seed;
 
@@ -7,8 +7,8 @@ use crate::seed::derive_seed;
 /// point's RNG seed is derived.
 ///
 /// The point type is caller-defined — use [`ParamGrid`] to build the common
-/// receiver-count × loss-rate × RTT × replica grid, or pass any `Vec` of
-/// scenario descriptions.
+/// receiver-count × replica grid, or pass any `Vec` of scenario
+/// descriptions.
 #[derive(Debug, Clone)]
 pub struct Sweep<P> {
     name: String,
@@ -57,34 +57,28 @@ impl<P> Sweep<P> {
     }
 }
 
-/// One point of a [`ParamGrid`]: a concrete parameter assignment plus the
-/// replica number for seed-replicated runs.
+/// One point of a [`ParamGrid`]: a receiver count plus the replica number
+/// for seed-replicated runs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GridPoint {
     /// Number of receivers in this run.
     pub receivers: usize,
-    /// Per-receiver loss rate.
-    pub loss_rate: f64,
-    /// Round-trip time in seconds.
-    pub rtt: f64,
     /// Replica index in `0..replicas`; each replica gets its own seed, so
-    /// replicas of the same parameter assignment are independent trials.
+    /// replicas of the same receiver count are independent trials.
     pub replica: usize,
 }
 
-/// Builder for the common experiment parameter grid.
+/// Builder for the common experiment grid: receiver counts × seed replicas.
 ///
-/// Axes left unset collapse to a single default value (1 receiver, zero
-/// loss, zero RTT, one replica), so a sweep over just receiver counts is
-/// `ParamGrid::new().receivers(ns).build(..)`.  The cartesian product is
-/// enumerated receivers-major, then loss rate, then RTT, then replica —
-/// the ordering is part of the reproducibility contract because point seeds
-/// are derived from point indices.
+/// Axes left unset collapse to a single default value (1 receiver, one
+/// replica), so a sweep over just receiver counts is
+/// `ParamGrid::new().receivers(ns).build(..)`.  The product is enumerated
+/// receivers-major, then replica — the ordering is part of the
+/// reproducibility contract because point seeds are derived from point
+/// indices.
 #[derive(Debug, Clone)]
 pub struct ParamGrid {
     receivers: Vec<usize>,
-    loss_rates: Vec<f64>,
-    rtts: Vec<f64>,
     replicas: usize,
 }
 
@@ -92,15 +86,13 @@ impl Default for ParamGrid {
     fn default() -> Self {
         ParamGrid {
             receivers: vec![1],
-            loss_rates: vec![0.0],
-            rtts: vec![0.0],
             replicas: 1,
         }
     }
 }
 
 impl ParamGrid {
-    /// Creates a grid with all axes at their defaults.
+    /// Creates a grid with both axes at their defaults.
     pub fn new() -> Self {
         Self::default()
     }
@@ -112,21 +104,7 @@ impl ParamGrid {
         self
     }
 
-    /// Sets the loss-rate axis.
-    pub fn loss_rates(mut self, rates: Vec<f64>) -> Self {
-        assert!(!rates.is_empty(), "loss-rate axis must be non-empty");
-        self.loss_rates = rates;
-        self
-    }
-
-    /// Sets the RTT axis (seconds).
-    pub fn rtts(mut self, rtts: Vec<f64>) -> Self {
-        assert!(!rtts.is_empty(), "RTT axis must be non-empty");
-        self.rtts = rtts;
-        self
-    }
-
-    /// Sets the number of seed replicas per parameter assignment.
+    /// Sets the number of seed replicas per receiver count.
     pub fn replicas(mut self, replicas: usize) -> Self {
         assert!(replicas > 0, "need at least one replica");
         self.replicas = replicas;
@@ -135,7 +113,7 @@ impl ParamGrid {
 
     /// Number of points the grid will enumerate.
     pub fn len(&self) -> usize {
-        self.receivers.len() * self.loss_rates.len() * self.rtts.len() * self.replicas
+        self.receivers.len() * self.replicas
     }
 
     /// Whether the grid is empty (never true: axes are non-empty).
@@ -143,21 +121,12 @@ impl ParamGrid {
         self.len() == 0
     }
 
-    /// Enumerates the cartesian product into a [`Sweep`].
+    /// Enumerates the product into a [`Sweep`].
     pub fn build(self, name: impl Into<String>, base_seed: u64) -> Sweep<GridPoint> {
         let mut points = Vec::with_capacity(self.len());
         for &receivers in &self.receivers {
-            for &loss_rate in &self.loss_rates {
-                for &rtt in &self.rtts {
-                    for replica in 0..self.replicas {
-                        points.push(GridPoint {
-                            receivers,
-                            loss_rate,
-                            rtt,
-                            replica,
-                        });
-                    }
-                }
+            for replica in 0..self.replicas {
+                points.push(GridPoint { receivers, replica });
             }
         }
         Sweep::new(name, base_seed, points)
@@ -171,21 +140,16 @@ mod tests {
     #[test]
     fn grid_enumerates_cartesian_product_in_order() {
         let sweep = ParamGrid::new()
-            .receivers(vec![1, 10])
-            .loss_rates(vec![0.01, 0.1])
+            .receivers(vec![1, 10, 100])
             .replicas(2)
             .build("g", 3);
-        assert_eq!(sweep.len(), 8);
+        assert_eq!(sweep.len(), 6);
         let p = sweep.points();
-        // receivers-major, then loss rate, then replica.
-        assert_eq!((p[0].receivers, p[0].loss_rate, p[0].replica), (1, 0.01, 0));
-        assert_eq!((p[1].receivers, p[1].loss_rate, p[1].replica), (1, 0.01, 1));
-        assert_eq!((p[2].receivers, p[2].loss_rate, p[2].replica), (1, 0.1, 0));
-        assert_eq!(
-            (p[4].receivers, p[4].loss_rate, p[4].replica),
-            (10, 0.01, 0)
-        );
-        assert_eq!((p[7].receivers, p[7].loss_rate, p[7].replica), (10, 0.1, 1));
+        // receivers-major, then replica.
+        assert_eq!((p[0].receivers, p[0].replica), (1, 0));
+        assert_eq!((p[1].receivers, p[1].replica), (1, 1));
+        assert_eq!((p[2].receivers, p[2].replica), (10, 0));
+        assert_eq!((p[5].receivers, p[5].replica), (100, 1));
     }
 
     #[test]

@@ -12,7 +12,6 @@ use tfmcc::feedback::round::{
     mean_first_response, mean_quality_absolute, mean_responses, FeedbackRound,
 };
 use tfmcc::feedback::{BiasMethod, FeedbackPlanner};
-use tfmcc::proto::config::TfmccConfig;
 
 fn main() {
     let window = 6.0; // T = 6 network delays (TFMCC default)
@@ -27,9 +26,10 @@ fn main() {
             BiasMethod::BasicOffset,
             BiasMethod::ModifiedOffset,
         ] {
-            let mut planner = FeedbackPlanner::from_config(&TfmccConfig::default());
-            planner.method = method;
-            planner.cancel_alpha = 1.0;
+            let planner = FeedbackPlanner {
+                cancel_alpha: 1.0,
+                method,
+            };
             let round = FeedbackRound::new(planner, window, delay);
             let outcomes = round.simulate_uniform(n, runs, 3);
             println!(
@@ -45,8 +45,10 @@ fn main() {
     println!("n,alpha,responses,quality");
     for &n in &[100usize, 1000, 10_000] {
         for alpha in [0.0, 0.1, 1.0] {
-            let mut planner = FeedbackPlanner::from_config(&TfmccConfig::default());
-            planner.cancel_alpha = alpha;
+            let planner = FeedbackPlanner {
+                cancel_alpha: alpha,
+                ..FeedbackPlanner::default()
+            };
             let round = FeedbackRound::new(planner, window, delay);
             let outcomes = round.simulate_uniform_range(n, runs, 0.0, 0.2, 9);
             println!(

@@ -43,7 +43,7 @@ proptest! {
     /// in the receiver's own rate.
     #[test]
     fn feedback_timer_bounds(ratio in 0.0f64..2.0, uniform in 1e-9f64..1.0, window in 0.01f64..100.0) {
-        let planner = FeedbackPlanner::from_config(&TfmccConfig::default());
+        let planner = FeedbackPlanner::default();
         let t = planner.timer(ratio, window, uniform);
         prop_assert!(t >= 0.0);
         prop_assert!(t <= window + 1e-9);
@@ -53,7 +53,7 @@ proptest! {
     /// receiver with a higher rate is cancelled too.
     #[test]
     fn cancellation_is_monotone(a in 1.0f64..1e9, b in 1.0f64..1e9, echo in 1.0f64..1e9) {
-        let planner = FeedbackPlanner::from_config(&TfmccConfig::default());
+        let planner = FeedbackPlanner::default();
         let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
         if planner.should_cancel(lo, echo) {
             prop_assert!(planner.should_cancel(hi, echo));
