@@ -24,9 +24,9 @@
 ///
 /// Uses the splitmix64 finalizer over `root + (stream + 1) · φ64` (the
 /// 64-bit golden-ratio constant); splitmix64 is a bijection of the mixed
-/// input, so distinct streams of the same root never collide.  The same
-/// derivation (with the sweep-point index as the stream) is used by
-/// `tfmcc-runner` for per-point seeds.
+/// input, so distinct streams of the same root never collide.  The sweep
+/// executor of `tfmcc-experiments` seeds point `i` of a sweep with stream
+/// `i` of the sweep's base seed.
 pub fn stream_seed(root: u64, stream: u64) -> u64 {
     let mut z = root.wrapping_add(stream.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -41,12 +41,14 @@ mod tests {
 
     #[test]
     fn streams_are_distinct() {
-        let mut seen = BTreeSet::new();
-        for stream in 0..10_000u64 {
-            assert!(
-                seen.insert(stream_seed(42, stream)),
-                "stream collision at {stream}"
-            );
+        for root in [7, 42] {
+            let mut seen = BTreeSet::new();
+            for stream in 0..10_000u64 {
+                assert!(
+                    seen.insert(stream_seed(root, stream)),
+                    "stream collision at {stream} of root {root}"
+                );
+            }
         }
     }
 
@@ -57,6 +59,7 @@ mod tests {
         assert_eq!(stream_seed(0, 0), 0xE220_A839_7B1D_CDAF);
         assert_eq!(stream_seed(7, 0), 0x63CB_E1E4_5932_0DD7);
         assert_eq!(stream_seed(7, 1), 0x044C_3CD7_F43C_661C);
+        assert_eq!(stream_seed(909, 42), 0x6FCD_E433_A9AA_1B3A);
     }
 
     #[test]

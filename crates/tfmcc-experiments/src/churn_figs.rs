@@ -20,8 +20,8 @@ use netsim::prelude::*;
 use tfmcc_agents::population::{FluidSpec, PopulationSpec};
 use tfmcc_agents::session::ReceiverSpec;
 use tfmcc_model::population::Dist;
-use tfmcc_runner::{ParamGrid, Sweep, SweepRunner};
 
+use crate::exec::SweepRunner;
 use crate::output::{Figure, Series};
 use crate::scale::Scale;
 use crate::testbed::{kbit, Flow, Testbed, Topology};
@@ -129,9 +129,8 @@ fn run_churn_point(n: usize, hybrid: bool, seed: u64, duration: f64) -> ChurnOut
 pub fn fig22_churn(runner: &SweepRunner, scale: Scale) -> Figure {
     let ns: Vec<usize> = scale.pick(vec![200, 600], vec![10_000, 100_000]);
     let duration = scale.pick(12.0, 60.0);
-    let sweep = ParamGrid::new().receivers(ns.clone()).build("fig22", 2222);
-    let outcomes = runner.run(&sweep, |pt| {
-        run_churn_point(pt.value.receivers, false, pt.seed, duration)
+    let outcomes = runner.run(2222, &ns, |&n, seed| {
+        run_churn_point(n, false, seed, duration)
     });
 
     let mut fig = Figure::new(
@@ -173,9 +172,8 @@ pub fn fig22_churn(runner: &SweepRunner, scale: Scale) -> Figure {
     // (quick: 10⁵) while the probe and a churning 50-receiver cohort stay
     // packet-level.
     let hybrid_ns: Vec<usize> = scale.pick(vec![100_000], vec![1_000_000]);
-    let hybrid_sweep = Sweep::new("fig22/hybrid", 22_222, hybrid_ns);
-    let hybrid = runner.run(&hybrid_sweep, |pt| {
-        run_churn_point(*pt.value, true, pt.seed, duration)
+    let hybrid = runner.run(22_222, &hybrid_ns, |&n, seed| {
+        run_churn_point(n, true, seed, duration)
     });
     fig.push_series(Series::new(
         "hybrid probe goodput (kbit/s)",

@@ -8,17 +8,16 @@
 
 use netsim::prelude::*;
 use tfmcc_agents::population::PopulationSpec;
-use tfmcc_runner::SweepRunner;
 
+use crate::exec::SweepRunner;
 use crate::output::{Figure, Series};
 use crate::scale::Scale;
-use crate::sweeps::run_single_sim;
 use crate::testbed::{kbit, tcp_per_receiver, Flow, Testbed, Topology};
 
 /// Figure 9: one TFMCC flow and `tcp_flows` TCP flows over a single 8 Mbit/s
 /// bottleneck.
 pub fn fig09_single_bottleneck(runner: &SweepRunner, scale: Scale) -> Figure {
-    run_single_sim(runner, "fig09", || {
+    runner.run_one(|| {
         let tcp_flows = 15;
         let duration = scale.pick(120.0, 200.0);
         let mut bed = Testbed::new(
@@ -90,7 +89,7 @@ fn session_and_forward_tcp(bed: &Testbed, flow_base: u64) -> Vec<Flow> {
 /// Figure 10: one TFMCC group and 16 TCP flows on sixteen individual
 /// 1 Mbit/s tail circuits.
 pub fn fig10_tail_circuits(runner: &SweepRunner, scale: Scale) -> Figure {
-    run_single_sim(runner, "fig10", || {
+    runner.run_one(|| {
         let tails = scale.pick(6, 16);
         let duration = scale.pick(120.0, 200.0);
         // Star of 1 Mbit/s legs; a TCP flow competes with TFMCC on every leg.
@@ -179,7 +178,7 @@ fn return_path_scenario(
 
 /// Figure 18: competing TCP traffic on the return (feedback) paths.
 pub fn fig18_return_path_traffic(runner: &SweepRunner, scale: Scale) -> Figure {
-    run_single_sim(runner, "fig18", || {
+    runner.run_one(|| {
         return_path_scenario(
             "fig18",
             "Competing traffic on return paths (0/1/2/4 TCP flows)",
@@ -192,7 +191,7 @@ pub fn fig18_return_path_traffic(runner: &SweepRunner, scale: Scale) -> Figure {
 
 /// Figure 19: lossy return paths (0/10/20/30 % feedback loss).
 pub fn fig19_lossy_return_paths(runner: &SweepRunner, scale: Scale) -> Figure {
-    run_single_sim(runner, "fig19", || {
+    runner.run_one(|| {
         return_path_scenario(
             "fig19",
             "Lossy return paths (0/10/20/30 % loss)",

@@ -24,8 +24,8 @@ use netsim::prelude::*;
 use tfmcc_agents::manager::{jain_index, SessionAddressing};
 use tfmcc_agents::population::{FluidSpec, PopulationSpec};
 use tfmcc_model::population::Dist;
-use tfmcc_runner::{Sweep, SweepRunner};
 
+use crate::exec::SweepRunner;
 use crate::output::{Figure, Series};
 use crate::scale::Scale;
 use crate::testbed::{kbit, stagger, tcp_per_receiver, Core, Flow, Testbed, Topology};
@@ -209,9 +209,9 @@ fn run_aqm_robustness(seed: u64, fluid_bulk: u64, duration: f64) -> RobustnessOu
 /// receivers.
 pub fn fig24_fairness_matrix(runner: &SweepRunner, scale: Scale) -> Figure {
     let duration = scale.pick(40.0, 120.0);
-    let scenarios = pairings();
-    let sweep = Sweep::new("fig24", 2424, scenarios);
-    let outcomes = runner.run(&sweep, |pt| run_matrix_point(pt.value, pt.seed, duration));
+    let outcomes = runner.run(2424, &pairings(), |pairing, seed| {
+        run_matrix_point(pairing, seed, duration)
+    });
 
     let mut fig = Figure::new(
         "fig24",
@@ -270,13 +270,8 @@ pub fn fig24_fairness_matrix(runner: &SweepRunner, scale: Scale) -> Figure {
     // The AQM robustness leg: fig19's lossy/asymmetric feedback paths under
     // the same queue discipline, with a hybrid population of 10⁵ receivers.
     let fluid_bulk = scale.pick(100_000u64, 1_000_000);
-    let robustness_sweep = Sweep::new("fig24/aqm-robustness", 24_242, vec![()]);
-    let robustness = runner
-        .run(&robustness_sweep, |pt| {
-            run_aqm_robustness(pt.seed, fluid_bulk, duration)
-        })
-        .pop()
-        .expect("one-point sweep yields one outcome");
+    let seed = netsim::rng::stream_seed(24_242, 0);
+    let robustness = runner.run_one(|| run_aqm_robustness(seed, fluid_bulk, duration));
     fig.push_series(Series::new(
         "AQM robustness TFMCC (kbit/s)",
         robustness.trace.clone(),

@@ -10,8 +10,8 @@ use tfmcc_feedback::round::{
 };
 use tfmcc_feedback::{timer_cdf, BiasMethod, FeedbackPlanner};
 use tfmcc_model::feedback_expectation::expected_responses;
-use tfmcc_runner::{Sweep, SweepRunner};
 
+use crate::exec::SweepRunner;
 use crate::output::{Figure, Series};
 use crate::scale::Scale;
 
@@ -37,14 +37,12 @@ pub fn fig01_bias_cdf(runner: &SweepRunner, _scale: Scale) -> Figure {
     );
     // The paper plots a moderately congested receiver (rate ratio 0.7).
     let ratio = 0.7;
-    let methods = vec![
+    let methods = [
         ("exponential", BiasMethod::Unbiased),
         ("offset", BiasMethod::ModifiedOffset),
         ("modified N", BiasMethod::ModifiedN),
     ];
-    let sweep = Sweep::new("fig01", 1, methods);
-    for series in runner.run(&sweep, |pt| {
-        let (name, method) = *pt.value;
+    for series in runner.run(1, &methods, |&(name, method), _| {
         let cdf = timer_cdf(&planner(method, 0.1), ratio, 4.0, 200);
         Series::new(name, cdf.iter().map(|p| (p.time, p.probability)).collect())
     }) {
@@ -67,13 +65,11 @@ pub fn fig02_time_value(runner: &SweepRunner, scale: Scale) -> Figure {
         "feedback time (RTTs)",
         "feedback value (rate ratio)",
     );
-    let methods = vec![
+    let methods = [
         ("normal sent", BiasMethod::Unbiased),
         ("offset sent", BiasMethod::ModifiedOffset),
     ];
-    let sweep = Sweep::new("fig02", 2, methods);
-    for (series, note) in runner.run(&sweep, |pt| {
-        let (name, method) = *pt.value;
+    for (series, note) in runner.run(2, &methods, |&(name, method), _| {
         let round = FeedbackRound::new(planner(method, 1.0), WINDOW, DELAY);
         let outcome = &round.simulate_uniform(n, 1, 2)[0];
         let note = format!(
@@ -113,11 +109,9 @@ pub fn fig03_cancellation(runner: &SweepRunner, scale: Scale) -> Figure {
         .iter()
         .flat_map(|&(_, alpha)| ns.iter().map(move |&n| (alpha, n)))
         .collect();
-    let sweep = Sweep::new("fig03", 42, points);
-    let means = runner.run(&sweep, |pt| {
-        let (alpha, n) = *pt.value;
+    let means = runner.run(42, &points, |&(alpha, n), seed| {
         let round = FeedbackRound::new(planner(BiasMethod::ModifiedOffset, alpha), WINDOW, DELAY);
-        let outcomes = round.simulate_uniform_range(n, runs, 0.0, 0.2, pt.seed);
+        let outcomes = round.simulate_uniform_range(n, runs, 0.0, 0.2, seed);
         mean_responses(&outcomes)
     });
     for (s, chunk) in strategies.iter().zip(means.chunks(ns.len())) {
@@ -156,9 +150,7 @@ pub fn fig04_expected_feedback(runner: &SweepRunner, scale: Scale) -> Figure {
         "number of receivers",
         "number of responses",
     );
-    let sweep = Sweep::new("fig04", 4, vec![2.0, 3.0, 4.0, 5.0, 6.0]);
-    for series in runner.run(&sweep, |pt| {
-        let t = *pt.value;
+    for series in runner.run(4, &[2.0, 3.0, 4.0, 5.0, 6.0], |&t, _| {
         let points: Vec<(f64, f64)> = ns
             .iter()
             .map(|&n| (n as f64, expected_responses(n, 10_000.0, t, 1.0)))
@@ -233,11 +225,9 @@ fn run_bias_comparison(
         .iter()
         .flat_map(|&(_, method)| ns.iter().map(move |&n| (method, n)))
         .collect();
-    let sweep = Sweep::new(id, 7, points);
-    let values = runner.run(&sweep, |pt| {
-        let (method, n) = *pt.value;
+    let values = runner.run(7, &points, |&(method, n), seed| {
         let round = FeedbackRound::new(planner(method, 1.0), WINDOW, DELAY);
-        metric(&round.simulate_uniform(n, runs, pt.seed))
+        metric(&round.simulate_uniform(n, runs, seed))
     });
     for (m, chunk) in methods.iter().zip(values.chunks(ns.len())) {
         let points: Vec<(f64, f64)> = ns.iter().zip(chunk).map(|(&n, &v)| (n as f64, v)).collect();

@@ -25,8 +25,8 @@
 use netsim::prelude::*;
 use tfmcc_agents::population::{FluidSpec, PopulationSpec};
 use tfmcc_model::population::Dist;
-use tfmcc_runner::{Sweep, SweepRunner};
 
+use crate::exec::SweepRunner;
 use crate::output::{Figure, Series};
 use crate::scale::Scale;
 use crate::testbed::{kbit, stagger, Core, Flow, Testbed, Topology};
@@ -147,10 +147,8 @@ pub fn fig23_intertfmcc(runner: &SweepRunner, scale: Scale) -> Figure {
     let counts = session_counts(scale);
     let duration = scale.pick(60.0, 240.0);
     let total = total_receivers(scale);
-    let sweep = Sweep::new("fig23", 2323, counts);
-    let outcomes = runner.run(&sweep, |pt| {
-        let k = *pt.value;
-        run_intertfmcc_point(k, (total / k).max(1), 0, pt.seed, duration)
+    let outcomes = runner.run(2323, &counts, |&k, seed| {
+        run_intertfmcc_point(k, (total / k).max(1), 0, seed, duration)
     });
 
     let mut fig = Figure::new(
@@ -193,12 +191,10 @@ pub fn fig23_intertfmcc(runner: &SweepRunner, scale: Scale) -> Figure {
     // The hybrid extension: the same fairness experiment with each session
     // carrying a fluid bulk, for a 10⁶-receiver (quick) / 10⁷-receiver
     // (paper) total across the competing sessions.
-    let hybrid_k = *session_counts(scale).last().unwrap();
+    let hybrid_k = *counts.last().unwrap();
     let hybrid_bulk = scale.pick(1_000_000u64, 10_000_000) / hybrid_k as u64;
-    let hybrid_sweep = Sweep::new("fig23/hybrid", 23_232, vec![hybrid_k]);
-    let hybrid = runner.run(&hybrid_sweep, |pt| {
-        let k = *pt.value;
-        run_intertfmcc_point(k, (total / k).max(1), hybrid_bulk, pt.seed, duration)
+    let hybrid = runner.run(23_232, &[hybrid_k], |&k, seed| {
+        run_intertfmcc_point(k, (total / k).max(1), hybrid_bulk, seed, duration)
     });
     fig.push_series(Series::new(
         "hybrid Jain index",
@@ -238,7 +234,6 @@ mod tests {
     use std::sync::OnceLock;
 
     use super::*;
-    use tfmcc_runner::SweepRunner;
 
     /// The quick figure on four threads, computed once for every test here.
     fn quick_fig() -> &'static Figure {

@@ -7,10 +7,11 @@
 //! deterministic JSON).
 //! [`scale::Scale`] lets the same code run at paper scale (full receiver
 //! counts and durations) or at a reduced scale suitable for tests and the
-//! benchmark; the [`tfmcc_runner::SweepRunner`] argument shards each
+//! benchmark; the [`SweepRunner`] argument ([`exec`]) shards each
 //! figure's independent simulation points across worker threads with
 //! deterministic per-point seeds, so results are byte-identical for any
-//! `--threads N`.
+//! `--threads N`.  [`cli`] parses the `figs` flags and [`Json`] renders the
+//! result files.
 //!
 //! | Figures | Module |
 //! |---------|--------|
@@ -31,22 +32,24 @@
 pub mod churn_figs;
 pub mod cli;
 pub mod event_bench;
+pub mod exec;
 pub mod fairness_figs;
 pub mod fairness_matrix;
 pub mod feedback_figs;
 pub mod intersession_figs;
+pub mod json;
 pub mod output;
 pub mod responsiveness_figs;
 pub mod scale;
 pub mod scaling_figs;
 pub mod scenario_search;
 pub mod startup_figs;
-pub mod sweeps;
 pub mod testbed;
 
+pub use exec::SweepRunner;
+pub use json::Json;
 pub use output::{Figure, Series};
 pub use scale::Scale;
-pub use tfmcc_runner::SweepRunner;
 
 /// A figure: runs its sweep on the runner at the given scale.
 pub type FigureFn = fn(&SweepRunner, Scale) -> Figure;

@@ -1,6 +1,6 @@
 //! Result containers and CSV/JSON output for the `figs` binary.
 
-use tfmcc_runner::Json;
+use crate::json::Json;
 
 /// A named data series (one curve of a figure).
 #[derive(Debug, Clone, PartialEq)]

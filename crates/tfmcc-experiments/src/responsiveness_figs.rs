@@ -12,11 +12,10 @@ use netsim::prelude::*;
 use tfmcc_agents::population::PopulationSpec;
 use tfmcc_agents::session::ReceiverSpec;
 use tfmcc_baselines::tcp::TcpSenderConfig;
-use tfmcc_runner::{Sweep, SweepRunner};
 
+use crate::exec::SweepRunner;
 use crate::output::{Figure, Series};
 use crate::scale::Scale;
-use crate::sweeps::run_single_sim;
 use crate::testbed::{tcp_per_receiver, Flow, Testbed, Topology};
 
 /// Shared star scenario of Figures 11 and 20: four receivers joining in
@@ -98,7 +97,7 @@ fn join_leave_star(
 /// Figure 11: responsiveness to changes in the loss rate (star with 0.1 %,
 /// 0.5 %, 2.5 % and 12.5 % loss legs, 60 ms RTT).
 pub fn fig11_loss_responsiveness(runner: &SweepRunner, scale: Scale) -> Figure {
-    run_single_sim(runner, "fig11", || {
+    runner.run_one(|| {
         join_leave_star(
             "fig11",
             "Responsiveness to changes in the loss rate",
@@ -111,7 +110,7 @@ pub fn fig11_loss_responsiveness(runner: &SweepRunner, scale: Scale) -> Figure {
 
 /// Figure 20: responsiveness to network delay (30/60/120/240 ms legs).
 pub fn fig20_delay_responsiveness(runner: &SweepRunner, scale: Scale) -> Figure {
-    run_single_sim(runner, "fig20", || {
+    runner.run_one(|| {
         join_leave_star(
             "fig20",
             "Responsiveness to network delay",
@@ -139,10 +138,8 @@ pub fn fig13_rtt_responsiveness(runner: &SweepRunner, scale: Scale) -> Figure {
         .iter()
         .flat_map(|&n| change_times.iter().map(move |&t| (n, t)))
         .collect();
-    let sweep = Sweep::new("fig13", 913, points);
-    let reactions = runner.run(&sweep, |pt| {
-        let (n, change_at) = *pt.value;
-        rtt_change_reaction_delay(n, change_at, scale, pt.seed)
+    let reactions = runner.run(913, &points, |&(n, change_at), seed| {
+        rtt_change_reaction_delay(n, change_at, scale, seed)
     });
     for (&n, chunk) in receiver_counts
         .iter()
@@ -204,7 +201,7 @@ fn rtt_change_reaction_delay(n: usize, change_at: f64, scale: Scale, seed: u64) 
 /// Figure 21: responsiveness to an increasing number of competing TCP flows
 /// (the flow count doubles every 50 seconds).
 pub fn fig21_flow_doubling(runner: &SweepRunner, scale: Scale) -> Figure {
-    run_single_sim(runner, "fig21", || {
+    runner.run_one(|| {
         let interval = scale.pick(40.0, 50.0);
         let waves: &[usize] = &[1, 2, 4, 8];
         let duration = interval * (waves.len() as f64 + 1.0);

@@ -13,8 +13,8 @@ use rand::{Rng, SeedableRng};
 use tfmcc_model::order_stats::scaling_throughput;
 use tfmcc_model::population::{Dist, PopulationProfile};
 use tfmcc_model::throughput::{bytes_to_bits, loss_events_per_rtt, padhye_throughput};
-use tfmcc_runner::{ParamGrid, Sweep, SweepRunner};
 
+use crate::exec::SweepRunner;
 use crate::output::{Figure, Series};
 use crate::scale::Scale;
 
@@ -123,13 +123,15 @@ pub fn fig07_scaling(runner: &SweepRunner, scale: Scale) -> Figure {
         "throughput (kbit/s)",
     );
 
-    let constant_sweep = ParamGrid::new()
-        .receivers(ns.clone())
-        .replicas(replicas)
-        .build("fig07/constant", 7);
-    let constant = runner.run(&constant_sweep, |pt| {
-        let mut rng = SmallRng::seed_from_u64(pt.seed);
-        let rates = vec![LOSS_RATE; pt.value.receivers];
+    // The receiver count of every point, receivers-major: point seeds
+    // follow the point index, so this order is part of the result.
+    let grid: Vec<usize> = ns
+        .iter()
+        .flat_map(|&n| std::iter::repeat_n(n, replicas))
+        .collect();
+    let constant = runner.run(7, &grid, |&n, seed| {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let rates = vec![LOSS_RATE; n];
         tracked_minimum_throughput(&rates, trials_per_replica, &mut rng)
     });
     fig.push_series(Series::new(
@@ -137,13 +139,9 @@ pub fn fig07_scaling(runner: &SweepRunner, scale: Scale) -> Figure {
         mean_per_count(&ns, replicas, &constant),
     ));
 
-    let distrib_sweep = ParamGrid::new()
-        .receivers(ns.clone())
-        .replicas(replicas)
-        .build("fig07/distrib", 1007);
-    let distributed = runner.run(&distrib_sweep, |pt| {
-        let mut rng = SmallRng::seed_from_u64(pt.seed);
-        let rates = stratified_loss_rates(pt.value.receivers, &mut rng);
+    let distributed = runner.run(1007, &grid, |&n, seed| {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let rates = stratified_loss_rates(n, &mut rng);
         tracked_minimum_throughput(&rates, trials_per_replica, &mut rng)
     });
     fig.push_series(Series::new(
@@ -152,11 +150,10 @@ pub fn fig07_scaling(runner: &SweepRunner, scale: Scale) -> Figure {
     ));
 
     // Analytic (order statistics) reference for the constant case.
-    let analytic_sweep = Sweep::new("fig07/analytic", 0, ns.clone());
     let analytic: Vec<(f64, f64)> = ns
         .iter()
-        .zip(runner.run(&analytic_sweep, |pt| {
-            scaling_throughput(*pt.value as u64, HISTORY as u32, LOSS_RATE, RTT, PACKET)
+        .zip(runner.run(0, &ns, |&n, _| {
+            scaling_throughput(n as u64, HISTORY as u32, LOSS_RATE, RTT, PACKET)
         }))
         .map(|(&n, bytes)| (n as f64, bytes_to_bits(bytes) / 1000.0))
         .collect();
@@ -169,10 +166,9 @@ pub fn fig07_scaling(runner: &SweepRunner, scale: Scale) -> Figure {
         vec![1000, 10_000, 100_000, 1_000_000],
         vec![10_000, 100_000, 1_000_000, 10_000_000],
     );
-    let population_sweep = Sweep::new("fig07/population", 0, extended_ns.clone());
     let population: Vec<(f64, f64)> = extended_ns
         .iter()
-        .zip(runner.run(&population_sweep, |pt| population_min_throughput(*pt.value)))
+        .zip(runner.run(0, &extended_ns, |&n, _| population_min_throughput(n)))
         .map(|(&n, bytes)| (n as f64, bytes_to_bits(bytes) / 1000.0))
         .collect();
     fig.push_series(Series::new("stratified (population model)", population));
@@ -209,10 +205,9 @@ pub fn fig17_loss_events_per_rtt(runner: &SweepRunner, _scale: Scale) -> Figure 
         ps.push(p);
         p *= 1.15;
     }
-    let sweep = Sweep::new("fig17", 17, ps.clone());
     let points: Vec<(f64, f64)> = ps
         .iter()
-        .zip(runner.run(&sweep, |pt| loss_events_per_rtt(*pt.value)))
+        .zip(runner.run(17, &ps, |&p, _| loss_events_per_rtt(p)))
         .map(|(&p, y)| (p, y))
         .collect();
     let peak = points.iter().map(|&(_, y)| y).fold(0.0, f64::max);

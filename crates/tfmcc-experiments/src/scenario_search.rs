@@ -27,8 +27,8 @@ use rand::{Rng, SeedableRng};
 use tfmcc_agents::population::PopulationSpec;
 use tfmcc_agents::session::ReceiverSpec;
 use tfmcc_mc::replay::Replay;
-use tfmcc_runner::{Sweep, SweepRunner};
 
+use crate::exec::SweepRunner;
 use crate::output::{Figure, Series};
 use crate::scale::Scale;
 use crate::testbed::{stagger, Core, Flow, Testbed, Topology};
@@ -302,12 +302,9 @@ pub fn anneal(
                 next
             })
             .collect();
-        let sweep = Sweep::new(
-            format!("{}-{iteration}", objective.name()),
-            base_seed ^ iteration as u64,
-            candidates,
-        );
-        let outcomes = runner.run(&sweep, |pt| evaluate_scenario(pt.value, duration));
+        let outcomes = runner.run(base_seed ^ iteration as u64, &candidates, |c, _| {
+            evaluate_scenario(c, duration)
+        });
 
         // Greedily take the worst candidate of the batch...
         let (best_idx, best_outcome) = outcomes
@@ -320,7 +317,7 @@ pub fn anneal(
                     .expect("scores are never NaN")
             })
             .expect("CANDIDATES > 0");
-        let candidate = sweep.points()[best_idx];
+        let candidate = candidates[best_idx];
         let candidate_score = objective.score(best_outcome);
 
         // ...then Metropolis-accept it against the current point.
@@ -514,7 +511,6 @@ pub fn scenario_search(runner: &SweepRunner, scale: Scale) -> Figure {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tfmcc_runner::SweepRunner;
 
     fn tiny() -> Scenario {
         Scenario {

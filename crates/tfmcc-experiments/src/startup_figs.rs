@@ -11,11 +11,10 @@ use std::ops::ControlFlow;
 use netsim::prelude::*;
 use tfmcc_agents::population::PopulationSpec;
 use tfmcc_agents::session::ReceiverSpec;
-use tfmcc_runner::{Sweep, SweepRunner};
 
+use crate::exec::SweepRunner;
 use crate::output::{Figure, Series};
 use crate::scale::Scale;
-use crate::sweeps::run_single_sim;
 use crate::testbed::{kbit, tcp_per_receiver, Flow, Testbed, Topology};
 
 /// The sender side of the startup stars: a `bandwidth` (bytes/s), 20 ms
@@ -31,7 +30,7 @@ fn bottleneck(bandwidth: f64, queue: usize) -> StarConfig {
 /// Figure 12: number of receivers with a valid RTT estimate over time, for a
 /// large receiver set behind one bottleneck (correlated loss, worst case).
 pub fn fig12_rtt_measurements(runner: &SweepRunner, scale: Scale) -> Figure {
-    run_single_sim(runner, "fig12", || {
+    runner.run_one(|| {
         let n = scale.pick(40, 400);
         let duration = scale.pick(80.0, 200.0);
         // One shared 8 Mbit/s bottleneck into a hub, then clean per-receiver
@@ -107,9 +106,7 @@ pub fn fig14_slowstart(runner: &SweepRunner, scale: Scale) -> Figure {
         .iter()
         .flat_map(|&(_, tcp_flows)| counts.iter().map(move |&n| (tcp_flows, n)))
         .collect();
-    let sweep = Sweep::new("fig14", 914, points);
-    let peaks = runner.run(&sweep, |pt| {
-        let (tcp_flows, n) = *pt.value;
+    let peaks = runner.run(914, &points, |&(tcp_flows, n), _| {
         max_slowstart_rate(n, tcp_flows, scale)
     });
     for (m, chunk) in mixes.iter().zip(peaks.chunks(counts.len())) {
@@ -221,15 +218,13 @@ fn late_join(id: &str, title: &str, tcp_on_slow_link: bool, scale: Scale) -> Fig
 
 /// Figure 15: late join of a low-rate receiver.
 pub fn fig15_late_join(runner: &SweepRunner, scale: Scale) -> Figure {
-    run_single_sim(runner, "fig15", || {
-        late_join("fig15", "Late join of a low-rate receiver", false, scale)
-    })
+    runner.run_one(|| late_join("fig15", "Late join of a low-rate receiver", false, scale))
 }
 
 /// Figure 16: late join of a low-rate receiver with an additional TCP flow on
 /// the slow link.
 pub fn fig16_late_join_tcp(runner: &SweepRunner, scale: Scale) -> Figure {
-    run_single_sim(runner, "fig16", || {
+    runner.run_one(|| {
         late_join(
             "fig16",
             "Late join of a low-rate receiver with an additional TCP flow on the slow link",

@@ -111,7 +111,7 @@ pub fn expected_responses(n: u64, n_estimate: f64, t_max: f64, delay: f64) -> f6
     nf * p_respond
 }
 
-/// Sweep of [`expected_responses`] over a grid of `t_max` values and receiver
+/// [`expected_responses`] over a grid of `t_max` values and receiver
 /// counts, as plotted in paper Figure 4.
 ///
 /// Returns one row per `(t_max, n)` pair: `(t_max, n, expected_responses)`.

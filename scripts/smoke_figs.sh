@@ -4,8 +4,11 @@
 # --threads 2), write its CSV and JSON into OUT_DIR, and fail loudly if any
 # run exits non-zero, if any expected output file is missing or empty, or if
 # any JSON differs from the SHA-256 pinned for it in
-# scripts/figs_quick.sha256.  Figures are deterministic, so a changed hash
-# means some figure moved; if that is on purpose, re-record the pins with
+# scripts/figs_quick.sha256.  Then run every name again on the serial path
+# (--threads 1, into OUT_DIR/threads1) against the same pins: results must
+# not depend on the thread count.  Figures are deterministic, so a changed
+# hash means some figure moved; if that is on purpose, re-record the pins
+# with
 #     (cd OUT_DIR && sha256sum fig*.json scenario_search.json) > scripts/figs_quick.sha256
 #
 # Usage: scripts/smoke_figs.sh [OUT_DIR]   (default: out/figs)
@@ -39,37 +42,44 @@ done
 echo "smoking ${#names[@]} figures into $out_dir"
 
 status=0
-for name in "${names[@]}"; do
-    csv="$out_dir/$name.csv"
-    json="$out_dir/$name.json"
-    rm -f "$csv" "$json"
-    if ! figs "$name" --quick --threads 2 --out "$json" > "$csv"; then
-        echo "FAIL $name (non-zero exit)" >&2
-        status=1
-        continue
-    fi
-    missing=""
-    for f in "$csv" "$json"; do
-        if ! [ -e "$f" ]; then
-            missing+=" $(basename "$f") (missing)"
-        elif ! [ -s "$f" ]; then
-            missing+=" $(basename "$f") (empty)"
-        fi
-    done
-    if [ -n "$missing" ]; then
-        echo "FAIL $name:$missing" >&2
-        status=1
-        continue
-    fi
-    echo "ok   $name"
-done
-
 pins="$PWD/scripts/figs_quick.sha256"
-if ! drift=$(cd "$out_dir" && sha256sum "${names[@]/%/.json}" | diff "$pins" -); then
-    echo "FAIL figure JSON differs from $pins:" >&2
-    echo "$drift" >&2
-    status=1
-else
-    echo "ok   ${#names[@]} JSONs match $pins"
-fi
+# smoke THREADS DIR: every name at --threads THREADS into DIR, then the pins.
+smoke() {
+    local threads="$1" dir="$2"
+    mkdir -p "$dir"
+    for name in "${names[@]}"; do
+        csv="$dir/$name.csv"
+        json="$dir/$name.json"
+        rm -f "$csv" "$json"
+        if ! figs "$name" --quick --threads "$threads" --out "$json" > "$csv"; then
+            echo "FAIL $name --threads $threads (non-zero exit)" >&2
+            status=1
+            continue
+        fi
+        missing=""
+        for f in "$csv" "$json"; do
+            if ! [ -e "$f" ]; then
+                missing+=" $(basename "$f") (missing)"
+            elif ! [ -s "$f" ]; then
+                missing+=" $(basename "$f") (empty)"
+            fi
+        done
+        if [ -n "$missing" ]; then
+            echo "FAIL $name --threads $threads:$missing" >&2
+            status=1
+            continue
+        fi
+        echo "ok   $name --threads $threads"
+    done
+    if ! drift=$(cd "$dir" && sha256sum "${names[@]/%/.json}" | diff "$pins" -); then
+        echo "FAIL figure JSON at --threads $threads differs from $pins:" >&2
+        echo "$drift" >&2
+        status=1
+    else
+        echo "ok   ${#names[@]} JSONs at --threads $threads match $pins"
+    fi
+}
+
+smoke 2 "$out_dir"
+smoke 1 "$out_dir/threads1"
 exit "$status"

@@ -14,8 +14,8 @@
 //!   is a session with one receiver);
 //! * [`tcp`], [`pgmcc`] — the baselines (`tfmcc-baselines`): the TCP Reno
 //!   competing-traffic agent and the PGMCC comparator;
-//! * [`experiments`] — the figure-by-figure experiment harness;
-//! * [`runner`] — the parallel sweep runner the harness executes on.
+//! * [`experiments`] — the figure-by-figure experiment harness and the
+//!   parallel sweep runner it executes on.
 //!
 //! See `examples/` for runnable end-to-end scenarios and `DESIGN.md` /
 //! `EXPERIMENTS.md` for the reproduction notes.
@@ -31,7 +31,6 @@ pub use tfmcc_feedback as feedback;
 pub use tfmcc_mc as mc;
 pub use tfmcc_model as model;
 pub use tfmcc_proto as proto;
-pub use tfmcc_runner as runner;
 
 /// Commonly used types across the workspace.
 pub mod prelude {
