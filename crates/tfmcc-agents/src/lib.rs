@@ -7,11 +7,9 @@
 //! mapped onto simulator timers.  [`session::TfmccSessionBuilder`] wires a
 //! whole session (one sender, many receivers, optional staggered joins and
 //! leaves) in one call — the building block of every experiment in
-//! `tfmcc-experiments`, unicast TFRC included as a one-receiver session —
-//! and [`manager::SessionManager`] builds **many independent sessions in
-//! one simulation** through it (per-session group/port/flow blocks,
-//! staggered starts, per-session reports and cross-session fairness
-//! metrics), the substrate of the inter-TFMCC experiments.
+//! `tfmcc-experiments`, unicast TFRC included as a one-receiver session.
+//! Several sessions share one simulation when each is built on its own
+//! group, ports and flow id; the experiments' testbed hands those out.
 //!
 //! Receiver populations are specified through the unified
 //! [`PopulationSpec`] surface: packet-level receivers run exact per-receiver
@@ -24,13 +22,11 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod manager;
 pub mod population;
 pub mod receiver_agent;
 pub mod sender_agent;
 pub mod session;
 
-pub use manager::{SessionId, SessionManager, SessionReport, SessionSummary};
 pub use population::{FluidPopulationAgent, FluidSpec, PopulationSpec};
 pub use receiver_agent::TfmccReceiverAgent;
 pub use sender_agent::TfmccSenderAgent;

@@ -2,9 +2,8 @@
 //!
 //! [`TfmccSessionBuilder::build_population`] is the only code that wires a
 //! session: the sender, one agent per receiver entry, the shared
-//! configuration and the input validation.  The multi-session
-//! [`SessionManager`](crate::manager::SessionManager) builds every session
-//! through it, handing each one the next addressing block.  Unicast TFRC is
+//! configuration and the input validation.  Sessions sharing a simulation
+//! differ only in the builder's group, ports and flow id.  Unicast TFRC is
 //! a session with a single packet-level receiver, which is always its CLR.
 
 use std::sync::Arc;

@@ -1,12 +1,11 @@
 //! Exercises every documented validation panic of the Population API — the
 //! messages asserted here are part of the public surface of
-//! [`TfmccSessionBuilder::build_population`], which
-//! [`SessionManager::add_population_session`] builds through.
+//! [`TfmccSessionBuilder::build_population`], which every session is built
+//! through.
 
 use netsim::prelude::*;
-use tfmcc_agents::manager::SessionManager;
 use tfmcc_agents::population::{FluidSpec, PopulationSpec};
-use tfmcc_agents::session::TfmccSessionBuilder;
+use tfmcc_agents::session::{ReceiverSpec, TfmccSessionBuilder};
 use tfmcc_model::population::Dist;
 
 fn one_leg_star(sim: &mut Simulator) -> Star {
@@ -34,7 +33,7 @@ fn fluid(node: NodeId, count: u64) -> FluidSpec {
 fn empty_population_is_rejected() {
     let mut sim = Simulator::new(7);
     let st = one_leg_star(&mut sim);
-    SessionManager::new().add_population_session(&mut sim, 0.0, st.sender, &[]);
+    TfmccSessionBuilder::default().build_population(&mut sim, st.sender, &[]);
 }
 
 #[test]
@@ -42,9 +41,8 @@ fn empty_population_is_rejected() {
 fn all_fluid_sessions_are_rejected() {
     let mut sim = Simulator::new(7);
     let st = one_leg_star(&mut sim);
-    SessionManager::new().add_population_session(
+    TfmccSessionBuilder::default().build_population(
         &mut sim,
-        0.0,
         st.sender,
         &[PopulationSpec::Fluid(fluid(st.receivers[0], 1000))],
     );
@@ -55,9 +53,8 @@ fn all_fluid_sessions_are_rejected() {
 fn zero_count_fluid_is_rejected() {
     let mut sim = Simulator::new(7);
     let st = one_leg_star(&mut sim);
-    SessionManager::new().add_population_session(
+    TfmccSessionBuilder::default().build_population(
         &mut sim,
-        0.0,
         st.sender,
         &[
             PopulationSpec::packet(st.receivers[0]),
@@ -73,9 +70,8 @@ fn out_of_range_loss_is_rejected() {
     let st = one_leg_star(&mut sim);
     let mut f = fluid(st.receivers[0], 100);
     f.loss = Dist::Uniform { lo: 0.5, hi: 1.5 };
-    SessionManager::new().add_population_session(
+    TfmccSessionBuilder::default().build_population(
         &mut sim,
-        0.0,
         st.sender,
         &[
             PopulationSpec::packet(st.receivers[0]),
@@ -91,9 +87,8 @@ fn non_positive_rtt_is_rejected() {
     let st = one_leg_star(&mut sim);
     let mut f = fluid(st.receivers[0], 100);
     f.rtt = Dist::Point(0.0);
-    SessionManager::new().add_population_session(
+    TfmccSessionBuilder::default().build_population(
         &mut sim,
-        0.0,
         st.sender,
         &[
             PopulationSpec::packet(st.receivers[0]),
@@ -102,14 +97,52 @@ fn non_positive_rtt_is_rejected() {
     );
 }
 
+/// A builder on another addressing block, starting late, validates the
+/// same way as the default one.
 #[test]
 #[should_panic(expected = "at least one packet-level receiver")]
 fn builder_applies_the_same_validation() {
     let mut sim = Simulator::new(7);
     let st = one_leg_star(&mut sim);
-    TfmccSessionBuilder::default().build_population(
+    TfmccSessionBuilder {
+        group: GroupId(2),
+        data_port: Port(5002),
+        sender_port: Port(5003),
+        flow: FlowId(101),
+        start_at: 10.0,
+        ..TfmccSessionBuilder::default()
+    }
+    .build_population(
         &mut sim,
         st.sender,
         &[PopulationSpec::Fluid(fluid(st.receivers[0], 1000))],
+    );
+}
+
+#[test]
+#[should_panic(expected = "churn periods must be positive")]
+fn non_positive_churn_is_rejected() {
+    let mut sim = Simulator::new(7);
+    let st = one_leg_star(&mut sim);
+    let spec = ReceiverSpec::always(st.receivers[0]).churning(10.0, 0.0);
+    TfmccSessionBuilder::default().build_population(
+        &mut sim,
+        st.sender,
+        &[PopulationSpec::Packet(spec)],
+    );
+}
+
+#[test]
+#[should_panic(expected = "leave_at and churn are exclusive")]
+fn leave_and_churn_are_exclusive() {
+    let mut sim = Simulator::new(7);
+    let st = one_leg_star(&mut sim);
+    let spec = ReceiverSpec::always(st.receivers[0])
+        .leaving_at(5.0)
+        .churning(1.0, 1.0);
+    TfmccSessionBuilder::default().build_population(
+        &mut sim,
+        st.sender,
+        &[PopulationSpec::Packet(spec)],
     );
 }

@@ -17,18 +17,19 @@
 //! Every flow runs on the [`testbed`](crate::testbed): TFMCC and TFRC flows
 //! are sessions (a TFRC flow is a one-receiver TFMCC session, whose receiver
 //! is always the CLR), and flow `i` of a pairing — whatever its protocol —
-//! owns addressing block `i` of the testbed's session manager, so a
-//! mixed-protocol simulation cannot alias multicast groups or ports.
+//! owns the testbed's addressing [`block`]`(i)`, so a mixed-protocol
+//! simulation cannot alias multicast groups or ports.
 
 use netsim::prelude::*;
-use tfmcc_agents::manager::{jain_index, SessionAddressing};
 use tfmcc_agents::population::{FluidSpec, PopulationSpec};
 use tfmcc_model::population::Dist;
 
 use crate::exec::SweepRunner;
 use crate::output::{Figure, Series};
 use crate::scale::Scale;
-use crate::testbed::{kbit, stagger, tcp_per_receiver, Core, Flow, Testbed, Topology};
+use crate::testbed::{
+    block, jain_index, kbit, stagger, tcp_per_receiver, Core, Flow, Testbed, Topology,
+};
 
 /// The protocols competing in the matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,7 +110,7 @@ fn run_matrix_point(protos: &[Proto], seed: u64, duration: f64) -> MatrixOutcome
                 }
                 Proto::Pgmcc => Flow::Pgmcc(sender, receiver),
                 Proto::Tcp => {
-                    let addr = SessionAddressing::block(i);
+                    let addr = block(i);
                     let src = Address::new(sender, addr.sender_port);
                     Flow::tcp(src, Address::new(receiver, addr.data_port), addr.flow, 1.0)
                 }

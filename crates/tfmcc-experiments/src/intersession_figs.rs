@@ -4,8 +4,8 @@
 //! The paper's evaluation doubles *TCP* flows against one TFMCC flow
 //! (Figure 21); this scenario turns the competition inward and runs several
 //! independent TFMCC sessions — each with its own sender, multicast group
-//! and receiver population, wired by
-//! [`tfmcc_agents::manager::SessionManager`] — through a common bottleneck.
+//! and receiver population, wired by the [`testbed`](crate::testbed) on
+//! its own addressing block — through a common bottleneck.
 //! A single-rate protocol that is fair to TCP should *a fortiori* be fair to
 //! itself: the sessions' long-term rates should converge towards equal
 //! shares, which the figure quantifies with Jain's fairness index
@@ -29,7 +29,7 @@ use tfmcc_model::population::Dist;
 use crate::exec::SweepRunner;
 use crate::output::{Figure, Series};
 use crate::scale::Scale;
-use crate::testbed::{kbit, stagger, Core, Flow, Testbed, Topology};
+use crate::testbed::{jain_index, kbit, stagger, Core, Flow, Testbed, Topology};
 
 /// Seconds between consecutive session starts (sessions join a running
 /// system, they do not line up on t = 0).
@@ -114,30 +114,28 @@ fn run_intertfmcc_point(
     // Fairness window: after the last session had time to converge.
     let from = (k as f64 * START_STAGGER + duration * 0.4).min(duration * 0.7);
     let to = duration - 2.0;
-    let report = bed.manager.report(&bed.sim, from, to);
+    let rates: Vec<f64> = (0..k)
+        .map(|i| bed.session(i).mean_throughput(&bed.sim, from, to))
+        .collect();
+    let total: f64 = rates.iter().sum();
     IntertfmccOutcome {
         sessions: k,
         receivers_per_session,
-        jain: report.jain_index(),
-        min_kbit: kbit(report.min_throughput()),
-        mean_kbit: kbit(report.total_throughput() / k as f64),
-        max_kbit: kbit(report.max_throughput()),
-        aggregate_kbit: kbit(report.total_throughput()),
-        clr_changes: report
-            .sessions
-            .iter()
-            .map(|s| s.sender_stats.clr_changes)
-            .sum(),
-        traces: report
-            .sessions
-            .iter()
-            .map(|s| {
-                s.probe_trace
-                    .iter()
-                    .map(|&(t, bps)| (t, kbit(bps)))
-                    .collect()
+        jain: jain_index(rates.iter().copied()),
+        min_kbit: kbit(rates.iter().copied().fold(f64::INFINITY, f64::min)),
+        mean_kbit: kbit(total / k as f64),
+        max_kbit: kbit(rates.iter().copied().fold(0.0, f64::max)),
+        aggregate_kbit: kbit(total),
+        clr_changes: (0..k)
+            .map(|i| {
+                bed.session(i)
+                    .sender_agent(&bed.sim)
+                    .protocol()
+                    .stats()
+                    .clr_changes
             })
-            .collect(),
+            .sum(),
+        traces: (0..k).map(|i| bed.series(i)).collect(),
     }
 }
 

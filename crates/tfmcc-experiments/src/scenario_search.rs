@@ -31,7 +31,7 @@ use tfmcc_mc::replay::Replay;
 use crate::exec::SweepRunner;
 use crate::output::{Figure, Series};
 use crate::scale::Scale;
-use crate::testbed::{stagger, Core, Flow, Testbed, Topology};
+use crate::testbed::{jain_index, stagger, Core, Flow, Testbed, Topology};
 
 /// Neighbour candidates proposed (and evaluated in parallel) per annealing
 /// iteration.  A constant — not the thread count — so results do not depend
@@ -183,20 +183,23 @@ pub fn evaluate_scenario(scenario: &Scenario, duration: f64) -> ScenarioOutcome 
 
     let from = (duration * 0.3).max(k as f64 * 2.0 + 2.0);
     let to = duration - 1.0;
-    let report = bed.manager.report(&bed.sim, from, to.max(from + 1.0));
+    let rates: Vec<f64> = (0..k)
+        .map(|i| {
+            bed.session(i)
+                .mean_throughput(&bed.sim, from, to.max(from + 1.0))
+        })
+        .collect();
+    let stats: Vec<_> = (0..k)
+        .map(|i| bed.session(i).sender_agent(&bed.sim).protocol().stats())
+        .collect();
     ScenarioOutcome {
-        jain: report.jain_index(),
-        clr_recovery: report
-            .sessions
+        jain: jain_index(rates.iter().copied()),
+        clr_recovery: stats
             .iter()
-            .map(|s| s.sender_stats.max_clr_recovery_secs)
+            .map(|s| s.max_clr_recovery_secs)
             .fold(0.0, f64::max),
-        min_throughput: report.min_throughput(),
-        clr_changes: report
-            .sessions
-            .iter()
-            .map(|s| s.sender_stats.clr_changes)
-            .sum(),
+        min_throughput: rates.iter().copied().fold(f64::INFINITY, f64::min),
+        clr_changes: stats.iter().map(|s| s.clr_changes).sum(),
     }
 }
 

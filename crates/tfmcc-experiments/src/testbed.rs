@@ -12,23 +12,58 @@
 //! simulator breaks event ties by it, so the order is part of every pinned
 //! figure.
 //!
-//! Flow `i` owns block `i` of the testbed's [`SessionManager`] addressing
-//! sequence: a session is built on it, a PGMCC flow binds it, and a TCP
-//! flow names its own addresses and leaves its block unused.
+//! Flow `i` owns addressing [`block`]`(i)`: a session is built on it, a
+//! PGMCC flow binds it, and a TCP flow names its own addresses and leaves
+//! its block unused.  The block is computed from the flow's place in the
+//! testbed's one flow list, so no two sessions or PGMCC flows of a point
+//! share a group, a port or a flow id.
 
 use std::ops::ControlFlow;
 
 use netsim::packet::{AgentId, LinkId, NodeId};
 use netsim::prelude::*;
-use tfmcc_agents::manager::{SessionId, SessionManager};
 use tfmcc_agents::population::PopulationSpec;
-use tfmcc_agents::session::TfmccSession;
+use tfmcc_agents::session::{TfmccSession, TfmccSessionBuilder};
 use tfmcc_baselines::pgmcc::{PgmccReceiverAgent, PgmccSenderAgent};
 use tfmcc_baselines::tcp::{self, TcpSenderConfig, TcpSink};
 
 /// Converts bytes/second to kbit/s.
 pub fn kbit(bytes_per_sec: f64) -> f64 {
     bytes_per_sec * 8.0 / 1000.0
+}
+
+/// Addressing block `index`, as the session builder flow `index` of a
+/// testbed is built with: group `1 + index`, data/report ports
+/// `5000 + 2·index` / `5001 + 2·index` and flow `100 + index`.  Block 0 is
+/// [`TfmccSessionBuilder::default`].
+pub fn block(index: usize) -> TfmccSessionBuilder {
+    let base = u16::try_from(5000 + 2 * index).expect("port space");
+    TfmccSessionBuilder {
+        group: GroupId(1 + index as u32),
+        data_port: Port(base),
+        sender_port: Port(base + 1),
+        flow: FlowId(100 + index as u64),
+        ..TfmccSessionBuilder::default()
+    }
+}
+
+/// Jain's fairness index `(Σx)² / (n · Σx²)` over a set of allocations:
+/// 1.0 for equal rates, `1/n` when one takes everything, and 1.0 for none
+/// or all zero.
+pub fn jain_index<I: IntoIterator<Item = f64>>(rates: I) -> f64 {
+    let mut sum = 0.0;
+    let mut sum_sq = 0.0;
+    let mut n = 0usize;
+    for x in rates {
+        assert!(x >= 0.0 && x.is_finite(), "rates must be finite and ≥ 0");
+        sum += x;
+        sum_sq += x * x;
+        n += 1;
+    }
+    if n == 0 || sum_sq == 0.0 {
+        return 1.0;
+    }
+    sum * sum / (n as f64 * sum_sq)
 }
 
 /// The topology a figure point runs on.
@@ -151,9 +186,9 @@ pub fn tcp_per_receiver(
 
 /// What a wired flow is read through: its session, TCP sink or PGMCC
 /// receiver.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 enum Handle {
-    Session(SessionId),
+    Session(TfmccSession),
     Tcp(AgentId),
     Pgmcc(AgentId),
 }
@@ -164,8 +199,6 @@ pub struct Testbed {
     pub sim: Simulator,
     /// Where the flows attach.
     pub layout: Layout,
-    /// The sessions, and the addressing sequence every flow draws from.
-    pub manager: SessionManager,
     flows: Vec<Handle>,
 }
 
@@ -197,7 +230,6 @@ impl Testbed {
         Testbed {
             sim,
             layout,
-            manager: SessionManager::new(),
             flows: Vec::new(),
         }
     }
@@ -206,14 +238,14 @@ impl Testbed {
     pub fn wire(&mut self, flows: impl IntoIterator<Item = Flow>) {
         for flow in flows {
             let sim = &mut self.sim;
+            let a = block(self.flows.len());
             let handle = match flow {
                 Flow::Tfmcc {
                     sender,
                     start_at,
                     populations,
-                } => Handle::Session(self.manager.add_population_session(
+                } => Handle::Session(TfmccSessionBuilder { start_at, ..a }.build_population(
                     sim,
-                    start_at,
                     sender,
                     &populations,
                 )),
@@ -221,12 +253,8 @@ impl Testbed {
                     src,
                     sender,
                     sink_bin,
-                } => {
-                    self.manager.reserve_addressing();
-                    Handle::Tcp(tcp::add_flow(sim, src, sender, sink_bin))
-                }
+                } => Handle::Tcp(tcp::add_flow(sim, src, sender, sink_bin)),
                 Flow::Pgmcc(sender, receiver) => {
-                    let a = self.manager.reserve_addressing();
                     let agent = PgmccSenderAgent::new(a.group, a.data_port, a.flow);
                     let sender_agent = sim.add_agent(sender, a.sender_port, Box::new(agent));
                     let agent =
@@ -266,8 +294,8 @@ impl Testbed {
 
     /// The session wired as flow `flow`; panics if it is not a session.
     pub fn session(&self, flow: usize) -> &TfmccSession {
-        match self.flows[flow] {
-            Handle::Session(id) => self.manager.session(id),
+        match &self.flows[flow] {
+            Handle::Session(session) => session,
             _ => panic!("flow {flow} is not a TFMCC session"),
         }
     }
@@ -276,11 +304,11 @@ impl Testbed {
     /// TCP sink or a PGMCC receiver.
     pub fn meter(&self, flow: usize) -> &ThroughputMeter {
         let sim = &self.sim;
-        match self.flows[flow] {
-            Handle::Session(id) => self.manager.session(id).receiver_agent(sim, 0).meter(),
-            Handle::Tcp(sink) => sim.agent::<TcpSink>(sink).expect("tcp sink").meter(),
+        match &self.flows[flow] {
+            Handle::Session(session) => session.receiver_agent(sim, 0).meter(),
+            Handle::Tcp(sink) => sim.agent::<TcpSink>(*sink).expect("tcp sink").meter(),
             Handle::Pgmcc(rx) => {
-                let rx = sim.agent::<PgmccReceiverAgent>(rx);
+                let rx = sim.agent::<PgmccReceiverAgent>(*rx);
                 rx.expect("pgmcc receiver").meter()
             }
         }
@@ -357,6 +385,59 @@ mod tests {
             StarLeg::clean(125_000.0, 0.02),
             StarLeg::clean(250_000.0, 0.03).with_downstream_loss(0.01),
         ]
+    }
+
+    #[test]
+    fn jain_index_extremes() {
+        assert_eq!(jain_index([100.0, 100.0, 100.0, 100.0]), 1.0);
+        let skewed = jain_index([100.0, 0.0, 0.0, 0.0]);
+        assert!((skewed - 0.25).abs() < 1e-12, "got {skewed}");
+        assert_eq!(jain_index(std::iter::empty()), 1.0);
+        assert_eq!(jain_index([0.0, 0.0]), 1.0);
+    }
+
+    /// Two concurrent sessions over one 2 Mbit/s dumbbell bottleneck, on
+    /// blocks 0 and 1, split it roughly fairly.
+    #[test]
+    fn two_sessions_share_a_bottleneck() {
+        let dumbbell = DumbbellConfig {
+            bottleneck_bandwidth: 250_000.0,
+            bottleneck_queue: QueueDiscipline::drop_tail(40),
+            access_bandwidth: 1_250_000.0,
+            access_delay: 0.005,
+            ..DumbbellConfig::default()
+        };
+        let mut bed = Testbed::new(42, &Topology::Dumbbell(dumbbell));
+        let (senders, receivers) = (bed.layout.senders.clone(), bed.layout.receivers.clone());
+        bed.wire((0..2).map(|i| Flow::Tfmcc {
+            sender: senders[i],
+            start_at: 10.0 * i as f64,
+            populations: vec![PopulationSpec::packet(receivers[i])],
+        }));
+        bed.run_until(220.0);
+
+        let rates: Vec<f64> = (0..2)
+            .map(|i| bed.session(i).mean_throughput(&bed.sim, 100.0, 215.0))
+            .collect();
+        for (i, &rate) in rates.iter().enumerate() {
+            assert!(rate > 20_000.0, "session {i} starved: {rate} B/s");
+            let sender = bed.session(i).sender_agent(&bed.sim).protocol();
+            assert!(sender.stats().data_packets > 0);
+            assert!(!bed.series(i).is_empty());
+        }
+        let jain = jain_index(rates.iter().copied());
+        assert!(
+            jain > 0.70,
+            "two identical TFMCC sessions should share fairly: Jain {jain}, rates {} vs {}",
+            rates[0],
+            rates[1]
+        );
+        assert!(
+            rates.iter().sum::<f64>() <= 300_000.0,
+            "cannot exceed the bottleneck"
+        );
+        let min = rates.iter().copied().fold(f64::INFINITY, f64::min);
+        assert!(min <= rates.iter().copied().fold(0.0, f64::max));
     }
 
     /// A two-leg star with one session and one TCP flow, wired by the

@@ -1,8 +1,8 @@
 //! Golden-output regression test: the quick-scale Figure 23 (inter-TFMCC
 //! fairness) JSON is pinned byte for byte.
 //!
-//! The pinned file was captured when the multi-session `SessionManager`
-//! landed (incremental feedback aggregation as the default sender path).
+//! The pinned file was captured when multi-session wiring landed
+//! (incremental feedback aggregation as the default sender path).
 //! Any future change to the simulator core, the protocol, the session
 //! layer, or the JSON rendering that alters this output must be deliberate:
 //! regenerate with

@@ -10,18 +10,19 @@
 //! churn (leave and rejoin the group on sub-second cycles).
 //!
 //! With `sessions=K` the probe becomes the **multi-session** workload from
-//! the roadmap: instead of CBR sinks it wires K full TFMCC sessions (each
-//! with its own sender node, multicast group and share of the N receivers,
-//! starts staggered 2 s apart) through a `SessionManager` sharing one
-//! simulator, and reports per-session goodput plus the Jain fairness index —
-//! at `100000 sessions=4` that is a single simulation holding ≥ 4 concurrent
-//! TFMCC sessions totaling 10⁵ receivers.
+//! the roadmap: instead of CBR sinks it wires K full TFMCC sessions into
+//! one simulator, session `k` on the testbed's addressing block `k` (its
+//! own sender node, multicast group and share of the N receivers, starts
+//! staggered 2 s apart), and reports per-session goodput plus the Jain
+//! fairness index — at `100000 sessions=4` that is a single simulation
+//! holding ≥ 4 concurrent TFMCC sessions totaling 10⁵ receivers.
 //!
 //! With `hybrid` the probe exercises the **population tier**: one TFMCC
-//! session whose bulk receivers are a fluid population (analytic feedback,
-//! O(bins) state) behind a four-receiver packet-level CLR cohort, so a
-//! single session can represent 10⁶–10⁷ receivers in seconds of wall time
-//! at well under 100 B of heap per fluid receiver.
+//! session, wired by the testbed on a star, whose bulk receivers are a
+//! fluid population (analytic feedback, O(bins) state) behind a
+//! four-receiver packet-level CLR cohort, so a single session can represent
+//! 10⁶–10⁷ receivers in seconds of wall time at well under 100 B of heap
+//! per fluid receiver.
 //!
 //! Every mode prints the run's stats digest (`digest=<hex>`), which depends
 //! on nothing but the arguments.
@@ -43,9 +44,9 @@ use std::sync::atomic::{AtomicI64, Ordering::Relaxed};
 use std::time::Instant;
 
 use netsim::prelude::*;
-use tfmcc_agents::manager::SessionManager;
 use tfmcc_agents::population::{FluidSpec, PopulationSpec};
 use tfmcc_agents::session::TfmccSessionBuilder;
+use tfmcc_experiments::testbed::{self, jain_index, Flow, Testbed, Topology};
 use tfmcc_model::population::Dist;
 
 /// Counts live heap bytes, and their peak, so the probe can report
@@ -240,10 +241,10 @@ fn probe_sessions(n: usize, k: usize) {
         0.02,
         QueueDiscipline::drop_tail(100),
     );
-    let mut manager = SessionManager::new();
     let per_session = (n / k).max(1);
+    let mut sessions = Vec::with_capacity(k);
     for session in 0..k {
-        let sender = sim.add_node(&format!("s{session}"));
+        let sender = sim.add_node("sender");
         sim.add_duplex_link(
             sender,
             left,
@@ -253,7 +254,7 @@ fn probe_sessions(n: usize, k: usize) {
         );
         let specs: Vec<PopulationSpec> = (0..per_session)
             .map(|i| {
-                let node = sim.add_node(&format!("r{session}_{i}"));
+                let node = sim.add_node("receiver");
                 sim.add_duplex_link(
                     right,
                     node,
@@ -264,7 +265,11 @@ fn probe_sessions(n: usize, k: usize) {
                 PopulationSpec::packet(node)
             })
             .collect();
-        manager.add_population_session(&mut sim, session as f64 * 2.0, sender, &specs);
+        let builder = TfmccSessionBuilder {
+            start_at: session as f64 * 2.0,
+            ..testbed::block(session)
+        };
+        sessions.push(builder.build_population(&mut sim, sender, &specs));
     }
     let built = t0.elapsed();
     let built_bytes = live_bytes() - heap0;
@@ -276,27 +281,30 @@ fn probe_sessions(n: usize, k: usize) {
     let ran = t1.elapsed();
     let run_bytes = live_bytes() - heap0;
 
-    let report = manager.report(&sim, duration * 0.5, duration);
+    let rates: Vec<f64> = sessions
+        .iter()
+        .map(|s| s.mean_throughput(&sim, duration * 0.5, duration))
+        .collect();
     println!(
         "n={receivers} sessions={k} build={built:?} run={ran:?} events={}",
         sim.events_processed()
     );
     println!("digest={:016x}", sim.stats().digest());
-    for s in &report.sessions {
+    for (i, (s, rate)) in sessions.iter().zip(&rates).enumerate() {
+        let sender = s.sender_agent(&sim).protocol();
         println!(
-            "  session {} (group {}, {} receivers): {:.1} kbit/s mean, {} data packets, CLR {:?}",
-            s.id.0,
+            "  session {i} (group {}, {} receivers): {:.1} kbit/s mean, {} data packets, CLR {:?}",
             s.group.0,
-            s.receivers,
-            s.mean_throughput * 8.0 / 1000.0,
-            s.sender_stats.data_packets,
-            s.clr.map(|c| c.0),
+            s.receivers.len(),
+            rate * 8.0 / 1000.0,
+            sender.stats().data_packets,
+            sender.clr().map(|c| c.0),
         );
     }
     println!(
         "jain={:.3} aggregate={:.1} kbit/s",
-        report.jain_index(),
-        report.total_throughput() * 8.0 / 1000.0
+        jain_index(rates.iter().copied()),
+        rates.iter().sum::<f64>() * 8.0 / 1000.0
     );
     println!(
         "heap: {:.1} MB after build ({} B/receiver), {:.1} MB after run ({} B/receiver)",
@@ -316,7 +324,6 @@ fn probe_hybrid(n: usize) {
     let fluid_count = (n - cohort).max(1) as u64;
     let heap0 = live_bytes();
     let t0 = Instant::now();
-    let mut sim = Simulator::new(1);
     let legs = vec![
         StarLeg::clean(1_250_000.0, 0.03).with_downstream_loss(0.05),
         StarLeg::clean(1_250_000.0, 0.02).with_downstream_loss(0.02),
@@ -324,12 +331,13 @@ fn probe_hybrid(n: usize) {
         StarLeg::clean(1_250_000.0, 0.02),
         StarLeg::clean(12_500_000.0, 0.01),
     ];
-    let st = star(&mut sim, &StarConfig::default(), &legs);
+    let mut bed = Testbed::new(1, &Topology::Star(StarConfig::default(), legs));
+    let receivers = &bed.layout.receivers;
     let mut specs: Vec<PopulationSpec> = (0..cohort)
-        .map(|i| PopulationSpec::packet(st.receivers[i]))
+        .map(|i| PopulationSpec::packet(receivers[i]))
         .collect();
     specs.push(PopulationSpec::Fluid(FluidSpec::new(
-        st.receivers[4],
+        receivers[4],
         fluid_count,
         Dist::Uniform {
             lo: 0.001,
@@ -337,18 +345,19 @@ fn probe_hybrid(n: usize) {
         },
         Dist::Uniform { lo: 0.04, hi: 0.08 },
     )));
-    let session = TfmccSessionBuilder::default().build_population(&mut sim, st.sender, &specs);
+    bed.wire([Flow::session(bed.layout.senders[0], specs)]);
     let built = t0.elapsed();
     let built_bytes = live_bytes() - heap0;
 
     let duration = 60.0;
     let t1 = Instant::now();
-    sim.run_until(SimTime::from_secs(duration));
+    bed.run_until(duration);
     let ran = t1.elapsed();
     let run_bytes = live_bytes() - heap0;
 
-    let sender = session.sender_agent(&sim).protocol();
-    let fluid = session.fluid_agent(&sim, 0);
+    let (sim, session) = (&bed.sim, bed.session(0));
+    let sender = session.sender_agent(sim).protocol();
+    let fluid = session.fluid_agent(sim, 0);
     println!(
         "n={n} hybrid cohort={cohort} fluid={fluid_count} build={built:?} run={ran:?} events={}",
         sim.events_processed()

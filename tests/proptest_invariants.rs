@@ -5,10 +5,11 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use proptest::prelude::*;
 
-use netsim::packet::{FlowId, GroupId, Port};
+use netsim::packet::{Address, AgentId, FlowId, GroupId, Port};
 use netsim::sim::Simulator;
-use tfmcc::agents::manager::SessionAddressing;
-use tfmcc::agents::{PopulationSpec, ReceiverSpec, SessionManager, TfmccSessionBuilder};
+use netsim::topology::{StarConfig, StarLeg};
+use tfmcc::agents::{PopulationSpec, ReceiverSpec, TfmccSessionBuilder};
+use tfmcc::experiments::testbed::{block, Flow, Testbed, Topology};
 use tfmcc::model::throughput::{mathis_loss_rate, mathis_throughput, padhye_throughput};
 use tfmcc::proto::config::TfmccConfig;
 use tfmcc::proto::feedback::FeedbackPlanner;
@@ -86,46 +87,47 @@ proptest! {
         prop_assert!(history.packets_received() > 0);
     }
 
-    /// SessionManager allocations are collision-free for any interleaving
-    /// of sessions and competitor reservations: all groups and flows are
-    /// distinct and no port is bound twice, across both.
+    /// Testbed addressing is collision-free for any interleaving of TFMCC
+    /// sessions, PGMCC flows and TCP flows (the latter on their own
+    /// block's ports, as the fairness matrix wires them): flow `i` binds its
+    /// two agents on block `i`'s ports, a session also takes the block's
+    /// group and flow id, and no group, flow or port is handed out twice.
     #[test]
     fn session_allocations_never_collide(
-        reserve in proptest::collection::vec(any::<bool>(), 1..8),
+        kinds in proptest::collection::vec(0u8..3, 1..8),
     ) {
-        let mut sim = Simulator::new(1);
-        let a = sim.add_node("sender");
-        let b = sim.add_node("receiver");
-        let mut mgr = SessionManager::new();
-        let mut blocks = Vec::new();
-        for &is_reservation in &reserve {
-            if is_reservation {
-                blocks.push(mgr.reserve_addressing());
-            } else {
-                let id = mgr.add_population_session(&mut sim, 0.0, a, &[PopulationSpec::packet(b)]);
-                let s = mgr.session(id);
-                blocks.push(SessionAddressing {
-                    group: s.group,
-                    data_port: s.data_port,
-                    sender_port: s.sender_port,
-                    flow: s.flow,
-                });
+        let mut bed = one_leg_testbed(1);
+        let (a, b) = (bed.layout.senders[0], bed.layout.receivers[0]);
+        bed.wire(kinds.iter().enumerate().map(|(i, &kind)| match kind {
+            0 => Flow::session(a, vec![PopulationSpec::packet(b)]),
+            1 => Flow::Pgmcc(a, b),
+            _ => {
+                let blk = block(i);
+                let (src, dst) = (Address::new(a, blk.sender_port), Address::new(b, blk.data_port));
+                Flow::tcp(src, dst, blk.flow, 1.0)
             }
-        }
-        prop_assert_eq!(mgr.len(), reserve.iter().filter(|&&r| !r).count());
+        }));
         let mut groups = BTreeSet::new();
         let mut flows = BTreeSet::new();
         let mut ports = BTreeSet::new();
-        for s in &blocks {
-            prop_assert!(groups.insert(s.group.0), "group {} allocated twice", s.group.0);
-            prop_assert!(flows.insert(s.flow.0), "flow {} allocated twice", s.flow.0);
-            prop_assert!(s.data_port != s.sender_port);
-            prop_assert!(ports.insert(s.data_port.0), "port {} bound twice", s.data_port.0);
-            prop_assert!(ports.insert(s.sender_port.0), "port {} bound twice", s.sender_port.0);
+        for (i, &kind) in kinds.iter().enumerate() {
+            let blk = block(i);
+            // Every flow adds two agents, one per node.
+            let mut bound = [2 * i, 2 * i + 1].map(|id| bed.sim.agent_addr(AgentId(id)).port);
+            bound.sort();
+            prop_assert_eq!(bound, [blk.data_port, blk.sender_port]);
+            if kind == 0 {
+                let s = bed.session(i);
+                prop_assert_eq!((s.group, s.flow), (blk.group, blk.flow));
+            }
+            prop_assert!(groups.insert(blk.group), "group {:?} allocated twice", blk.group);
+            prop_assert!(flows.insert(blk.flow), "flow {:?} allocated twice", blk.flow);
+            prop_assert!(ports.insert(blk.data_port), "port {:?} bound twice", blk.data_port);
+            prop_assert!(ports.insert(blk.sender_port), "port {:?} bound twice", blk.sender_port);
         }
     }
 
-    /// Sessions get the documented deterministic allocation (session i:
+    /// Sessions get the documented deterministic allocation (flow i:
     /// group 1+i, ports 5000+2i/5001+2i, flow 100+i) regardless of how many
     /// sessions there are or when they start.
     #[test]
@@ -133,19 +135,26 @@ proptest! {
         n in 1usize..10,
         start_ats in proptest::collection::vec(0.0f64..100.0, 10..11),
     ) {
-        let mut sim = Simulator::new(2);
-        let a = sim.add_node("sender");
-        let b = sim.add_node("receiver");
-        let mut mgr = SessionManager::new();
-        for (i, &start_at) in start_ats.iter().enumerate().take(n) {
-            let id = mgr.add_population_session(&mut sim, start_at, a, &[PopulationSpec::packet(b)]);
-            let s = mgr.session(id);
+        let mut bed = one_leg_testbed(2);
+        let (a, b) = (bed.layout.senders[0], bed.layout.receivers[0]);
+        bed.wire(start_ats.iter().take(n).map(|&start_at| Flow::Tfmcc {
+            sender: a,
+            start_at,
+            populations: vec![PopulationSpec::packet(b)],
+        }));
+        for i in 0..n {
+            let s = bed.session(i);
             prop_assert_eq!(s.group, GroupId(1 + i as u32));
             prop_assert_eq!(s.data_port, Port(5000 + 2 * i as u16));
             prop_assert_eq!(s.sender_port, Port(5001 + 2 * i as u16));
             prop_assert_eq!(s.flow, FlowId(100 + i as u64));
             prop_assert_eq!(s.receivers.len(), 1);
         }
+        let default = TfmccSessionBuilder::default();
+        prop_assert_eq!(
+            (default.group, default.data_port, default.sender_port, default.flow),
+            (GroupId(1), Port(5000), Port(5001), FlowId(100))
+        );
     }
 
     /// The RTT estimator never reports a non-positive estimate and converges
@@ -166,99 +175,88 @@ proptest! {
 }
 
 /// Every documented session-building panic fires with its documented
-/// message on the corresponding bad input, and a session the manager
-/// rejects leaves it untouched (validation runs before any agent is
-/// attached, and the rejected session takes no addressing block).
+/// message on the corresponding bad input, and validation runs before any
+/// agent is attached: a rejected spec binds no port.
 #[test]
 fn session_manager_validation_panics_are_exhaustive() {
     let mut sim = Simulator::new(3);
     let a = sim.add_node("sender");
     let b = sim.add_node("receiver");
-    let mut mgr = SessionManager::new();
-    mgr.add_population_session(&mut sim, 0.0, a, &[PopulationSpec::packet(b)]);
 
-    // `builder: None` adds the session through the manager, starting at
-    // `start_at`; `Some` builds it directly (the builder's start is used).
-    let mut expect_panic = |builder: Option<TfmccSessionBuilder>,
-                            start_at: f64,
-                            receivers: Vec<ReceiverSpec>,
-                            needle: &str| {
-        let before = mgr.len();
-        let populations = PopulationSpec::packets(&receivers);
-        let err = catch_unwind(AssertUnwindSafe(|| match &builder {
-            Some(builder) => {
+    let mut expect_panic =
+        |builder: TfmccSessionBuilder, receivers: Vec<ReceiverSpec>, needle: &str| {
+            let populations = PopulationSpec::packets(&receivers);
+            let err = catch_unwind(AssertUnwindSafe(|| {
                 builder.build_population(&mut sim, a, &populations);
-            }
-            None => {
-                mgr.add_population_session(&mut sim, start_at, a, &populations);
-            }
-        }))
-        .expect_err(&format!("bad input must panic (wanted: {needle})"));
-        let msg = err
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
-            .unwrap_or_default();
-        assert!(
-            msg.contains(needle),
-            "panic message {msg:?} does not mention {needle:?}"
-        );
-        assert_eq!(mgr.len(), before, "a rejected spec must not half-register");
-    };
+            }))
+            .expect_err(&format!("bad input must panic (wanted: {needle})"));
+            let msg = err
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
+                .unwrap_or_default();
+            assert!(
+                msg.contains(needle),
+                "panic message {msg:?} does not mention {needle:?}"
+            );
+        };
+    let default = TfmccSessionBuilder::default;
 
-    expect_panic(None, 0.0, vec![], "at least one receiver");
+    expect_panic(default(), vec![], "at least one receiver");
     expect_panic(
-        None,
-        f64::NAN,
+        TfmccSessionBuilder {
+            start_at: f64::NAN,
+            ..default()
+        },
         vec![ReceiverSpec::always(b)],
         "start_at must be finite",
     );
     expect_panic(
-        Some(TfmccSessionBuilder {
+        TfmccSessionBuilder {
             meter_bin: 0.0,
-            ..TfmccSessionBuilder::default()
-        }),
-        0.0,
+            ..default()
+        },
         vec![ReceiverSpec::always(b)],
         "meter_bin must be a positive",
     );
     expect_panic(
-        Some(TfmccSessionBuilder {
+        TfmccSessionBuilder {
             data_port: Port(7000),
             sender_port: Port(7000),
-            ..TfmccSessionBuilder::default()
-        }),
-        0.0,
+            ..default()
+        },
         vec![ReceiverSpec::always(b)],
         "must differ",
     );
     expect_panic(
-        None,
-        0.0,
+        default(),
         vec![ReceiverSpec::joining_at(b, -1.0)],
         "join_at must be finite",
     );
     expect_panic(
-        None,
-        0.0,
+        default(),
         vec![ReceiverSpec::joining_at(b, 5.0).leaving_at(4.0)],
         "must be finite and after join_at",
     );
     expect_panic(
-        None,
-        0.0,
+        default(),
         vec![ReceiverSpec::always(b).leaving_at(10.0).churning(2.0, 2.0)],
         "leave_at and churn are exclusive",
     );
     expect_panic(
-        None,
-        0.0,
+        default(),
         vec![ReceiverSpec::always(b).churning(0.0, 2.0)],
         "churn periods must be positive",
     );
 
-    // None of the rejected sessions took a block: the next one gets the
-    // second.
-    let id = mgr.add_population_session(&mut sim, 0.0, a, &[PopulationSpec::packet(b)]);
-    assert_eq!(mgr.session(id).group, GroupId(2));
+    // None of the rejected sessions bound a port: the default block is
+    // still free.
+    let session = default().build_population(&mut sim, a, &[PopulationSpec::packet(b)]);
+    assert_eq!(session.group, GroupId(1));
+}
+
+/// A testbed on a one-leg star: one sender node, one receiver node.
+fn one_leg_testbed(seed: u64) -> Testbed {
+    let legs = vec![StarLeg::clean(1_250_000.0, 0.02)];
+    Testbed::new(seed, &Topology::Star(StarConfig::default(), legs))
 }
