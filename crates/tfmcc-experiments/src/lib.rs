@@ -144,3 +144,77 @@ mod tests {
         }
     }
 }
+
+/// How a [`testbed::Testbed`] manages its flows: the addressing block each
+/// flow is wired on, and the sessions it refuses to wire.
+#[cfg(test)]
+mod manager {
+    mod tests {
+        use crate::testbed::{Flow, Testbed, Topology};
+        use netsim::packet::AgentId;
+        use netsim::prelude::*;
+        use tfmcc_agents::population::PopulationSpec;
+
+        fn star_with_legs(n: usize) -> Testbed {
+            let legs = (0..n).map(|_| StarLeg::clean(1_250_000.0, 0.02)).collect();
+            Testbed::new(7, &Topology::Star(StarConfig::default(), legs))
+        }
+
+        #[test]
+        fn auto_allocation_matches_single_session_defaults_then_advances() {
+            let mut bed = star_with_legs(4);
+            let (sender, r) = (bed.layout.senders[0], bed.layout.receivers.clone());
+            bed.wire([
+                Flow::session(
+                    sender,
+                    vec![PopulationSpec::packet(r[0]), PopulationSpec::packet(r[1])],
+                ),
+                Flow::session(r[2], vec![PopulationSpec::packet(r[3])]),
+            ]);
+            let a = bed.session(0);
+            assert_eq!(a.receivers.len(), 2);
+            assert_eq!(
+                (a.group, a.data_port, a.sender_port, a.flow),
+                (GroupId(1), Port(5000), Port(5001), FlowId(100))
+            );
+            let b = bed.session(1);
+            assert_eq!(
+                (b.group, b.data_port, b.sender_port, b.flow),
+                (GroupId(2), Port(5002), Port(5003), FlowId(101))
+            );
+        }
+
+        #[test]
+        #[should_panic(expected = "needs at least one receiver")]
+        fn zero_receivers_are_rejected() {
+            let mut bed = star_with_legs(1);
+            let sender = bed.layout.senders[0];
+            bed.wire([Flow::session(sender, Vec::new())]);
+        }
+
+        /// A competitor flow listed before a session takes what would have
+        /// been that session's defaults, so the session moves past it.
+        #[test]
+        fn reserved_addressing_is_skipped_by_auto_allocation() {
+            let mut bed = star_with_legs(2);
+            let (sender, r) = (bed.layout.senders[0], bed.layout.receivers.clone());
+            bed.wire([
+                Flow::Pgmcc(sender, r[0]),
+                Flow::session(sender, vec![PopulationSpec::packet(r[1])]),
+                Flow::Pgmcc(sender, r[0]),
+            ]);
+            let bound = |id| bed.sim.agent_addr(AgentId(id));
+            // The first PGMCC flow binds block 0: sender, then receiver.
+            assert_eq!(bound(0), Address::new(sender, Port(5001)));
+            assert_eq!(bound(1), Address::new(r[0], Port(5000)));
+            let s = bed.session(1);
+            assert_eq!(
+                (s.group, s.data_port, s.sender_port, s.flow),
+                (GroupId(2), Port(5002), Port(5003), FlowId(101))
+            );
+            // The second PGMCC flow advances past both, onto block 2.
+            assert_eq!(bound(4), Address::new(sender, Port(5005)));
+            assert_eq!(bound(5), Address::new(r[0], Port(5004)));
+        }
+    }
+}
