@@ -1,5 +1,6 @@
 //! The TFMCC receiver bound to the simulator.
 
+use std::io::Write;
 use std::sync::Arc;
 
 use netsim::packet::{Address, Dest, FlowId, GroupId, Packet, Payload};
@@ -30,15 +31,9 @@ const FEEDBACK_TOKEN: u64 = 3;
 /// protocol state — the workload of the `fig22_churn` scenario.
 pub struct TfmccReceiverAgent {
     receiver: TfmccReceiver,
-    id: ReceiverId,
-    config: Arc<TfmccConfig>,
     sender_addr: Address,
     group: GroupId,
     flow: FlowId,
-    /// Cached `tfmcc.feedback_sent.flow.<flow>` counter name, so the
-    /// per-report stats update does not format (and heap-allocate) a fresh
-    /// key every time.
-    flow_counter: String,
     join_at: f64,
     leave_at: Option<f64>,
     /// `(on_secs, off_secs)`: after each join, leave `on_secs` later and
@@ -51,7 +46,21 @@ pub struct TfmccReceiverAgent {
     armed: Option<(TimerId, f64)>,
 }
 
-const _: () = assert!(std::mem::size_of::<TfmccReceiverAgent>() <= 616);
+const _: () = assert!(std::mem::size_of::<TfmccReceiverAgent>() <= 576);
+
+/// Prefix of the per-flow report counter, `tfmcc.feedback_sent.flow.<flow>`.
+const FLOW_COUNTER_PREFIX: &str = "tfmcc.feedback_sent.flow.";
+/// Longest per-flow counter key: the prefix and the 20 digits of `u64::MAX`.
+const FLOW_COUNTER_KEY_MAX: usize = FLOW_COUNTER_PREFIX.len() + 20;
+
+/// Formats the per-flow report counter's key into `buf`, on the stack: a
+/// report allocates nothing, and a receiver keeps no copy of the key.
+fn flow_counter_key(flow: FlowId, buf: &mut [u8; FLOW_COUNTER_KEY_MAX]) -> &str {
+    let mut rest = &mut buf[..];
+    write!(rest, "{FLOW_COUNTER_PREFIX}{}", flow.0).expect("a u64 has at most 20 digits");
+    let len = FLOW_COUNTER_KEY_MAX - rest.len();
+    std::str::from_utf8(&buf[..len]).expect("the key is ASCII")
+}
 
 impl TfmccReceiverAgent {
     /// Creates the agent; the protocol receiver is built from `id` and
@@ -67,14 +76,10 @@ impl TfmccReceiverAgent {
         group: GroupId,
         flow: FlowId,
     ) -> Self {
-        let config = config.into();
         TfmccReceiverAgent {
-            receiver: TfmccReceiver::new(id, Arc::clone(&config)),
-            id,
-            config,
+            receiver: TfmccReceiver::new(id, config),
             sender_addr,
             group,
-            flow_counter: format!("tfmcc.feedback_sent.flow.{}", flow.0),
             flow,
             join_at: 0.0,
             leave_at: None,
@@ -143,6 +148,14 @@ impl TfmccReceiverAgent {
         &self.meter
     }
 
+    /// Sends a report and counts it, in total and per flow.
+    fn send_report(&self, ctx: &mut Context<'_>, fb: FeedbackPacket) {
+        self.send_feedback(ctx, fb);
+        ctx.stats().add("tfmcc.feedback_sent", 1.0);
+        let mut buf = [0; FLOW_COUNTER_KEY_MAX];
+        ctx.stats().add(flow_counter_key(self.flow, &mut buf), 1.0);
+    }
+
     fn send_feedback(&self, ctx: &mut Context<'_>, fb: FeedbackPacket) {
         let pkt = Packet::new(
             ctx.addr(),
@@ -197,7 +210,8 @@ impl Agent for TfmccReceiverAgent {
                 }
                 // Churn rejoin: start over with fresh protocol state, as a
                 // receiver re-entering the session would.
-                self.receiver = TfmccReceiver::new(self.id, Arc::clone(&self.config));
+                let config = Arc::clone(self.receiver.config());
+                self.receiver = TfmccReceiver::new(self.receiver.id(), config);
                 self.left = false;
             }
             ctx.join_group(self.group);
@@ -233,9 +247,7 @@ impl Agent for TfmccReceiverAgent {
         );
         self.armed = None;
         if let Some(fb) = self.receiver.on_timer(ctx.now().as_secs()) {
-            self.send_feedback(ctx, fb);
-            ctx.stats().add("tfmcc.feedback_sent", 1.0);
-            ctx.stats().add(&self.flow_counter, 1.0);
+            self.send_report(ctx, fb);
         }
         self.sync_timer(ctx);
     }
@@ -250,9 +262,7 @@ impl Agent for TfmccReceiverAgent {
         self.meter.record(ctx.now(), u64::from(packet.size));
         let now = ctx.now().as_secs();
         if let Some(fb) = self.receiver.on_data(now, data) {
-            self.send_feedback(ctx, fb);
-            ctx.stats().add("tfmcc.feedback_sent", 1.0);
-            ctx.stats().add(&self.flow_counter, 1.0);
+            self.send_report(ctx, fb);
         }
         self.sync_timer(ctx);
     }
@@ -264,6 +274,17 @@ mod tests {
     use crate::sender_agent::TfmccSenderAgent;
     use netsim::prelude::*;
     use tfmcc_proto::sender::TfmccSender;
+
+    #[test]
+    fn flow_counter_key_matches_its_format() {
+        for flow in [0, 7, 1234, u64::MAX] {
+            let mut buf = [0; FLOW_COUNTER_KEY_MAX];
+            assert_eq!(
+                flow_counter_key(FlowId(flow), &mut buf),
+                format!("tfmcc.feedback_sent.flow.{flow}")
+            );
+        }
+    }
 
     /// A receiver whose leave comes before its first join never enters the
     /// session: no membership change, no leave report, nothing for the

@@ -10,7 +10,6 @@
 //! loss) and the Appendix A/B adjustment of that synthetic interval once the
 //! receiver obtains its first real RTT measurement.
 
-use std::collections::VecDeque;
 use std::hash::Hasher;
 
 use tfmcc_model::throughput::mathis_loss_rate;
@@ -36,56 +35,64 @@ pub struct LossUpdate {
 /// so a receiver stores none.  The weighted average over the closed
 /// intervals changes only when the ring does, so it is cached there; only
 /// the average with the open interval is computed per packet.
+///
+/// Everything is stored inline: the at most [`LOSS_HISTORY_LEN`] closed
+/// intervals sit in a fixed array, and the state that exists only after
+/// the first packet or the first loss is gated by the counters, which are
+/// nonzero from exactly those moments on, rather than by an `Option` each.
 #[derive(Debug, Clone)]
 pub struct LossHistory {
-    packet_size: u32,
-    /// Closed loss intervals, most recent first, in packets.
-    intervals: VecDeque<f64>,
+    /// Closed loss intervals, most recent first, in packets: the first
+    /// `len` slots.
+    intervals: [f64; LOSS_HISTORY_LEN],
     /// `weighted_average(None)`, refreshed wherever `intervals` changes.
     closed_average: f64,
     /// Packets received since the start of the most recent loss event.
     open_interval: f64,
-    /// Time at which the most recent loss event started.
-    last_loss_event_at: Option<f64>,
-    /// Next expected sequence number.
-    expected_seq: Option<u64>,
-    /// Arrival time of the most recently received in-order packet.
-    last_arrival: Option<f64>,
-    /// Number of intervals pushed since the synthetic first interval was
-    /// created (None if no synthetic interval exists / it has aged out).
-    synthetic_age: Option<usize>,
-    /// Whether the synthetic interval was computed while the receiver was
-    /// still using the configured initial RTT.
-    synthetic_used_initial_rtt: bool,
+    /// Time at which the most recent loss event started (once
+    /// `total_lost > 0`: the first lost packet starts the first event).
+    last_loss_event_at: f64,
+    /// Next expected sequence number and arrival time of the most recently
+    /// received in-order packet (once `total_received > 0`).
+    expected_seq: u64,
+    last_arrival: f64,
     /// Counters.
     total_received: u64,
     total_lost: u64,
+    packet_size: u32,
+    len: u8,
+    /// Number of intervals pushed since the synthetic first interval was
+    /// created (None if no synthetic interval exists / it has aged out).
+    synthetic_age: Option<u8>,
+    /// Whether the synthetic interval was computed while the receiver was
+    /// still using the configured initial RTT.
+    synthetic_used_initial_rtt: bool,
 }
+
+const _: () = assert!(LOSS_HISTORY_LEN <= u8::MAX as usize);
 
 impl LossHistory {
     /// Creates an empty history using the packet size from `config`.
     pub fn new(config: &TfmccConfig) -> Self {
         LossHistory {
-            packet_size: config.packet_size,
-            // The ring never holds more than `LOSS_HISTORY_LEN` intervals
-            // (`push_interval` evicts), so this one allocation at
-            // construction is the last one the loss path ever makes.
-            intervals: VecDeque::with_capacity(LOSS_HISTORY_LEN + 1),
+            intervals: [0.0; LOSS_HISTORY_LEN],
             closed_average: 0.0,
             open_interval: 0.0,
-            last_loss_event_at: None,
-            expected_seq: None,
-            last_arrival: None,
-            synthetic_age: None,
-            synthetic_used_initial_rtt: false,
+            last_loss_event_at: 0.0,
+            expected_seq: 0,
+            last_arrival: 0.0,
             total_received: 0,
             total_lost: 0,
+            packet_size: config.packet_size,
+            len: 0,
+            synthetic_age: None,
+            synthetic_used_initial_rtt: false,
         }
     }
 
     /// True once at least one loss event has been recorded.
     pub fn has_loss(&self) -> bool {
-        !self.intervals.is_empty() || self.last_loss_event_at.is_some()
+        self.len > 0 || self.total_lost > 0
     }
 
     /// Total packets received.
@@ -113,36 +120,31 @@ impl LossHistory {
     /// as the aggregation window.
     pub fn on_packet(&mut self, seqno: u64, now: f64, rtt: f64) -> LossUpdate {
         let mut update = LossUpdate::default();
-        let expected = match self.expected_seq {
-            None => {
-                // First packet of the session: start counting from here.
-                self.expected_seq = Some(seqno + 1);
-                self.last_arrival = Some(now);
-                self.total_received += 1;
-                self.open_interval += 1.0;
-                return update;
-            }
-            Some(e) => e,
-        };
+        if self.total_received == 0 {
+            // First packet of the session: start counting from here.
+            self.expected_seq = seqno + 1;
+            self.last_arrival = now;
+            self.total_received += 1;
+            self.open_interval += 1.0;
+            return update;
+        }
+        let expected = self.expected_seq;
         if seqno < expected {
             // Late or duplicate packet; it was already counted as lost.
             return update;
         }
         let gap = seqno - expected;
         if gap > 0 {
-            let last_time = self.last_arrival.unwrap_or(now);
+            let last_time = self.last_arrival;
             for i in 0..gap {
                 // Interpolate the loss time between the surrounding arrivals.
                 let frac = (i + 1) as f64 / (gap + 1) as f64;
                 let loss_time = last_time + frac * (now - last_time);
+                let first_loss = self.total_lost == 0;
                 self.total_lost += 1;
-                let starts_new_event = match self.last_loss_event_at {
-                    None => true,
-                    Some(t) => loss_time - t > rtt,
-                };
-                if starts_new_event {
+                if first_loss || loss_time - self.last_loss_event_at > rtt {
                     update.new_loss_event = true;
-                    if self.last_loss_event_at.is_none() && self.intervals.is_empty() {
+                    if first_loss && self.len == 0 {
                         // Very first loss event: the packets counted so far do
                         // not reflect the loss rate (Appendix B); the caller
                         // initialises the history instead.
@@ -151,26 +153,28 @@ impl LossHistory {
                         self.push_interval(self.open_interval);
                     }
                     self.open_interval = 0.0;
-                    self.last_loss_event_at = Some(loss_time);
+                    self.last_loss_event_at = loss_time;
                 }
             }
             update.packets_lost = gap;
         }
         self.total_received += 1;
         self.open_interval += 1.0;
-        self.expected_seq = Some(seqno + 1);
-        self.last_arrival = Some(now);
+        self.expected_seq = seqno + 1;
+        self.last_arrival = now;
         update
     }
 
     fn push_interval(&mut self, interval: f64) {
-        self.intervals.push_front(interval.max(1.0));
-        if self.intervals.len() > LOSS_HISTORY_LEN {
-            self.intervals.pop_back();
+        // Shift the intervals back one slot, dropping the oldest when full.
+        self.intervals.copy_within(..LOSS_HISTORY_LEN - 1, 1);
+        self.intervals[0] = interval.max(1.0);
+        if usize::from(self.len) < LOSS_HISTORY_LEN {
+            self.len += 1;
         }
         if let Some(age) = self.synthetic_age.as_mut() {
             *age += 1;
-            if *age >= LOSS_HISTORY_LEN {
+            if usize::from(*age) >= LOSS_HISTORY_LEN {
                 self.synthetic_age = None;
             }
         }
@@ -194,8 +198,8 @@ impl LossHistory {
         let rate = (receive_rate / 2.0).max(f64::from(self.packet_size) / rtt);
         let p = mathis_loss_rate(f64::from(self.packet_size), rtt, rate).max(1e-8);
         let interval = (1.0 / p).max(1.0);
-        self.intervals.clear();
-        self.intervals.push_front(interval);
+        self.intervals[0] = interval;
+        self.len = 1;
         self.closed_average = self.weighted_average(None);
         self.synthetic_age = Some(0);
         self.synthetic_used_initial_rtt = using_initial_rtt;
@@ -216,7 +220,8 @@ impl LossHistory {
         // The synthetic interval is the oldest of the `age + 1` intervals
         // that exist since it was pushed; it sits `age` positions from the
         // front.
-        if let Some(slot) = self.intervals.get_mut(age) {
+        if age < self.len {
+            let slot = &mut self.intervals[usize::from(age)];
             let factor = (measured_rtt / initial_rtt).powi(2);
             *slot = (*slot * factor).max(1.0);
             self.closed_average = self.weighted_average(None);
@@ -228,7 +233,7 @@ impl LossHistory {
     ///
     /// Returns `None` until the first loss event has been recorded.
     pub fn average_loss_interval(&self) -> Option<f64> {
-        if self.intervals.is_empty() {
+        if self.len == 0 {
             return None;
         }
         let with_open = self.weighted_average(Some(self.open_interval));
@@ -248,7 +253,7 @@ impl LossHistory {
         let mut den = 0.0;
         for (v, w) in open
             .into_iter()
-            .chain(self.intervals.iter().copied())
+            .chain(self.intervals())
             .zip(LOSS_INTERVAL_WEIGHTS)
         {
             num += v * w;
@@ -272,7 +277,7 @@ impl LossHistory {
 
     /// The closed intervals, most recent first (for diagnostics and tests).
     pub fn intervals(&self) -> impl Iterator<Item = f64> + '_ {
-        self.intervals.iter().copied()
+        self.intervals[..usize::from(self.len)].iter().copied()
     }
 
     /// Packets received since the most recent loss event started.
@@ -283,30 +288,30 @@ impl LossHistory {
 
 impl StateFingerprint for LossHistory {
     /// Hashes everything that influences future loss-rate computation.  The
-    /// cached closed average is a pure function of the hashed ring and the
-    /// `total_received` / `total_lost` counters are observational
-    /// ([`raw_loss_fraction`](Self::raw_loss_fraction) only), so both are
-    /// excluded.
+    /// cached closed average is a pure function of the hashed ring, and the
+    /// `total_received` / `total_lost` counters enter only as the presence
+    /// flags of the state they gate; their values are observational
+    /// ([`raw_loss_fraction`](Self::raw_loss_fraction) only).
     fn fingerprint<H: Hasher>(&self, h: &mut H) {
+        let started = self.total_received > 0;
         h.write_u32(self.packet_size);
-        h.write_usize(self.intervals.len());
-        for v in &self.intervals {
-            hash_f64(h, *v);
+        h.write_usize(usize::from(self.len));
+        for v in self.intervals() {
+            hash_f64(h, v);
         }
         hash_f64(h, self.open_interval);
-        hash_opt_f64(h, self.last_loss_event_at);
-        match self.expected_seq {
-            Some(s) => {
-                h.write_u8(1);
-                h.write_u64(s);
-            }
-            None => h.write_u8(0),
+        hash_opt_f64(h, (self.total_lost > 0).then_some(self.last_loss_event_at));
+        if started {
+            h.write_u8(1);
+            h.write_u64(self.expected_seq);
+        } else {
+            h.write_u8(0);
         }
-        hash_opt_f64(h, self.last_arrival);
+        hash_opt_f64(h, started.then_some(self.last_arrival));
         match self.synthetic_age {
             Some(a) => {
                 h.write_u8(1);
-                h.write_usize(a);
+                h.write_usize(usize::from(a));
             }
             None => h.write_u8(0),
         }
@@ -518,14 +523,14 @@ mod tests {
     /// The average as computed before the closed average was cached: both
     /// weighted sums from scratch over the weight table.
     fn scratch_average(h: &LossHistory) -> Option<f64> {
-        if h.intervals.is_empty() {
+        if h.len == 0 {
             return None;
         }
         let average = |open: Option<f64>| {
             let (mut num, mut den) = (0.0, 0.0);
             for (v, w) in open
                 .into_iter()
-                .chain(h.intervals.iter().copied())
+                .chain(h.intervals())
                 .take(LOSS_HISTORY_LEN)
                 .zip(&LOSS_INTERVAL_WEIGHTS)
             {

@@ -20,10 +20,11 @@
 //!
 //! [`TfmccReceiver::on_data`] is the per-packet path: at 10⁵ receivers a
 //! single simulation calls it hundreds of millions of times.  It performs
-//! **zero heap allocations in steady state** — the loss history and the
-//! receive-rate meter recycle preallocated rings, and the weighted-average
-//! computation iterates in place (see `loss.rs` / `rate_meter.rs`).  The
-//! allocation-counting test in `tests/alloc_count.rs` pins this.
+//! **zero heap allocations in steady state** — the loss history is inline,
+//! the receive-rate meter recycles a preallocated ring of 8-B arrival
+//! times, and the weighted-average computation iterates in place (see
+//! `loss.rs` / `rate_meter.rs`).  The allocation-counting test in
+//! `tests/alloc_count.rs` pins this.
 //!
 //! A receiver stores only its own state: the configuration is one
 //! `Arc<TfmccConfig>` shared by every receiver of a session, and the
@@ -135,6 +136,11 @@ impl TfmccReceiver {
     /// This receiver's id.
     pub fn id(&self) -> ReceiverId {
         self.id
+    }
+
+    /// The configuration this receiver was built with.
+    pub fn config(&self) -> &Arc<TfmccConfig> {
+        &self.config
     }
 
     /// Accumulated statistics.

@@ -19,9 +19,9 @@ pub const MIN_RTT: f64 = 1e-4;
 #[derive(Debug, Clone)]
 pub struct RttEstimator {
     estimate: f64,
-    has_measurement: bool,
     /// One-way delay from receiver to sender inferred at the last real
-    /// measurement (includes clock skew, which cancels in later adjustments).
+    /// measurement (includes clock skew, which cancels in later adjustments);
+    /// `Some` exactly once a real measurement has been made.
     owd_receiver_to_sender: Option<f64>,
     /// Estimate value at the time of the last real measurement, used to
     /// detect significant drift from one-way adjustments.
@@ -33,7 +33,6 @@ impl RttEstimator {
     pub fn new(config: &TfmccConfig) -> Self {
         RttEstimator {
             estimate: config.initial_rtt,
-            has_measurement: false,
             owd_receiver_to_sender: None,
             estimate_at_last_measurement: config.initial_rtt,
         }
@@ -46,7 +45,7 @@ impl RttEstimator {
 
     /// True once at least one real (echo-based) measurement has been made.
     pub fn has_measurement(&self) -> bool {
-        self.has_measurement
+        self.owd_receiver_to_sender.is_some()
     }
 
     /// Initialises the estimate from synchronized clocks (GPS/NTP,
@@ -55,7 +54,7 @@ impl RttEstimator {
     /// This replaces the configured initial value but does not count as a
     /// real measurement.
     pub fn init_from_synchronized_clocks(&mut self, one_way_delay: f64, sync_error: f64) {
-        if self.has_measurement {
+        if self.has_measurement() {
             return;
         }
         self.estimate = (2.0 * (one_way_delay + sync_error)).max(MIN_RTT);
@@ -72,9 +71,8 @@ impl RttEstimator {
     ///   derive the reverse one-way delay for later adjustments.
     pub fn on_measurement(&mut self, sample: f64, is_clr: bool, one_way_sender_to_receiver: f64) {
         let sample = sample.max(MIN_RTT);
-        if !self.has_measurement {
+        if !self.has_measurement() {
             self.estimate = sample;
-            self.has_measurement = true;
         } else {
             let beta = if is_clr {
                 RTT_BETA_CLR
@@ -114,7 +112,7 @@ impl RttEstimator {
 impl StateFingerprint for RttEstimator {
     fn fingerprint<H: Hasher>(&self, h: &mut H) {
         hash_f64(h, self.estimate);
-        h.write_u8(self.has_measurement as u8);
+        h.write_u8(self.has_measurement() as u8);
         hash_opt_f64(h, self.owd_receiver_to_sender);
         hash_f64(h, self.estimate_at_last_measurement);
     }

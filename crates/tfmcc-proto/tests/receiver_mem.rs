@@ -4,7 +4,7 @@
 //! states, so the per-receiver heap footprint directly bounds the largest
 //! receiver population one process can hold (ROADMAP: "memory profiling of
 //! 10⁵ `TfmccReceiver` states").  This test builds a large batch of
-//! receivers, drives each to its settled steady state (loss-history ring
+//! receivers, drives each to its settled steady state (loss history
 //! full, rate-meter ring at its recycled capacity, feedback machinery
 //! cycling), and measures the *net* heap bytes the batch retains through a
 //! counting global allocator.  The per-receiver bound is pinned: growing the
@@ -29,17 +29,18 @@ use tfmcc_proto::packets::{DataPacket, ReceiverId, RttEcho};
 use tfmcc_proto::receiver::TfmccReceiver;
 
 /// Pinned upper bound on the settled heap bytes one receiver retains
-/// (measured 2120 bytes, plus 384 inline, with the 8-interval loss
-/// history and a configuration shared by the batch — rate meter and
-/// interval rings dominate; the 15 % headroom covers allocator layout drift
-/// across toolchains, not new state: 10⁵ receivers stay under 250 MB of
-/// protocol state).
-const MAX_HEAP_BYTES_PER_RECEIVER: i64 = 2438;
+/// (measured 1024 bytes, plus 384 inline, with a configuration shared by
+/// the batch: the receive-rate meter's ring of 128 arrival times at 8 B
+/// each is the only heap a receiver owns, the loss history is inline;
+/// the 15 % headroom covers allocator layout drift across toolchains, not
+/// new state: 10⁵ receivers stay under 160 MB of protocol state).
+const MAX_HEAP_BYTES_PER_RECEIVER: i64 = 1177;
 
-/// Pinned upper bound for the drive without RTT echoes (measured 8264
+/// Pinned upper bound for the drive without RTT echoes (measured 4096
 /// bytes, plus 384 inline, same 15 % headroom): the 1 s receive-rate
-/// window holds ~500 arrivals at one packet per 2 ms.
-const MAX_ECHOLESS_HEAP_BYTES_PER_RECEIVER: i64 = 9503;
+/// window holds ~500 arrivals at one packet per 2 ms, a ring of 512
+/// arrival times.
+const MAX_ECHOLESS_HEAP_BYTES_PER_RECEIVER: i64 = 4710;
 
 /// Receivers in the measured batch — large enough that per-batch noise
 /// (allocator bookkeeping, container growth slack) is amortized to nothing.
