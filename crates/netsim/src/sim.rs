@@ -851,21 +851,9 @@ impl Simulator {
             .and_then(|a| a.as_any().downcast_ref::<T>())
     }
 
-    /// Mutably borrows an agent downcast to its concrete type.
-    pub fn agent_mut<T: Agent>(&mut self, agent: AgentId) -> Option<&mut T> {
-        self.agents[agent.0]
-            .as_mut()
-            .and_then(|a| a.as_any_mut().downcast_mut::<T>())
-    }
-
     /// Shared statistics registry.
     pub fn stats(&self) -> &StatsRegistry {
         &self.world.stats
-    }
-
-    /// Mutable access to the statistics registry (for experiment setup).
-    pub fn stats_mut(&mut self) -> &mut StatsRegistry {
-        &mut self.world.stats
     }
 
     /// Subscribes an agent to a multicast group from outside the simulation
@@ -935,12 +923,6 @@ impl Simulator {
         if self.world.now < until {
             self.world.now = until;
         }
-    }
-
-    /// Runs the simulation for `duration` seconds of simulated time.
-    pub fn run_for(&mut self, duration: f64) {
-        let until = self.world.now + duration;
-        self.run_until(until);
     }
 
     fn dispatch(&mut self, kind: EventKind) {

@@ -9,9 +9,8 @@ use std::sync::atomic::{AtomicI64, Ordering::Relaxed};
 
 use netsim::prelude::*;
 use proptest::prelude::*;
-use tfmcc_agents::population::{FluidSpec, PopulationSpec};
+use tfmcc_agents::population::{Dist, FluidSpec, PopulationSpec};
 use tfmcc_agents::session::{TfmccSession, TfmccSessionBuilder};
-use tfmcc_model::population::Dist;
 use tfmcc_proto::packets::ReceiverId;
 
 // Counts live heap bytes for the 10⁶-receiver gate below, like the allocator
@@ -115,14 +114,15 @@ fn hybrid_matches_pure_packet_run_at_1e4() {
     );
 
     // The fluid tier is actually represented: the sender's population count
-    // covers the whole 10⁴ bulk plus the cohort.
+    // is the whole 10⁴ bulk plus the cohort, each receiver counted once.
     let population = hybrid
         .sender_agent(&hybrid_sim)
         .protocol()
         .session_population();
-    assert!(
-        population >= 10_000 + 3,
-        "census must surface all fluid receivers, got {population}"
+    assert_eq!(
+        population,
+        10_000 + 3,
+        "census must count every fluid receiver exactly once"
     );
     // And it reported at O(bins)/round, not O(count): a 120 s run has a few
     // hundred rounds at most, each contributing at most `bins` reports.
@@ -157,7 +157,7 @@ fn hybrid_session_at_1e6_keeps_the_clr_and_the_heap_budget() {
         clr.0 <= 3,
         "CLR must stay in the packet cohort, got {clr:?}"
     );
-    assert!(sender.session_population() > FLUID);
+    assert_eq!(sender.session_population(), FLUID + 3);
     assert!(
         bytes_per_receiver <= 100.0,
         "fluid tier retains {bytes_per_receiver:.1} B per receiver (> 100 B budget)"

@@ -4,9 +4,8 @@
 //! through.
 
 use netsim::prelude::*;
-use tfmcc_agents::population::{FluidSpec, PopulationSpec};
+use tfmcc_agents::population::{Dist, FluidSpec, PopulationSpec};
 use tfmcc_agents::session::{ReceiverSpec, TfmccSessionBuilder};
-use tfmcc_model::population::Dist;
 
 fn one_leg_star(sim: &mut Simulator) -> Star {
     star(

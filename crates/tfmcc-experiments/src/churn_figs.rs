@@ -17,9 +17,8 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use netsim::prelude::*;
-use tfmcc_agents::population::{FluidSpec, PopulationSpec};
+use tfmcc_agents::population::{Dist, FluidSpec, PopulationSpec};
 use tfmcc_agents::session::ReceiverSpec;
-use tfmcc_model::population::Dist;
 
 use crate::exec::SweepRunner;
 use crate::output::{Figure, Series};

@@ -23,8 +23,7 @@
 //! scale.
 
 use netsim::prelude::*;
-use tfmcc_agents::population::{FluidSpec, PopulationSpec};
-use tfmcc_model::population::Dist;
+use tfmcc_agents::population::{Dist, FluidSpec, PopulationSpec};
 
 use crate::exec::SweepRunner;
 use crate::output::{Figure, Series};

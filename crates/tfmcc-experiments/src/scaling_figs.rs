@@ -10,8 +10,8 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use tfmcc_agents::population::{Dist, PopulationProfile};
 use tfmcc_model::order_stats::scaling_throughput;
-use tfmcc_model::population::{Dist, PopulationProfile};
 use tfmcc_model::throughput::{bytes_to_bits, loss_events_per_rtt, padhye_throughput};
 
 use crate::exec::SweepRunner;

@@ -21,13 +21,9 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod aggregate;
 pub mod cdf;
 pub mod round;
 
-pub use aggregate::{
-    aggregate_round, aggregate_timers, expected_min_uniform, AggregateBin, AggregateResponse,
-};
 pub use cdf::{timer_cdf, TimerCdfPoint};
 pub use round::{FeedbackRound, RoundOutcome, RoundReceiver};
 

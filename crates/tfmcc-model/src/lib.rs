@@ -12,8 +12,6 @@
 //! * order statistics of exponential and gamma distributed loss intervals,
 //!   used to analyse the loss-path-multiplicity throughput degradation
 //!   (Section 3, Figure 7);
-//! * quantized aggregate-population models (marginal loss and RTT
-//!   distributions, rate bins) for the hybrid packet/fluid simulation tier;
 //! * small special-function helpers (log-gamma, regularized incomplete gamma)
 //!   required by the above.
 //!
@@ -27,7 +25,6 @@
 
 pub mod feedback_expectation;
 pub mod order_stats;
-pub mod population;
 pub mod special;
 pub mod throughput;
 
@@ -35,7 +32,6 @@ pub use feedback_expectation::{expected_responses, expected_responses_grid, Feed
 pub use order_stats::{
     expected_min_exponential, expected_min_gamma, expected_min_uniform, scaling_degradation,
 };
-pub use population::{Dist, PopulationProfile, RateBin};
 pub use throughput::{
     loss_events_per_rtt, mathis_loss_rate, mathis_throughput, padhye_loss_rate, padhye_throughput,
     TcpModel,

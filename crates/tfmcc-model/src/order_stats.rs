@@ -23,8 +23,9 @@ pub fn expected_min_exponential(n: u64, mean: f64) -> f64 {
 
 /// Expected minimum of `n` i.i.d. Uniform(0, `max`) random variables.
 ///
-/// Exact: `max / (n + 1)`.  Used in tests as an independent cross-check of the
-/// numeric integration scheme.
+/// Exact: `max / (n + 1)`.  The fluid receiver tier places each rate bin's
+/// one feedback timer at this point of its members' uniform draws; the tests
+/// use it as an independent cross-check of the numeric integration scheme.
 pub fn expected_min_uniform(n: u64, max: f64) -> f64 {
     assert!(n >= 1);
     assert!(max > 0.0);

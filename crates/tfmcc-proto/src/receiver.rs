@@ -82,7 +82,6 @@ pub struct TfmccReceiver {
     slowstart: bool,
     is_clr: bool,
     current_round: u64,
-    seen_any_data: bool,
     /// Pending feedback timer, if any.
     timer: Option<PendingFeedback>,
     /// Whether feedback has already been sent in the current round.
@@ -121,7 +120,6 @@ impl TfmccReceiver {
             slowstart: true,
             is_clr: false,
             current_round: 0,
-            seen_any_data: false,
             timer: None,
             sent_this_round: false,
             suppressed_this_round: false,
@@ -196,7 +194,6 @@ impl TfmccReceiver {
     /// immediately, if any.
     pub fn on_data(&mut self, now: f64, data: &DataPacket) -> Option<FeedbackPacket> {
         self.stats.data_packets += 1;
-        self.seen_any_data = true;
         self.recv_meter.record(now, data.size);
         self.last_data_timestamp = data.timestamp;
         self.last_data_arrival = now;
@@ -397,10 +394,11 @@ impl TfmccReceiver {
 
 impl StateFingerprint for TfmccReceiver {
     /// Hashes every field that influences future behaviour; the accumulated
-    /// [`ReceiverStats`] are excluded (observational only).  The RNG has no
-    /// state accessor, so its position in the stream is captured by cloning
-    /// it and drawing two values — receivers whose generators would produce
-    /// different future timers fingerprint differently.
+    /// [`ReceiverStats`] are excluded (observational only) but for whether
+    /// any data has arrived.  The RNG has no state accessor, so its position
+    /// in the stream is captured by cloning it and drawing two values —
+    /// receivers whose generators would produce different future timers
+    /// fingerprint differently.
     fn fingerprint<H: Hasher>(&self, h: &mut H) {
         h.write_u64(self.id.0);
         self.loss.fingerprint(h);
@@ -414,7 +412,7 @@ impl StateFingerprint for TfmccReceiver {
         h.write_u8(self.slowstart as u8);
         h.write_u8(self.is_clr as u8);
         h.write_u64(self.current_round);
-        h.write_u8(self.seen_any_data as u8);
+        h.write_u8((self.stats.data_packets > 0) as u8);
         match self.timer {
             Some(pending) => {
                 h.write_u8(1);

@@ -23,9 +23,6 @@ pub struct RttEstimator {
     /// measurement (includes clock skew, which cancels in later adjustments);
     /// `Some` exactly once a real measurement has been made.
     owd_receiver_to_sender: Option<f64>,
-    /// Estimate value at the time of the last real measurement, used to
-    /// detect significant drift from one-way adjustments.
-    estimate_at_last_measurement: f64,
 }
 
 impl RttEstimator {
@@ -34,7 +31,6 @@ impl RttEstimator {
         RttEstimator {
             estimate: config.initial_rtt,
             owd_receiver_to_sender: None,
-            estimate_at_last_measurement: config.initial_rtt,
         }
     }
 
@@ -58,7 +54,6 @@ impl RttEstimator {
             return;
         }
         self.estimate = (2.0 * (one_way_delay + sync_error)).max(MIN_RTT);
-        self.estimate_at_last_measurement = self.estimate;
     }
 
     /// Incorporates a real RTT measurement.
@@ -82,7 +77,6 @@ impl RttEstimator {
             self.estimate = beta * sample + (1.0 - beta) * self.estimate;
         }
         self.owd_receiver_to_sender = Some(sample - one_way_sender_to_receiver);
-        self.estimate_at_last_measurement = self.estimate;
     }
 
     /// Updates the estimate from the forward one-way delay of a data packet
@@ -96,17 +90,6 @@ impl RttEstimator {
         self.estimate = RTT_BETA_ONE_WAY * sample + (1.0 - RTT_BETA_ONE_WAY) * self.estimate;
         Some(self.current())
     }
-
-    /// Ratio of the current estimate to the estimate at the last real
-    /// measurement — a value far from 1.0 indicates the RTT has drifted and a
-    /// fresh measurement is desirable.
-    pub fn drift_ratio(&self) -> f64 {
-        if self.estimate_at_last_measurement <= 0.0 {
-            1.0
-        } else {
-            self.estimate / self.estimate_at_last_measurement
-        }
-    }
 }
 
 impl StateFingerprint for RttEstimator {
@@ -114,7 +97,6 @@ impl StateFingerprint for RttEstimator {
         hash_f64(h, self.estimate);
         h.write_u8(self.has_measurement() as u8);
         hash_opt_f64(h, self.owd_receiver_to_sender);
-        hash_f64(h, self.estimate_at_last_measurement);
     }
 }
 
@@ -176,7 +158,6 @@ mod tests {
             (0.18..=0.2001).contains(&last),
             "estimate should converge toward 200 ms, got {last}"
         );
-        assert!(e.drift_ratio() > 1.5);
     }
 
     #[test]

@@ -44,10 +44,9 @@ use std::sync::atomic::{AtomicI64, Ordering::Relaxed};
 use std::time::Instant;
 
 use netsim::prelude::*;
-use tfmcc_agents::population::{FluidSpec, PopulationSpec};
+use tfmcc_agents::population::{Dist, FluidSpec, PopulationSpec};
 use tfmcc_agents::session::TfmccSessionBuilder;
 use tfmcc_experiments::testbed::{self, jain_index, Flow, Testbed, Topology};
-use tfmcc_model::population::Dist;
 
 /// Counts live heap bytes, and their peak, so the probe can report
 /// per-receiver memory.  (Twin of the allocator in

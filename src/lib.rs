@@ -35,8 +35,7 @@ pub use tfmcc_proto as proto;
 /// Commonly used types across the workspace.
 pub mod prelude {
     pub use netsim::prelude::*;
-    pub use tfmcc_agents::population::{FluidSpec, PopulationSpec};
+    pub use tfmcc_agents::population::{Dist, FluidSpec, PopulationSpec};
     pub use tfmcc_agents::session::{ReceiverSpec, TfmccSession, TfmccSessionBuilder};
-    pub use tfmcc_model::population::Dist;
     pub use tfmcc_proto::prelude::*;
 }
