@@ -30,20 +30,22 @@
 //! dispatched nor counted.  Debug builds assert, for every entry, that it
 //! lies at or after the clock and strictly after the last key taken.
 //!
-//! # Same-instant fan-out
+//! # Fan-out runs
 //!
-//! A multicast packet offered to drop-tail out-links that land it at one
-//! instant is queued as **one** entry, not one per replica.  Each replica still takes its own `seq` at its
-//! offer, and a replica joins the open batch only if its arrival is
-//! bit-equal to the batch's and no other event took a `seq` since the
-//! batch's last member.  So a batch holds the consecutive keys
-//! `(t, b) … (t, b+n−1)`; no other key lies between them, and in the
-//! `(time, seq)` order they are adjacent.  The batch is queued under
-//! `(t, b)`, exactly where its first member sits, and dispatches its nodes
-//! in offer order, one delivery each.  Anything scheduled meanwhile takes a
-//! `seq` above `b+n−1` and comes after the whole batch, as it would after
-//! its last member.  The dispatch order, and so every delivery, is the same
-//! as with one entry per replica.
+//! A multicast packet offered to drop-tail out-links is queued as **runs**,
+//! not one entry per replica.  Each replica still takes its own `seq` at its
+//! offer, and a replica joins the open run only if its arrival is at or
+//! after the previous member's and no other event took a `seq` since that
+//! member.  So a run holds the consecutive keys `(t₀, b) … (tₙ₋₁, b+n−1)`
+//! with `t₀ ≤ … ≤ tₙ₋₁`: in the `(time, seq)` order of one entry per
+//! replica each member's key is below the next one's, and the smallest key
+//! still pending is always the next member's.  The run is queued once,
+//! under `(t₀, b)`.  Dispatch delivers the members of that instant back to
+//! back, in offer order, one delivery each: no other key lies between them,
+//! and anything scheduled meanwhile takes a `seq` above `b+n−1`.  If
+//! members remain, the run goes back into the queue under the next
+//! member's exact key `(tₖ, b+k)`, taking no new `seq`.  The dispatch
+//! order, and so every delivery, is the same as with one entry per replica.
 
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -70,7 +72,8 @@ pub enum FanoutMode {
     /// Zero-copy fan-out: every replica shares one `PacketData` allocation,
     /// local subscribers come from a node's sorted `(group, agent)` list, a
     /// tree's out-links are iterated in place, and replicas that arrive at
-    /// one instant under consecutive `seq`s share one queue entry.
+    /// non-decreasing instants under consecutive `seq`s share one queue
+    /// entry.
     #[default]
     Shared,
 }
@@ -147,84 +150,132 @@ enum EventKind {
         node: NodeId,
         packet: Packet,
     },
-    /// The replicas of one packet that a fan-out lands at one instant under
-    /// consecutive `seq`s: a [`Batch`] slot of [`World::batches`].
+    /// The replicas of one packet that a fan-out lands at non-decreasing
+    /// instants under consecutive `seq`s, queued under the key of its next
+    /// undelivered member.
     NodeArrivals {
-        batch: usize,
+        run: Box<Run>,
     },
     LinkTxComplete {
         link: LinkId,
     },
 }
 
-// A batch is one slot index, so the queue's entries do not grow.
+// A run is one pointer, so the queue's entries do not grow.
 const _: () = assert!(std::mem::size_of::<EventKind>() == 32);
+
+/// Delivered runs kept for reuse, with their vectors; more are freed, so
+/// what runs hold follows the live ones, not the most that were ever in
+/// flight.
+const KEEP_SPARE: usize = 64;
 
 /// The replicas of one multicast packet queued as one
 /// [`EventKind::NodeArrivals`] entry (see [`World::route_packet`]).
 #[derive(Debug, Default)]
-struct Batch {
-    /// The packet every replica shares; `None` while the slot is free.
+struct Run {
+    /// The packet every member shares; `None` while the run is spare.
     packet: Option<Packet>,
+    /// The `seq` of the first member; member `i` took `first + i`.
+    first: u64,
     /// The nodes it arrives at, in offer order.
     nodes: Vec<NodeId>,
+    /// `(instant, index of its first node)` of every instant after the one
+    /// the run is queued under, the last instant first; a same-instant run
+    /// has none.
+    later: Vec<(SimTime, u32)>,
 }
 
-/// The batch a fan-out is gathering: its instant, the `seq` of its first
-/// member (its queue key) and the packet.  Its nodes are
-/// [`Batches::gathering`].
-struct OpenBatch {
-    at: SimTime,
+/// The run a fan-out is gathering: its first instant, the instant of its
+/// last member, the `seq` of its first member (its queue key) and the
+/// packet.  Its nodes and later instants are [`Runs::nodes`] and
+/// [`Runs::later`].
+struct OpenRun {
+    head: SimTime,
+    last: SimTime,
     first: u64,
     packet: Packet,
 }
 
-/// Slab of [`Batch`] slots with a free list.  Node vectors move between the
-/// slots and the gathering buffer, so a steady run allocates nothing.
+/// The gathering buffers and up to [`KEEP_SPARE`] delivered runs.  Vectors
+/// move between the runs and the buffers, so a steady run allocates
+/// nothing.
 #[derive(Debug, Default)]
-struct Batches {
-    slots: Vec<Batch>,
-    free: Vec<usize>,
-    /// Nodes of the [`OpenBatch`] being gathered, in offer order.
-    gathering: Vec<NodeId>,
+struct Runs {
+    #[allow(
+        clippy::vec_box,
+        reason = "a queue entry holds a run as a box; keeping the box spares an allocation per run"
+    )]
+    spare: Vec<Box<Run>>,
+    /// Nodes of the [`OpenRun`] being gathered, in offer order.
+    nodes: Vec<NodeId>,
+    /// Later instants of the [`OpenRun`] being gathered, ascending.
+    later: Vec<(SimTime, u32)>,
 }
 
-impl Batches {
-    /// Queues the gathered batch under its first member's key: one replica
+impl Runs {
+    /// Adds the replica that took `seq` and arrives at `to` at `at` to the
+    /// open run if it can join it, and otherwise queues the open run and
+    /// opens a new one.
+    fn offer(
+        &mut self,
+        queue: &mut CalendarQueue<EventKind>,
+        open: &mut Option<OpenRun>,
+        seq: u64,
+        to: NodeId,
+        at: SimTime,
+        replica: Packet,
+    ) {
+        let len = self.nodes.len();
+        match open {
+            Some(run) if at >= run.last && seq == run.first + len as u64 => {
+                if at > run.last {
+                    self.later.push((at, len as u32));
+                    run.last = at;
+                }
+            }
+            _ => {
+                if let Some(done) = open.take() {
+                    self.flush(queue, done);
+                }
+                *open = Some(OpenRun {
+                    head: at,
+                    last: at,
+                    first: seq,
+                    packet: replica,
+                });
+            }
+        }
+        self.nodes.push(to);
+    }
+
+    /// Queues the gathered run under its first member's key: one replica
     /// as a [`EventKind::NodeArrival`], more as one
     /// [`EventKind::NodeArrivals`].
-    fn flush(&mut self, queue: &mut CalendarQueue<EventKind>, open: OpenBatch) {
-        let kind = if let [node] = self.gathering[..] {
-            self.gathering.clear();
+    fn flush(&mut self, queue: &mut CalendarQueue<EventKind>, open: OpenRun) {
+        let kind = if let [node] = self.nodes[..] {
+            self.nodes.clear();
             EventKind::NodeArrival {
                 node,
                 packet: open.packet,
             }
         } else {
-            let batch = self.free.pop().unwrap_or_else(|| {
-                self.slots.push(Batch::default());
-                self.slots.len() - 1
-            });
-            let slot = &mut self.slots[batch];
-            slot.packet = Some(open.packet);
-            std::mem::swap(&mut slot.nodes, &mut self.gathering);
-            EventKind::NodeArrivals { batch }
+            let mut run = self.spare.pop().unwrap_or_default();
+            run.packet = Some(open.packet);
+            run.first = open.first;
+            std::mem::swap(&mut run.nodes, &mut self.nodes);
+            std::mem::swap(&mut run.later, &mut self.later);
+            run.later.reverse();
+            EventKind::NodeArrivals { run }
         };
-        queue.schedule(open.at, open.first, kind);
+        queue.schedule(open.head, open.first, kind);
     }
 
-    /// Takes a queued batch's packet and nodes out of its slot for dispatch.
-    fn take(&mut self, batch: usize) -> (Packet, Vec<NodeId>) {
-        let slot = &mut self.slots[batch];
-        let packet = slot.packet.take().expect("a queued batch holds its packet");
-        (packet, std::mem::take(&mut slot.nodes))
-    }
-
-    /// Frees a dispatched batch's slot, keeping its node vector's capacity.
-    fn release(&mut self, batch: usize, mut nodes: Vec<NodeId>) {
-        nodes.clear();
-        self.slots[batch].nodes = nodes;
-        self.free.push(batch);
+    /// Keeps a delivered run for reuse, unless [`KEEP_SPARE`] are kept.
+    fn release(&mut self, mut run: Box<Run>) {
+        if self.spare.len() < KEEP_SPARE {
+            run.nodes.clear();
+            self.spare.push(run);
+        }
     }
 }
 
@@ -279,8 +330,8 @@ pub struct World {
     /// Reused buffer for the packet a RED/CoDel link hands back per
     /// `LinkTxComplete` (packet, completion time).
     tx_scratch: Vec<(Packet, SimTime)>,
-    /// Same-instant fan-outs queued as one entry each.
-    batches: Batches,
+    /// Fan-out runs queued as one entry each.
+    runs: Runs,
 }
 
 impl World {
@@ -303,7 +354,7 @@ impl World {
             rng: SmallRng::seed_from_u64(seed),
             events_processed: 0,
             tx_scratch: Vec::new(),
-            batches: Batches::default(),
+            runs: Runs::default(),
         }
     }
 
@@ -335,10 +386,10 @@ impl World {
 
     /// Routes a packet that is present at `node` (either just sent by a local
     /// agent or arriving from a link), replicating it onto links as needed.
-    /// Drop-tail replicas that arrive at one instant under consecutive
-    /// `seq`s are queued as one [`EventKind::NodeArrivals`] entry (see the
-    /// [module documentation](self)); a batch of one is a plain
-    /// [`EventKind::NodeArrival`].
+    /// Drop-tail replicas that arrive at non-decreasing instants under
+    /// consecutive `seq`s are queued as one [`EventKind::NodeArrivals`]
+    /// entry (see the [module documentation](self)); a run of one is a
+    /// plain [`EventKind::NodeArrival`].
     ///
     /// A packet can match **at most one** local agent — unicast names a
     /// single port, and multicast subscribers on one node are distinguished
@@ -385,12 +436,12 @@ impl World {
                 // Replicate along the distribution tree rooted at the
                 // source, iterating its out-link list in place; every
                 // replica shares the one `PacketData`.  Drop-tail replicas
-                // that land at one instant under consecutive `seq`s share
-                // one queue entry: each still takes its own `seq` here, in
-                // offer order, and joins the open batch only if nothing
-                // else took one since the batch's last member.
+                // that land at non-decreasing instants under consecutive
+                // `seq`s share one queue entry: each still takes its own
+                // `seq` here, in offer order, and joins the open run only
+                // if nothing else took one since the run's last member.
                 let tree = self.multicast.tree(group, packet.src.node, &self.routes);
-                let mut open: Option<OpenBatch> = None;
+                let mut open: Option<OpenRun> = None;
                 for &link in tree.out_links(node) {
                     let Some((to, replica, at)) = offer_to_link(
                         &mut self.links,
@@ -403,25 +454,12 @@ impl World {
                     ) else {
                         continue;
                     };
-                    let joins = open.as_ref().is_some_and(|b| {
-                        b.at.as_secs().to_bits() == at.as_secs().to_bits()
-                            && self.seq == b.first + self.batches.gathering.len() as u64
-                    });
-                    if !joins {
-                        if let Some(done) = open.take() {
-                            self.batches.flush(&mut self.queue, done);
-                        }
-                        open = Some(OpenBatch {
-                            at,
-                            first: self.seq,
-                            packet: replica,
-                        });
-                    }
-                    self.batches.gathering.push(to);
+                    self.runs
+                        .offer(&mut self.queue, &mut open, self.seq, to, at, replica);
                     self.seq += 1;
                 }
                 if let Some(done) = open {
-                    self.batches.flush(&mut self.queue, done);
+                    self.runs.flush(&mut self.queue, done);
                 }
                 // Local delivery: scan the node's subscribers to `group` for
                 // the (unique) agent bound to the destination port — no
@@ -682,8 +720,8 @@ pub struct Simulator {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchedulerDiagnostics {
     /// Live (scheduled, not yet dispatched or cancelled) queue entries.  A
-    /// same-instant fan-out batch is one entry, however many nodes it
-    /// reaches (see the [module documentation](self)).
+    /// fan-out run is one entry, however many nodes it still has to reach
+    /// (see the [module documentation](self)).
     pub queued_events: usize,
     /// Entry slots the queue has allocated ([`CalendarQueue::capacity`]):
     /// retained memory, which must follow `queued_events` and not the
@@ -728,8 +766,8 @@ impl Simulator {
 
     /// Number of events dispatched so far.  A cancelled timer leaves the
     /// event queue at once and is never dispatched, so it does not count.  A
-    /// same-instant fan-out batch counts once per node it delivers to, as
-    /// one entry per replica would.
+    /// fan-out run counts once per node it delivers to, as one entry per
+    /// replica would.
     pub fn events_processed(&self) -> u64 {
         self.world.events_processed
     }
@@ -918,14 +956,15 @@ impl Simulator {
                 debug_assert!(pending.is_some(), "a queued timer is pending");
             }
             self.world.events_processed += 1;
-            self.dispatch(kind);
+            self.dispatch(seq, kind);
         }
         if self.world.now < until {
             self.world.now = until;
         }
     }
 
-    fn dispatch(&mut self, kind: EventKind) {
+    /// Dispatches the entry taken under `seq`.
+    fn dispatch(&mut self, seq: u64, kind: EventKind) {
         match kind {
             EventKind::AgentStart { agent } => {
                 self.with_agent(agent, |a, ctx| a.start(ctx));
@@ -938,18 +977,38 @@ impl Simulator {
                 self.with_agent(agent, |a, ctx| a.on_packet(ctx, packet));
             }
             EventKind::NodeArrival { node, packet } => self.arrive(node, packet),
-            EventKind::NodeArrivals { batch } => {
-                let (packet, nodes) = self.world.batches.take(batch);
-                // `run_until` counted the entry once: one event per node.
-                self.world.events_processed += nodes.len() as u64 - 1;
-                for &node in &nodes {
-                    self.arrive(node, packet.clone());
-                }
-                self.world.batches.release(batch, nodes);
-            }
+            EventKind::NodeArrivals { run } => self.arrive_run(run, seq),
             EventKind::LinkTxComplete { link } => {
                 self.world.handle_link_tx_complete(link);
             }
+        }
+    }
+
+    /// The members of `run` that arrive at the instant of the key `seq` it
+    /// was taken under, in offer order.  If later members remain, the run
+    /// goes back into the queue under the next one's key; otherwise the
+    /// last member takes the packet.
+    fn arrive_run(&mut self, mut run: Box<Run>, seq: u64) {
+        let start = (seq - run.first) as usize;
+        let next = run.later.pop();
+        let end = next.map_or(run.nodes.len(), |(_, i)| i as usize);
+        // `run_until` counted the entry once: one event per node.
+        self.world.events_processed += (end - start) as u64 - 1;
+        let packet = run.packet.as_ref().expect("a queued run holds its packet");
+        for &node in &run.nodes[start..end - 1] {
+            self.arrive(node, packet.clone());
+        }
+        let last = run.nodes[end - 1];
+        if let Some((at, next)) = next {
+            self.arrive(last, packet.clone());
+            let key = run.first + u64::from(next);
+            self.world
+                .queue
+                .schedule(at, key, EventKind::NodeArrivals { run });
+        } else {
+            let packet = run.packet.take().expect("a queued run holds its packet");
+            self.world.runs.release(run);
+            self.arrive(last, packet);
         }
     }
 
@@ -1922,15 +1981,15 @@ mod tests {
     const A: f64 = 0.005;
     const B: f64 = 0.007;
 
-    /// The batch rule: replicas that arrive at one instant under
-    /// consecutive `seq`s share one queue entry, a different instant starts
-    /// a new one, and every delivery still counts as one event.
+    /// The run rule: replicas that arrive at non-decreasing instants under
+    /// consecutive `seq`s share one queue entry, an earlier instant starts a
+    /// new one, and every delivery still counts as one event.
     #[test]
     fn same_instant_replicas_share_one_queue_entry() {
         let (mut sim, _, leaves, log) = logged_star(&[A, A, B, A, A, A], None, None);
         sim.run_until(SimTime::ZERO);
-        // {0, 1}, {2}, {3, 4, 5}.
-        assert_eq!(sim.scheduler_diagnostics().queued_events, 3);
+        // {0, 1, 2}, {3, 4, 5}.
+        assert_eq!(sim.scheduler_diagnostics().queued_events, 2);
         let before = sim.events_processed();
         sim.run_until(SimTime::from_secs(1.0));
         assert_eq!(sim.events_processed() - before, 6);
@@ -1948,8 +2007,8 @@ mod tests {
 
     /// A RED leg's transmission end takes a `seq` in the middle of the
     /// offer, so the replicas on either side of it cannot share an entry;
-    /// its own arrival is scheduled later and follows the batch that
-    /// shares its instant.
+    /// its own arrival is scheduled later and follows the run that shares
+    /// its instant.
     #[test]
     fn a_red_leg_splits_the_batch_and_arrives_after_it() {
         let (mut sim, _, leaves, log) =
@@ -2004,7 +2063,7 @@ mod tests {
 
     /// A member that sends to a local agent from inside its delivery
     /// enqueues a `Deliver` at the same instant, behind every remaining
-    /// member of its batch.
+    /// member of its run at that instant.
     #[test]
     fn a_send_from_inside_a_batch_follows_the_whole_batch() {
         let (mut sim, _, leaves, log) = logged_star(&[A; 6], None, Some(1));
@@ -2017,7 +2076,7 @@ mod tests {
         assert_eq!(*log.borrow(), want);
     }
 
-    /// A timer due at a batch's instant fires before the batch when it was
+    /// A timer due at a run's instant fires before the run when it was
     /// armed before the offer, and after it when armed after the offer.
     #[test]
     fn timers_at_a_batch_instant_keep_their_arming_order() {
@@ -2034,6 +2093,136 @@ mod tests {
         want.extend((0..6).map(|leaf| (t, Seen::Packet(Address::new(leaves[leaf], Port(1))))));
         want.push((t, Seen::Timer(2)));
         assert_eq!(*log.borrow(), want);
+    }
+
+    const C: f64 = 0.009;
+
+    /// Replicas whose arrivals ascend form one run: one queue entry, one
+    /// delivery per leg, in time order.
+    #[test]
+    fn ascending_distinct_arrivals_share_one_entry() {
+        let (mut sim, _, leaves, log) = logged_star(&[A, B, C], None, None);
+        sim.run_until(SimTime::ZERO);
+        assert_eq!(sim.scheduler_diagnostics().queued_events, 1);
+        sim.run_until(SimTime::from_secs(1.0));
+        let at = |leaf: usize, delay| {
+            (
+                leg_arrival(delay),
+                Seen::Packet(Address::new(leaves[leaf], Port(1))),
+            )
+        };
+        assert_eq!(*log.borrow(), vec![at(0, A), at(1, B), at(2, C)]);
+    }
+
+    /// Arrivals that descend in leg order cannot form a run: each replica is
+    /// an entry of its own, and the deliveries still come in time order.
+    #[test]
+    fn descending_leg_order_gives_one_entry_per_replica() {
+        let (mut sim, _, leaves, log) = logged_star(&[C, B, A], None, None);
+        sim.run_until(SimTime::ZERO);
+        assert_eq!(sim.scheduler_diagnostics().queued_events, 3);
+        sim.run_until(SimTime::from_secs(1.0));
+        let at = |leaf: usize, delay| {
+            (
+                leg_arrival(delay),
+                Seen::Packet(Address::new(leaves[leaf], Port(1))),
+            )
+        };
+        assert_eq!(*log.borrow(), vec![at(2, A), at(1, B), at(0, C)]);
+    }
+
+    /// A timer due between two members of a run fires between them, and one
+    /// due at a later member's instant fires before that member when it was
+    /// armed before the offer and after it when armed after.
+    #[test]
+    fn a_timer_between_two_members_of_a_run_fires_between_them() {
+        let (mut sim, hub, leaves, log) = logged_star(&[A, B], None, None);
+        let (ta, tb) = (leg_arrival(A), leg_arrival(B));
+        let mid = (ta.as_secs() + tb.as_secs()) / 2.0;
+        let mut timers = Logged::new(&log);
+        // Tokens 1 and 3 are armed at start, before the source's send at
+        // t = 0; token 0 fires at t = 0 after the send and arms token 2.
+        timers.timers = vec![(mid, 1), (tb.as_secs(), 3), (0.0, 0)];
+        timers.rearm = Some(tb.as_secs());
+        sim.add_agent(hub, Port(9), Box::new(timers));
+        sim.run_until(SimTime::ZERO);
+        let run_and_timers = sim.scheduler_diagnostics();
+        assert_eq!(
+            (run_and_timers.queued_events, run_and_timers.pending_timers),
+            (4, 3)
+        );
+        sim.run_until(SimTime::from_secs(1.0));
+        let member = |leaf: usize| Seen::Packet(Address::new(leaves[leaf], Port(1)));
+        assert_eq!(
+            *log.borrow(),
+            vec![
+                (SimTime::ZERO, Seen::Timer(0)),
+                (ta, member(0)),
+                (SimTime::from_secs(mid), Seen::Timer(1)),
+                (tb, Seen::Timer(3)),
+                (tb, member(1)),
+                (tb, Seen::Timer(2)),
+            ]
+        );
+    }
+
+    /// Two packets offered back to back: the second one's run lands between
+    /// the first one's members and ties with its last, and the deliveries
+    /// come in the `(time, seq)` order one entry per replica gives — by
+    /// time, then the first packet's replica before the second's.
+    #[test]
+    fn two_runs_in_flight_interleave_in_per_replica_order() {
+        let delays = [0.001, 0.002, 0.02, 0.03];
+        let (mut sim, hub, leaves, log) = logged_star(&delays, None, None);
+        let to_group = Dest::Multicast {
+            group: GroupId(1),
+            port: Port(1),
+        };
+        let second = Scripted::new(to_group, LEG_PACKET, &[0.0]);
+        sim.add_agent(hub, Port(2), Box::new(second));
+        sim.run_until(SimTime::ZERO);
+        assert_eq!(sim.scheduler_diagnostics().queued_events, 2);
+        sim.run_until(SimTime::from_secs(1.0));
+        // The second packet waits for the first one's transmission on every
+        // leg, so it arrives one serialization later.
+        let tx = f64::from(LEG_PACKET) / LEG_BANDWIDTH;
+        let mut replicas: Vec<(SimTime, usize, usize)> = (0..2)
+            .flat_map(|packet| {
+                let done = (0..=packet).fold(SimTime::ZERO, |t, _| t + tx);
+                delays
+                    .iter()
+                    .enumerate()
+                    .map(move |(leg, &delay)| (done + delay, packet, leg))
+            })
+            .collect();
+        assert_eq!(
+            replicas[3].0, replicas[6].0,
+            "the scenario must produce a tie"
+        );
+        replicas.sort_by(|x, y| x.partial_cmp(y).unwrap());
+        let want: Vec<_> = replicas
+            .into_iter()
+            .map(|(t, _, leg)| (t, Seen::Packet(Address::new(leaves[leg], Port(1)))))
+            .collect();
+        assert_eq!(*log.borrow(), want);
+    }
+
+    /// A run stays one entry until its last instant, and each instant
+    /// counts one event per member it delivers.
+    #[test]
+    fn events_processed_counts_once_per_replica() {
+        let (mut sim, _, _, _) = logged_star(&[A, A, B, C], None, None);
+        sim.run_until(SimTime::ZERO);
+        let start = sim.events_processed();
+        let mut seen = Vec::new();
+        for delay in [A, B, C] {
+            sim.run_until(leg_arrival(delay));
+            seen.push((
+                sim.events_processed() - start,
+                sim.scheduler_diagnostics().queued_events,
+            ));
+        }
+        assert_eq!(seen, vec![(2, 1), (3, 1), (4, 0)]);
     }
 
     /// The slot-edge rule: a packet stops occupying its queue slot at the

@@ -37,10 +37,12 @@
 //! passed, before the link model was touched.
 //!
 //! In [`SCENARIOS`] consecutive legs differ in delay, so a packet's replicas
-//! rarely share an instant.  [`UNIFORM_SCENARIOS`] are six rows whose legs
+//! rarely share an instant; where consecutive legs' arrivals ascend, the
+//! engine queues them as one fan-out run of distinct instants, so these
+//! rows pin that shape too.  [`UNIFORM_SCENARIOS`] are six rows whose legs
 //! are all alike, so every replica of a packet lands at one instant: the
-//! shape under which the engine dispatches a same-instant fan-out as one
-//! queue entry.  They cross 8 and 40 legs with a RED leg every fifth
+//! shape under which the engine dispatches a whole fan-out as one queue
+//! entry.  They cross 8 and 40 legs with a RED leg every fifth
 //! position (its transmission-end event takes a tie-break `seq` in the
 //! middle of the hub's offer loop), and with 10 % loss on even legs plus
 //! churn (dropped replicas take no `seq`; a member may leave between the

@@ -15,7 +15,9 @@
 //! own sender node, multicast group and share of the N receivers, starts
 //! staggered 2 s apart), and reports per-session goodput plus the Jain
 //! fairness index — at `100000 sessions=4` that is a single simulation
-//! holding ≥ 4 concurrent TFMCC sessions totaling 10⁵ receivers.
+//! holding ≥ 4 concurrent TFMCC sessions totaling 10⁵ receivers — next to
+//! the heap after build, after the run and at the peak, and the same
+//! `queue:` line as the CBR probe.
 //!
 //! With `hybrid` the probe exercises the **population tier**: one TFMCC
 //! session, wired by the testbed on a star, whose bulk receivers are a
@@ -218,6 +220,12 @@ fn probe_cbr(n: usize, churn: bool) {
         started_bytes / n as i64,
         run_bytes / n as i64,
     );
+    print_queue(&sim);
+}
+
+/// What the event queue holds at the end of the run, and what it holds on
+/// to.
+fn print_queue(sim: &Simulator) {
     let diag = sim.scheduler_diagnostics();
     println!(
         "queue: {} events queued, {} entry slots allocated",
@@ -279,6 +287,7 @@ fn probe_sessions(n: usize, k: usize) {
     sim.run_until(SimTime::from_secs(duration));
     let ran = t1.elapsed();
     let run_bytes = live_bytes() - heap0;
+    let peak = peak_bytes() - heap0;
 
     let rates: Vec<f64> = sessions
         .iter()
@@ -305,13 +314,18 @@ fn probe_sessions(n: usize, k: usize) {
         jain_index(rates.iter().copied()),
         rates.iter().sum::<f64>() * 8.0 / 1000.0
     );
+    // The peak comes last, so the after-build and after-run figures stay
+    // the line's first two parenthesised fields.
     println!(
-        "heap: {:.1} MB after build ({} B/receiver), {:.1} MB after run ({} B/receiver)",
+        "heap: {:.1} MB after build ({} B/receiver), {:.1} MB after run ({} B/receiver), {:.1} MB peak ({} B/receiver)",
         built_bytes as f64 / (1 << 20) as f64,
         built_bytes / receivers as i64,
         run_bytes as f64 / (1 << 20) as f64,
         run_bytes / receivers as i64,
+        peak as f64 / (1 << 20) as f64,
+        peak / receivers as i64,
     );
+    print_queue(&sim);
 }
 
 /// The hybrid probe: one TFMCC session holding `n` receivers, of which only

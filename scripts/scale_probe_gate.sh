@@ -6,8 +6,8 @@
 # (1 147 / 1 065 B at 20 000 receivers when the bounds were set, 10 %
 # headroom), and it dispatched at most 1.05 events per delivered packet.  The
 # last bound guards the eventless drop-tail link: the engine counts one
-# delivery per hop of the CBR star and nothing else — same-instant replicas
-# of a packet share one queue entry but still count once per node — (1.002
+# delivery per hop of the CBR star and nothing else — a fan-out's replicas
+# share queue entries (fan-out runs) but still count once per node — (1.002
 # today; 2.004 while a `LinkTxComplete` preceded each arrival), so a change
 # that brings a per-packet link event back fails here.  Exact counts, not
 # timings, so the gate cannot flake.
